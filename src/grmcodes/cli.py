@@ -45,14 +45,14 @@ EXIT_ABSENT = 5
 CAP_ENV_VAR = "GRMCODES_CAP"
 
 
-def _default_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_CAP
+def _positive_cap(raw: str) -> int:
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}") from None
+    if cap <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {cap}")
+    return cap
 
 
 @dataclass
@@ -393,9 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--cap",
-        type=int,
-        default=_default_cap(),
-        help=f"codeword-count ceiling for exhaustive enumeration (env {CAP_ENV_VAR})",
+        type=_positive_cap,
+        help=f"codeword-count ceiling for exhaustive enumeration (default: env {CAP_ENV_VAR}, else {DEFAULT_CAP})",
     )
     common.add_argument("--strict", action="store_true", help="fail instead of degrading to bounds")
     common.add_argument("--json", action="store_true", help="emit the report as JSON")
@@ -466,6 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.cap is None:
+        raw = os.environ.get(CAP_ENV_VAR)
+        try:
+            args.cap = _positive_cap(raw) if raw else DEFAULT_CAP
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"{CAP_ENV_VAR}: {exc}")
     t0 = time.perf_counter()
     try:
         rep: RunReport = args.func(args)

@@ -14,9 +14,13 @@ Weight computations come in two exact flavours:
   increasing size for dependent column sets of the parity-check matrix.
   The first size that yields a dependent set (with a full-support kernel
   vector outside the excluded subcode, when one is given) is the exact
-  minimum weight.
+  minimum weight.  Supports are tested in lexicographic chunks by one
+  batched rank filter (a forward elimination run across the whole stack
+  of column subsets at once); only the dependent sets, which are rare
+  below the minimum weight, reach the per-subset kernel computation.
 
-Both are complete searches; tests cross-check one against the other.
+Both are complete searches; tests cross-check one against the other, and
+the batched support search against a per-subset reference.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ from .gf import FieldSpec, extension_pair_for
 
 DEFAULT_CAP = 2**24
 _BLOCK_ROWS = 1 << 18
+# column subsets per batched rank test; the stack takes chunk * r * w bytes
+_SUBSET_CHUNK = 1 << 13
 
 
 def rref(field: FieldSpec, mat) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -438,6 +444,42 @@ def min_weight_difference(big: LinearCode, small: LinearCode, cap: int = DEFAULT
 # -- exact low-weight support search ---------------------------------------------
 
 
+def _dependent_subsets(field: FieldSpec, H: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """The rows of ``subsets`` whose columns of H are linearly dependent.
+
+    ``subsets`` is an (S, w) array of column indices; the result keeps its
+    row order.  One forward elimination runs across the whole (S, r, w)
+    stack.  The invariant that keeps it uniform: a subset still independent
+    after c columns has rank exactly c, so after those c pivots are cleared
+    away every surviving matrix has its next pivot in (what was) row c.  A
+    subset whose column c is zero from row c down is dependent and leaves
+    the batch.  With w > r the rows run out first, so every subset is
+    dependent.
+    """
+    w = subsets.shape[1]
+    M = H[:, subsets].transpose(1, 0, 2)  # (S, r, w)
+    live = np.arange(len(subsets))
+    dependent = []
+    for c in range(w):
+        # M holds the rows c.. and columns c.. still in play
+        nz = M[:, :, 0] != 0
+        alive = nz.any(axis=1)
+        if not alive.all():
+            dependent.append(live[~alive])
+            live, M, nz = live[alive], M[alive], nz[alive]
+        if c == w - 1 or live.size == 0:
+            break
+        b = np.arange(live.size)
+        p = nz.argmax(axis=1)
+        pivot = M[b, p]
+        M[b, p] = M[:, 0]  # the old top row takes the pivot row's place
+        scaled = field.MUL[field.INV[pivot[:, 0]][:, None], pivot[:, 1:]]
+        M = field.sub_arrays(M[:, 1:, 1:], field.MUL[M[:, 1:, 0][:, :, None], scaled[:, None, :]])
+    if not dependent:
+        return subsets[:0]
+    return subsets[np.sort(np.concatenate(dependent))]
+
+
 def min_weight_support_search(
     code: LinearCode,
     exclude: LinearCode | None = None,
@@ -451,6 +493,16 @@ def min_weight_support_search(
     with a full-support kernel vector.  Complete per size, so the first
     hit is the true minimum.  Cost grows with C(n, w) and with the dual
     dimension, so this route suits codes whose dual is small.
+
+    The supports of each size are generated in lexicographic chunks, and
+    each chunk passes one batched rank filter (:func:`_dependent_subsets`):
+    a forward elimination across the stack of column subsets, kept uniform
+    because every subset still independent after c columns has its next
+    pivot in row c.  Only the dependent subsets go on, in lexicographic
+    order, to the per-subset kernel, full-support and exclusion checks, so
+    the first hit and both budget checks fall exactly where a one-subset-
+    at-a-time scan would put them.  ``subset_budget`` is charged C(n, w)
+    before each size is scanned.
     """
     if code.k == 0:
         raise EmptyCode("the zero code has no minimum weight")
@@ -461,22 +513,28 @@ def min_weight_support_search(
         spent += comb(n, w)
         if spent > subset_budget:
             raise CapExceeded(f"support search budget exceeded at weight {w}")
-        for S in itertools.combinations(range(n), w):
-            sub = H[:, S]
-            K = kernel_basis(field, sub)
-            if K.shape[0] == 0:
-                continue
-            if field.q**K.shape[0] > kernel_budget:
-                raise CapExceeded("kernel span too large to enumerate")
-            for _, block in iter_span_blocks(field, K):
-                full = block[np.all(block != 0, axis=1)]
-                for v in full:
-                    if exclude is None:
-                        return w
-                    cand = np.zeros(n, dtype=np.uint8)
-                    cand[list(S)] = v
-                    if not exclude.contains(cand):
-                        return w
+        combos = itertools.combinations(range(n), w)
+        while True:
+            chunk = np.fromiter(
+                itertools.chain.from_iterable(itertools.islice(combos, _SUBSET_CHUNK)), dtype=np.intp
+            ).reshape(-1, w)
+            if len(chunk) == 0:
+                break
+            for S in _dependent_subsets(field, H, chunk):
+                K = kernel_basis(field, H[:, S])
+                if K.shape[0] == 0:
+                    continue
+                if field.q**K.shape[0] > kernel_budget:
+                    raise CapExceeded("kernel span too large to enumerate")
+                for _, block in iter_span_blocks(field, K):
+                    full = block[np.all(block != 0, axis=1)]
+                    for v in full:
+                        if exclude is None:
+                            return w
+                        cand = np.zeros(n, dtype=np.uint8)
+                        cand[S] = v
+                        if not exclude.contains(cand):
+                            return w
     raise EmptyCode("difference set is empty")
 
 

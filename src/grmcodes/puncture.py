@@ -25,6 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import (
+    CapExceeded,
     NotNested,
     NotSelfOrthogonal,
     OrderOutOfRange,
@@ -374,7 +375,8 @@ def mds_chain(q: int, nu: int, cap: int = DEFAULT_CAP, verify_chain: bool = True
     Builds C = R_{q^2}(nu, 1), locates a weight-(nu+1)q vector in the
     puncture code through the embedded R_q(q-nu-1, 2) (or its univariate
     slice when that scan would blow the cap), materializes the punctured
-    Hermitian code, and checks it is MDS with exact parameters.
+    Hermitian code, and checks it is MDS with exact parameters.  Raises
+    CapExceeded when the distance search gives up and leaves only a bound.
     """
     if not 0 <= nu <= q - 2:
         raise OrderOutOfRange(f"need 0 <= nu <= q-2, got nu={nu}")
@@ -418,7 +420,9 @@ def mds_chain(q: int, nu: int, cap: int = DEFAULT_CAP, verify_chain: bool = True
     witness = _attach_scaling(prec, X, np.flatnonzero(X), scan_label)
     out = puncture_hermitian(g, witness, cap, pcode_record=prec)
     out.provenance.update({"chain": "mds", "q": q, "nu": nu, "target_weight": r})
-    assert out.exact, "MDS chain records must have exact parameters"
+    if not out.exact:
+        # a bound cannot confirm the MDS claim; that is a capped run, not a mismatch
+        raise CapExceeded(f"MDS chain record {out.params_str()} has only a distance bound")
     assert (out.n, out.k, out.d) == (r, r - 2 * (nu + 1), nu + 2), (
         f"MDS chain produced {out.params_str()}, expected "
         f"[[{r},{r - 2 * (nu + 1)},{nu + 2}]]_{q}"

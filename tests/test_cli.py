@@ -1,6 +1,10 @@
 """CLI behaviour: commands, exit codes, output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +125,48 @@ def test_sweep_css_all_pass(capsys):
     assert "all_rows_pass" in out
 
 
+CAPPED_MDS_CHAIN = ("puncture", "hermitian", "-q", "5", "--nu", "3", "--mds-chain", "--cap", "16")
+
+
+def test_capped_mds_chain_exits_capped(capsys):
+    code, _, err = run(capsys, *CAPPED_MDS_CHAIN)
+    assert code == EXIT_CAPPED
+    assert "only a distance bound" in err
+
+
+def test_capped_mds_chain_exits_capped_without_asserts():
+    # python -O strips assert statements; exit codes must not depend on them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "grmcodes", *CAPPED_MDS_CHAIN],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == EXIT_CAPPED, proc.stderr
+    assert "only a distance bound" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "env_cap,argv_cap",
+    [("abc", ()), (None, ("--cap", "0")), (None, ("--cap", "-5"))],
+    ids=["env-not-a-number", "cap-zero", "cap-negative"],
+)
+def test_bad_cap_exits_usage(capsys, monkeypatch, env_cap, argv_cap):
+    if env_cap is None:
+        monkeypatch.delenv("GRMCODES_CAP", raising=False)
+    else:
+        monkeypatch.setenv("GRMCODES_CAP", env_cap)
+    with pytest.raises(SystemExit) as exc:
+        main(["grm", "-q", "2", "-m", "1", "--order", "0", *argv_cap])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "expected a positive integer" in err
+    if env_cap is not None:
+        assert "GRMCODES_CAP" in err
+
+
 def test_cap_env_variable_sets_default(capsys, monkeypatch):
     monkeypatch.setenv("GRMCODES_CAP", "123456")
     code, out, _ = run(capsys, "grm", "-q", "2", "-m", "1", "--order", "0")
@@ -129,9 +175,6 @@ def test_cap_env_variable_sets_default(capsys, monkeypatch):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "grmcodes", "grm", "-q", "3", "-m", "1", "--order", "1"],
         capture_output=True,

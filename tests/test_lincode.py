@@ -5,6 +5,7 @@ operations, deliberately avoiding the library's vectorized span engine.
 """
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from grmcodes.lincode import (
     min_weight_support_search,
     product_span,
     rref,
+    _dependent_subsets,
 )
 
 
@@ -288,6 +290,146 @@ def test_support_search_with_exclusion_crosschecks_difference():
         # the auto router picks the support route under a tiny cap
         assert exact_difference_weight(big, small, cap=1) == span_route
         assert exact_min_weight(big, cap=1) == big.min_weight()[0]
+
+
+def reference_support_search(code, exclude=None, subset_budget=2 * 10**6, kernel_budget=4096):
+    """The support search one subset at a time: one kernel per column subset."""
+    if code.k == 0:
+        raise EmptyCode("the zero code has no minimum weight")
+    field, n = code.field, code.n
+    H = code.dual().gen
+    spent = 0
+    for w in range(1, n + 1):
+        spent += comb(n, w)
+        if spent > subset_budget:
+            raise CapExceeded(f"support search budget exceeded at weight {w}")
+        for S in itertools.combinations(range(n), w):
+            K = kernel_basis(field, H[:, S])
+            if K.shape[0] == 0:
+                continue
+            if field.q**K.shape[0] > kernel_budget:
+                raise CapExceeded("kernel span too large to enumerate")
+            for _, block in iter_span_blocks(field, K):
+                for v in block[np.all(block != 0, axis=1)]:
+                    if exclude is None:
+                        return w
+                    cand = np.zeros(n, dtype=np.uint8)
+                    cand[list(S)] = v
+                    if not exclude.contains(cand):
+                        return w
+    raise EmptyCode("difference set is empty")
+
+
+def search_outcome(search, *args, **kwargs):
+    """The weight found, or the type and message of the error raised."""
+    try:
+        return search(*args, **kwargs)
+    except (CapExceeded, EmptyCode) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def code_from_checks(field, H):
+    """The code whose parity-check matrix is H."""
+    return LinearCode(field, H).dual()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_dependent_subsets_match_scalar_rank(q):
+    f = gf.get_field(q)
+    rng = np.random.default_rng(q)
+    for trial in range(12):
+        r = int(rng.integers(1, 5))
+        n = int(rng.integers(r, 9))
+        H = rng.integers(0, q, size=(r, n)).astype(np.uint8)
+        if trial % 3 == 0:
+            H[:, int(rng.integers(n))] = 0
+        for w in range(1, min(n, r + 2) + 1):  # w > r included
+            subsets = np.array(list(itertools.combinations(range(n), w)), dtype=np.intp)
+            expect = [S for S in subsets if kernel_basis(f, H[:, S]).shape[0] > 0]
+            got = _dependent_subsets(f, H, subsets)
+            assert np.array_equal(got, np.array(expect, dtype=np.intp).reshape(-1, w))
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_batched_support_search_matches_reference(q, chunk, monkeypatch):
+    if chunk is not None:  # tiny chunks put a chunk boundary inside every weight
+        monkeypatch.setattr(lincode, "_SUBSET_CHUNK", chunk)
+    f = gf.get_field(q)
+    rng = np.random.default_rng(100 + q)
+    for _ in range(10):
+        r = int(rng.integers(1, 4))
+        n = int(rng.integers(r + 2, 9))
+        code = code_from_checks(f, rng.integers(0, q, size=(r, n)).astype(np.uint8))
+        assert search_outcome(min_weight_support_search, code) == search_outcome(
+            reference_support_search, code
+        )
+        if code.k < 2:
+            continue
+        small = LinearCode(f, code.gen[: int(rng.integers(1, code.k))], n)
+        # code minus itself is empty and both must say so; over the larger
+        # fields that scan runs through every kernel span and is slow
+        for excl in (small, code) if q <= 3 else (small,):
+            assert search_outcome(min_weight_support_search, code, exclude=excl) == search_outcome(
+                reference_support_search, code, exclude=excl
+            )
+
+
+def test_batched_support_search_crosses_chunk_boundaries():
+    # [40, 37] code over GF(49) checked by 3 x 40 Vandermonde rows, with
+    # column 31 a copy of column 30.  The weight-2 word on {30, 31} is
+    # excluded, so weight 3 is scanned in full: 9880 subsets, more than one
+    # chunk, with dependent ones ({.., 30, 31}) on both sides of the boundary.
+    f = gf.get_field(49)
+    n = 40
+    pts = np.arange(1, n + 1, dtype=np.uint8)
+    pts[31] = pts[30]
+    H = np.vstack([f.POW[pts, j] for j in range(3)])
+    code = code_from_checks(f, H)
+    low = np.zeros((1, n), dtype=np.uint8)
+    low[0, 30], low[0, 31] = 1, f.neg(1)
+    assert code.contains(low[0])
+    excl = LinearCode(f, low, n)
+
+    chunk = lincode._SUBSET_CHUNK
+    assert comb(n, 3) > chunk
+    subsets = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp)
+    positions = [i for i, S in enumerate(subsets) if {30, 31} <= set(S)]
+    assert min(positions) < chunk <= max(positions)
+    dependent = _dependent_subsets(f, code.dual().gen, subsets)
+    assert [tuple(S) for S in dependent] == [tuple(subsets[i]) for i in positions]
+
+    assert min_weight_support_search(code) == reference_support_search(code) == 2
+    assert min_weight_support_search(code, exclude=excl) == reference_support_search(code, exclude=excl) == 4
+
+
+def test_batched_support_search_budgets_trip_at_the_reference_weight():
+    # columns 0..2 of H are zero, so e_0, e_1, e_2 are codewords; excluding
+    # their span leaves no hit at weights 1 and 2, and the first subsets
+    # with 2- and 3-dim kernels are {0, 1} and {0, 1, 2}
+    f = gf.get_field(3)
+    H = np.zeros((3, 9), dtype=np.uint8)
+    H[:, 3:] = np.array([[1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1]])
+    code = code_from_checks(f, H)
+    excl = LinearCode(f, np.eye(9, dtype=np.uint8)[:3], 9)
+    cumulative = list(itertools.accumulate(comb(9, w) for w in range(1, 10)))
+
+    def outcome(search, w, kernel_budget):
+        # a subset budget of cumulative[w - 1] scans weights 1..w and stops
+        # at weight w + 1, which pins the weight where the kernel budget trips
+        kw = dict(exclude=excl, subset_budget=cumulative[w - 1], kernel_budget=kernel_budget)
+        return search_outcome(search, code, **kw)
+
+    for w in range(1, 5):
+        for kernel_budget in (3, 9, 27, 4096):
+            assert outcome(min_weight_support_search, w, kernel_budget) == outcome(
+                reference_support_search, w, kernel_budget
+            )
+    tripped = ("CapExceeded", "kernel span too large to enumerate")
+    assert outcome(min_weight_support_search, 1, 3) == ("CapExceeded", "support search budget exceeded at weight 2")
+    assert outcome(min_weight_support_search, 2, 3) == tripped  # {0, 1}: 3^2 > 3
+    assert outcome(min_weight_support_search, 2, 9) != tripped
+    assert outcome(min_weight_support_search, 3, 9) == tripped  # {0, 1, 2}: 3^3 > 9
 
 
 def test_find_first_of_weight_is_canonical_and_complete():

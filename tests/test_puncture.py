@@ -202,6 +202,14 @@ def test_puncture_hermitian_requires_scaling():
         (4, 0, (4, 2, 2)),
         (4, 1, (8, 4, 3)),
         (4, 2, (12, 6, 4)),
+        (7, 0, (7, 5, 2)),
+        (7, 1, (14, 10, 3)),
+        (7, 2, (21, 15, 4)),
+        (7, 3, (28, 20, 5)),
+        (8, 0, (8, 6, 2)),
+        (8, 1, (16, 12, 3)),
+        (8, 2, (24, 18, 4)),
+        (8, 3, (32, 24, 5)),
     ],
 )
 def test_mds_chain_known_records(q, nu, expect):
