@@ -20,7 +20,6 @@ from .lincode import (
     DEFAULT_CAP,
     LinearCode,
     WeightDistribution,
-    min_weight_difference,
     product_span,
 )
 from .puncture import (
@@ -43,7 +42,6 @@ from .qcode import (
     hermitian,
     hermitian_grm,
     hermitian_self_orthogonal,
-    singleton_check,
 )
 
 __all__ = [
@@ -73,7 +71,6 @@ __all__ = [
     "hermitian_grm",
     "hermitian_self_orthogonal",
     "mds_chain",
-    "min_weight_difference",
     "nesting_weight_check",
     "product_span",
     "puncture_code_css",
@@ -81,5 +78,4 @@ __all__ = [
     "puncture_css",
     "puncture_hermitian",
     "quadratic_extension",
-    "singleton_check",
 ]

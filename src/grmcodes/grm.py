@@ -180,9 +180,8 @@ def nesting_weight_check(
     c2 = build_grm(q, m, nu2)
     if not (c1.code.is_subcode_of(c2.code) and c1.k < c2.k):
         raise AssertionError("orders increased but codes are not strictly nested")
-    w2 = lincode.exact_min_weight(c2.code, cap)
-    w1 = lincode.exact_min_weight(c1.code, cap)
-    wdiff = lincode.exact_difference_weight(c2.code, c1.code, cap)
+    w2, wdiff = lincode.exact_min_weight(c2.code, c1.code, cap)
+    w1 = lincode.exact_min_weight(c1.code, cap=cap)[0]
     return {
         "q": q,
         "m": m,

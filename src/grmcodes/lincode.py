@@ -5,22 +5,28 @@ matrix in reduced row-echelon form.  RREF is unique, so two codes are
 equal exactly when their matrices are equal, and every derived object
 (duals, spans, restrictions) is reproducible bit for bit.
 
-Weight computations come in two exact flavours:
+Every exact distance goes through one engine, ``exact_min_weight(code,
+exclude)``, which returns the pair (wt(code), wt(code minus exclude)) from
+a single pass over the code by one of two exact routes:
 
-* span enumeration: walk all q^k codewords in blocks of vectorized numpy
-  work, in lexicographic message order (canonical field-element order per
-  digit, first generator row most significant);
-* support search: for codes whose *dual* is small, scan supports of
-  increasing size for dependent column sets of the parity-check matrix.
-  The first size that yields a dependent set (with a full-support kernel
-  vector outside the excluded subcode, when one is given) is the exact
-  minimum weight.  Supports are tested in lexicographic chunks by one
+* span enumeration, when q^k fits the cap: walk all q^k codewords in
+  blocks of vectorized numpy work, in lexicographic message order
+  (canonical field-element order per digit, first generator row most
+  significant).  The rows are the extension of the excluded subcode's
+  basis followed by that basis, so the excluded codewords are exactly the
+  first q^dim(exclude) of the scan and both minima come from one walk;
+* support search, otherwise: scan supports of increasing size for
+  dependent column sets of the parity-check matrix, which suits codes
+  whose *dual* is small.  The first size with a full-support kernel vector
+  is wt(code); the first size with one outside the excluded subcode is
+  the second value.  Supports are tested in lexicographic chunks by one
   batched rank filter (a forward elimination run across the whole stack
   of column subsets at once); only the dependent sets, which are rare
   below the minimum weight, reach the per-subset kernel computation.
 
-Both are complete searches; tests cross-check one against the other, and
-the batched support search against a per-subset reference.
+Both are complete searches; tests cross-check one against the other, the
+batched support search against a per-subset reference, and both against
+a scalar brute-force oracle.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ from .gf import FieldSpec, extension_pair_for
 
 DEFAULT_CAP = 2**24
 _BLOCK_ROWS = 1 << 18
+# column subsets the support route may scan when q^k is over the cap
+SUPPORT_BUDGET = 2 * 10**6
 # column subsets per batched rank test; the stack takes chunk * r * w bytes
 _SUBSET_CHUNK = 1 << 13
 
@@ -248,8 +256,7 @@ class LinearCode:
         if self.k == 0:
             raise EmptyCode("the zero code has no minimum weight")
         if self.field.q**self.k <= cap:
-            w = _span_min_weight(self.field, self.gen, skip_below=1)
-            return w, True
+            return exact_min_weight(self, cap=cap)[0], True
         return self._partial_lower_bound(cap)
 
     def _partial_lower_bound(self, cap: int) -> tuple[int, bool]:
@@ -277,37 +284,27 @@ class LinearCode:
             return best, True
         return t + 1, False
 
-    def weight_distribution(self, cap: int = DEFAULT_CAP, strict: bool = False) -> "WeightDistribution":
-        """Exact weight counts by full enumeration within cap, else a sample."""
-        if self.field.q**self.k <= cap:
-            counts = np.zeros(self.n + 1, dtype=np.int64)
-            for _, block in iter_span_blocks(self.field, self.gen):
-                w = np.count_nonzero(block, axis=1)
-                counts += np.bincount(w, minlength=self.n + 1)
-            return WeightDistribution(tuple(int(c) for c in counts), True)
-        if strict:
+    def weight_distribution(self, cap: int = DEFAULT_CAP) -> "WeightDistribution":
+        """Exact weight counts by full enumeration; CapExceeded when q^k > cap."""
+        if self.field.q**self.k > cap:
             raise CapExceeded(
                 f"q^k = {self.field.q}^{self.k} exceeds cap {cap} for exact distribution"
             )
-        rng = np.random.default_rng(0)
-        samples = min(cap, 1 << 16)
-        msgs = rng.integers(0, self.field.q, size=(samples, self.k)).astype(np.uint8)
-        words = self.field.matmul(msgs, self.gen)
-        w = np.count_nonzero(words, axis=1)
-        counts = np.bincount(w, minlength=self.n + 1)
-        return WeightDistribution(tuple(int(c) for c in counts), False)
+        counts = np.zeros(self.n + 1, dtype=np.int64)
+        for _, block in iter_span_blocks(self.field, self.gen):
+            w = np.count_nonzero(block, axis=1)
+            counts += np.bincount(w, minlength=self.n + 1)
+        return WeightDistribution(tuple(int(c) for c in counts))
 
 
 @dataclass(frozen=True)
 class WeightDistribution:
-    """Counts A_0..A_n of codeword weights; exact means full enumeration."""
+    """Counts A_0..A_n of codeword weights, from full enumeration."""
 
     counts: tuple[int, ...]
-    exact: bool
 
     def __post_init__(self):
-        if self.exact:
-            assert self.counts[0] == 1, "exact distribution must count the zero word once"
+        assert self.counts[0] == 1, "exact distribution must count the zero word once"
 
     def min_positive_weight(self) -> int | None:
         for i, c in enumerate(self.counts):
@@ -335,7 +332,7 @@ def _base_block(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
     return block
 
 
-def iter_span_blocks(field: FieldSpec, rows, max_block_rows: int = _BLOCK_ROWS):
+def iter_span_blocks(field: FieldSpec, rows):
     """Yield (start_index, block) covering the whole span in message order.
 
     Message order is lexicographic over coefficient tuples in canonical
@@ -345,7 +342,7 @@ def iter_span_blocks(field: FieldSpec, rows, max_block_rows: int = _BLOCK_ROWS):
     k, n = rows.shape
     q = field.q
     # keep blocks near 8 MB so long codes do not balloon memory
-    row_cap = max(q, min(max_block_rows, (1 << 23) // max(n, 1)))
+    row_cap = max(q, min(_BLOCK_ROWS, (1 << 23) // max(n, 1)))
     t, size = 0, 1
     while t < k and size * q <= row_cap:
         size *= q
@@ -370,21 +367,20 @@ def iter_span_blocks(field: FieldSpec, rows, max_block_rows: int = _BLOCK_ROWS):
         yield h * size, field.add_arrays(base, prefix[None, :])
 
 
-def _span_min_weight(field: FieldSpec, rows, skip_below: int = 1) -> int:
-    """Minimum weight over the span, ignoring the first skip_below codewords."""
-    best = None
+def _span_min_weight(field: FieldSpec, rows, split: int = 1) -> tuple[int, int]:
+    """Minimum weights over the span at message indices >= 1 and >= split."""
+    n = rows.shape[1]
+    inside = outside = n + 1  # minima over the indices [1, split) and [split, q^k)
     for start, block in iter_span_blocks(field, rows):
         w = np.count_nonzero(block, axis=1)
-        if start < skip_below:
-            cut = min(skip_below - start, w.size)
-            w = w[cut:]
-        if w.size == 0:
-            continue
-        m = int(w.min())
-        if best is None or m < best:
-            best = m
-    assert best is not None, "span scan saw no codewords"
-    return best
+        cut = min(max(split - start, 0), w.size)
+        if cut < w.size:
+            outside = min(outside, int(w[cut:].min()))
+        skip = max(1 - start, 0)
+        if skip < cut:
+            inside = min(inside, int(w[skip:cut].min()))
+    assert outside <= n, "span scan saw no codewords past the split"
+    return min(inside, outside), outside
 
 
 def find_first_of_weight(field: FieldSpec, rows, target: int) -> np.ndarray | None:
@@ -404,41 +400,6 @@ def find_first_of_weight(field: FieldSpec, rows, target: int) -> np.ndarray | No
         if hits.size:
             return block[int(hits[0])].copy()
     return None
-
-
-# -- set-difference weights ----------------------------------------------------
-
-
-def _extension_rows(big: LinearCode, small: LinearCode) -> np.ndarray:
-    """Rows extending small's basis to big's; span(small + rows) = big."""
-    residues = small.reduce(big.gen)
-    residues = residues[np.any(residues, axis=1)]
-    E, _ = rref(big.field, residues)
-    return E
-
-
-def min_weight_difference(big: LinearCode, small: LinearCode, cap: int = DEFAULT_CAP) -> int:
-    """Exact minimum weight over big \\ small by full span enumeration.
-
-    Requires strict containment small < big and q^dim(big) <= cap.
-    """
-    if big.field is not small.field:
-        raise FieldMismatch("codes live over different fields")
-    if big.n != small.n:
-        raise DimensionMismatch("codes have different lengths")
-    if not small.is_subcode_of(big):
-        raise NotNested("first argument must strictly contain the second")
-    if small.k >= big.k:
-        raise NotNested("containment must be strict")
-    if big.field.q**big.k > cap:
-        raise CapExceeded(f"q^k = {big.field.q}^{big.k} exceeds cap {cap}")
-    if small.k == 0:
-        return _span_min_weight(big.field, big.gen, skip_below=1)
-    E = _extension_rows(big, small)
-    rows = np.vstack([E, small.gen])
-    # extension digits are most significant, so codewords inside `small`
-    # occupy exactly the first q^small.k indices of the scan
-    return _span_min_weight(big.field, rows, skip_below=big.field.q**small.k)
 
 
 # -- exact low-weight support search ---------------------------------------------
@@ -483,16 +444,18 @@ def _dependent_subsets(field: FieldSpec, H: np.ndarray, subsets: np.ndarray) -> 
 def min_weight_support_search(
     code: LinearCode,
     exclude: LinearCode | None = None,
-    subset_budget: int = 2 * 10**6,
+    subset_budget: int = SUPPORT_BUDGET,
     kernel_budget: int = 4096,
-) -> int:
-    """Exact minimum weight of code (or code minus an excluded subcode).
+) -> tuple[int, int]:
+    """Exact (wt(code), wt(code minus exclude)) by support search.
 
     Scans supports of increasing size w; a codeword of weight w supported
     on S exists iff the parity-check columns at S are linearly dependent
     with a full-support kernel vector.  Complete per size, so the first
-    hit is the true minimum.  Cost grows with C(n, w) and with the dual
-    dimension, so this route suits codes whose dual is small.
+    such vector gives wt(code) and the first one outside ``exclude`` gives
+    the second value (the same as the first when nothing is excluded).
+    Cost grows with C(n, w) and with the dual dimension, so this route
+    suits codes whose dual is small.
 
     The supports of each size are generated in lexicographic chunks, and
     each chunk passes one batched rank filter (:func:`_dependent_subsets`):
@@ -500,14 +463,15 @@ def min_weight_support_search(
     because every subset still independent after c columns has its next
     pivot in row c.  Only the dependent subsets go on, in lexicographic
     order, to the per-subset kernel, full-support and exclusion checks, so
-    the first hit and both budget checks fall exactly where a one-subset-
-    at-a-time scan would put them.  ``subset_budget`` is charged C(n, w)
-    before each size is scanned.
+    the hits and both budget checks fall exactly where a one-subset-at-a-
+    time scan would put them.  ``subset_budget`` is charged C(n, w) before
+    each size is scanned.
     """
     if code.k == 0:
         raise EmptyCode("the zero code has no minimum weight")
     field, n = code.field, code.n
     H = code.dual().gen
+    first = None
     spent = 0
     for w in range(1, n + 1):
         spent += comb(n, w)
@@ -527,42 +491,54 @@ def min_weight_support_search(
                 if field.q**K.shape[0] > kernel_budget:
                     raise CapExceeded("kernel span too large to enumerate")
                 for _, block in iter_span_blocks(field, K):
-                    full = block[np.all(block != 0, axis=1)]
-                    for v in full:
-                        if exclude is None:
-                            return w
+                    for v in block[np.all(block != 0, axis=1)]:
+                        if first is None:
+                            first = w
                         cand = np.zeros(n, dtype=np.uint8)
                         cand[S] = v
-                        if not exclude.contains(cand):
-                            return w
+                        if exclude is None or not exclude.contains(cand):
+                            return first, w
     raise EmptyCode("difference set is empty")
 
 
-def exact_min_weight(code: LinearCode, cap: int = DEFAULT_CAP, subset_budget: int = 2 * 10**6) -> int:
-    """Exact minimum weight via span enumeration or support search."""
+# -- the exact-distance engine ---------------------------------------------------------
+
+
+def _extension_rows(big: LinearCode, small: LinearCode) -> np.ndarray:
+    """Rows extending small's basis to big's; span(small + rows) = big."""
+    residues = small.reduce(big.gen)
+    residues = residues[np.any(residues, axis=1)]
+    E, _ = rref(big.field, residues)
+    return E
+
+
+def exact_min_weight(
+    code: LinearCode, exclude: LinearCode | None = None, cap: int = DEFAULT_CAP
+) -> tuple[int, int]:
+    """Exact (wt(code), wt(code minus exclude)) in one pass over the code.
+
+    ``exclude`` must be a proper subcode; without one (or with the zero
+    code) both values are wt(code).  The span route runs when q^k <= cap,
+    otherwise the support route with a subset budget of
+    min(SUPPORT_BUDGET, cap), so one cap bounds both.  Raises CapExceeded
+    when the support route gives up.
+    """
     if code.k == 0:
         raise EmptyCode("the zero code has no minimum weight")
-    if code.field.q**code.k <= cap:
-        return _span_min_weight(code.field, code.gen, skip_below=1)
-    return min_weight_support_search(code, subset_budget=subset_budget)
-
-
-def exact_difference_weight(
-    big: LinearCode,
-    small: LinearCode,
-    cap: int = DEFAULT_CAP,
-    subset_budget: int = 2 * 10**6,
-) -> int | None:
-    """Exact wt(big \\ small) for nested codes; None when the sets coincide."""
-    if not small.is_subcode_of(big):
-        raise NotNested("second argument must be contained in the first")
-    if small.k == big.k:
-        return None
-    if small.k == 0:
-        return exact_min_weight(big, cap, subset_budget)
-    if big.field.q**big.k <= cap:
-        return min_weight_difference(big, small, cap)
-    return min_weight_support_search(big, exclude=small, subset_budget=subset_budget)
+    if exclude is not None:
+        if not exclude.is_subcode_of(code):
+            raise NotNested("the excluded code must be contained in the code")
+        if exclude.k == code.k:
+            raise NotNested("containment must be strict")
+    field = code.field
+    if field.q**code.k > cap:
+        return min_weight_support_search(code, exclude, subset_budget=min(SUPPORT_BUDGET, cap))
+    if exclude is None or exclude.k == 0:
+        return _span_min_weight(field, code.gen)
+    rows = np.vstack([_extension_rows(code, exclude), exclude.gen])
+    # extension digits are most significant, so the codewords of `exclude`
+    # occupy exactly the first q^exclude.k indices of the scan
+    return _span_min_weight(field, rows, split=field.q**exclude.k)
 
 
 # -- componentwise product span ---------------------------------------------------

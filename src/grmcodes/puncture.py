@@ -37,7 +37,13 @@ from .errors import (
 from .gf import extension_pair_for, quadratic_extension
 from .grm import GrmCode, build_grm, grm_dimension, grm_distance, point_matrix
 from .lincode import DEFAULT_CAP, LinearCode, find_first_of_weight, product_span
-from .qcode import QuantumCodeRecord, css, hermitian, hermitian_grm_distance
+from .qcode import (
+    QuantumCodeRecord,
+    css,
+    hermitian,
+    hermitian_grm_distance,
+    hermitian_self_orthogonal,
+)
 
 
 @dataclass
@@ -48,9 +54,6 @@ class PunctureCodeRecord:
     pcode: LinearCode
     provenance: dict = dc_field(default_factory=dict)
     known_subcodes: list = dc_field(default_factory=list)  # (label, LinearCode)
-
-    def weights_within(self, cap: int = DEFAULT_CAP):
-        return self.pcode.weight_distribution(cap)
 
 
 @dataclass
@@ -273,7 +276,7 @@ def puncture_hermitian(
         raise WitnessInvalid("cannot puncture to length 0")
 
     Cp = code.scaled_by(y).punctured_to(support)
-    if not _hermitian_gram_vanishes(Cp):
+    if not hermitian_self_orthogonal(Cp):
         raise NotSelfOrthogonal(
             "scaled restriction lost Hermitian self-orthogonality; "
             "this contradicts the puncture-code membership and indicates a bug"
@@ -299,12 +302,6 @@ def puncture_hermitian(
         if not out.d_is_lower_bound:
             assert out.d >= d_lower_bound, "exact distance fell below the promised bound"
     return out
-
-
-def _hermitian_gram_vanishes(C: LinearCode) -> bool:
-    from .qcode import hermitian_self_orthogonal
-
-    return hermitian_self_orthogonal(C)
 
 
 # -- the GF(q)^2 <-> GF(q^2) point bijection ---------------------------------
@@ -369,7 +366,7 @@ def extended_rs_embedding_check(q: int, m: int, nu: int) -> bool:
 # -- the quantum MDS chain -----------------------------------------------------
 
 
-def mds_chain(q: int, nu: int, cap: int = DEFAULT_CAP, verify_chain: bool = True) -> QuantumCodeRecord:
+def mds_chain(q: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
     """End-to-end punctured MDS construction for 0 <= nu <= q-2.
 
     Builds C = R_{q^2}(nu, 1), locates a weight-(nu+1)q vector in the
@@ -407,13 +404,12 @@ def mds_chain(q: int, nu: int, cap: int = DEFAULT_CAP, verify_chain: bool = True
     X = np.zeros(q * q, dtype=np.uint8)
     X[perm] = x
 
-    if verify_chain:
-        mapped = np.zeros_like(scan_code.gen)
-        mapped[:, perm] = scan_code.gen
-        mapped_code = LinearCode(pair.sub, mapped, q * q)
-        restricted = build_grm(q2, 1, q2 - (nu + 1) * q).code.restriction()
-        assert mapped_code.is_subcode_of(restricted), "chain step 1 containment failed"
-        assert restricted.is_subcode_of(prec.pcode), "chain step 2 containment failed"
+    mapped = np.zeros_like(scan_code.gen)
+    mapped[:, perm] = scan_code.gen
+    mapped_code = LinearCode(pair.sub, mapped, q * q)
+    restricted = build_grm(q2, 1, q2 - (nu + 1) * q).code.restriction()
+    assert mapped_code.is_subcode_of(restricted), "chain step 1 containment failed"
+    assert restricted.is_subcode_of(prec.pcode), "chain step 2 containment failed"
     if not prec.pcode.contains(X):
         raise WitnessSearchFailed("mapped witness left the puncture code; bijection bug")
 

@@ -145,28 +145,11 @@ class QuantumCodeRecord:
         return out
 
 
-def singleton_check(rec: QuantumCodeRecord) -> int:
-    """Quantum Singleton slack n - k - 2(d-1); zero marks an MDS record."""
-    return rec.singleton_slack
-
-
-def _min_weight_or_none(code: LinearCode, cap: int, budget: int) -> Optional[int]:
-    if code.k == 0:
-        return None
-    return lincode.exact_min_weight(code, cap, budget)
-
-
-def _resolve_support_budget(cap: int, support_budget: Optional[int]) -> int:
-    # one user-facing ceiling: a small cap also shrinks the support search
-    return min(2 * 10**6, cap) if support_budget is None else support_budget
-
-
 def css(
     C1: LinearCode,
     C2: LinearCode,
     cap: int = DEFAULT_CAP,
     d_lower_bound: Optional[int] = None,
-    support_budget: Optional[int] = None,
 ) -> QuantumCodeRecord:
     """CSS construction from nested classical codes C1 <= C2.
 
@@ -174,7 +157,6 @@ def css(
     finish within the caps the record degrades to the supplied lower bound
     (or the trivial bound 1) with the flag set.
     """
-    support_budget = _resolve_support_budget(cap, support_budget)
     if C1.field is not C2.field:
         raise FieldMismatch("CSS inputs live over different fields")
     if C1.n != C2.n:
@@ -198,11 +180,9 @@ def css(
     d_is_bound = False
     try:
         if C1.k < C2.k:
-            w_right = lincode.exact_difference_weight(C2, C1, cap, support_budget)
-            w_left = lincode.exact_difference_weight(C1perp, C2perp, cap, support_budget)
+            wt_c2, w_right = lincode.exact_min_weight(C2, C1, cap)
+            wt_c1perp, w_left = lincode.exact_min_weight(C1perp, C2perp, cap)
             d = min(w_right, w_left)
-            wt_c2 = _min_weight_or_none(C2, cap, support_budget)
-            wt_c1perp = _min_weight_or_none(C1perp, cap, support_budget)
             pure = w_right == wt_c2 and w_left == wt_c1perp
             prov.update(
                 {
@@ -213,15 +193,7 @@ def css(
                 }
             )
         else:
-            candidates = [
-                w
-                for w in (
-                    _min_weight_or_none(C1, cap, support_budget),
-                    _min_weight_or_none(C1perp, cap, support_budget),
-                )
-                if w is not None
-            ]
-            d = min(candidates)
+            d = min(lincode.exact_min_weight(c, cap=cap)[0] for c in (C1, C1perp) if c.k)
             pure = True
     except CapExceeded:
         d = d_lower_bound if d_lower_bound is not None else 1
@@ -310,10 +282,8 @@ def hermitian(
     C: LinearCode,
     cap: int = DEFAULT_CAP,
     d_lower_bound: Optional[int] = None,
-    support_budget: Optional[int] = None,
 ) -> QuantumCodeRecord:
     """Hermitian construction from a self-orthogonal code over GF(q^2)."""
-    support_budget = _resolve_support_budget(cap, support_budget)
     pair = extension_pair_for(C.field)
     if not hermitian_self_orthogonal(C):
         raise NotSelfOrthogonal("input is not Hermitian self-orthogonal")
@@ -325,12 +295,11 @@ def hermitian(
     d_is_bound = False
     try:
         if C.k == dual_h.k:
-            d = lincode.exact_min_weight(C, cap, support_budget)
+            d = lincode.exact_min_weight(C, cap=cap)[0]
             pure = True
             prov["branch"] = "self_dual"
         else:
-            d = lincode.exact_difference_weight(dual_h, C, cap, support_budget)
-            wt_dual = lincode.exact_min_weight(dual_h, cap, support_budget)
+            wt_dual, d = lincode.exact_min_weight(dual_h, C, cap)
             pure = d == wt_dual
             prov.update({"branch": "strict", "wt_hermitian_dual": wt_dual})
     except CapExceeded:

@@ -11,7 +11,7 @@ import numpy as np
 
 from grmcodes import gf
 from grmcodes.grm import build_grm, dual_order, grm_distance, grm_dual_code
-from grmcodes.lincode import LinearCode, min_weight_difference
+from grmcodes.lincode import LinearCode, exact_min_weight
 from grmcodes.puncture import (
     find_weight_witness,
     mds_chain,
@@ -84,7 +84,7 @@ def test_criterion_3_difference_weight_identity():
             for nu2 in range(nu1 + 1, top + 1):
                 c1 = build_grm(q, m, nu1).code
                 c2 = build_grm(q, m, nu2).code
-                wdiff = min_weight_difference(c2, c1, CAP)
+                wdiff = exact_min_weight(c2, c1, CAP)[1]
                 w2, exact = c2.min_weight(CAP)
                 if not exact or wdiff != w2:
                     failures.append(f"(q={q},nu1={nu1},nu2={nu2}): {wdiff} vs {w2}")

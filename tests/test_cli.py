@@ -66,6 +66,16 @@ def test_puncture_list_weights(capsys):
     assert table["counts"][6] == 24 and table["exact"]
 
 
+@pytest.mark.parametrize("strict", [(), ("--strict",)], ids=["default", "strict"])
+def test_list_weights_over_cap_exits_capped(capsys, strict):
+    # q^k = 3^72: no exact distribution fits, and no sampled one is printed
+    code, out, err = run(
+        capsys, "puncture", "hermitian", "-q", "3", "-m", "2", "--nu", "1", "--list-weights", *strict
+    )
+    assert code == EXIT_CAPPED
+    assert out == "" and "exact distribution" in err
+
+
 def test_puncture_full_weight_witness(capsys):
     code, out, _ = run(
         capsys, "puncture", "hermitian", "-q", "2", "--nu", "0", "--target-weight", "4"
@@ -123,6 +133,26 @@ def test_sweep_css_all_pass(capsys):
     code, out, _ = run(capsys, "sweep", "css", "-q", "2,3", "-m", "1,2")
     assert code == EXIT_OK
     assert "all_rows_pass" in out
+
+
+def test_sweep_mds_keeps_rows_around_capped_ones(capsys):
+    argv = ("sweep", "mds", "-q", "5", "--cap", "256", "--json")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    rows = [(r["nu"], r.get("params"), r["exact"], r["status"]) for r in payload["tables"]["rows"]]
+    assert rows == [
+        (0, "[[5,3,2]]_5", True, "pass"),
+        (1, "[[10,6,3]]_5", True, "pass"),
+        (2, None, False, "capped"),
+        (3, None, False, "capped"),
+    ]
+    assert payload["capped"] is True
+    assert payload["checks"] == [
+        {"name": "all_rows_pass", "status": "pass", "observed": "2/4 pass", "expected": None, "exact": True}
+    ]
+    code, _, _ = run(capsys, *argv, "--strict")
+    assert code == EXIT_CAPPED
 
 
 CAPPED_MDS_CHAIN = ("puncture", "hermitian", "-q", "5", "--nu", "3", "--mds-chain", "--cap", "16")
@@ -203,3 +233,26 @@ def test_stabilizer_dump(capsys):
     )
     assert code == EXIT_OK
     assert "stabilizer:" in out
+
+
+# Reports written by the commands below with --json at the default cap;
+# the JSON report is the regression oracle, so any byte that moves fails.
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_COMMANDS = {
+    "sweep_css_q2_3_m1_2": "sweep css -q 2,3 -m 1,2",
+    "quantum_hermitian_q4_m2_nu3": "quantum hermitian -q 4 -m 2 --nu 3",
+    "puncture_hermitian_q3_m2_nu2_w27": "puncture hermitian -q 3 -m 2 --nu 2 --target-weight 27",
+    "sweep_mds_q3_4_5": "sweep mds -q 3,4,5",
+    # span route for C2 minus C1, support route for C1-perp minus C2-perp
+    "quantum_css_q5_m2_nu1_1_nu2_3": "quantum css -q 5 -m 2 --nu1 1 --nu2 3",
+    # a capped record
+    "quantum_hermitian_q4_m2_nu1": "quantum hermitian -q 4 -m 2 --nu 1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_json_report_matches_golden(capsys, monkeypatch, name):
+    monkeypatch.delenv("GRMCODES_CAP", raising=False)
+    code, out, _ = run(capsys, *GOLDEN_COMMANDS[name].split(), "--json")
+    assert code == EXIT_OK
+    assert out.encode() == (GOLDEN_DIR / f"{name}.json").read_bytes()

@@ -9,6 +9,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from grmcodes import gf, lincode
 from grmcodes.errors import (
@@ -20,12 +21,10 @@ from grmcodes.errors import (
 )
 from grmcodes.lincode import (
     LinearCode,
-    exact_difference_weight,
     exact_min_weight,
     find_first_of_weight,
     iter_span_blocks,
     kernel_basis,
-    min_weight_difference,
     min_weight_support_search,
     product_span,
     rref,
@@ -209,12 +208,11 @@ def test_weight_distribution_counts():
     f = gf.get_field(3)
     rep = LinearCode(f, np.ones((1, 3), dtype=np.uint8), 3)
     dist = rep.weight_distribution()
-    assert dist.exact and dist.counts == (1, 0, 0, 2)
+    assert dist.counts == (1, 0, 0, 2)
     assert dist.total() == 3
+    # over the cap there is no distribution to report, only a capped run
     with pytest.raises(CapExceeded):
-        LinearCode.full_space(f, 20).weight_distribution(cap=100, strict=True)
-    sampled = LinearCode.full_space(f, 20).weight_distribution(cap=100)
-    assert not sampled.exact
+        LinearCode.full_space(f, 20).weight_distribution(cap=100)
 
 
 def test_min_weight_equals_first_positive_distribution_index():
@@ -238,23 +236,28 @@ def test_min_weight_difference_oracle_and_contract():
         if big.k < 2:
             continue
         small = LinearCode(f, big.gen[: big.k - 1], 6)
-        got = min_weight_difference(big, small)
+        got = exact_min_weight(big, small)
         words_big = oracle_codewords(f, big.gen)
         words_small = oracle_codewords(f, small.gen)
         expect = min(
             sum(1 for x in w if x) for w in words_big - words_small
         )
-        assert got == expect
+        assert got == (oracle_min_weight(f, big.gen), expect)
     C = LinearCode(f, np.array([[1, 1, 1]], dtype=np.uint8), 3)
     with pytest.raises(NotNested):
-        min_weight_difference(C, C)
+        exact_min_weight(C, C)
     with pytest.raises(NotNested):
-        min_weight_difference(C, LinearCode.full_space(f, 3))
-    # zero-code small side reduces to plain min weight
+        exact_min_weight(C, LinearCode.full_space(f, 3))
+    with pytest.raises(FieldMismatch):
+        exact_min_weight(C, LinearCode.zero_code(gf.get_field(2), 3))
+    with pytest.raises(EmptyCode):
+        exact_min_weight(LinearCode.zero_code(f, 3))
+    # a zero-code exclusion, or none, gives the plain minimum weight twice
     z = LinearCode.zero_code(f, 3)
-    assert exact_difference_weight(C, z) == C.min_weight()[0]
+    assert exact_min_weight(C, z) == exact_min_weight(C) == (3, 3)
+    # over the cap the support route runs under a subset budget of the cap
     with pytest.raises(CapExceeded):
-        min_weight_difference(LinearCode.full_space(f, 10), C_pad(f, 10), cap=10)
+        exact_min_weight(LinearCode.full_space(f, 10), C_pad(f, 10), cap=5)
 
 
 def C_pad(f, n):
@@ -271,7 +274,8 @@ def test_support_search_crosschecks_span_enumeration():
             C = random_code(f, 8, 5, rng)
             if C.k == 0:
                 continue
-            assert min_weight_support_search(C) == C.min_weight()[0]
+            w = C.min_weight()[0]
+            assert min_weight_support_search(C) == (w, w)
 
 
 def test_support_search_with_exclusion_crosschecks_difference():
@@ -284,12 +288,14 @@ def test_support_search_with_exclusion_crosschecks_difference():
         small = LinearCode(f, big.gen[: big.k - 2], 7)
         if small.k == 0:
             continue
-        span_route = min_weight_difference(big, small)
+        span_route = exact_min_weight(big, small)
         support_route = min_weight_support_search(big, exclude=small)
         assert span_route == support_route
-        # the auto router picks the support route under a tiny cap
-        assert exact_difference_weight(big, small, cap=1) == span_route
-        assert exact_min_weight(big, cap=1) == big.min_weight()[0]
+        assert span_route[0] == big.min_weight()[0]
+        # the engine picks the support route once q^k is over the cap
+        assert exact_min_weight(big, small, cap=3**big.k - 1) == span_route
+        w = span_route[0]
+        assert exact_min_weight(big, cap=3**big.k - 1) == (w, w)
 
 
 def reference_support_search(code, exclude=None, subset_budget=2 * 10**6, kernel_budget=4096):
@@ -318,6 +324,16 @@ def reference_support_search(code, exclude=None, subset_budget=2 * 10**6, kernel
                     if not exclude.contains(cand):
                         return w
     raise EmptyCode("difference set is empty")
+
+
+def support_weight(code, exclude=None, **budgets):
+    """The value of the pair that reference_support_search computes.
+
+    That is the second value, wt(code minus exclude), with an exclusion
+    and the first, wt(code), without.
+    """
+    pair = min_weight_support_search(code, exclude, **budgets)
+    return pair[0] if exclude is None else pair[1]
 
 
 def search_outcome(search, *args, **kwargs):
@@ -361,7 +377,7 @@ def test_batched_support_search_matches_reference(q, chunk, monkeypatch):
         r = int(rng.integers(1, 4))
         n = int(rng.integers(r + 2, 9))
         code = code_from_checks(f, rng.integers(0, q, size=(r, n)).astype(np.uint8))
-        assert search_outcome(min_weight_support_search, code) == search_outcome(
+        assert search_outcome(support_weight, code) == search_outcome(
             reference_support_search, code
         )
         if code.k < 2:
@@ -370,7 +386,7 @@ def test_batched_support_search_matches_reference(q, chunk, monkeypatch):
         # code minus itself is empty and both must say so; over the larger
         # fields that scan runs through every kernel span and is slow
         for excl in (small, code) if q <= 3 else (small,):
-            assert search_outcome(min_weight_support_search, code, exclude=excl) == search_outcome(
+            assert search_outcome(support_weight, code, exclude=excl) == search_outcome(
                 reference_support_search, code, exclude=excl
             )
 
@@ -399,8 +415,8 @@ def test_batched_support_search_crosses_chunk_boundaries():
     dependent = _dependent_subsets(f, code.dual().gen, subsets)
     assert [tuple(S) for S in dependent] == [tuple(subsets[i]) for i in positions]
 
-    assert min_weight_support_search(code) == reference_support_search(code) == 2
-    assert min_weight_support_search(code, exclude=excl) == reference_support_search(code, exclude=excl) == 4
+    assert support_weight(code) == reference_support_search(code) == 2
+    assert support_weight(code, exclude=excl) == reference_support_search(code, exclude=excl) == 4
 
 
 def test_batched_support_search_budgets_trip_at_the_reference_weight():
@@ -422,14 +438,53 @@ def test_batched_support_search_budgets_trip_at_the_reference_weight():
 
     for w in range(1, 5):
         for kernel_budget in (3, 9, 27, 4096):
-            assert outcome(min_weight_support_search, w, kernel_budget) == outcome(
+            assert outcome(support_weight, w, kernel_budget) == outcome(
                 reference_support_search, w, kernel_budget
             )
     tripped = ("CapExceeded", "kernel span too large to enumerate")
-    assert outcome(min_weight_support_search, 1, 3) == ("CapExceeded", "support search budget exceeded at weight 2")
-    assert outcome(min_weight_support_search, 2, 3) == tripped  # {0, 1}: 3^2 > 3
-    assert outcome(min_weight_support_search, 2, 9) != tripped
-    assert outcome(min_weight_support_search, 3, 9) == tripped  # {0, 1, 2}: 3^3 > 9
+    assert outcome(support_weight, 1, 3) == ("CapExceeded", "support search budget exceeded at weight 2")
+    assert outcome(support_weight, 2, 3) == tripped  # {0, 1}: 3^2 > 3
+    assert outcome(support_weight, 2, 9) != tripped
+    assert outcome(support_weight, 3, 9) == tripped  # {0, 1, 2}: 3^3 > 9
+
+
+# q^k stays small enough for the scalar oracle; it also keeps every kernel
+# span within the support route's kernel budget
+ORACLE_MAX_K = {2: 7, 3: 6, 4: 4, 5: 4, 9: 3}
+
+
+@st.composite
+def code_with_proper_subcode(draw):
+    """A random nonzero code of length <= 7 and a random proper subcode of it."""
+    q = draw(st.sampled_from(sorted(ORACLE_MAX_K)))
+    f = gf.get_field(q)
+    n = draw(st.integers(1, 7))
+    rows = draw(st.integers(1, min(n, ORACLE_MAX_K[q])))
+    entries = st.lists(st.integers(0, q - 1), min_size=rows * n, max_size=rows * n)
+    code = LinearCode(f, np.array(draw(entries), dtype=np.uint8).reshape(rows, n), n)
+    assume(code.k > 0)
+    j = draw(st.integers(0, code.k - 1))  # fewer rows than k: the zero code when j = 0
+    coeffs = st.lists(st.integers(0, q - 1), min_size=j * code.k, max_size=j * code.k)
+    mix = np.array(draw(coeffs), dtype=np.uint8).reshape(j, code.k)
+    return code, LinearCode(f, f.matmul(mix, code.gen), n)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=150)
+@given(code_with_proper_subcode())
+def test_engine_routes_agree_with_brute_force(case):
+    code, sub = case
+    words = oracle_codewords(code.field, code.gen)
+    excluded = oracle_codewords(code.field, sub.gen)
+
+    def lightest(vectors):
+        return min(sum(1 for x in v if x) for v in vectors)
+
+    expect = (lightest(words - {(0,) * code.n}), lightest(words - excluded))
+    assert exact_min_weight(code, sub) == expect  # span route at the default cap
+    assert min_weight_support_search(code, exclude=sub) == expect
+    assert reference_support_search(code, exclude=sub) == expect[1]
+    assert reference_support_search(code) == expect[0]
+    assert exact_min_weight(code) == min_weight_support_search(code) == (expect[0], expect[0])
 
 
 def test_find_first_of_weight_is_canonical_and_complete():

@@ -20,7 +20,6 @@ from grmcodes.qcode import (
     hermitian_grm,
     hermitian_grm_distance,
     hermitian_self_orthogonal,
-    singleton_check,
 )
 
 
@@ -29,7 +28,7 @@ def test_css_trivial_pair_gives_full_parameter_code():
     rec = css(LinearCode.zero_code(f, 5), LinearCode.full_space(f, 5))
     assert (rec.n, rec.k, rec.d) == (5, 5, 1)
     assert rec.params_str() == "[[5,5,1]]_3"
-    assert singleton_check(rec) == 0 and rec.is_mds
+    assert rec.singleton_slack == 0 and rec.is_mds
 
 
 def test_css_requires_nesting():
@@ -44,7 +43,7 @@ def test_css_grm_9_3_3():
     rec = css_grm(3, 2, 1, 2)
     assert (rec.n, rec.k, rec.d) == (9, 3, 3)
     assert rec.pure is True and rec.exact
-    assert singleton_check(rec) == 2
+    assert rec.singleton_slack == 2
     assert rec.stabilizer.is_self_orthogonal()
 
 
@@ -88,10 +87,10 @@ def test_css_stabilizer_layout():
 def test_css_degrades_to_lower_bound_when_capped():
     g1 = build_grm(3, 2, 1).code
     g2 = build_grm(3, 2, 2).code
-    rec = css(g1, g2, cap=1, d_lower_bound=3, support_budget=0)
+    rec = css(g1, g2, cap=1, d_lower_bound=3)
     assert rec.d == 3 and rec.d_is_lower_bound and rec.pure is None
     with pytest.raises(InexactParameters):
-        singleton_check(rec)
+        rec.singleton_slack
 
 
 @pytest.mark.parametrize(
