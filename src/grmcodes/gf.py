@@ -22,6 +22,13 @@ Quadratic towers GF(q) < GF(q^2) are designated for q in {2,3,4,5,7,8};
 the embedding sends the base generator to the smallest-index root of the
 base modulus inside the extension, which fixes one of the e conjugate
 embeddings once and for all.
+
+Array operations on uint8 index arrays use one rule per characteristic:
+XOR for p = 2, ``(a + b) % p`` for prime q, and for q in {9, 25, 27, 49}
+one gather from the flattened ADD table at ``a * q + b`` in uint16.
+Subtraction adds the negation.  Elimination and matrix products share
+the row-multiple kernel :meth:`FieldSpec.add_multiples`, which builds the
+q multiples of a row once and then gathers whole rows.
 """
 
 from __future__ import annotations
@@ -141,11 +148,11 @@ class FieldSpec:
         for d_pos, dm in enumerate(digit_mats):
             add += ((dm[:, None] + dm[None, :]) % p).astype(np.uint8) * (p**d_pos)
         self.ADD = add
+        self._add_flat = add.reshape(-1)  # ADD[a, b] == _add_flat[a * q + b]
         neg = np.zeros(q, dtype=np.uint8)
         for d_pos, dm in enumerate(digit_mats):
             neg += ((-dm) % p).astype(np.uint8) * (p**d_pos)
         self.NEG = neg
-        self.SUB = add[:, neg]
 
         mul = np.zeros((q, q), dtype=np.uint8)
         lg = log[1:]
@@ -163,7 +170,6 @@ class FieldSpec:
         self.POW = pow_table
 
         self.ADD.setflags(write=False)
-        self.SUB.setflags(write=False)
         self.MUL.setflags(write=False)
         self.NEG.setflags(write=False)
         self.INV.setflags(write=False)
@@ -175,7 +181,7 @@ class FieldSpec:
         return int(self.ADD[a, b])
 
     def sub(self, a: int, b: int) -> int:
-        return int(self.SUB[a, b])
+        return int(self.ADD[a, self.NEG[b]])
 
     def neg(self, a: int) -> int:
         return int(self.NEG[a])
@@ -203,9 +209,6 @@ class FieldSpec:
             return 0
         return int(self._exp[(int(self._log[a]) * n) % (self.q - 1)])
 
-    def elements(self) -> range:
-        return range(self.q)
-
     # -- array operations (uint8 index arrays, broadcasting) ---------------
 
     def add_arrays(self, a, b):
@@ -214,39 +217,28 @@ class FieldSpec:
         if self.e == 1:
             # indices < p <= 7, so uint8 addition cannot wrap
             return (a + b) % self.p
-        return self.ADD[a, b]
+        # a * q + b < 49^2 overflows uint8 but not uint16
+        return self._add_flat[np.asarray(a, dtype=np.uint16) * self.q + b]
 
     def sub_arrays(self, a, b):
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        return self.SUB[a, b]
-
-    def mul_arrays(self, a, b):
-        return self.MUL[a, b]
-
-    def scale_array(self, scalar: int, arr):
-        return self.MUL[scalar, arr]
-
-    def sum_reduce(self, arr, axis: int = -1):
-        """Field sum along an axis of an index array."""
-        arr = np.asarray(arr, dtype=np.uint8)
-        if self.p == 2:
-            return np.bitwise_xor.reduce(arr, axis=axis)
         if self.e == 1:
-            return (arr.astype(np.int64).sum(axis=axis) % self.p).astype(np.uint8)
-        arr = np.moveaxis(arr, axis, -1)
-        while arr.shape[-1] > 1:
-            m = arr.shape[-1]
-            half = m // 2
-            folded = self.ADD[arr[..., :half], arr[..., half : 2 * half]]
-            if m % 2:
-                folded = np.concatenate([folded, arr[..., -1:]], axis=-1)
-            arr = folded
-        return arr[..., 0]
+            return (a + (self.p - b)) % self.p
+        return self.add_arrays(a, self.NEG[b])
 
-    def dot(self, u, v) -> int:
-        """Euclidean inner product of two index vectors."""
-        return int(self.sum_reduce(self.MUL[u, v]))
+    def add_multiples(self, Y, coeffs, row):
+        """Y + coeffs (x) row: row i of Y plus coeffs[i] times ``row``.
+
+        ``MUL.take(row, axis=1)`` is the (q, n) table of the row's
+        multiples, C-contiguous (``MUL[:, row]`` would be column-major), so
+        the update is one row gather, not a MUL lookup per entry.
+        """
+        return self.add_arrays(Y, self.MUL.take(row, axis=1)[coeffs])
+
+    def sub_multiples(self, Y, coeffs, row):
+        """Y - coeffs (x) row, the elimination step."""
+        return self.add_multiples(Y, self.NEG[coeffs], row)
 
     def matmul(self, a, b):
         """Matrix product over the field; a is (m,r), b is (r,n)."""
@@ -254,8 +246,8 @@ class FieldSpec:
         b = np.asarray(b, dtype=np.uint8)
         out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
         for k in range(a.shape[1]):
-            out = self.add_arrays(out, self.MUL[a[:, k][:, None], b[k][None, :]])
-        return out.astype(np.uint8)
+            out = self.add_multiples(out, a[:, k], b[k])
+        return out
 
     def __repr__(self) -> str:
         return f"FieldSpec(GF({self.q}))"

@@ -58,7 +58,8 @@ def rref(field: FieldSpec, mat) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row-echelon form over the field; returns (matrix, pivot columns).
 
     Pivot choice is the leftmost nonzero entry, scaled to a leading 1;
-    zero rows are dropped.
+    zero rows are dropped.  Each pivot clears its column with one call to
+    the row-multiple kernel :meth:`FieldSpec.sub_multiples`.
     """
     M = np.array(mat, dtype=np.uint8, copy=True)
     if M.ndim != 2:
@@ -69,7 +70,7 @@ def rref(field: FieldSpec, mat) -> tuple[np.ndarray, tuple[int, ...]]:
     for c in range(n):
         if r == rows:
             break
-        nzi = np.flatnonzero(M[r:, c])
+        nzi = M[r:, c].nonzero()[0]
         if nzi.size == 0:
             continue
         pr = r + int(nzi[0])
@@ -80,9 +81,9 @@ def rref(field: FieldSpec, mat) -> tuple[np.ndarray, tuple[int, ...]]:
             M[r] = field.MUL[field.INV[pv], M[r]]
         col = M[:, c].copy()
         col[r] = 0
-        nz = np.flatnonzero(col)
+        nz = col.nonzero()[0]
         if nz.size:
-            M[nz] = field.sub_arrays(M[nz], field.MUL[col[nz][:, None], M[r][None, :]])
+            M[nz] = field.sub_multiples(M[nz], col[nz], M[r])
         pivots.append(c)
         r += 1
     return M[:r], tuple(pivots)
@@ -93,14 +94,13 @@ def kernel_basis(field: FieldSpec, mat) -> np.ndarray:
     M = np.asarray(mat, dtype=np.uint8)
     n = M.shape[1]
     R, pivots = rref(field, M)
-    free = [c for c in range(n) if c not in set(pivots)]
-    if not free:
+    free = np.delete(np.arange(n), list(pivots))
+    if not free.size:
         return np.zeros((0, n), dtype=np.uint8)
-    H = np.zeros((len(free), n), dtype=np.uint8)
-    for row, f in enumerate(free):
-        H[row, f] = 1
-        for i, p in enumerate(pivots):
-            H[row, p] = field.NEG[R[i, f]]
+    # one null vector per free column f: 1 at f, -R[i, f] at pivot i
+    H = np.zeros((free.size, n), dtype=np.uint8)
+    H[np.arange(free.size), free] = 1
+    H[:, list(pivots)] = field.NEG[R[:, free]].T
     K, _ = rref(field, H)
     return K
 
@@ -164,10 +164,8 @@ class LinearCode:
             V = V[None, :]
         if V.shape[1] != self.n:
             raise DimensionMismatch(f"expected length {self.n}")
-        f = self.field
-        for i, p in enumerate(self.pivots):
-            coeff = V[:, p].copy()
-            V = f.sub_arrays(V, f.MUL[coeff[:, None], self.gen[i][None, :]])
+        for p, row in zip(self.pivots, self.gen):
+            V = self.field.sub_multiples(V, V[:, p], row)
         return V[0] if single else V
 
     def contains(self, v) -> bool:
@@ -292,8 +290,7 @@ class LinearCode:
             )
         counts = np.zeros(self.n + 1, dtype=np.int64)
         for _, block in iter_span_blocks(self.field, self.gen):
-            w = np.count_nonzero(block, axis=1)
-            counts += np.bincount(w, minlength=self.n + 1)
+            counts += np.bincount((block != 0).sum(axis=1, dtype=np.uint16), minlength=self.n + 1)
         return WeightDistribution(tuple(int(c) for c in counts))
 
 
@@ -323,9 +320,8 @@ def _base_block(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
     """All field combinations of the rows, lex order, first row most significant."""
     n = rows.shape[1]
     block = np.zeros((1, n), dtype=np.uint8)
-    scalars = np.arange(field.q, dtype=np.uint8)
     for r in rows[::-1]:
-        mults = field.MUL[scalars[:, None], r[None, :]]
+        mults = field.MUL.take(r, axis=1)  # the q multiples of r, in element order
         block = np.ascontiguousarray(
             field.add_arrays(mults[:, None, :], block[None, :, :])
         ).reshape(-1, n)
@@ -372,7 +368,7 @@ def _span_min_weight(field: FieldSpec, rows, split: int = 1) -> tuple[int, int]:
     n = rows.shape[1]
     inside = outside = n + 1  # minima over the indices [1, split) and [split, q^k)
     for start, block in iter_span_blocks(field, rows):
-        w = np.count_nonzero(block, axis=1)
+        w = (block != 0).sum(axis=1, dtype=np.uint16)  # uint8 would wrap at n = 256
         cut = min(max(split - start, 0), w.size)
         if cut < w.size:
             outside = min(outside, int(w[cut:].min()))
@@ -395,8 +391,7 @@ def find_first_of_weight(field: FieldSpec, rows, target: int) -> np.ndarray | No
     if rows.shape[0] == 0:
         return None
     for _, block in iter_span_blocks(field, rows):
-        w = np.count_nonzero(block, axis=1)
-        hits = np.flatnonzero(w == target)
+        hits = np.flatnonzero((block != 0).sum(axis=1, dtype=np.uint16) == target)
         if hits.size:
             return block[int(hits[0])].copy()
     return None
@@ -465,18 +460,27 @@ def min_weight_support_search(
     order, to the per-subset kernel, full-support and exclusion checks, so
     the hits and both budget checks fall exactly where a one-subset-at-a-
     time scan would put them.  ``subset_budget`` is charged C(n, w) before
-    each size is scanned.
+    a size w <= r (the number of parity checks) is scanned; above r every
+    subset is dependent and usually the first one hits, so each is charged
+    1 as it reaches its kernel.
     """
     if code.k == 0:
         raise EmptyCode("the zero code has no minimum weight")
     field, n = code.field, code.n
     H = code.dual().gen
+    r = H.shape[0]
     first = None
     spent = 0
-    for w in range(1, n + 1):
-        spent += comb(n, w)
+
+    def charge(subsets: int, w: int) -> None:
+        nonlocal spent
+        spent += subsets
         if spent > subset_budget:
             raise CapExceeded(f"support search budget exceeded at weight {w}")
+
+    for w in range(1, n + 1):
+        if w <= r:
+            charge(comb(n, w), w)
         combos = itertools.combinations(range(n), w)
         while True:
             chunk = np.fromiter(
@@ -485,6 +489,8 @@ def min_weight_support_search(
             if len(chunk) == 0:
                 break
             for S in _dependent_subsets(field, H, chunk):
+                if w > r:
+                    charge(1, w)
                 K = kernel_basis(field, H[:, S])
                 if K.shape[0] == 0:
                     continue

@@ -222,12 +222,43 @@ def test_decomposition_tables_are_bijective():
             assert rebuilt == x
 
 
-def test_sum_reduce_matches_scalar_loop():
-    for q in (2, 3, 4, 9, 25):
-        f = gf.get_field(q)
-        rng = np.random.default_rng(7)
-        v = rng.integers(0, q, size=23).astype(np.uint8)
-        acc = 0
-        for t in v:
-            acc = f.add(acc, int(t))
-        assert int(f.sum_reduce(v)) == acc
+@pytest.mark.parametrize("q", ALL_SIZES)
+def test_array_ops_match_scalar_ops_exhaustively(q):
+    f = gf.get_field(q)
+    idx = np.arange(q, dtype=np.uint8)
+    a, b = np.meshgrid(idx, idx, indexing="ij")
+    add, sub = f.add_arrays(a, b), f.sub_arrays(a, b)
+    assert add.dtype == sub.dtype == np.uint8
+    for x in range(q):
+        for y in range(q):
+            assert add[x, y] == f.add(x, y)
+            assert sub[x, y] == f.sub(x, y)
+            assert f.add(f.sub(x, y), y) == x
+    # row (y, c) of Y is all y with coefficient c; the row is 0..q-1, so
+    # entry j of the result is y +- c*j, every triple once
+    Y = np.repeat(idx, q)[:, None].repeat(q, axis=1)
+    coeffs = np.tile(idx, q)
+    plus, minus = f.add_multiples(Y, coeffs, idx), f.sub_multiples(Y, coeffs, idx)
+    assert plus.dtype == minus.dtype == np.uint8
+    for i, (y, c) in enumerate(zip(Y[:, 0], coeffs)):
+        for j in range(q):
+            assert plus[i, j] == f.add(int(y), f.mul(int(c), j))
+            assert minus[i, j] == f.sub(int(y), f.mul(int(c), j))
+
+
+@pytest.mark.parametrize("q", ALL_SIZES)
+def test_matmul_matches_scalar_triple_loop(q):
+    f = gf.get_field(q)
+    rng = np.random.default_rng(q)
+    for m, r, n in ((1, 1, 1), (3, 5, 4), (6, 2, 9), (4, 0, 3)):
+        a = rng.integers(0, q, size=(m, r)).astype(np.uint8)
+        b = rng.integers(0, q, size=(r, n)).astype(np.uint8)
+        expect = np.zeros((m, n), dtype=np.uint8)
+        for i in range(m):
+            for j in range(n):
+                acc = 0
+                for t in range(r):
+                    acc = f.add(acc, f.mul(int(a[i, t]), int(b[t, j])))
+                expect[i, j] = acc
+        got = f.matmul(a, b)
+        assert got.dtype == np.uint8 and np.array_equal(got, expect)

@@ -56,6 +56,77 @@ def random_code(field, n, k_rows, rng):
     return LinearCode(field, rng.integers(0, field.q, size=(k_rows, n)).astype(np.uint8), n)
 
 
+def reference_rref(field, mat):
+    """rref one entry at a time: 2-D MUL and ADD lookups, no row-multiple kernel."""
+    M = np.array(mat, dtype=np.uint8, copy=True)
+    rows, n = M.shape
+    r = 0
+    pivots = []
+    for c in range(n):
+        if r == rows:
+            break
+        nzi = np.flatnonzero(M[r:, c])
+        if nzi.size == 0:
+            continue
+        pr = r + int(nzi[0])
+        if pr != r:
+            M[[r, pr]] = M[[pr, r]]
+        pv = int(M[r, c])
+        if pv != 1:
+            M[r] = field.MUL[field.INV[pv], M[r]]
+        col = M[:, c].copy()
+        col[r] = 0
+        nz = np.flatnonzero(col)
+        if nz.size:
+            prod = field.MUL[col[nz][:, None], M[r][None, :]]
+            M[nz] = field.ADD[M[nz], field.NEG[prod]]
+        pivots.append(c)
+        r += 1
+    return M[:r], tuple(pivots)
+
+
+def reference_matmul(field, a, b):
+    """Matrix product by 2-D MUL and ADD lookups."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+    for t in range(a.shape[1]):
+        out = field.ADD[out, field.MUL[a[:, t][:, None], b[t][None, :]]]
+    return out
+
+
+def rank_deficient_matrix(field, rows, n, rng):
+    """Random rows x n matrix of rank < rows, with a repeated row and zero columns."""
+    rank = int(rng.integers(0, rows))
+    basis = rng.integers(0, field.q, size=(rank, n)).astype(np.uint8)
+    mix = rng.integers(0, field.q, size=(rows, rank)).astype(np.uint8)
+    M = reference_matmul(field, mix, basis)
+    if rows > 1:
+        M[-1] = M[0]
+    M[:, rng.choice(n, size=max(1, n // 8), replace=False)] = 0
+    return M
+
+
+@pytest.mark.parametrize("q", list(gf.SUPPORTED_SIZES))
+def test_rref_kernel_and_reduce_match_reference_rref(q):
+    f = gf.get_field(q)
+    rng = np.random.default_rng(200 + q)
+    for rows, n in ((1, 1), (2, 5), (5, 3), (9, 17), (24, 64), (64, 256)):
+        M = rank_deficient_matrix(f, rows, n, rng)
+        R, pivots = reference_rref(f, M)
+        got = rref(f, M)
+        assert np.array_equal(got[0], R) and got[1] == pivots
+        K = kernel_basis(f, M)
+        assert K.shape == (n - len(pivots), n)
+        assert not np.any(reference_matmul(f, R, K.T))
+        assert np.array_equal(reference_rref(f, K)[0], K)  # rank n - rank(M), RREF
+        code = LinearCode(f, M, n)
+        assert np.array_equal(code.gen, R) and code.pivots == pivots
+        V = rng.integers(0, q, size=(7, n)).astype(np.uint8)
+        # the generator is in RREF, so the residue is V - V[:, pivots] @ R
+        lifted = reference_matmul(f, V[:, list(pivots)], R)
+        assert np.array_equal(code.reduce(V), f.ADD[V, f.NEG[lifted]])
+        assert np.array_equal(code.reduce(V[0]), f.ADD[V[0], f.NEG[lifted[0]]])
+
+
 def test_rref_is_idempotent_and_canonical():
     rng = np.random.default_rng(1)
     for q in (2, 3, 4, 9):
@@ -113,9 +184,7 @@ def test_dual_is_involution_and_orthogonal():
             D = C.dual()
             assert D.k == C.n - C.k
             assert C.dual().dual() == C
-            for u in C.gen:
-                for v in D.gen:
-                    assert f.dot(u, v) == 0
+            assert not np.any(f.matmul(C.gen, D.gen.T))
 
 
 def test_even_weight_dual_of_repetition():
@@ -255,15 +324,14 @@ def test_min_weight_difference_oracle_and_contract():
     # a zero-code exclusion, or none, gives the plain minimum weight twice
     z = LinearCode.zero_code(f, 3)
     assert exact_min_weight(C, z) == exact_min_weight(C) == (3, 3)
-    # over the cap the support route runs under a subset budget of the cap
+    # over the cap the support route runs under a subset budget of the cap.
+    # The full space has no parity checks, so each subset costs 1; the first
+    # word outside span(e_0..e_8) is e_9, found at the tenth subset
+    full = LinearCode.full_space(f, 10)
+    excl = LinearCode(f, np.eye(10, dtype=np.uint8)[:9], 10)
     with pytest.raises(CapExceeded):
-        exact_min_weight(LinearCode.full_space(f, 10), C_pad(f, 10), cap=5)
-
-
-def C_pad(f, n):
-    rows = np.zeros((1, n), dtype=np.uint8)
-    rows[0, 0] = 1
-    return LinearCode(f, rows, n)
+        exact_min_weight(full, excl, cap=9)
+    assert exact_min_weight(full, excl, cap=10) == (1, 1)
 
 
 def test_support_search_crosschecks_span_enumeration():
@@ -299,17 +367,27 @@ def test_support_search_with_exclusion_crosschecks_difference():
 
 
 def reference_support_search(code, exclude=None, subset_budget=2 * 10**6, kernel_budget=4096):
-    """The support search one subset at a time: one kernel per column subset."""
+    """The support search one subset at a time: one kernel per column subset.
+
+    The budget is charged C(n, w) before each size w <= r (the number of
+    parity checks) and 1 per subset above r, where every subset is
+    dependent.
+    """
     if code.k == 0:
         raise EmptyCode("the zero code has no minimum weight")
     field, n = code.field, code.n
     H = code.dual().gen
+    r = H.shape[0]
     spent = 0
     for w in range(1, n + 1):
-        spent += comb(n, w)
+        spent += comb(n, w) if w <= r else 0
         if spent > subset_budget:
             raise CapExceeded(f"support search budget exceeded at weight {w}")
         for S in itertools.combinations(range(n), w):
+            if w > r:
+                spent += 1
+                if spent > subset_budget:
+                    raise CapExceeded(f"support search budget exceeded at weight {w}")
             K = kernel_basis(field, H[:, S])
             if K.shape[0] == 0:
                 continue
@@ -446,6 +524,37 @@ def test_batched_support_search_budgets_trip_at_the_reference_weight():
     assert outcome(support_weight, 2, 3) == tripped  # {0, 1}: 3^2 > 3
     assert outcome(support_weight, 2, 9) != tripped
     assert outcome(support_weight, 3, 9) == tripped  # {0, 1, 2}: 3^3 > 9
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_support_budget_trips_partway_through_a_layer_above_r(chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(lincode, "_SUBSET_CHUNK", chunk)
+    # the even-weight [6, 5] binary code has r = 1 check; excluding the
+    # even-weight words on coordinates 0..4 leaves {0, 5} as the first hit
+    # at w = 2 > r, the fifth subset of that layer.  Weight 1 charges
+    # C(6, 1) = 6 up front; weight 2 charges 1 per subset, so a budget of
+    # 11 reaches {0, 5} and 10 stops just before it.
+    f = gf.get_field(2)
+    code = code_from_checks(f, np.ones((1, 6), dtype=np.uint8))
+    pairs = np.eye(4, 6, dtype=np.uint8) ^ np.eye(4, 6, k=1, dtype=np.uint8)  # e_i + e_{i+1}
+    excl = LinearCode(f, pairs, 6)
+    assert excl.k == 4 and excl.is_subcode_of(code)
+    for budget in range(5, 30):
+        assert search_outcome(support_weight, code, exclude=excl, subset_budget=budget) == search_outcome(
+            reference_support_search, code, exclude=excl, subset_budget=budget
+        )
+    tripped = ("CapExceeded", "support search budget exceeded at weight 2")
+    assert search_outcome(min_weight_support_search, code, excl, subset_budget=10) == tripped
+    assert min_weight_support_search(code, excl, subset_budget=11) == (2, 2)
+    # the first subset of the layer is a hit, so the plain weight costs 7
+    assert min_weight_support_search(code, subset_budget=7) == (2, 2)
+
+
+def test_row_weights_do_not_wrap_at_length_256():
+    ones = np.ones((1, 256), dtype=np.uint8)
+    assert LinearCode(gf.get_field(2), ones, 256).weight_distribution().counts[256] == 1
+    assert exact_min_weight(LinearCode(gf.get_field(3), ones, 256)) == (256, 256)
 
 
 # q^k stays small enough for the scalar oracle; it also keeps every kernel

@@ -210,6 +210,8 @@ def test_puncture_hermitian_requires_scaling():
         (8, 1, (16, 12, 3)),
         (8, 2, (24, 18, 4)),
         (8, 3, (32, 24, 5)),
+        (7, 4, (35, 25, 6)),
+        (8, 4, (40, 30, 6)),
     ],
 )
 def test_mds_chain_known_records(q, nu, expect):
