@@ -9,12 +9,15 @@ Every exact distance goes through one engine, ``exact_min_weight(code,
 exclude)``, which returns the pair (wt(code), wt(code minus exclude)) from
 a single pass over the code by one of two exact routes:
 
-* span enumeration, when q^k fits the cap: walk all q^k codewords in
-  blocks of vectorized numpy work, in lexicographic message order
+* span enumeration, when q^k fits the cap: weight does not change under
+  nonzero scaling, so the walk visits one codeword per scalar class, the
+  (q^k - 1)/(q - 1) messages whose leading nonzero coefficient is 1, in
+  blocks of vectorized numpy work and in lexicographic message order
   (canonical field-element order per digit, first generator row most
   significant).  The rows are the extension of the excluded subcode's
-  basis followed by that basis, so the excluded codewords are exactly the
-  first q^dim(exclude) of the scan and both minima come from one walk;
+  basis followed by that basis, so a word lies outside the excluded
+  subcode exactly when its leading coefficient sits on an extension row,
+  and both minima come from one walk;
 * support search, otherwise: scan supports of increasing size for
   dependent column sets of the parity-check matrix, which suits codes
   whose *dual* is small.  The first size with a full-support kernel vector
@@ -247,17 +250,40 @@ class LinearCode:
     def min_weight(self, cap: int = DEFAULT_CAP) -> tuple[int, bool]:
         """Exact minimum weight when q^k <= cap, else a certified lower bound.
 
-        Returns (weight, exact).  The lower-bound path enumerates all
-        low-weight messages of an information set; codeword weight is at
-        least message weight because the RREF pivots carry the message.
+        Returns (weight, exact).  Above the cap the information-set bound
+        enumerates all low-weight messages; codeword weight is at least
+        message weight because the RREF pivots carry the message.  When
+        that bound is not exact, its lightest word (weight ``best``, an
+        upper bound on d) shows whether the support route is sure to
+        finish: it is tried only when best <= n - k and the supports of
+        size <= best fit min(SUPPORT_BUDGET, cap), and the bound stands if
+        it gives up anyway.
         """
         if self.k == 0:
             raise EmptyCode("the zero code has no minimum weight")
         if self.field.q**self.k <= cap:
             return exact_min_weight(self, cap=cap)[0], True
-        return self._partial_lower_bound(cap)
+        bound, exact, best = self._partial_lower_bound(cap)
+        if (
+            not exact
+            and best is not None
+            and best <= self.n - self.k
+            and sum(comb(self.n, w) for w in range(1, best + 1)) <= min(SUPPORT_BUDGET, cap)
+        ):
+            try:
+                return exact_min_weight(self, cap=cap)[0], True
+            except CapExceeded:
+                pass
+        return bound, exact
 
-    def _partial_lower_bound(self, cap: int) -> tuple[int, bool]:
+    def _partial_lower_bound(self, cap: int) -> tuple[int, bool, int | None]:
+        """(bound, exact, best) from every message of weight <= t.
+
+        t is the largest weight whose messages fit the budget; ``best`` is
+        the lightest word among them (None when t = 0).  Each weight is one
+        (supports, coefficient tuples, n) array, with the first coefficient
+        fixed to 1 since scaling does not change weight.
+        """
         budget = min(cap, 1 << 16)
         k, q, f = self.k, self.field.q, self.field
         t, used = 0, 0
@@ -269,21 +295,24 @@ class LinearCode:
             t += 1
         best = None
         for wt in range(1, t + 1):
-            for support in itertools.combinations(range(k), wt):
-                rows = self.gen[list(support)]
-                for vals in itertools.product(range(1, q), repeat=wt):
-                    vec = np.zeros(self.n, dtype=np.uint8)
-                    for v, row in zip(vals, rows):
-                        vec = f.add_arrays(vec, f.MUL[v, row])
-                    w = int(np.count_nonzero(vec))
-                    if best is None or w < best:
-                        best = w
+            supports = np.array(list(itertools.combinations(range(k), wt)), dtype=np.intp)
+            coeffs = np.array(list(itertools.product(range(1, q), repeat=wt - 1)), dtype=np.uint8)
+            words = self.gen[supports[:, 0]][:, None, :]  # (supports, 1, n)
+            for j in range(1, wt):
+                term = f.MUL[coeffs[:, j - 1, None], self.gen[supports[:, j]][:, None, :]]
+                words = f.add_arrays(words, term)  # (supports, coefficient tuples, n)
+            w = int((words != 0).sum(axis=2, dtype=np.uint16).min())
+            best = w if best is None else min(best, w)
         if best is not None and best <= t + 1:
-            return best, True
-        return t + 1, False
+            return best, True, best
+        return t + 1, False, best
 
     def weight_distribution(self, cap: int = DEFAULT_CAP) -> "WeightDistribution":
-        """Exact weight counts by full enumeration; CapExceeded when q^k > cap."""
+        """Exact weight counts by full enumeration; CapExceeded when q^k > cap.
+
+        The scan sees one word per scalar class, so every positive weight
+        count is q - 1 times the count over the scan.
+        """
         if self.field.q**self.k > cap:
             raise CapExceeded(
                 f"q^k = {self.field.q}^{self.k} exceeds cap {cap} for exact distribution"
@@ -291,6 +320,8 @@ class LinearCode:
         counts = np.zeros(self.n + 1, dtype=np.int64)
         for _, block in iter_span_blocks(self.field, self.gen):
             counts += np.bincount((block != 0).sum(axis=1, dtype=np.uint16), minlength=self.n + 1)
+        counts *= self.field.q - 1
+        counts[0] = 1
         return WeightDistribution(tuple(int(c) for c in counts))
 
 
@@ -329,10 +360,15 @@ def _base_block(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
 
 
 def iter_span_blocks(field: FieldSpec, rows):
-    """Yield (start_index, block) covering the whole span in message order.
+    """Yield (lead, block): one nonzero codeword from each scalar class.
 
-    Message order is lexicographic over coefficient tuples in canonical
-    element order; global codeword index = block start + row offset.
+    The blocks hold exactly the words whose message has leading nonzero
+    coefficient 1, (q^k - 1)/(q - 1) of them, in lexicographic message
+    order (canonical element order per digit, first row most significant);
+    ``lead``, the row of that leading 1, runs from k-1 down to 0.  The
+    block for lead i is rows[i] plus the span of rows[i+1:]: a prefix of
+    the base block when that tail fits in it, else one base-sized block per
+    combination of the tail rows above the base.
     """
     rows = np.asarray(rows, dtype=np.uint8)
     k, n = rows.shape
@@ -344,38 +380,31 @@ def iter_span_blocks(field: FieldSpec, rows):
         size *= q
         t += 1
     base = _base_block(field, rows[k - t :])
-    head = rows[: k - t]
-    h_count = q ** (k - t)
-    if h_count == 1:
-        yield 0, base
-        return
-    for h in range(h_count):
-        digits = []
-        tmp = h
-        for _ in range(k - t):
-            digits.append(tmp % q)
-            tmp //= q
-        digits.reverse()  # digits[i] multiplies head[i]; first row most significant
-        prefix = np.zeros(n, dtype=np.uint8)
-        for d, row in zip(digits, head):
-            if d:
-                prefix = field.add_arrays(prefix, field.MUL[d, row])
-        yield h * size, field.add_arrays(base, prefix[None, :])
+    for lead in range(k - 1, -1, -1):
+        tail = k - 1 - lead
+        if tail <= t:
+            yield lead, field.add_arrays(base[: q**tail], rows[lead][None, :])
+            continue
+        head = rows[lead + 1 : k - t]
+        for digits in itertools.product(range(q), repeat=len(head)):
+            prefix = rows[lead]
+            for d, row in zip(digits, head):
+                if d:
+                    prefix = field.add_arrays(prefix, field.MUL[d, row])
+            yield lead, field.add_arrays(base, prefix[None, :])
 
 
-def _span_min_weight(field: FieldSpec, rows, split: int = 1) -> tuple[int, int]:
-    """Minimum weights over the span at message indices >= 1 and >= split."""
+def _span_min_weight(field: FieldSpec, rows, split: int) -> tuple[int, int]:
+    """Minimum weights over the span and over the words led by rows[:split]."""
     n = rows.shape[1]
-    inside = outside = n + 1  # minima over the indices [1, split) and [split, q^k)
-    for start, block in iter_span_blocks(field, rows):
-        w = (block != 0).sum(axis=1, dtype=np.uint16)  # uint8 would wrap at n = 256
-        cut = min(max(split - start, 0), w.size)
-        if cut < w.size:
-            outside = min(outside, int(w[cut:].min()))
-        skip = max(1 - start, 0)
-        if skip < cut:
-            inside = min(inside, int(w[skip:cut].min()))
-    assert outside <= n, "span scan saw no codewords past the split"
+    inside = outside = n + 1  # minima over words led by rows[split:] and by rows[:split]
+    for lead, block in iter_span_blocks(field, rows):
+        w = int((block != 0).sum(axis=1, dtype=np.uint16).min())  # uint8 would wrap at n = 256
+        if lead < split:
+            outside = min(outside, w)
+        else:
+            inside = min(inside, w)
+    assert outside <= n, "span scan saw no codewords led by the first split rows"
     return min(inside, outside), outside
 
 
@@ -383,7 +412,10 @@ def find_first_of_weight(field: FieldSpec, rows, target: int) -> np.ndarray | No
     """First vector of exactly the target weight in span order, or None.
 
     The scan is complete, so None proves absence.  The zero vector is only
-    returned for target 0.
+    returned for target 0.  Scanning one word per scalar class finds the
+    same vector: the first word of any weight has leading coefficient 1,
+    since dividing by its leading coefficient gives an earlier message
+    with the same weight.
     """
     rows = np.asarray(rows, dtype=np.uint8)
     if target == 0:
@@ -540,11 +572,10 @@ def exact_min_weight(
     if field.q**code.k > cap:
         return min_weight_support_search(code, exclude, subset_budget=min(SUPPORT_BUDGET, cap))
     if exclude is None or exclude.k == 0:
-        return _span_min_weight(field, code.gen)
-    rows = np.vstack([_extension_rows(code, exclude), exclude.gen])
-    # extension digits are most significant, so the codewords of `exclude`
-    # occupy exactly the first q^exclude.k indices of the scan
-    return _span_min_weight(field, rows, split=field.q**exclude.k)
+        return _span_min_weight(field, code.gen, code.k)
+    ext = _extension_rows(code, exclude)
+    # a word lies outside `exclude` exactly when an extension row leads it
+    return _span_min_weight(field, np.vstack([ext, exclude.gen]), ext.shape[0])
 
 
 # -- componentwise product span ---------------------------------------------------

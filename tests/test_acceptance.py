@@ -51,12 +51,11 @@ def test_criterion_1_grm_parameter_fidelity():
                 g = build_grm(q, m, nu)
                 if g.k != g.k_formula:
                     failures.append(f"rank mismatch at (q={q},m={m},nu={nu})")
-                if q**g.k <= CAP:
-                    w, exact = g.code.min_weight(CAP)
-                    if not exact or w != g.d_formula:
-                        failures.append(
-                            f"distance mismatch at (q={q},m={m},nu={nu}): {w} vs {g.d_formula}"
-                        )
+                w, exact = g.code.min_weight(CAP)
+                if not exact or w != g.d_formula:
+                    failures.append(
+                        f"distance mismatch at (q={q},m={m},nu={nu}): {w} vs {g.d_formula}"
+                    )
     report(1, "grm-parameter-fidelity", failures, t0, budget=120.0)
 
 

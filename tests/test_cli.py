@@ -117,6 +117,17 @@ def test_strict_mode_exits_capped_on_degraded_record(capsys):
     assert "capped: true" in out
 
 
+def test_grm_distance_stays_a_bound_when_the_support_route_does_not_fit_the_cap(capsys):
+    # [25,15,5]_5 is exact at the default cap; at cap 50000 the weight <= 5
+    # supports (68,405) do not fit, so the support route is not tried
+    code, out, _ = run(capsys, "grm", "-q", "5", "-m", "2", "--order", "4", "--cap", "50000")
+    assert code == EXIT_OK
+    assert "[25,15,>=4]_5" in out and "capped: true" in out
+    code, out, _ = run(capsys, "grm", "-q", "5", "-m", "2", "--order", "4")
+    assert code == EXIT_OK
+    assert "[25,15,5]_5" in out and "capped: false" in out
+
+
 def test_json_reports_are_deterministic(capsys):
     args = ("quantum", "hermitian", "-q", "3", "-m", "1", "--nu", "1", "--json")
     code1, out1, _ = run(capsys, *args)

@@ -132,6 +132,15 @@ def test_exhaustive_distance_matches_formula_small():
             assert exact and w == c.d_formula
 
 
+@pytest.mark.parametrize("q,nu", [(7, 9), (8, 11), (8, 12)])
+def test_min_weight_exact_above_the_cap(q, nu):
+    # q^k is far over the cap; the information-set bound's lightest word
+    # shows the support route will finish, so the distance comes out exact
+    c = build_grm(q, 2, nu)
+    assert c.code.field.q**c.k > 2**24
+    assert c.code.min_weight() == (c.d_formula, True)
+
+
 def test_nesting_weight_check_reports():
     rep = nesting_weight_check(3, 2, 1, 2)
     assert rep["wt_c2"] == 3 and rep["wt_difference"] == 3

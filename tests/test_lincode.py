@@ -223,23 +223,54 @@ def test_subcode_of_errors_and_truth():
         a.is_subcode_of(LinearCode.full_space(f, 5))
 
 
-def test_span_blocks_cover_exactly_the_span_in_order():
-    f = gf.get_field(3)
-    rows = np.array([[1, 0, 2, 1], [0, 1, 1, 1]], dtype=np.uint8)
-    seen = []
-    for start, block in iter_span_blocks(f, rows):
-        assert start == len(seen)
-        seen.extend(tuple(int(x) for x in r) for r in block)
-    assert len(seen) == 9
-    assert set(seen) == oracle_codewords(f, rows)
-    # lexicographic message order: index = m1*3 + m2 over canonical scalars
-    for idx, word in enumerate(seen):
-        m1, m2 = idx // 3, idx % 3
-        expect = tuple(
-            f.add(f.mul(m1, int(rows[0][j])), f.mul(m2, int(rows[1][j])))
-            for j in range(4)
-        )
-        assert word == expect
+def oracle_word(field, msg, gen):
+    """msg times gen by scalar arithmetic."""
+    vec = [0] * gen.shape[1]
+    for m, row in zip(msg, gen):
+        for j in range(gen.shape[1]):
+            vec[j] = field.add(vec[j], field.mul(m, int(row[j])))
+    return tuple(vec)
+
+
+# (q, k): spans of at most a few thousand words for the scalar oracles
+SPAN_CASES = [(2, 6), (3, 5), (4, 4), (5, 4), (9, 3), (16, 3)]
+
+
+def test_span_blocks_cover_exactly_the_span_in_order(monkeypatch):
+    default_rows = lincode._BLOCK_ROWS
+    for q, k in SPAN_CASES:
+        # one base block for the whole span, then a one-row base block, so
+        # that every tail longer than one row takes the head loop
+        for block_rows, head_loop in ((default_rows, False), (1, True)):
+            monkeypatch.setattr(lincode, "_BLOCK_ROWS", block_rows)
+            check_span_blocks(q, k, head_loop)
+
+
+def check_span_blocks(q, k, head_loop):
+    f = gf.get_field(q)
+    rng = np.random.default_rng(40 + q)
+    C = random_code(f, 6, k, rng)
+    while C.k < k:
+        C = random_code(f, 6, k, rng)
+    seen, leads = [], []
+    for lead, block in iter_span_blocks(f, C.gen):
+        leads.append(lead)
+        seen.extend((lead, tuple(int(x) for x in r)) for r in block)
+    # one word per message whose leading nonzero coefficient is 1, in
+    # lexicographic message order (first coefficient most significant)
+    expect = []
+    for msg in itertools.product(range(q), repeat=k):
+        nz = [i for i, m in enumerate(msg) if m]
+        if nz and msg[nz[0]] == 1:
+            expect.append((nz[0], oracle_word(f, msg, C.gen)))
+    assert seen == expect
+    assert len(seen) == (q**k - 1) // (q - 1)
+    assert leads == sorted(leads, reverse=True) and leads[0] == k - 1 and leads[-1] == 0
+    assert len(leads) > k if head_loop else len(leads) == k
+    # scaling the yielded words gives every nonzero codeword exactly once
+    scaled = [tuple(f.mul(c, x) for x in w) for _, w in seen for c in range(1, q)]
+    assert len(set(scaled)) == len(scaled)
+    assert set(scaled) == oracle_codewords(f, C.gen) - {(0,) * 6}
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -259,6 +290,49 @@ def test_min_weight_repetition():
     f = gf.get_field(5)
     rep = LinearCode(f, np.ones((1, 7), dtype=np.uint8), 7)
     assert rep.min_weight() == (7, True)
+
+
+def reference_partial_lower_bound(code, cap):
+    """The information-set bound one message at a time, every nonzero coefficient."""
+    budget = min(cap, 1 << 16)
+    k, q, f = code.k, code.field.q, code.field
+    t, used = 0, 0
+    while t < k:
+        step = comb(k, t + 1) * (q - 1) ** (t + 1)
+        if used + step > budget:
+            break
+        used += step
+        t += 1
+    best = None
+    for wt in range(1, t + 1):
+        for support in itertools.combinations(range(k), wt):
+            rows = code.gen[list(support)]
+            for vals in itertools.product(range(1, q), repeat=wt):
+                vec = np.zeros(code.n, dtype=np.uint8)
+                for v, row in zip(vals, rows):
+                    vec = f.add_arrays(vec, f.MUL[v, row])
+                w = int(np.count_nonzero(vec))
+                if best is None or w < best:
+                    best = w
+    if best is not None and best <= t + 1:
+        return best, True, best
+    return t + 1, False, best
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_partial_lower_bound_matches_reference(q):
+    f = gf.get_field(q)
+    rng = np.random.default_rng(90 + q)
+    for n, k_rows in ((10, 6), (14, 8), (9, 3)):
+        C = random_code(f, n, k_rows, rng)
+        for t in (1, 2, 3):
+            # the cap that admits exactly the messages of weight <= t
+            cap = sum(comb(C.k, s) * (q - 1) ** s for s in range(1, t + 1))
+            got = C._partial_lower_bound(cap)
+            assert got == reference_partial_lower_bound(C, cap)
+            bound, exact, best = got
+            assert best >= C.min_weight()[0]
+            assert exact or bound == min(t, C.k) + 1
 
 
 def test_min_weight_partial_lower_bound():
@@ -282,6 +356,18 @@ def test_weight_distribution_counts():
     # over the cap there is no distribution to report, only a capped run
     with pytest.raises(CapExceeded):
         LinearCode.full_space(f, 20).weight_distribution(cap=100)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 9])
+def test_weight_distribution_matches_oracle_counts(q):
+    f = gf.get_field(q)
+    rng = np.random.default_rng(80 + q)
+    for k in (1, 2, 3):
+        C = random_code(f, 6, k, rng)
+        expect = [0] * 7
+        for word in oracle_codewords(f, C.gen):
+            expect[sum(1 for x in word if x)] += 1
+        assert C.weight_distribution().counts == tuple(expect)
 
 
 def test_min_weight_equals_first_positive_distribution_index():
@@ -594,6 +680,28 @@ def test_engine_routes_agree_with_brute_force(case):
     assert reference_support_search(code, exclude=sub) == expect[1]
     assert reference_support_search(code) == expect[0]
     assert exact_min_weight(code) == min_weight_support_search(code) == (expect[0], expect[0])
+
+
+@pytest.mark.parametrize("head_loop", [False, True], ids=["one-base", "head-loop"])
+@pytest.mark.parametrize("q", [3, 4, 5, 9])
+def test_find_first_of_weight_is_lex_first_over_all_messages(monkeypatch, q, head_loop):
+    if head_loop:
+        monkeypatch.setattr(lincode, "_BLOCK_ROWS", 1)
+    f = gf.get_field(q)
+    rng = np.random.default_rng(60 + q)
+    for _ in range(3):
+        gen = rng.integers(0, q, size=(3, 6)).astype(np.uint8)
+        first = {}
+        # brute force over every message, non-1 leading coefficients included
+        for msg in itertools.product(range(q), repeat=3):
+            word = oracle_word(f, msg, gen)
+            first.setdefault(sum(1 for x in word if x), word)
+        for target in range(7):
+            got = find_first_of_weight(f, gen, target)
+            if target in first:
+                assert tuple(int(x) for x in got) == first[target]
+            else:
+                assert got is None
 
 
 def test_find_first_of_weight_is_canonical_and_complete():
