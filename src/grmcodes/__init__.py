@@ -9,7 +9,6 @@ from .errors import GrmError
 from .gf import FieldElement, FieldSpec, get_field, quadratic_extension
 from .grm import (
     GrmCode,
-    MonomialBasis,
     build_grm,
     dual_order,
     grm_dimension,
@@ -51,7 +50,6 @@ __all__ = [
     "GrmCode",
     "GrmError",
     "LinearCode",
-    "MonomialBasis",
     "PunctureCodeRecord",
     "PunctureWitness",
     "QuantumCodeRecord",

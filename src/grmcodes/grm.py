@@ -14,7 +14,6 @@ are reproducible across runs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 from math import comb
 
 import numpy as np
@@ -79,26 +78,6 @@ def monomial_exponents(q: int, m: int, nu: int) -> tuple[tuple[int, ...], ...]:
     return tuple(exps)
 
 
-@dataclass(frozen=True)
-class MonomialBasis:
-    """Monomials x_1^{a_1}...x_m^{a_m} spanning the evaluated polynomial space."""
-
-    q: int
-    m: int
-    nu: int
-    exponents: tuple[tuple[int, ...], ...] = dc_field(default=())
-
-    @classmethod
-    def build(cls, q: int, m: int, nu: int) -> "MonomialBasis":
-        exps = monomial_exponents(q, m, nu)
-        basis = cls(q, m, nu, exps)
-        assert len(exps) == grm_dimension(q, m, nu), "monomial count disagrees with the dimension formula"
-        return basis
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-
 def point_matrix(field: FieldSpec, m: int) -> np.ndarray:
     """Coordinates of all q^m points, shape (m, q^m); coordinate 0 varies fastest."""
     q = field.q
@@ -110,13 +89,12 @@ def point_matrix(field: FieldSpec, m: int) -> np.ndarray:
 class GrmCode:
     """A constructed R_q(nu, m) together with its predicted parameters."""
 
-    def __init__(self, q: int, m: int, nu: int, code: LinearCode, basis: MonomialBasis):
+    def __init__(self, q: int, m: int, nu: int, code: LinearCode):
         self.q = q
         self.m = m
         self.nu = nu
         self.field = code.field
         self.code = code
-        self.basis = basis
         self.k_formula = grm_dimension(q, m, nu)
         self.d_formula = grm_distance(q, m, nu)
         self.nu_perp = m * (q - 1) - 1 - nu
@@ -140,23 +118,22 @@ class GrmCode:
 
 
 def build_grm(q: int, m: int, nu: int, max_length: int = MAX_LENGTH) -> GrmCode:
-    """Evaluate the monomial basis at every point and canonicalize."""
+    """Evaluate the monomials at every point and canonicalize.
+
+    One gather per variable: row r is multiplied by x_i^{e_ri} at every
+    point, with POW[0, 0] = 1 giving 0^0 = 1.
+    """
     field = get_field(q)
     _check_order(q, m, nu)
     n = q**m
     if n > max_length:
         raise LengthCapExceeded(f"q^m = {n} exceeds the configured maximum {max_length}")
-    basis = MonomialBasis.build(q, m, nu)
+    exps = np.array(monomial_exponents(q, m, nu), dtype=np.intp)  # (monomials, m)
     pts = point_matrix(field, m)
-    rows = np.ones((len(basis), n), dtype=np.uint8)
-    for r, exps in enumerate(basis.exponents):
-        row = rows[r]
-        for i, a in enumerate(exps):
-            if a:
-                row = field.MUL[row, field.POW[pts[i], a]]
-        rows[r] = row
-    code = LinearCode(field, rows, n)
-    return GrmCode(q, m, nu, code, basis)
+    rows = np.ones((len(exps), n), dtype=np.uint8)
+    for i in range(m):
+        rows = field.MUL[rows, field.POW[pts[i][None, :], exps[:, i][:, None]]]
+    return GrmCode(q, m, nu, LinearCode(field, rows, n))
 
 
 def grm_dual_code(g: GrmCode, max_length: int = MAX_LENGTH) -> LinearCode:

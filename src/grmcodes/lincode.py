@@ -5,6 +5,15 @@ matrix in reduced row-echelon form.  RREF is unique, so two codes are
 equal exactly when their matrices are equal, and every derived object
 (duals, spans, restrictions) is reproducible bit for bit.
 
+The construction algebra leans on that form.  An ``rref`` pivot step
+touches only the columns at and right of the pivot, since everything to
+its left is already zero, and ``reduce`` reads all its multipliers off
+the pivot columns at once.  ``dual`` reads its null rows off the
+generator's own RREF and pivots; a matrix already in RREF (a Frobenius
+image, the identity) is taken as it is, each row's first nonzero entry
+being its pivot; and ``restriction`` solves for the GF(q) message over k
+unknowns, because the pivot columns carry the message.
+
 Every exact distance goes through one engine, ``exact_min_weight(code,
 exclude)``, which returns the pair (wt(code), wt(code minus exclude)) from
 a single pass over the code by one of two exact routes:
@@ -62,7 +71,9 @@ def rref(field: FieldSpec, mat) -> tuple[np.ndarray, tuple[int, ...]]:
 
     Pivot choice is the leftmost nonzero entry, scaled to a leading 1;
     zero rows are dropped.  Each pivot clears its column with one call to
-    the row-multiple kernel :meth:`FieldSpec.sub_multiples`.
+    the row-multiple kernel :meth:`FieldSpec.sub_multiples`.  The rows from
+    the current one down are zero left of the pivot column, so the swap,
+    the scaling and the update touch only the columns >= the pivot's.
     """
     M = np.array(mat, dtype=np.uint8, copy=True)
     if M.ndim != 2:
@@ -78,34 +89,37 @@ def rref(field: FieldSpec, mat) -> tuple[np.ndarray, tuple[int, ...]]:
             continue
         pr = r + int(nzi[0])
         if pr != r:
-            M[[r, pr]] = M[[pr, r]]
+            M[[r, pr], c:] = M[[pr, r], c:]
         pv = int(M[r, c])
         if pv != 1:
-            M[r] = field.MUL[field.INV[pv], M[r]]
+            M[r, c:] = field.MUL[field.INV[pv], M[r, c:]]
         col = M[:, c].copy()
         col[r] = 0
         nz = col.nonzero()[0]
         if nz.size:
-            M[nz] = field.sub_multiples(M[nz], col[nz], M[r])
+            M[nz, c:] = field.sub_multiples(M[nz, c:], col[nz], M[r, c:])
         pivots.append(c)
         r += 1
     return M[:r], tuple(pivots)
 
 
-def kernel_basis(field: FieldSpec, mat) -> np.ndarray:
-    """RREF basis of the right kernel {x : mat @ x = 0} over the field."""
-    M = np.asarray(mat, dtype=np.uint8)
-    n = M.shape[1]
-    R, pivots = rref(field, M)
+def _null_rows(field: FieldSpec, R: np.ndarray, pivots) -> np.ndarray:
+    """Rows spanning the right kernel of the RREF matrix R (not in RREF).
+
+    One null vector per free column f: 1 at f, -R[i, f] at pivot i.
+    """
+    n = R.shape[1]
     free = np.delete(np.arange(n), list(pivots))
-    if not free.size:
-        return np.zeros((0, n), dtype=np.uint8)
-    # one null vector per free column f: 1 at f, -R[i, f] at pivot i
     H = np.zeros((free.size, n), dtype=np.uint8)
     H[np.arange(free.size), free] = 1
     H[:, list(pivots)] = field.NEG[R[:, free]].T
-    K, _ = rref(field, H)
-    return K
+    return H
+
+
+def kernel_basis(field: FieldSpec, mat) -> np.ndarray:
+    """RREF basis of the right kernel {x : mat @ x = 0} over the field."""
+    R, pivots = rref(field, mat)
+    return rref(field, _null_rows(field, R, pivots))[0]
 
 
 class LinearCode:
@@ -124,9 +138,9 @@ class LinearCode:
             raise DimensionMismatch(f"expected length {n}, got {rows.shape[1]}")
         if np.any(rows >= field.q):
             raise ValueError(f"entries must be indices below q={field.q}")
-        if _canonical:
+        if _canonical:  # rows already in RREF: each row's first nonzero entry is its pivot
             self.gen = rows.copy()
-            _, self.pivots = rref(field, rows)
+            self.pivots = tuple(int(c) for c in (rows != 0).argmax(axis=1))
         else:
             self.gen, self.pivots = rref(field, rows)
         self.gen.setflags(write=False)
@@ -140,7 +154,7 @@ class LinearCode:
 
     @classmethod
     def full_space(cls, field: FieldSpec, n: int) -> "LinearCode":
-        return cls(field, np.eye(n, dtype=np.uint8), n)
+        return cls(field, np.eye(n, dtype=np.uint8), n, _canonical=True)
 
     def __eq__(self, other) -> bool:
         return (
@@ -160,15 +174,21 @@ class LinearCode:
     # -- membership --------------------------------------------------------
 
     def reduce(self, vecs: np.ndarray) -> np.ndarray:
-        """Residue of row vectors after elimination by the generator rows."""
+        """Residue of row vectors after elimination by the generator rows.
+
+        The RREF generator is the identity on its pivot columns, so no step
+        changes another pivot's entry: the multipliers are read off V once,
+        and the residue is V - V[:, pivots] @ gen.
+        """
         V = np.array(vecs, dtype=np.uint8, copy=True)
         single = V.ndim == 1
         if single:
             V = V[None, :]
         if V.shape[1] != self.n:
             raise DimensionMismatch(f"expected length {self.n}")
-        for p, row in zip(self.pivots, self.gen):
-            V = self.field.sub_multiples(V, V[:, p], row)
+        coeffs = self.field.NEG[V[:, list(self.pivots)].T]
+        for c, row in zip(coeffs, self.gen):
+            V = self.field.add_multiples(V, c, row)
         return V[0] if single else V
 
     def contains(self, v) -> bool:
@@ -186,15 +206,22 @@ class LinearCode:
     # -- duality -------------------------------------------------------------
 
     def dual(self) -> "LinearCode":
+        """Euclidean dual, from the null rows of the generator's own RREF.
+
+        One null vector per free column (see :func:`_null_rows`), so the
+        only elimination is the RREF of those n - k rows.
+        """
         if self._dual is None:
-            basis = kernel_basis(self.field, self.gen)
-            self._dual = LinearCode(self.field, basis, self.n, _canonical=True)
+            self._dual = LinearCode(self.field, _null_rows(self.field, self.gen, self.pivots), self.n)
         return self._dual
 
     def frobenius_image(self) -> "LinearCode":
-        """Entrywise q-th power of the generator (field must be a tower top)."""
+        """Entrywise q-th power of the generator (field must be a tower top).
+
+        Frobenius fixes 0 and 1, so the image of an RREF matrix is in RREF.
+        """
         pair = extension_pair_for(self.field)
-        return LinearCode(self.field, pair.frob[self.gen], self.n)
+        return LinearCode(self.field, pair.frob[self.gen], self.n, _canonical=True)
 
     def hermitian_dual(self) -> "LinearCode":
         """Dual under <x|y>_h = sum x_i y_i^q; equals dual(frobenius_image)."""
@@ -212,25 +239,16 @@ class LinearCode:
         return LinearCode(pair.sub, np.vstack(rows), self.n)
 
     def restriction(self) -> "LinearCode":
-        """Subfield subcode C intersect GF(q)^n, solved directly.
+        """Subfield subcode C intersect GF(q)^n, solved over k unknowns.
 
-        The extension code is a 2k-dimensional base-field space spanned by
-        {g_i, gamma*g_i}; coordinates split as a + gamma*b with a, b over
-        the base field, and the restriction is the part where every b
-        coordinate vanishes.
+        The generator G is in RREF, so a codeword c = uG carries its message
+        u on the pivot columns, and a codeword over GF(q) has its message
+        over GF(q).  Split each entry as a + gamma*b over the base field:
+        the restriction is {u dec_a[G] : u in GF(q)^k, u dec_b[G] = 0}.
         """
         pair = extension_pair_for(self.field)
-        if self.k == 0:
-            return LinearCode.zero_code(pair.sub, self.n)
-        ext = self.field
-        base_rows = np.vstack([self.gen, ext.MUL[pair.gamma, self.gen]])
-        A = pair.dec_a[base_rows]
-        B = pair.dec_b[base_rows]
-        K = kernel_basis(pair.sub, B.T)
-        if K.shape[0] == 0:
-            return LinearCode.zero_code(pair.sub, self.n)
-        rows = pair.sub.matmul(K, A)
-        return LinearCode(pair.sub, rows, self.n)
+        K = kernel_basis(pair.sub, pair.dec_b[self.gen].T)
+        return LinearCode(pair.sub, pair.sub.matmul(K, pair.dec_a[self.gen]), self.n)
 
     # -- coordinate surgery ----------------------------------------------------
 
@@ -280,9 +298,10 @@ class LinearCode:
         """(bound, exact, best) from every message of weight <= t.
 
         t is the largest weight whose messages fit the budget; ``best`` is
-        the lightest word among them (None when t = 0).  Each weight is one
-        (supports, coefficient tuples, n) array, with the first coefficient
-        fixed to 1 since scaling does not change weight.
+        the lightest word among them (None when t = 0), and it is exact
+        when t = k, since every nonzero message has then been seen.  Each
+        weight is one (supports, coefficient tuples, n) array, with the
+        first coefficient fixed to 1 since scaling does not change weight.
         """
         budget = min(cap, 1 << 16)
         k, q, f = self.k, self.field.q, self.field
@@ -303,7 +322,7 @@ class LinearCode:
                 words = f.add_arrays(words, term)  # (supports, coefficient tuples, n)
             w = int((words != 0).sum(axis=2, dtype=np.uint16).min())
             best = w if best is None else min(best, w)
-        if best is not None and best <= t + 1:
+        if best is not None and (best <= t + 1 or t == k):
             return best, True, best
         return t + 1, False, best
 

@@ -83,6 +83,27 @@ def test_build_grm_small_parameters():
     assert (c.n, c.k) == (4, 2) and c.code.min_weight() == (3, True)
 
 
+@pytest.mark.parametrize("q,m", [(2, 3), (3, 2), (4, 2), (5, 1), (7, 2), (8, 1), (9, 2), (16, 1)])
+def test_build_grm_matches_scalar_evaluation(q, m):
+    # every monomial evaluated point by point with scalar field operations,
+    # 0^0 = 1 included
+    f = grm.get_field(q)
+    pts = list(itertools.product(range(q), repeat=m))
+    pts = [p[::-1] for p in pts]  # coordinate 0 varies fastest
+    for nu in range(m * (q - 1) + 1):
+        rows = []
+        for exps in monomial_exponents(q, m, nu):
+            row = []
+            for p in pts:
+                v = 1
+                for x, a in zip(p, exps):
+                    v = f.mul(v, f.pow(x, a))
+                row.append(v)
+            rows.append(row)
+        c = build_grm(q, m, nu)
+        assert c.code == grm.LinearCode(f, np.array(rows, dtype=np.uint8), q**m)
+
+
 def test_build_grm_guards():
     with pytest.raises(UnsupportedField):
         build_grm(6, 1, 0)

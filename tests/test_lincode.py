@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from grmcodes import gf, lincode
+from grmcodes.grm import build_grm
 from grmcodes.errors import (
     CapExceeded,
     DimensionMismatch,
@@ -120,6 +121,16 @@ def test_rref_kernel_and_reduce_match_reference_rref(q):
         assert np.array_equal(reference_rref(f, K)[0], K)  # rank n - rank(M), RREF
         code = LinearCode(f, M, n)
         assert np.array_equal(code.gen, R) and code.pivots == pivots
+        # an RREF matrix taken as canonical reads each row's first nonzero as its pivot
+        canon = LinearCode(f, R, n, _canonical=True)
+        assert np.array_equal(canon.gen, R) and canon.pivots == pivots
+        assert LinearCode(f, K, n, _canonical=True).pivots == reference_rref(f, K)[1]
+        # the dual from the code's own RREF is the right kernel of its generator
+        D = code.dual()
+        assert D == LinearCode(f, kernel_basis(f, code.gen), n)
+        assert np.array_equal(D.gen, K) and D.k == n - len(pivots)
+        assert not np.any(reference_matmul(f, R, D.gen.T))
+        assert D.dual() == code
         V = rng.integers(0, q, size=(7, n)).astype(np.uint8)
         # the generator is in RREF, so the residue is V - V[:, pivots] @ R
         lifted = reference_matmul(f, V[:, list(pivots)], R)
@@ -290,6 +301,10 @@ def test_min_weight_repetition():
     f = gf.get_field(5)
     rep = LinearCode(f, np.ones((1, 7), dtype=np.uint8), 7)
     assert rep.min_weight() == (7, True)
+    # cap q^k - 1 = 4 leaves the exact route, but the bound then sees every
+    # nonzero message, so its lightest word is the minimum weight
+    assert rep.min_weight(cap=4) == (7, True)
+    assert rep._partial_lower_bound(4) == (7, True, 7) == reference_partial_lower_bound(rep, 4)
 
 
 def reference_partial_lower_bound(code, cap):
@@ -314,7 +329,7 @@ def reference_partial_lower_bound(code, cap):
                 w = int(np.count_nonzero(vec))
                 if best is None or w < best:
                     best = w
-    if best is not None and best <= t + 1:
+    if best is not None and (best <= t + 1 or t == k):
         return best, True, best
     return t + 1, False, best
 
@@ -761,6 +776,23 @@ def test_hermitian_dual_weight_equals_euclidean_dual_weight():
                 assert wh == we
 
 
+def reference_restriction(code):
+    """Subfield subcode over 2k unknowns: the base-field span of {g_i, gamma*g_i}.
+
+    Needs no RREF generator: coordinates split as a + gamma*b over the base
+    field, and the restriction is the part of that span where every b
+    coordinate vanishes.
+    """
+    pair = gf.extension_pair_for(code.field)
+    if code.k == 0:
+        return LinearCode.zero_code(pair.sub, code.n)
+    base_rows = np.vstack([code.gen, code.field.MUL[pair.gamma, code.gen]])
+    K = kernel_basis(pair.sub, pair.dec_b[base_rows].T)
+    if K.shape[0] == 0:
+        return LinearCode.zero_code(pair.sub, code.n)
+    return LinearCode(pair.sub, pair.sub.matmul(K, pair.dec_a[base_rows]), code.n)
+
+
 def test_trace_code_and_restriction_examples():
     pair = gf.quadratic_extension(2)
     f4 = pair.ext
@@ -775,6 +807,41 @@ def test_trace_code_and_restriction_examples():
     D = LinearCode(f4, np.array([[zeta, zeta]], dtype=np.uint8), 2)
     R = D.restriction()
     assert R == LinearCode(pair.sub, np.array([[1, 1]], dtype=np.uint8), 2)
+    # span{(1, zeta)} has no nonzero word over GF(2): the kernel is empty
+    E = LinearCode(f4, np.array([[1, zeta]], dtype=np.uint8), 2)
+    assert E.restriction() == LinearCode.zero_code(pair.sub, 2) == reference_restriction(E)
+
+
+TOWERS = (2, 3, 4, 5, 7, 8)  # base fields of the designated quadratic towers
+
+
+@pytest.mark.parametrize(
+    "q,m", [(q, m) for q in TOWERS for m in (1, 2, 3, 4) if q ** (2 * m) <= 256]
+)
+def test_restriction_matches_reference_on_grm_codes(q, m):
+    q2 = q * q
+    for nu in range(m * (q2 - 1) + 1):
+        C = build_grm(q2, m, nu).code
+        R = C.restriction()
+        assert R == reference_restriction(C)
+        # the constants lie in every GRM code and are over GF(q)
+        assert R.contains(np.ones(C.n, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("q", TOWERS)
+def test_restriction_matches_reference_with_planted_base_rows(q):
+    pair = gf.quadratic_extension(q)
+    f = pair.ext
+    rng = np.random.default_rng(500 + q)
+    for n, planted, extra in ((1, 1, 0), (5, 1, 1), (9, 3, 2), (16, 4, 5), (40, 6, 10)):
+        base = rng.integers(0, q, size=(planted, n)).astype(np.uint8)
+        base[np.arange(planted), np.arange(planted) % n] = 1
+        ext_rows = rng.integers(0, f.q, size=(extra, n)).astype(np.uint8)
+        C = LinearCode(f, np.vstack([pair.emb[base], ext_rows]), n)
+        R = C.restriction()
+        assert R == reference_restriction(C)
+        planted_code = LinearCode(pair.sub, base, n)
+        assert planted_code.k > 0 and planted_code.is_subcode_of(R)
 
 
 def test_restriction_codewords_are_exactly_subfield_codewords():
