@@ -18,15 +18,12 @@ Every exact distance goes through one engine, ``exact_min_weight(code,
 exclude)``, which returns the pair (wt(code), wt(code minus exclude)) from
 a single pass over the code by one of two exact routes:
 
-* span enumeration, when q^k fits the cap: weight does not change under
-  nonzero scaling, so the walk visits one codeword per scalar class, the
-  (q^k - 1)/(q - 1) messages whose leading nonzero coefficient is 1, in
-  blocks of vectorized numpy work and in lexicographic message order
-  (canonical field-element order per digit, first generator row most
-  significant).  The rows are the extension of the excluded subcode's
-  basis followed by that basis, so a word lies outside the excluded
-  subcode exactly when its leading coefficient sits on an extension row,
-  and both minima come from one walk;
+* span route, when q^k fits the cap: a Brouwer-Zimmermann search over
+  disjoint information sets (Zimmermann 1996; Grassl 2006) enumerates each
+  set's messages, one per scalar class, weight by weight until the floor
+  on unseen words reaches the lightest word outside the excluded subcode
+  (nonzero residue under its ``reduce``).  Where one exhaustive scan of
+  the (q^k - 1)/(q - 1) scalar classes is estimated cheaper, it runs;
 * support search, otherwise: scan supports of increasing size for
   dependent column sets of the parity-check matrix, which suits codes
   whose *dual* is small.  The first size with a full-support kernel vector
@@ -37,8 +34,8 @@ a single pass over the code by one of two exact routes:
   below the minimum weight, reach the per-subset kernel computation.
 
 Both are complete searches; tests cross-check one against the other, the
-batched support search against a per-subset reference, and both against
-a scalar brute-force oracle.
+span route against the exhaustive scan, the batched support search
+against a per-subset reference, and both against a brute-force oracle.
 """
 
 from __future__ import annotations
@@ -64,6 +61,10 @@ _BLOCK_ROWS = 1 << 18
 SUPPORT_BUDGET = 2 * 10**6
 # column subsets per batched rank test; the stack takes chunk * r * w bytes
 _SUBSET_CHUNK = 1 << 13
+# costs in exhaustive-scan words of a search row gather (binary, other
+# fields) and of an rref pivot step; a search word's weight count is 0.5
+_GATHER_COST = {True: 1.25, False: 0.9}
+_PIVOT_COST = 200
 
 
 def rref(field: FieldSpec, mat) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -299,32 +300,22 @@ class LinearCode:
 
         t is the largest weight whose messages fit the budget; ``best`` is
         the lightest word among them (None when t = 0), and it is exact
-        when t = k, since every nonzero message has then been seen.  Each
-        weight is one (supports, coefficient tuples, n) array, with the
-        first coefficient fixed to 1 since scaling does not change weight.
+        when t = k, since every nonzero message has then been seen.  The
+        words come from the span route's message enumerator on the RREF
+        generator, :func:`_message_words`, leading coefficient 1.
         """
-        budget = min(cap, 1 << 16)
-        k, q, f = self.k, self.field.q, self.field
+        budget, k, q = min(cap, 1 << 16), self.k, self.field.q
         t, used = 0, 0
-        while t < k:
-            step = comb(k, t + 1) * (q - 1) ** (t + 1)
-            if used + step > budget:
-                break
-            used += step
+        while t < k and used + comb(k, t + 1) * (q - 1) ** (t + 1) <= budget:
             t += 1
-        best = None
-        for wt in range(1, t + 1):
-            supports = np.array(list(itertools.combinations(range(k), wt)), dtype=np.intp)
-            coeffs = np.array(list(itertools.product(range(1, q), repeat=wt - 1)), dtype=np.uint8)
-            words = self.gen[supports[:, 0]][:, None, :]  # (supports, 1, n)
-            for j in range(1, wt):
-                term = f.MUL[coeffs[:, j - 1, None], self.gen[supports[:, j]][:, None, :]]
-                words = f.add_arrays(words, term)  # (supports, coefficient tuples, n)
-            w = int((words != 0).sum(axis=2, dtype=np.uint16).min())
-            best = w if best is None else min(best, w)
-        if best is not None and (best <= t + 1 or t == k):
-            return best, True, best
-        return t + 1, False, best
+            used += comb(k, t) * (q - 1) ** t
+        best = [self.n + 1] * 2
+        for w in range(1, t + 1):
+            for block in _message_words(self.field, self.gen, w):
+                _fold_block(block, None, best)
+        if t and (best[0] <= t + 1 or t == k):
+            return best[0], True, best[0]
+        return t + 1, False, best[0] if t else None
 
     def weight_distribution(self, cap: int = DEFAULT_CAP) -> "WeightDistribution":
         """Exact weight counts by full enumeration; CapExceeded when q^k > cap.
@@ -395,7 +386,7 @@ def iter_span_blocks(field: FieldSpec, rows):
     # keep blocks near 8 MB so long codes do not balloon memory
     row_cap = max(q, min(_BLOCK_ROWS, (1 << 23) // max(n, 1)))
     t, size = 0, 1
-    while t < k and size * q <= row_cap:
+    while t < k - 1 and size * q <= row_cap:  # lead 0 needs only rows[1:]
         size *= q
         t += 1
     base = _base_block(field, rows[k - t :])
@@ -413,18 +404,133 @@ def iter_span_blocks(field: FieldSpec, rows):
             yield lead, field.add_arrays(base, prefix[None, :])
 
 
-def _span_min_weight(field: FieldSpec, rows, split: int) -> tuple[int, int]:
-    """Minimum weights over the span and over the words led by rows[:split]."""
-    n = rows.shape[1]
-    inside = outside = n + 1  # minima over words led by rows[split:] and by rows[:split]
-    for lead, block in iter_span_blocks(field, rows):
-        w = int((block != 0).sum(axis=1, dtype=np.uint16).min())  # uint8 would wrap at n = 256
-        if lead < split:
-            outside = min(outside, w)
-        else:
-            inside = min(inside, w)
-    assert outside <= n, "span scan saw no codewords led by the first split rows"
-    return min(inside, outside), outside
+# -- span route: information-set search -------------------------------------------
+
+
+def _index_chunks(tuples, rows: int, width: int):
+    """Consecutive (<= rows, width) index arrays drawn from an iterator of tuples."""
+    while True:
+        chunk = np.fromiter(itertools.chain.from_iterable(itertools.islice(tuples, rows)), dtype=np.intp)
+        if chunk.size == 0:
+            return
+        yield chunk.reshape(-1, width)
+
+
+def _message_words(field: FieldSpec, gen: np.ndarray, w: int):
+    """Yield blocks of the words u @ gen with wt(u) = w and leading coefficient 1.
+
+    Each term c_i gen[s_i] after the first is one row gather from the table
+    of the rows' multiples; blocks stay within 8 MB, index arrays included.
+    """
+    k, n = gen.shape
+    if w == 1:
+        yield gen
+        return
+    table = field.MUL.take(gen, axis=1).reshape(-1, n)  # row c*k + s is c * gen[s]
+    rows = max(1, (1 << 23) // max(n, 8 * w))
+    for coeffs in _index_chunks(itertools.product(range(1, field.q), repeat=w - 1), rows, w - 1):
+        for supports in _index_chunks(itertools.combinations(range(k), w), max(1, rows // len(coeffs)), w):
+            words = gen[supports[:, 0]][:, None, :]
+            for j in range(1, w):
+                words = field.add_arrays(words, table[supports[:, j, None] + k * coeffs[None, :, j - 1]])
+            yield words.reshape(-1, n)
+
+
+def _information_sets(field: FieldSpec, gen: np.ndarray, pivots) -> list[tuple[np.ndarray, int]]:
+    """Systematic generators on disjoint information sets, with their ranks r.
+
+    Set 1 is the RREF pivots; each further set is the pivots in the unused
+    columns of the RREF with those columns first, with the identity there on
+    its first r rows and zeros on the other k - r (the last may have r < k)."""
+    sets = [(gen, gen.shape[0])]
+    free = ~np.isin(np.arange(gen.shape[1]), pivots)
+    while free.any():
+        order = np.concatenate([np.flatnonzero(free), np.flatnonzero(~free)])
+        R, piv = rref(field, gen[:, order])
+        r = int(np.searchsorted(piv, free.sum()))
+        if r == 0:
+            break
+        free[order[list(piv[:r])]] = False
+        sets.append((R[:, np.argsort(order)], r))
+    return sets
+
+
+def _unseen_bound(k: int, ranks, w: int) -> int:
+    """Floor on the weight of a word unseen after the messages of weight <= w:
+    its message weighs > w on every set, at most k - r of it off a rank-r set."""
+    return sum(max(0, w + 1 - (k - r)) for r in ranks)
+
+
+def _fold_block(block: np.ndarray, exclude: LinearCode | None, best: list[int]) -> None:
+    """Lower best = [wt(C), wt(C minus exclude)] by one block; only words
+    lighter than best[1] are tested, outside ``exclude`` iff residue != 0."""
+    wts = (block != 0).sum(axis=1, dtype=np.uint16)  # uint8 would wrap at n = 256
+    best[0] = min(best[0], int(wts.min()))
+    if exclude is None:
+        best[1] = best[0]
+        return
+    light = np.flatnonzero(wts < best[1])
+    light = light[np.any(exclude.reduce(block[light]), axis=1)] if light.size else light
+    if light.size:
+        best[1] = int(wts[light].min())
+
+
+def _search_plan(field: FieldSpec, k: int, ranks, w: int, target: int) -> tuple[float, int]:
+    """(cost in scan words, stop weight) to finish the search from weight w.
+
+    The stop weight is the first whose bound reaches ``target``, at most k;
+    sets of rank r < k - stop add nothing there and are dropped."""
+    stop = next((v for v in range(w, k) if _unseen_bound(k, ranks, v) >= target), k)
+    gather = _GATHER_COST[field.p == 2]
+    words = sum(comb(k, v) * (field.q - 1) ** (v - 1) * ((v - 1) * gather + 0.5) for v in range(w, stop + 1))
+    return sum(r >= k - stop for r in ranks) * words, stop
+
+
+def _information_set_search(
+    code: LinearCode, exclude: LinearCode | None = None, budget: float = float("inf")
+) -> tuple[list[int], bool]:
+    """Brouwer-Zimmermann search: ([wt(C), wt(C minus exclude)], finished).
+
+    For w = 1, 2, ... it enumerates the weight-w messages (leading
+    coefficient 1) on every information set, until :func:`_unseen_bound`
+    reaches the lightest word outside ``exclude`` or w = k.  It stops
+    unfinished when its estimated cost to finish tops ``budget``."""
+    field, k, n = code.field, code.k, code.n
+    best = [n + 1, n + 1]
+    if _PIVOT_COST * k > budget:  # cheaper than one more set's rref
+        return best, False
+    look = min(2, k)  # a first look, on the RREF generator alone
+    for w in range(1, look + 1):
+        for block in _message_words(field, code.gen, w):
+            _fold_block(block, exclude, best)
+    if look + 1 >= best[1] or look == k:
+        return best, True
+    hint = [k] * (n // k) + [n % k] * (n % k > 0)  # ranks no sets can beat
+    if _search_plan(field, k, hint, 1, best[1])[0] + _PIVOT_COST * k * (len(hint) - 1) > budget:
+        return best, False
+    sets = _information_sets(field, code.gen, code.pivots)
+    for w in range(1, k + 1):
+        cost, stop = _search_plan(field, k, [r for _, r in sets], w, best[1])
+        if cost > budget:
+            return best, False
+        sets = [(gen, r) for gen, r in sets if r >= k - stop]
+        for gen, _ in sets[w <= look :]:  # the first set has had its look
+            for block in _message_words(field, gen, w):
+                _fold_block(block, exclude, best)
+        if _unseen_bound(k, [r for _, r in sets], w) >= best[1]:
+            break
+    return best, True
+
+
+def _span_min_weight(code: LinearCode, exclude: LinearCode | None = None) -> tuple[int, int]:
+    """(wt(C), wt(C minus exclude)) by the information-set search, or by one
+    exhaustive scan through the same update where that is estimated cheaper."""
+    q = code.field.q
+    best, done = _information_set_search(code, exclude, budget=(q**code.k - 1) // (q - 1))
+    if not done:
+        for _, block in iter_span_blocks(code.field, code.gen):
+            _fold_block(block, exclude, best)
+    return best[0], best[1]
 
 
 def find_first_of_weight(field: FieldSpec, rows, target: int) -> np.ndarray | None:
@@ -503,17 +609,15 @@ def min_weight_support_search(
     Cost grows with C(n, w) and with the dual dimension, so this route
     suits codes whose dual is small.
 
-    The supports of each size are generated in lexicographic chunks, and
-    each chunk passes one batched rank filter (:func:`_dependent_subsets`):
-    a forward elimination across the stack of column subsets, kept uniform
-    because every subset still independent after c columns has its next
-    pivot in row c.  Only the dependent subsets go on, in lexicographic
-    order, to the per-subset kernel, full-support and exclusion checks, so
-    the hits and both budget checks fall exactly where a one-subset-at-a-
-    time scan would put them.  ``subset_budget`` is charged C(n, w) before
-    a size w <= r (the number of parity checks) is scanned; above r every
-    subset is dependent and usually the first one hits, so each is charged
-    1 as it reaches its kernel.
+    The supports of each size come in lexicographic chunks, each through
+    one batched rank filter (:func:`_dependent_subsets`).  Only the
+    dependent subsets go on, in order, to the per-subset kernel,
+    full-support and exclusion checks, so the hits and both budget checks
+    fall exactly where a one-subset-at-a-time scan would put them.
+    ``subset_budget`` is charged C(n, w) before a size w <= r (the number
+    of parity checks) is scanned; above r every subset is dependent and
+    usually the first one hits, so each is charged 1 as it reaches its
+    kernel.
     """
     if code.k == 0:
         raise EmptyCode("the zero code has no minimum weight")
@@ -532,13 +636,7 @@ def min_weight_support_search(
     for w in range(1, n + 1):
         if w <= r:
             charge(comb(n, w), w)
-        combos = itertools.combinations(range(n), w)
-        while True:
-            chunk = np.fromiter(
-                itertools.chain.from_iterable(itertools.islice(combos, _SUBSET_CHUNK)), dtype=np.intp
-            ).reshape(-1, w)
-            if len(chunk) == 0:
-                break
+        for chunk in _index_chunks(itertools.combinations(range(n), w), _SUBSET_CHUNK, w):
             for S in _dependent_subsets(field, H, chunk):
                 if w > r:
                     charge(1, w)
@@ -561,24 +659,16 @@ def min_weight_support_search(
 # -- the exact-distance engine ---------------------------------------------------------
 
 
-def _extension_rows(big: LinearCode, small: LinearCode) -> np.ndarray:
-    """Rows extending small's basis to big's; span(small + rows) = big."""
-    residues = small.reduce(big.gen)
-    residues = residues[np.any(residues, axis=1)]
-    E, _ = rref(big.field, residues)
-    return E
-
-
 def exact_min_weight(
     code: LinearCode, exclude: LinearCode | None = None, cap: int = DEFAULT_CAP
 ) -> tuple[int, int]:
     """Exact (wt(code), wt(code minus exclude)) in one pass over the code.
 
     ``exclude`` must be a proper subcode; without one (or with the zero
-    code) both values are wt(code).  The span route runs when q^k <= cap,
-    otherwise the support route with a subset budget of
-    min(SUPPORT_BUDGET, cap), so one cap bounds both.  Raises CapExceeded
-    when the support route gives up.
+    code) both values are wt(code).  The span route (:func:`_span_min_weight`)
+    runs when q^k <= cap, otherwise the support route with a subset budget
+    of min(SUPPORT_BUDGET, cap), so one cap bounds both.  Raises
+    CapExceeded when the support route gives up.
     """
     if code.k == 0:
         raise EmptyCode("the zero code has no minimum weight")
@@ -587,14 +677,9 @@ def exact_min_weight(
             raise NotNested("the excluded code must be contained in the code")
         if exclude.k == code.k:
             raise NotNested("containment must be strict")
-    field = code.field
-    if field.q**code.k > cap:
+    if code.field.q**code.k > cap:
         return min_weight_support_search(code, exclude, subset_budget=min(SUPPORT_BUDGET, cap))
-    if exclude is None or exclude.k == 0:
-        return _span_min_weight(field, code.gen, code.k)
-    ext = _extension_rows(code, exclude)
-    # a word lies outside `exclude` exactly when an extension row leads it
-    return _span_min_weight(field, np.vstack([ext, exclude.gen]), ext.shape[0])
+    return _span_min_weight(code, exclude if exclude is not None and exclude.k else None)
 
 
 # -- componentwise product span ---------------------------------------------------

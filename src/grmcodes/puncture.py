@@ -108,7 +108,7 @@ def puncture_code_css(
         assert pcode == expected, "puncture code disagrees with R_q(nu2-nu1, m)"
         prov.update({"family": "grm", "q": q, "m": m, "nu1": C1.nu, "nu2": C2.nu, "grm_identity": True})
         for mu in range(diff + 1):
-            sub = build_grm(q, m, mu).code
+            sub = expected if mu == diff else build_grm(q, m, mu).code
             assert sub.is_subcode_of(pcode)
             known.append((f"grm(q={q},m={m},nu={mu})", sub))
         known.sort(key=lambda item: item[1].k)

@@ -183,7 +183,8 @@ def css(
             wt_c2, w_right = lincode.exact_min_weight(C2, C1, cap)
             wt_c1perp, w_left = lincode.exact_min_weight(C1perp, C2perp, cap)
             d = min(w_right, w_left)
-            pure = w_right == wt_c2 and w_left == wt_c1perp
+            # pure: wt(C1) >= d and wt(C2-perp) >= d, as wt(C2) = min(wt(C1), w_right)
+            pure = min(wt_c2, wt_c1perp) == d
             prov.update(
                 {
                     "wt_diff_c2_c1": w_right,

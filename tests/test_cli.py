@@ -258,6 +258,8 @@ GOLDEN_COMMANDS = {
     "quantum_css_q5_m2_nu1_1_nu2_3": "quantum css -q 5 -m 2 --nu1 1 --nu2 3",
     # a capped record
     "quantum_hermitian_q4_m2_nu1": "quantum hermitian -q 4 -m 2 --nu 1",
+    # span route on every row, R_5(3,2) = [25,10,10]_5 included
+    "sweep_grm_q2_3_4_5_m1_2": "sweep grm -q 2,3,4,5 -m 1,2",
 }
 
 

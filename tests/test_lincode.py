@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from grmcodes import gf, lincode
-from grmcodes.grm import build_grm
+from grmcodes.grm import build_grm, grm_distance
 from grmcodes.errors import (
     CapExceeded,
     DimensionMismatch,
@@ -695,6 +695,189 @@ def test_engine_routes_agree_with_brute_force(case):
     assert reference_support_search(code, exclude=sub) == expect[1]
     assert reference_support_search(code) == expect[0]
     assert exact_min_weight(code) == min_weight_support_search(code) == (expect[0], expect[0])
+
+
+def reference_span_min_weight(code, exclude=None):
+    """The exhaustive span scan: (wt(code), wt(code minus exclude)).
+
+    The rows are an extension of the excluded subcode's basis followed by
+    that basis, so a word lies outside the subcode exactly when an
+    extension row leads it.
+    """
+    field, n = code.field, code.n
+    rows, split = code.gen, code.k
+    if exclude is not None and exclude.k:
+        residues = exclude.reduce(code.gen)
+        ext, _ = rref(field, residues[np.any(residues, axis=1)])
+        rows, split = np.vstack([ext, exclude.gen]), ext.shape[0]
+    inside = outside = n + 1  # minima over words led by rows[split:] and by rows[:split]
+    for lead, block in iter_span_blocks(field, rows):
+        w = int((block != 0).sum(axis=1, dtype=np.uint16).min())
+        if lead < split:
+            outside = min(outside, w)
+        else:
+            inside = min(inside, w)
+    return min(inside, outside), outside
+
+
+def information_set_search(code, exclude=None):
+    """The search alone, with no budget, so the cost rule never hands over to the scan."""
+    best, done = lincode._information_set_search(code, exclude)
+    assert done
+    return tuple(best)
+
+
+def grm_span_cases():
+    """Every R_q(nu, m) with q^k <= 2^20, m <= 3 and n <= 64."""
+    for q in (2, 3, 4, 5, 7, 8, 9, 16):
+        for m in range(1, 4):
+            if q**m > 64:
+                continue
+            for nu in range(m * (q - 1) + 1):
+                C = build_grm(q, m, nu).code
+                if q**C.k <= 2**20:
+                    yield pytest.param(q, m, nu, id=f"R_{q}({nu},{m})")
+
+
+@pytest.mark.parametrize("q, m, nu", list(grm_span_cases()))
+def test_span_route_matches_full_scan_on_grm_codes(q, m, nu):
+    C = build_grm(q, m, nu).code
+    expect = reference_span_min_weight(C)
+    assert expect[0] == grm_distance(q, m, nu)
+    assert exact_min_weight(C) == information_set_search(C) == expect
+    if nu:
+        E = build_grm(q, m, nu - 1).code
+        expect = reference_span_min_weight(C, E)
+        assert exact_min_weight(C, E) == information_set_search(C, E) == expect
+
+
+def planted_code(field, n, k, rng):
+    """A random code with zero and repeated columns and a planted light row.
+
+    The repeats and zeros make the later information sets rank-deficient;
+    the excluded subcode is spanned by the light row (and sometimes one
+    more), so that wt(C minus exclude) can exceed wt(C).
+    """
+    G = rng.integers(0, field.q, size=(k, n)).astype(np.uint8)
+    G[0] = 0
+    G[0, rng.choice(n, size=int(rng.integers(1, 4)), replace=False)] = 1
+    cols = rng.choice(n, size=n // 3, replace=False)
+    G[:, cols[: len(cols) // 2]] = 0
+    G[:, cols[len(cols) // 2 :]] = G[:, rng.choice(n, size=len(cols) - len(cols) // 2)]
+    code = LinearCode(field, G, n)
+    sub = LinearCode(field, G[: int(rng.integers(1, 3))], n)
+    return code, (sub if 0 < sub.k < code.k else None)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
+def test_information_set_search_matches_full_scan_on_rank_deficient_codes(q):
+    f = gf.get_field(q)
+    rng = np.random.default_rng(700 + q)
+    deficient = excluded_heavier = 0
+    for _ in range(60):
+        n = int(rng.integers(8, 22))
+        code, sub = planted_code(f, n, int(rng.integers(3, {2: 9, 3: 7}.get(q, 5))), rng)
+        if code.k == 0:
+            continue
+        ranks = [r for _, r in lincode._information_sets(f, code.gen, code.pivots)]
+        deficient += min(ranks) < code.k
+        for exclude in (None, sub):
+            expect = reference_span_min_weight(code, exclude)
+            assert information_set_search(code, exclude) == expect
+            assert exact_min_weight(code, exclude) == expect
+            excluded_heavier += expect[1] > expect[0]
+    assert deficient >= 30 and excluded_heavier >= 10
+
+
+def with_light_pair(D):
+    """C = A (+) D on disjoint coordinates, and A, a length-2 repetition code.
+
+    The words of weight 2 all lie in A, so wt(C minus A) = wt(D) > 2.
+    """
+    n = D.n + 2
+    G = np.zeros((D.k + 1, n), dtype=np.uint8)
+    G[0, :2] = 1
+    G[1:, 2:] = D.gen
+    return LinearCode(D.field, G, n), LinearCode(D.field, G[:1], n)
+
+
+@pytest.mark.parametrize("q, m, nu", [(2, 5, 2), (3, 3, 2), (4, 2, 3), (5, 2, 3), (16, 1, 5)])
+def test_search_certifies_the_minimum_outside_exclude_on_grm_sums(q, m, nu):
+    # the closed form is the oracle: q^k is up to 16^7, too many words to scan
+    C, A = with_light_pair(build_grm(q, m, nu).code)
+    expect = (2, grm_distance(q, m, nu))
+    assert information_set_search(C, A) == exact_min_weight(C, A, cap=q**C.k) == expect
+
+
+@pytest.mark.parametrize("q, k", [(2, 12), (3, 8), (4, 6), (5, 6)])
+def test_search_certifies_the_minimum_outside_exclude_on_random_sums(q, k):
+    f = gf.get_field(q)
+    rng = np.random.default_rng(q)
+    for _ in range(40):
+        D = random_code(f, int(rng.integers(k + 4, 3 * k)), k, rng)
+        C, A = with_light_pair(D)
+        expect = reference_span_min_weight(C, A)
+        assert expect[0] <= 2 < expect[1] or D.min_weight()[0] <= 2
+        assert information_set_search(C, A) == exact_min_weight(C, A) == expect
+
+
+def test_bound_counts_only_fully_enumerated_sets(monkeypatch):
+    """The final bound counts a set only if all its messages of weight <= w were seen."""
+    calls = {"sets": [], "words": set(), "bounds": []}
+    real_sets, real_words, real_bound = (
+        lincode._information_sets, lincode._message_words, lincode._unseen_bound
+    )
+
+    def sets(field, gen, pivots):
+        calls["sets"] = real_sets(field, gen, pivots)
+        return calls["sets"]
+
+    def words(field, gen, w):
+        calls["words"].add((gen.tobytes(), w))
+        return real_words(field, gen, w)
+
+    def bound(k, ranks, w):
+        calls["bounds"].append((list(ranks), w))
+        return real_bound(k, ranks, w)
+
+    monkeypatch.setattr(lincode, "_information_sets", sets)
+    monkeypatch.setattr(lincode, "_message_words", words)
+    monkeypatch.setattr(lincode, "_unseen_bound", bound)
+    rng = np.random.default_rng(77)
+    cases = [(build_grm(q, m, nu).code, None) for q, m, nu in ((2, 5, 2), (3, 3, 2), (4, 2, 3), (7, 2, 2))]
+    cases += [planted_code(gf.get_field(q), 18, 6, rng) for q in (2, 3, 4, 5) for _ in range(10)]
+    checked = 0
+    for code, sub in cases:
+        calls.update(sets=[], words=set(), bounds=[])
+        best, done = lincode._information_set_search(code, sub)
+        if not calls["sets"]:
+            continue  # finished on the first look
+        counted, w = calls["bounds"][-1]  # the stopping test comes last
+        full = [r for gen, r in calls["sets"] if all((gen.tobytes(), v) in calls["words"] for v in range(1, w + 1))]
+        for r in set(counted):
+            assert counted.count(r) <= full.count(r)
+        assert done and (real_bound(code.k, counted, w) >= best[1] or w == code.k)
+        checked += 1
+    assert checked >= 30
+
+
+def test_message_words_enumerate_each_scalar_class_once():
+    for q, k in SPAN_CASES:
+        f = gf.get_field(q)
+        rng = np.random.default_rng(60 + q)
+        C = random_code(f, 6, k, rng)
+        for w in range(1, C.k + 1):
+            got = [tuple(int(x) for x in r) for b in lincode._message_words(f, C.gen, w) for r in b]
+            expect = [
+                oracle_word(f, msg, C.gen)
+                for msg in itertools.product(range(q), repeat=C.k)
+                if sum(1 for m in msg if m) == w and msg[next(i for i, m in enumerate(msg) if m)] == 1
+            ]
+            assert sorted(got) == sorted(expect) and len(got) == comb(C.k, w) * (q - 1) ** (w - 1)
+    # blocks, index arrays included, stay within 8 MB on a long code
+    gen = np.eye(40, 256, dtype=np.uint8)
+    block = next(lincode._message_words(gf.get_field(4), gen, 6))
+    assert block.nbytes <= 1 << 23 and len(block) * 6 * 8 <= 1 << 23
 
 
 @pytest.mark.parametrize("head_loop", [False, True], ids=["one-base", "head-loop"])

@@ -73,6 +73,25 @@ def test_hermitian_puncture_containment_q2():
         assert sub.is_subcode_of(rec.pcode)
 
 
+
+def test_puncture_code_css_builds_each_grm_order_once(monkeypatch):
+    # R_q(nu2 - nu1, m) serves as the identity check and as the last known
+    # subcode: diff + 1 builds, not diff + 2
+    import grmcodes.puncture as puncture
+
+    calls = []
+
+    def counting_build(q, m, nu, *args):
+        calls.append(nu)
+        return build_grm(q, m, nu, *args)
+
+    g1, g2 = build_grm(7, 2, 2), build_grm(7, 2, 9)
+    monkeypatch.setattr(puncture, "build_grm", counting_build)
+    rec = puncture_code_css(g1, g2)
+    assert sorted(calls) == list(range(8))
+    expect = sorted(((f"grm(q=7,m=2,nu={mu})", build_grm(7, 2, mu).code) for mu in range(8)), key=lambda t: t[1].k)
+    assert rec.known_subcodes == expect
+
 def test_puncture_code_css_equal_orders_gives_repetition():
     rec = puncture_code_css(build_grm(3, 2, 1), build_grm(3, 2, 1))
     dist = rec.pcode.weight_distribution()

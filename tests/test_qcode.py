@@ -1,5 +1,7 @@
 """CSS and Hermitian construction tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -190,3 +192,37 @@ def test_purity_certificates_on_small_grid():
                 p = rec.provenance
                 assert p["wt_diff_c2_c1"] == p["wt_c2"]
                 assert p["wt_diff_c1perp_c2perp"] == p["wt_c1perp"]
+
+
+def binary_words(code):
+    """Every codeword of a binary code, by brute force over all messages."""
+    msgs = np.array(list(itertools.product((0, 1), repeat=code.k)), dtype=np.int64).reshape(2**code.k, code.k)
+    return (msgs @ code.gen.astype(np.int64)) % 2
+
+
+def test_css_purity_matches_brute_force():
+    # pure: no nonzero stabilizer (a|b), a in C1, b in C2-perp, has
+    # symplectic weight |supp a u supp b| below d
+    f = gf.get_field(2)
+    rng = np.random.default_rng(31)
+    checked = old_rule_wrong = 0
+    for _ in range(150):
+        n = int(rng.integers(2, 8))
+        C2 = LinearCode(f, rng.integers(0, 2, size=(int(rng.integers(1, n + 1)), n)), n)
+        if C2.k == 0:
+            continue
+        C1 = LinearCode(f, f.matmul(rng.integers(0, 2, size=(int(rng.integers(0, C2.k)), C2.k)), C2.gen), n)
+        if C1.k == C2.k:
+            continue
+        rec = css(C1, C2)
+        as_set = lambda code: {tuple(w) for w in binary_words(code)}  # noqa: E731
+        logical = (as_set(C2) - as_set(C1)) | (as_set(C1.dual()) - as_set(C2.dual()))
+        d = min(sum(w) for w in logical)
+        X, Z = binary_words(C1) != 0, binary_words(C2.dual()) != 0
+        sympl = (X[:, None, :] | Z[None, :, :]).sum(axis=2)
+        pure = bool((sympl[sympl > 0] >= d).all())
+        assert rec.d == d and rec.pure == pure
+        p = rec.provenance
+        old_rule_wrong += pure != (p["wt_diff_c2_c1"] == p["wt_c2"] and p["wt_diff_c1perp_c2perp"] == p["wt_c1perp"])
+        checked += 1
+    assert checked >= 100 and old_rule_wrong >= 10
