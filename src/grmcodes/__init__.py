@@ -6,7 +6,7 @@ desk-scale verification of every claimed parameter.
 __version__ = "0.1.0"
 
 from .errors import GrmError
-from .gf import FieldElement, FieldSpec, get_field, quadratic_extension
+from .gf import FieldSpec, get_field, quadratic_extension
 from .grm import (
     GrmCode,
     build_grm,
@@ -45,7 +45,6 @@ from .qcode import (
 
 __all__ = [
     "DEFAULT_CAP",
-    "FieldElement",
     "FieldSpec",
     "GrmCode",
     "GrmError",

@@ -5,11 +5,19 @@ parameters against enumeration, and emits a report in which each numeric
 claim is labeled exact or bound.  Reports are deterministic byte streams
 for fixed inputs and caps (timing is opt-in for that reason).
 
-Exit codes partition outcomes: 0 pass, 2 bad parameters, 3 enumeration
-capped (strict mode, an inconclusive witness scan, or a weight
-distribution over the cap), 4 a predicted
-parameter disagreed with enumeration, 5 a witness weight was proven
-absent.
+Each family has one verdict, the named checks its closed form implies:
+``grm_verdict``, ``quantum_verdict`` (CSS and Hermitian records),
+``mds_verdict`` and ``punctured_verdict``.  A single-record command calls
+its verdict directly; a sweep row of the ``SWEEPS`` table passes exactly
+when every check of its verdict passes.
+
+Exit codes partition outcomes: 0 pass; 2 bad parameters (a malformed
+sweep grid and a negative witness weight included); 3 enumeration capped
+(strict mode, an inconclusive witness scan, or a weight distribution
+over the cap); 4 a predicted parameter disagreed with enumeration, either
+as a failed check in the report or as a ``ParameterMismatch`` raised by
+the library; 5 a witness weight was proven absent.  A bare
+``AssertionError`` is an internal bug and is not mapped to an exit code.
 """
 
 from __future__ import annotations
@@ -20,14 +28,17 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .errors import CapExceeded, GrmError, WitnessNotFound
-from .grm import build_grm, grm_dual_code
+from .errors import CapExceeded, GrmError, ParameterMismatch, WitnessNotFound
+from .grm import GrmCode, build_grm, grm_dual_code
 from .lincode import DEFAULT_CAP
 from .puncture import (
+    PunctureWitness,
     find_weight_witness,
     mds_chain,
     puncture_code_css,
@@ -46,14 +57,29 @@ EXIT_ABSENT = 5
 CAP_ENV_VAR = "GRMCODES_CAP"
 
 
-def _positive_cap(raw: str) -> int:
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}") from None
-    if cap <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {cap}")
-    return cap
+def _int_at_least(low: int, noun: str) -> Callable[[str], int]:
+    """An argparse type for one integer >= low; anything else is a usage error."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {raw!r}")
+        return value
+
+    return parse
+
+
+def _grid(item: Callable[[str], int]) -> Callable[[str], list]:
+    """An argparse type for a comma-separated list of ``item`` values."""
+    return lambda raw: [item(tok) for tok in raw.split(",") if tok != ""]
+
+
+_positive = _int_at_least(1, "a positive integer")
+_nonnegative = _int_at_least(0, "a non-negative integer")
+_field_size = _int_at_least(2, "a field size of at least 2")
 
 
 @dataclass
@@ -136,60 +162,36 @@ def _matrix_rows(mat: np.ndarray) -> list:
     return [[int(v) for v in row] for row in mat]
 
 
-# -- subcommand implementations ------------------------------------------------
+# -- verdicts: one per family --------------------------------------------------
 
 
-def run_grm(args) -> RunReport:
-    cap = args.cap
-    rep = RunReport(
-        "grm",
-        {"q": args.q, "m": args.m, "order": args.order, "strict": args.strict},
-        cap=cap,
-    )
-    g = build_grm(args.q, args.m, args.order)
-    w, exact = g.code.min_weight(cap)
-    if not exact:
-        rep.capped = True
-    rep.records.append(
-        {
-            "construction": "classical-grm",
-            "params": f"[{g.n},{g.k},{w if exact else f'>={w}'}]_{args.q}",
-            "q": args.q,
-            "n": g.n,
-            "k": g.k,
-            "d": w,
-            "d_is_lower_bound": not exact,
-            "pure": None,
-        }
-    )
+def grm_verdict(rep: RunReport, g: GrmCode, dual_check: bool) -> dict:
+    """Enumerate wt(R_q(nu, m)) under the cap, check k and d; return the record."""
+    w, exact = g.code.min_weight(rep.cap)
+    rep.capped = not exact
     rep.check("rank_equals_dimension_formula", g.k == g.k_formula, g.k, g.k_formula)
     if exact:
         rep.check("enumerated_distance_equals_formula", w == g.d_formula, w, g.d_formula)
     else:
         rep.check("distance_lower_bound_consistent", w <= g.d_formula, w, g.d_formula, exact=False)
-    if args.dual_check:
+    if dual_check:
         dual_ok = g.code.dual() == grm_dual_code(g)
         rep.check("dual_is_grm_of_dual_order", dual_ok, expected=f"order {g.nu_perp}")
-    if args.dump_matrix:
-        rep.matrices["generator"] = _matrix_rows(g.code.gen)
-    return rep
+    return {
+        "construction": "classical-grm",
+        "params": f"[{g.n},{g.k},{w if exact else f'>={w}'}]_{g.q}",
+        "q": g.q,
+        "n": g.n,
+        "k": g.k,
+        "d": w,
+        "d_is_lower_bound": not exact,
+        "pure": None,
+    }
 
 
-def run_quantum(args) -> RunReport:
-    cap = args.cap
-    if args.construction == "css":
-        params = {"q": args.q, "m": args.m, "nu1": args.nu1, "nu2": args.nu2}
-        rep = RunReport("quantum css", params, cap=cap)
-        rec = css_grm(args.q, args.m, args.nu1, args.nu2, cap)
-        d_pred = rec.provenance["d_predicted"]
-        k_pred = rec.provenance["k_predicted"]
-    else:
-        params = {"q": args.q, "m": args.m, "nu": args.nu}
-        rep = RunReport("quantum hermitian", params, cap=cap)
-        rec = hermitian_grm(args.q, args.m, args.nu, cap)
-        d_pred = rec.provenance["d_predicted"]
-        k_pred = rec.provenance["k_predicted"]
-    rep.add_record(rec)
+def quantum_verdict(rep: RunReport, rec: QuantumCodeRecord) -> None:
+    """Check a css_grm or hermitian_grm record against its predicted k and d."""
+    k_pred, d_pred = rec.provenance["k_predicted"], rec.provenance["d_predicted"]
     rep.capped = rec.d_is_lower_bound
     rep.check("dimension_matches_formula", rec.k == k_pred, rec.k, k_pred)
     if rec.d_is_lower_bound:
@@ -199,6 +201,116 @@ def run_quantum(args) -> RunReport:
         rep.check("purity_certified", rec.pure is True, rec.pure, True)
         rep.check("singleton_slack_nonnegative", rec.singleton_slack >= 0, rec.singleton_slack, ">=0")
     rep.check("stabilizer_symplectic", rec.stabilizer.is_self_orthogonal())
+
+
+def mds_verdict(rep: RunReport, rec: QuantumCodeRecord, q: int, nu: int) -> None:
+    """Check an mds_chain record against [[(nu+1)q, (nu+1)q-2nu-2, nu+2]]_q."""
+    rep.check("exact_parameters", rec.exact)
+    rep.check("singleton_slack_zero", rec.singleton_slack == 0, rec.singleton_slack, 0)
+    expect = [(nu + 1) * q, (nu + 1) * q - 2 * nu - 2, nu + 2]
+    got = [rec.n, rec.k, rec.d]
+    rep.check("matches_mds_family_formula", got == expect, got, expect)
+    rep.check("stabilizer_symplectic", rec.stabilizer.is_self_orthogonal())
+
+
+def punctured_verdict(rep: RunReport, rec: QuantumCodeRecord, w: PunctureWitness) -> None:
+    """Check a witness-punctured record against the bounds its construction promises."""
+    rep.capped = rec.d_is_lower_bound
+    rep.check("witness_in_puncture_code", True, w.source)
+    k_low = rec.provenance["k_lower_bound"]
+    rep.check("dimension_meets_bound", rec.k >= k_low, rec.k, f">={k_low}")
+    if not rec.d_is_lower_bound:
+        d_low = rec.provenance["d_lower_bound"]
+        rep.check("distance_meets_bound", rec.d >= d_low, rec.d, f">={d_low}")
+    rep.check("stabilizer_symplectic", rec.stabilizer.is_self_orthogonal())
+
+
+# -- the family table ----------------------------------------------------------
+
+
+def _grm_row(rep: RunReport, q: int, m: int, nu: int) -> dict:
+    rec = grm_verdict(rep, build_grm(q, m, nu), dual_check=True)
+    exact = not rec["d_is_lower_bound"]
+    return {"params": f"[{rec['n']},{rec['k']},{rec['d'] if exact else '?'}]_{q}", "exact": exact}
+
+
+def _quantum_row(rep: RunReport, rec: QuantumCodeRecord) -> dict:
+    quantum_verdict(rep, rec)
+    return {"params": rec.params_str(), "exact": rec.exact}
+
+
+def _css_row(rep: RunReport, q: int, m: int, nu1: int, nu2: int) -> dict:
+    return _quantum_row(rep, css_grm(q, m, nu1, nu2, rep.cap))
+
+
+def _hermitian_row(rep: RunReport, q: int, m: int, nu: int) -> dict:
+    return _quantum_row(rep, hermitian_grm(q, m, nu, rep.cap))
+
+
+def _mds_grid(q: int, m: int) -> list:
+    if m != 1:
+        raise GrmError("sweep mds is defined for m=1 inputs")
+    return [(nu,) for nu in range(q - 1)]
+
+
+def _mds_row(rep: RunReport, q: int, nu: int) -> dict:
+    rec = mds_chain(q, nu, rep.cap)
+    mds_verdict(rep, rec, q, nu)
+    return {"params": rec.params_str(), "exact": rec.exact, "slack": rec.singleton_slack}
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """A family as a sweep sees it.
+
+    ``orders`` names a row's key fields after q, ``grid(q, m)`` lists their
+    values, and ``row(report, q, *key)`` builds the record, runs the
+    family's verdict into ``report`` and returns the row's other fields.
+    Row builders call the library through this module's names at call
+    time, so a rebinding of those names (a tracer, a test) reaches them.
+    """
+
+    orders: tuple
+    grid: Callable[[int, int], list]
+    row: Callable[..., dict]
+
+
+SWEEPS = {
+    "grm": Sweep(("m", "nu"), lambda q, m: [(m, nu) for nu in range(m * (q - 1) + 1)], _grm_row),
+    "css": Sweep(
+        ("m", "nu1", "nu2"),
+        lambda q, m: [(m, a, b) for a in range(m * (q - 1)) for b in range(a, m * (q - 1))],
+        _css_row,
+    ),
+    "hermitian": Sweep(("m", "nu"), lambda q, m: [(m, nu) for nu in range(m * (q - 1))], _hermitian_row),
+    "mds": Sweep(("nu",), _mds_grid, _mds_row),
+}
+
+
+def _record_params(args) -> dict:
+    """q and the orders of a css or hermitian record, as the report echoes them."""
+    return {"q": args.q, **{name: getattr(args, name) for name in SWEEPS[args.construction].orders}}
+
+
+# -- subcommand implementations ------------------------------------------------
+
+
+def run_grm(args) -> RunReport:
+    params = {"q": args.q, "m": args.m, "order": args.order, "strict": args.strict}
+    rep = RunReport("grm", params, cap=args.cap)
+    g = build_grm(args.q, args.m, args.order)
+    rep.records.append(grm_verdict(rep, g, args.dual_check))
+    if args.dump_matrix:
+        rep.matrices["generator"] = _matrix_rows(g.code.gen)
+    return rep
+
+
+def run_quantum(args) -> RunReport:
+    rep = RunReport(f"quantum {args.construction}", _record_params(args), cap=args.cap)
+    build = css_grm if args.construction == "css" else hermitian_grm
+    rec = build(*rep.params.values(), args.cap)
+    rep.add_record(rec)
+    quantum_verdict(rep, rec)
     if args.dump_stabilizer:
         rep.matrices["stabilizer"] = _matrix_rows(rec.stabilizer.matrix)
         rep.matrices["stabilizer_symplectic_expansion"] = _matrix_rows(rec.stabilizer.expanded())
@@ -206,174 +318,58 @@ def run_quantum(args) -> RunReport:
 
 
 def run_puncture(args) -> RunReport:
-    cap = args.cap
-    if args.kind == "css":
-        params = {"q": args.q, "m": args.m, "nu1": args.nu1, "nu2": args.nu2}
-        rep = RunReport("puncture css", params, cap=cap)
-        g1 = build_grm(args.q, args.m, args.nu1)
-        g2 = build_grm(args.q, args.m, args.nu2)
+    rep = RunReport(f"puncture {args.construction}", _record_params(args), cap=args.cap)
+    if args.construction == "css":
         if not 0 <= args.nu1 <= args.nu2 <= args.m * (args.q - 1) - 1:
             raise GrmError("orders must satisfy 0 <= nu1 <= nu2 <= m(q-1)-1")
+        g1, g2 = build_grm(args.q, args.m, args.nu1), build_grm(args.q, args.m, args.nu2)
         prec = puncture_code_css(g1, g2)
         rep.check("puncture_code_is_grm_difference_order", prec.provenance.get("grm_identity", False))
-        if args.list_weights:
-            dist = prec.pcode.weight_distribution(cap)
-            rep.tables["puncture_code_weights"] = {"counts": list(dist.counts), "exact": True}
-            return rep
-        w = find_weight_witness(prec, args.target_weight, cap)
-        rec = puncture_css(g1, g2, w, cap, pcode_record=prec)
-        rep.add_record(rec)
-        rep.capped = rep.capped or rec.d_is_lower_bound
-        rep.check("witness_in_puncture_code", True, w.source)
-        rep.check(
-            "dimension_meets_bound",
-            rec.k >= rec.provenance["k_lower_bound"],
-            rec.k,
-            f">={rec.provenance['k_lower_bound']}",
-        )
-        if not rec.d_is_lower_bound:
-            rep.check(
-                "distance_meets_bound",
-                rec.d >= rec.provenance["d_lower_bound"],
-                rec.d,
-                f">={rec.provenance['d_lower_bound']}",
-            )
-        rep.check("stabilizer_symplectic", rec.stabilizer.is_self_orthogonal())
-        return rep
-
-    params = {"q": args.q, "m": args.m, "nu": args.nu}
-    rep = RunReport("puncture hermitian", params, cap=cap)
-    if args.mds_chain:
+        materialize = partial(puncture_css, g1, g2, cap=args.cap, pcode_record=prec)
+    elif args.mds_chain:
         if args.m != 1:
             raise GrmError("--mds-chain is defined for m=1 inputs")
-        rec = mds_chain(args.q, args.nu, cap)
+        rec = mds_chain(args.q, args.nu, args.cap)
         rep.add_record(rec)
-        rep.check("exact_parameters", rec.exact)
-        rep.check("singleton_slack_zero", rec.singleton_slack == 0, rec.singleton_slack, 0)
-        expect = ((args.nu + 1) * args.q, (args.nu + 1) * args.q - 2 * args.nu - 2, args.nu + 2)
-        rep.check("matches_mds_family_formula", (rec.n, rec.k, rec.d) == expect, [rec.n, rec.k, rec.d], list(expect))
-        rep.check("stabilizer_symplectic", rec.stabilizer.is_self_orthogonal())
+        mds_verdict(rep, rec, args.q, args.nu)
         return rep
-    g = build_grm(args.q * args.q, args.m, args.nu)
-    prec = puncture_code_hermitian(g)
+    else:
+        g = build_grm(args.q * args.q, args.m, args.nu)
+        prec = puncture_code_hermitian(g)
+        materialize = partial(puncture_hermitian, g, cap=args.cap, pcode_record=prec)
     if args.list_weights:
-        dist = prec.pcode.weight_distribution(cap)
+        dist = prec.pcode.weight_distribution(args.cap)
         rep.tables["puncture_code_weights"] = {"counts": list(dist.counts), "exact": True}
         return rep
-    w = find_weight_witness(prec, args.target_weight, cap)
-    rec = puncture_hermitian(g, w, cap, pcode_record=prec)
+    w = find_weight_witness(prec, args.target_weight, args.cap)
+    rec = materialize(w)
     rep.add_record(rec)
-    rep.capped = rep.capped or rec.d_is_lower_bound
-    rep.check("witness_in_puncture_code", True, w.source)
-    rep.check(
-        "dimension_meets_bound",
-        rec.k >= rec.provenance["k_lower_bound"],
-        rec.k,
-        f">={rec.provenance['k_lower_bound']}",
-    )
-    if not rec.d_is_lower_bound:
-        rep.check(
-            "distance_meets_bound",
-            rec.d >= rec.provenance["d_lower_bound"],
-            rec.d,
-            f">={rec.provenance['d_lower_bound']}",
-        )
-    rep.check("stabilizer_symplectic", rec.stabilizer.is_self_orthogonal())
+    punctured_verdict(rep, rec, w)
     return rep
 
 
-def _parse_int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok != ""]
-
-
 def run_sweep(args) -> RunReport:
-    cap = args.cap
-    qs = _parse_int_list(args.q)
-    ms = _parse_int_list(args.m) if args.m else [1]
-    rep = RunReport(f"sweep {args.family}", {"q": qs, "m": ms}, cap=cap)
+    family = SWEEPS[args.family]
+    ms = args.m or [1]
+    rep = RunReport(f"sweep {args.family}", {"q": args.q, "m": ms}, cap=args.cap)
+    keys = [(q, *key) for q in args.q for m in ms for key in family.grid(q, m)]
     rows: list[dict] = []
-    if args.family == "grm":
-        for q in qs:
-            for m in ms:
-                for nu in range(m * (q - 1) + 1):
-                    g = build_grm(q, m, nu)
-                    w, exact = g.code.min_weight(cap)
-                    ok = g.k == g.k_formula and (not exact or w == g.d_formula)
-                    ok = ok and g.code.dual() == grm_dual_code(g)
-                    rows.append(
-                        {
-                            "q": q,
-                            "m": m,
-                            "nu": nu,
-                            "params": f"[{g.n},{g.k},{w if exact else '?'}]_{q}",
-                            "exact": exact,
-                            "status": "pass" if ok else "fail",
-                        }
-                    )
-    elif args.family == "css":
-        for q in qs:
-            for m in ms:
-                top = m * (q - 1) - 1
-                for nu1 in range(top + 1):
-                    for nu2 in range(nu1, top + 1):
-                        rec = css_grm(q, m, nu1, nu2, cap)
-                        ok = rec.k == rec.provenance["k_predicted"] and (
-                            rec.d_is_lower_bound or (rec.d == rec.provenance["d_predicted"] and rec.pure)
-                        )
-                        rows.append(
-                            {
-                                "q": q,
-                                "m": m,
-                                "nu1": nu1,
-                                "nu2": nu2,
-                                "params": rec.params_str(),
-                                "exact": rec.exact,
-                                "status": "pass" if ok else "fail",
-                            }
-                        )
-    elif args.family == "hermitian":
-        for q in qs:
-            for m in ms:
-                for nu in range(m * (q - 1)):
-                    rec = hermitian_grm(q, m, nu, cap)
-                    ok = rec.k == rec.provenance["k_predicted"] and (
-                        rec.d_is_lower_bound or rec.d == rec.provenance["d_predicted"]
-                    )
-                    rows.append(
-                        {
-                            "q": q,
-                            "m": m,
-                            "nu": nu,
-                            "params": rec.params_str(),
-                            "exact": rec.exact,
-                            "status": "pass" if ok else "fail",
-                        }
-                    )
-    elif args.family == "mds":
-        for q in qs:
-            for nu in range(q - 1):
-                try:
-                    rec = mds_chain(q, nu, cap)
-                except CapExceeded:
-                    # only a distance bound: this row is capped, the others stand
-                    rows.append({"q": q, "nu": nu, "exact": False, "status": "capped"})
-                    continue
-                ok = rec.exact and rec.singleton_slack == 0
-                rows.append(
-                    {
-                        "q": q,
-                        "nu": nu,
-                        "params": rec.params_str(),
-                        "exact": rec.exact,
-                        "slack": rec.singleton_slack,
-                        "status": "pass" if ok else "fail",
-                    }
-                )
+    for key in keys:
+        row = dict(zip(("q", *family.orders), key))
+        verdict = RunReport(rep.command, {}, cap=args.cap)
+        try:
+            row.update(family.row(verdict, *key))
+        except CapExceeded:
+            # only a distance bound: this row is capped, the others stand
+            row.update(exact=False, status="capped")
+        else:
+            row["status"] = "pass" if verdict.ok() else "fail"
+        rows.append(row)
     rep.tables["rows"] = rows
     passes = sum(1 for r in rows if r["status"] == "pass")
     failures = sum(1 for r in rows if r["status"] == "fail")
     rep.check("all_rows_pass", failures == 0, f"{passes}/{len(rows)} pass")
-    rep.capped = any(not r.get("exact", True) for r in rows)
+    rep.capped = any(not r["exact"] for r in rows)
     return rep
 
 
@@ -395,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--cap",
-        type=_positive_cap,
+        type=_positive,
         help=f"codeword-count ceiling for exhaustive enumeration (default: env {CAP_ENV_VAR}, else {DEFAULT_CAP})",
     )
     common.add_argument("--strict", action="store_true", help="fail instead of degrading to bounds")
@@ -417,47 +413,39 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--dump-matrix", action="store_true")
     g.set_defaults(func=run_grm)
 
+    # the orders a css or hermitian record is built from, shared by quantum and puncture
+    css_orders = argparse.ArgumentParser(add_help=False, parents=[common])
+    css_orders.add_argument("-q", type=int, required=True)
+    css_orders.add_argument("-m", type=int, required=True)
+    css_orders.add_argument("--nu1", type=int, required=True)
+    css_orders.add_argument("--nu2", type=int, required=True)
+    herm_orders = argparse.ArgumentParser(add_help=False, parents=[common])
+    herm_orders.add_argument("-q", type=int, required=True)
+    herm_orders.add_argument("-m", type=int, default=1)
+    herm_orders.add_argument("--nu", type=int, required=True)
+
     quantum = sub.add_parser("quantum", help="derive a quantum code from GRM inputs")
     qsub = quantum.add_subparsers(dest="construction", required=True)
-    qc = qsub.add_parser("css", parents=[common])
-    qc.add_argument("-q", type=int, required=True)
-    qc.add_argument("-m", type=int, required=True)
-    qc.add_argument("--nu1", type=int, required=True)
-    qc.add_argument("--nu2", type=int, required=True)
-    qc.add_argument("--dump-stabilizer", action="store_true")
-    qc.set_defaults(func=run_quantum, construction="css")
-    qh = qsub.add_parser("hermitian", parents=[common])
-    qh.add_argument("-q", type=int, required=True)
-    qh.add_argument("-m", type=int, default=1)
-    qh.add_argument("--nu", type=int, required=True)
-    qh.add_argument("--dump-stabilizer", action="store_true")
-    qh.set_defaults(func=run_quantum, construction="hermitian")
+    for name, orders in (("css", css_orders), ("hermitian", herm_orders)):
+        qp = qsub.add_parser(name, parents=[orders])
+        qp.add_argument("--dump-stabilizer", action="store_true")
+        qp.set_defaults(func=run_quantum)
 
     punc = sub.add_parser("puncture", help="puncture codes, witnesses, punctured records")
-    psub = punc.add_subparsers(dest="kind", required=True)
-    pc = psub.add_parser("css", parents=[common])
-    pc.add_argument("-q", type=int, required=True)
-    pc.add_argument("-m", type=int, required=True)
-    pc.add_argument("--nu1", type=int, required=True)
-    pc.add_argument("--nu2", type=int, required=True)
-    pc_mode = pc.add_mutually_exclusive_group(required=True)
-    pc_mode.add_argument("--target-weight", type=int)
-    pc_mode.add_argument("--list-weights", action="store_true")
-    pc.set_defaults(func=run_puncture, kind="css")
-    ph = psub.add_parser("hermitian", parents=[common])
-    ph.add_argument("-q", type=int, required=True)
-    ph.add_argument("-m", type=int, default=1)
-    ph.add_argument("--nu", type=int, required=True)
-    ph_mode = ph.add_mutually_exclusive_group(required=True)
-    ph_mode.add_argument("--target-weight", type=int)
-    ph_mode.add_argument("--mds-chain", action="store_true")
-    ph_mode.add_argument("--list-weights", action="store_true")
-    ph.set_defaults(func=run_puncture, kind="hermitian")
+    psub = punc.add_subparsers(dest="construction", required=True)
+    for name, orders in (("css", css_orders), ("hermitian", herm_orders)):
+        pp = psub.add_parser(name, parents=[orders])
+        mode = pp.add_mutually_exclusive_group(required=True)
+        mode.add_argument("--target-weight", type=_nonnegative)
+        if name == "hermitian":
+            mode.add_argument("--mds-chain", action="store_true")
+        mode.add_argument("--list-weights", action="store_true")
+        pp.set_defaults(func=run_puncture)
 
     sw = sub.add_parser("sweep", parents=[common], help="tabulate a family across a parameter grid")
-    sw.add_argument("family", choices=["grm", "css", "hermitian", "mds"])
-    sw.add_argument("-q", type=str, required=True, help="comma-separated field sizes")
-    sw.add_argument("-m", type=str, default="", help="comma-separated m values (default 1)")
+    sw.add_argument("family", choices=list(SWEEPS))
+    sw.add_argument("-q", type=_grid(_field_size), required=True, help="comma-separated field sizes")
+    sw.add_argument("-m", type=_grid(_positive), help="comma-separated m values (default 1)")
     sw.add_argument("--csv", action="store_true")
     sw.set_defaults(func=run_sweep)
 
@@ -470,7 +458,7 @@ def main(argv=None) -> int:
     if args.cap is None:
         raw = os.environ.get(CAP_ENV_VAR)
         try:
-            args.cap = _positive_cap(raw) if raw else DEFAULT_CAP
+            args.cap = _positive(raw) if raw else DEFAULT_CAP
         except argparse.ArgumentTypeError as exc:
             parser.error(f"{CAP_ENV_VAR}: {exc}")
     t0 = time.perf_counter()
@@ -482,7 +470,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPPED
-    except AssertionError as exc:
+    except ParameterMismatch as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except GrmError as exc:

@@ -83,3 +83,10 @@ class PointOrderMismatch(GrmError, ValueError):
 
 class InexactParameters(GrmError, ValueError):
     """Operation requires exact (not lower-bound) code parameters."""
+
+
+class ParameterMismatch(GrmError):
+    """A computed parameter or containment disagrees with its closed form.
+
+    Raised, never asserted, so that the check survives ``python -O``.
+    """

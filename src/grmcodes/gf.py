@@ -33,14 +33,12 @@ q multiples of a row once and then gathers whole rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
     DivisionByZero,
-    FieldMismatch,
     NoEmbeddingDefined,
     UnsupportedField,
     ZeroInput,
@@ -261,57 +259,6 @@ def get_field(q: int) -> FieldSpec:
     return FieldSpec(q)
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element bound to its FieldSpec.
-
-    Thin operator-overloading wrapper over the integer-index arithmetic;
-    the matrix machinery works on raw indices for speed.
-    """
-
-    field: FieldSpec
-    value: int
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.field is not self.field:
-            raise FieldMismatch(
-                f"elements of GF({self.field.q}) and GF({other.field.q}) do not mix"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.value, other.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.value, other.value))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.div(self.value, other.value))
-
-    def __pow__(self, n: int):
-        return FieldElement(self.field, self.field.pow(self.value, n))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"GF({self.field.q}):{self.value}"
-
-
 class QuadraticExtension:
     """Precomputed data for a designated tower GF(q) < GF(q^2).
 
@@ -396,18 +343,6 @@ class QuadraticExtension:
         for t in (emb, frob, trace, norm, dec_a, dec_b, first_pre):
             t.setflags(write=False)
 
-    def embed(self, x: int) -> int:
-        return int(self.emb[x])
-
-    def in_subfield(self, x: int) -> bool:
-        return self.emb_inv[x] >= 0
-
-    def trace_down(self, x: int) -> int:
-        return int(self.trace[x])
-
-    def norm_down(self, x: int) -> int:
-        return int(self.norm[x])
-
     def solve_norm(self, x: int) -> int:
         """Smallest y in GF(q^2) with y^(q+1) equal to the base element x."""
         if x == 0:
@@ -427,34 +362,3 @@ def extension_pair_for(ext_field: FieldSpec) -> QuadraticExtension:
         if ext_q == ext_field.q:
             return quadratic_extension(base_q)
     raise NoEmbeddingDefined(f"GF({ext_field.q}) is not a designated extension field")
-
-
-# -- FieldElement-level spec surface ---------------------------------------
-
-
-def embed_subfield(x: FieldElement, target: FieldSpec) -> FieldElement:
-    """Ring-homomorphic embedding of x into its designated quadratic extension."""
-    pair = quadratic_extension(x.field.q)
-    if pair.ext is not target:
-        raise NoEmbeddingDefined(
-            f"GF({target.q}) is not the designated extension of GF({x.field.q})"
-        )
-    return FieldElement(target, pair.embed(x.value))
-
-
-def trace_to_subfield(x: FieldElement) -> FieldElement:
-    """Trace x + x^q of an extension element, expressed in the base field."""
-    pair = extension_pair_for(x.field)
-    return FieldElement(pair.sub, pair.trace_down(x.value))
-
-
-def norm_to_subfield(x: FieldElement) -> FieldElement:
-    """Norm x * x^q of an extension element, expressed in the base field."""
-    pair = extension_pair_for(x.field)
-    return FieldElement(pair.sub, pair.norm_down(x.value))
-
-
-def solve_norm(x: FieldElement) -> FieldElement:
-    """Some y in GF(q^2) with y^(q+1) = x; smallest index, deterministic."""
-    pair = quadratic_extension(x.field.q)
-    return FieldElement(pair.ext, pair.solve_norm(x.value))

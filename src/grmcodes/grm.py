@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from . import lincode
-from .errors import LengthCapExceeded, NotNested, OrderOutOfRange
+from .errors import LengthCapExceeded, NotNested, OrderOutOfRange, ParameterMismatch
 from .gf import FieldSpec, get_field
 from .lincode import DEFAULT_CAP, LinearCode
 
@@ -99,11 +99,11 @@ class GrmCode:
         self.d_formula = grm_distance(q, m, nu)
         self.nu_perp = m * (q - 1) - 1 - nu
         if code.k != self.k_formula:
-            raise AssertionError(
+            raise ParameterMismatch(
                 f"evaluation rank {code.k} disagrees with dimension formula {self.k_formula}"
             )
         if code.n != q**m:
-            raise AssertionError("length must be q^m")
+            raise ParameterMismatch("length must be q^m")
 
     @property
     def n(self) -> int:
@@ -156,7 +156,7 @@ def nesting_weight_check(
     c1 = build_grm(q, m, nu1)
     c2 = build_grm(q, m, nu2)
     if not (c1.code.is_subcode_of(c2.code) and c1.k < c2.k):
-        raise AssertionError("orders increased but codes are not strictly nested")
+        raise ParameterMismatch("orders increased but codes are not strictly nested")
     w2, wdiff = lincode.exact_min_weight(c2.code, c1.code, cap)
     w1 = lincode.exact_min_weight(c1.code, cap=cap)[0]
     return {

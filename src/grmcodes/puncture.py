@@ -29,6 +29,7 @@ from .errors import (
     NotNested,
     NotSelfOrthogonal,
     OrderOutOfRange,
+    ParameterMismatch,
     PointOrderMismatch,
     WitnessInvalid,
     WitnessNotFound,
@@ -105,11 +106,13 @@ def puncture_code_css(
         q, m = C1.q, C1.m
         diff = C2.nu - C1.nu
         expected = build_grm(q, m, diff).code
-        assert pcode == expected, "puncture code disagrees with R_q(nu2-nu1, m)"
+        if pcode != expected:
+            raise ParameterMismatch("puncture code disagrees with R_q(nu2-nu1, m)")
         prov.update({"family": "grm", "q": q, "m": m, "nu1": C1.nu, "nu2": C2.nu, "grm_identity": True})
         for mu in range(diff + 1):
             sub = expected if mu == diff else build_grm(q, m, mu).code
-            assert sub.is_subcode_of(pcode)
+            if not sub.is_subcode_of(pcode):
+                raise ParameterMismatch(f"R_q({mu}, m) escapes the puncture code")
             known.append((f"grm(q={q},m={m},nu={mu})", sub))
         known.sort(key=lambda item: item[1].k)
     return PunctureCodeRecord("euclidean", pcode, prov, known)
@@ -136,7 +139,8 @@ def puncture_code_hermitian(C: Union[LinearCode, GrmCode]) -> PunctureCodeRecord
         for mu in range((q + 1) * nu, m * (q2 - 1)):
             mu_perp = m * (q2 - 1) - 1 - mu
             sub = build_grm(q2, m, mu_perp).code.restriction()
-            assert sub.is_subcode_of(pcode), f"restriction at mu={mu} escapes the puncture code"
+            if not sub.is_subcode_of(pcode):
+                raise ParameterMismatch(f"restriction at mu={mu} escapes the puncture code")
             known.append((f"restriction(dual(grm(q={q2},m={m},nu={mu})))", sub))
         known.sort(key=lambda item: item[1].k)
     return PunctureCodeRecord("hermitian", pcode, prov, known)
@@ -180,6 +184,15 @@ def find_weight_witness(rec: PunctureCodeRecord, r: int, cap: int = DEFAULT_CAP)
             return _attach_scaling(rec, x, np.flatnonzero(x), label)
     detail = "no known subcode fits the cap" if not scanned_any else "not found in scanned subcodes"
     raise WitnessNotFound(f"weight {r}: {detail}", proven_absent=False)
+
+
+def _check_punctured_bounds(out: QuantumCodeRecord) -> None:
+    """Raise ParameterMismatch if k or an exact d falls below the bound in its provenance."""
+    k_low, d_low = out.provenance.get("k_lower_bound"), out.provenance.get("d_lower_bound")
+    if k_low is not None and out.k < k_low:
+        raise ParameterMismatch("exact dimension fell below the promised bound")
+    if d_low is not None and not out.d_is_lower_bound and out.d < d_low:
+        raise ParameterMismatch("exact distance fell below the promised bound")
 
 
 def puncture_css(
@@ -233,11 +246,9 @@ def puncture_css(
     )
     if k_lower_bound is not None:
         out.provenance["k_lower_bound"] = k_lower_bound
-        assert out.k >= k_lower_bound, "exact dimension fell below the promised bound"
     if d_lower_bound is not None:
         out.provenance["d_lower_bound"] = d_lower_bound
-        if not out.d_is_lower_bound:
-            assert out.d >= d_lower_bound, "exact distance fell below the promised bound"
+    _check_punctured_bounds(out)
     return out
 
 
@@ -296,11 +307,9 @@ def puncture_hermitian(
             "k_lower_bound": k_lower_bound,
         }
     )
-    assert out.k >= k_lower_bound, "exact dimension fell below the promised bound"
     if d_lower_bound is not None:
         out.provenance["d_lower_bound"] = d_lower_bound
-        if not out.d_is_lower_bound:
-            assert out.d >= d_lower_bound, "exact distance fell below the promised bound"
+    _check_punctured_bounds(out)
     return out
 
 
@@ -408,8 +417,10 @@ def mds_chain(q: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
     mapped[:, perm] = scan_code.gen
     mapped_code = LinearCode(pair.sub, mapped, q * q)
     restricted = build_grm(q2, 1, q2 - (nu + 1) * q).code.restriction()
-    assert mapped_code.is_subcode_of(restricted), "chain step 1 containment failed"
-    assert restricted.is_subcode_of(prec.pcode), "chain step 2 containment failed"
+    if not mapped_code.is_subcode_of(restricted):
+        raise ParameterMismatch("chain step 1 containment failed")
+    if not restricted.is_subcode_of(prec.pcode):
+        raise ParameterMismatch("chain step 2 containment failed")
     if not prec.pcode.contains(X):
         raise WitnessSearchFailed("mapped witness left the puncture code; bijection bug")
 
@@ -419,9 +430,11 @@ def mds_chain(q: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
     if not out.exact:
         # a bound cannot confirm the MDS claim; that is a capped run, not a mismatch
         raise CapExceeded(f"MDS chain record {out.params_str()} has only a distance bound")
-    assert (out.n, out.k, out.d) == (r, r - 2 * (nu + 1), nu + 2), (
-        f"MDS chain produced {out.params_str()}, expected "
-        f"[[{r},{r - 2 * (nu + 1)},{nu + 2}]]_{q}"
-    )
-    assert out.singleton_slack == 0, "MDS chain record must meet the Singleton bound"
+    if (out.n, out.k, out.d) != (r, r - 2 * (nu + 1), nu + 2):
+        raise ParameterMismatch(
+            f"MDS chain produced {out.params_str()}, expected "
+            f"[[{r},{r - 2 * (nu + 1)},{nu + 2}]]_{q}"
+        )
+    if out.singleton_slack != 0:
+        raise ParameterMismatch("MDS chain record must meet the Singleton bound")
     return out

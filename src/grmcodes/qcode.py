@@ -31,6 +31,7 @@ from .errors import (
     NotNested,
     NotSelfOrthogonal,
     OrderOutOfRange,
+    ParameterMismatch,
 )
 from .gf import FieldSpec, extension_pair_for
 from .grm import build_grm, dual_order, grm_dimension, grm_distance
@@ -52,6 +53,7 @@ class StabilizerMatrix:
     field: FieldSpec
     n: int
     matrix: np.ndarray
+    _self_orthogonal: Optional[bool] = dc_field(default=None, init=False, repr=False, compare=False)
 
     def x_part(self) -> np.ndarray:
         assert self.kind == "css"
@@ -85,7 +87,10 @@ class StabilizerMatrix:
         return f.sub_arrays(a, b)
 
     def is_self_orthogonal(self) -> bool:
-        return not np.any(self.symplectic_gram())
+        # the construction checks this and the CLI verdict reports it: compute once
+        if self._self_orthogonal is None:
+            self._self_orthogonal = not np.any(self.symplectic_gram())
+        return self._self_orthogonal
 
 
 @dataclass
@@ -205,7 +210,8 @@ def css(
     rows[: C1.k, :n] = C1.gen
     rows[C1.k :, n:] = C2perp.gen
     stab = StabilizerMatrix("css", C1.field, n, rows)
-    assert stab.is_self_orthogonal(), "CSS stabilizer failed the symplectic check"
+    if not stab.is_self_orthogonal():
+        raise ParameterMismatch("CSS stabilizer failed the symplectic check")
 
     return QuantumCodeRecord(
         q=q,
@@ -218,6 +224,19 @@ def css(
         provenance=prov,
         stabilizer=stab,
     )
+
+
+def _check_grm_record(rec: QuantumCodeRecord) -> None:
+    """Raise ParameterMismatch unless rec meets its predicted k, d and purity."""
+    k_pred, d_pred = rec.provenance["k_predicted"], rec.provenance["d_predicted"]
+    if rec.k != k_pred:
+        raise ParameterMismatch(f"dimension {rec.k} disagrees with the closed form {k_pred}")
+    if rec.d_is_lower_bound:
+        return
+    if rec.d != d_pred:
+        raise ParameterMismatch(f"enumerated distance {rec.d} disagrees with predicted {d_pred}")
+    if not rec.pure:
+        raise ParameterMismatch("construction predicts a pure code")
 
 
 def css_grm(
@@ -248,12 +267,7 @@ def css_grm(
             "d_predicted": d_pred,
         }
     )
-    assert rec.k == g2.k_formula - g1.k_formula, "dimension disagrees with the closed form"
-    if not rec.d_is_lower_bound:
-        assert rec.d == d_pred, (
-            f"enumerated distance {rec.d} disagrees with predicted {d_pred}"
-        )
-        assert rec.pure, "construction predicts a pure code"
+    _check_grm_record(rec)
     return rec
 
 
@@ -264,8 +278,10 @@ def css_grm_selfdual_pair(q: int, m: int, nu: int, cap: int = DEFAULT_CAP) -> Qu
         raise OrderOutOfRange(f"need nu <= (m(q-1)-1)/2, got nu={nu}")
     rec = css_grm(q, m, nu, nu_perp, cap)
     if not rec.d_is_lower_bound:
-        assert rec.n == q**m and rec.k == q**m - 2 * grm_dimension(q, m, nu)
-        assert rec.d == grm_distance(q, m, nu_perp)
+        if (rec.n, rec.k) != (q**m, q**m - 2 * grm_dimension(q, m, nu)):
+            raise ParameterMismatch(f"self-dual pair gave {rec.params_str()}, not [[n, n-2k(nu)]]")
+        if rec.d != grm_distance(q, m, nu_perp):
+            raise ParameterMismatch(f"self-dual pair distance {rec.d} is not d(nu-perp)")
     return rec
 
 
@@ -309,7 +325,8 @@ def hermitian(
         prov["distance_capped"] = True
 
     stab = StabilizerMatrix("hermitian", C.field, n, C.gen.copy())
-    assert stab.is_self_orthogonal(), "Hermitian stabilizer failed the symplectic check"
+    if not stab.is_self_orthogonal():
+        raise ParameterMismatch("Hermitian stabilizer failed the symplectic check")
 
     return QuantumCodeRecord(
         q=pair.sub.q,
@@ -351,11 +368,7 @@ def hermitian_grm(q: int, m: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCod
             "d_predicted": d_pred,
         }
     )
-    assert rec.n == q ** (2 * m)
-    assert rec.k == q ** (2 * m) - 2 * g.k_formula, "dimension disagrees with the closed form"
-    if not rec.d_is_lower_bound:
-        assert rec.d == d_pred, (
-            f"enumerated distance {rec.d} disagrees with predicted {d_pred}"
-        )
-        assert rec.pure, "construction predicts a pure code"
+    if rec.n != q ** (2 * m):
+        raise ParameterMismatch(f"length {rec.n} is not q^(2m) = {q ** (2 * m)}")
+    _check_grm_record(rec)
     return rec

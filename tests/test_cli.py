@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import grmcodes.cli as cli
+import grmcodes.grm as grm
 from grmcodes.cli import (
     EXIT_ABSENT,
     EXIT_CAPPED,
@@ -16,6 +18,7 @@ from grmcodes.cli import (
     EXIT_USAGE,
     main,
 )
+from grmcodes.errors import ParameterMismatch
 
 
 def run(capsys, *argv):
@@ -238,6 +241,72 @@ def test_sweep_empty_grid(capsys):
     assert code == EXIT_OK
 
 
+def exit_code(capsys, *argv):
+    """Exit code and stderr, whether main returns or argparse exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("sweep", "grm", "-q", "a"), "expected a field size"),
+        (("sweep", "grm", "-q", "2", "-m", "x"), "expected a positive integer"),
+        (("sweep", "css", "-q", "3", "-m", "-2"), "expected a positive integer"),
+        (("sweep", "hermitian", "-q", "3", "-m", "-1"), "expected a positive integer"),
+        (("sweep", "mds", "-q", "3", "-m", "2"), "m=1"),
+    ],
+    ids=["grm-q-not-a-number", "grm-m-not-a-number", "css-m-negative", "hermitian-m-negative", "mds-m-not-1"],
+)
+def test_bad_sweep_grid_exits_usage(capsys, argv, message):
+    code, err = exit_code(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert message in err
+
+
+def test_negative_target_weight_exits_usage(capsys):
+    code, err = exit_code(capsys, "puncture", "hermitian", "-q", "3", "--nu", "0", "--target-weight", "-1")
+    assert code == EXIT_USAGE
+    assert "expected a non-negative integer" in err
+
+
+def test_parameter_mismatch_exits_mismatch_and_assertion_error_is_not_caught(capsys, monkeypatch):
+    def mismatch(*args):
+        raise ParameterMismatch("planted")
+
+    monkeypatch.setattr(cli, "css_grm", mismatch)
+    code, _, err = run(capsys, "quantum", "css", "-q", "3", "-m", "2", "--nu1", "1", "--nu2", "2")
+    assert code == EXIT_MISMATCH
+    assert err == "mismatch: planted\n"
+
+    def internal_bug(*args):
+        raise AssertionError("internal")
+
+    monkeypatch.setattr(cli, "css_grm", internal_bug)
+    with pytest.raises(AssertionError):
+        main(["quantum", "css", "-q", "3", "-m", "2", "--nu1", "1", "--nu2", "2"])
+
+
+def test_planted_grm_distance_fails_the_command_and_its_sweep_row(capsys, monkeypatch):
+    # d(R_3(1, 2)) planted one too high: the single command and the sweep
+    # row run the same verdict, so both must fail on it
+    true_distance = grm.grm_distance
+    monkeypatch.setattr(
+        grm, "grm_distance", lambda q, m, nu: true_distance(q, m, nu) + ((q, m, nu) == (3, 2, 1))
+    )
+    code, out, _ = run(capsys, "grm", "-q", "3", "-m", "2", "--order", "1", "--json")
+    assert code == EXIT_MISMATCH
+    status = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert status["enumerated_distance_equals_formula"] == "fail"
+    code, out, _ = run(capsys, "sweep", "grm", "-q", "3", "-m", "2", "--json")
+    assert code == EXIT_MISMATCH
+    rows = {r["nu"]: r["status"] for r in json.loads(out)["tables"]["rows"]}
+    assert rows == {0: "pass", 1: "fail", 2: "pass", 3: "pass", 4: "pass"}
+
+
 def test_stabilizer_dump(capsys):
     code, out, _ = run(
         capsys, "quantum", "css", "-q", "2", "-m", "2", "--nu1", "0", "--nu2", "1", "--dump-stabilizer"
@@ -260,6 +329,27 @@ GOLDEN_COMMANDS = {
     "quantum_hermitian_q4_m2_nu1": "quantum hermitian -q 4 -m 2 --nu 1",
     # span route on every row, R_5(3,2) = [25,10,10]_5 included
     "sweep_grm_q2_3_4_5_m1_2": "sweep grm -q 2,3,4,5 -m 1,2",
+    "grm_q3_m2_order1_dual_dump": "grm -q 3 -m 2 --order 1 --dual-check --dump-matrix",
+    # a distance bound
+    "grm_q5_m2_order4_cap50000": "grm -q 5 -m 2 --order 4 --cap 50000",
+    "quantum_css_q2_m2_nu1_0_nu2_1_dump": "quantum css -q 2 -m 2 --nu1 0 --nu2 1 --dump-stabilizer",
+    "quantum_hermitian_q3_m1_nu1_dump": "quantum hermitian -q 3 -m 1 --nu 1 --dump-stabilizer",
+    "puncture_css_q3_m2_nu1_1_nu2_2_w6": "puncture css -q 3 -m 2 --nu1 1 --nu2 2 --target-weight 6",
+    "puncture_css_q3_m2_nu1_1_nu2_2_weights": "puncture css -q 3 -m 2 --nu1 1 --nu2 2 --list-weights",
+    "puncture_hermitian_q5_nu2_mds_chain": "puncture hermitian -q 5 --nu 2 --mds-chain",
+    "puncture_hermitian_q5_nu2_w15": "puncture hermitian -q 5 --nu 2 --target-weight 15",
+    # five capped rows
+    "sweep_hermitian_q2_4_m1_2": "sweep hermitian -q 2,4 -m 1,2",
+    "sweep_css_q3_m2_cap2": "sweep css -q 3 -m 2 --cap 2",
+}
+
+# Text and CSV renderings, pinned the same way; the file name carries the
+# format, and the command is run as written.
+RENDERED_GOLDEN_COMMANDS = {
+    "quantum_hermitian_q3_m1_nu1_dump.txt": "quantum hermitian -q 3 -m 1 --nu 1 --dump-stabilizer",
+    "grm_q5_m2_order4_cap50000.txt": "grm -q 5 -m 2 --order 4 --cap 50000",
+    "puncture_css_q3_m2_nu1_1_nu2_2_weights.txt": "puncture css -q 3 -m 2 --nu1 1 --nu2 2 --list-weights",
+    "sweep_mds_q3_4.csv": "sweep mds -q 3,4 --csv",
 }
 
 
@@ -269,3 +359,11 @@ def test_json_report_matches_golden(capsys, monkeypatch, name):
     code, out, _ = run(capsys, *GOLDEN_COMMANDS[name].split(), "--json")
     assert code == EXIT_OK
     assert out.encode() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(RENDERED_GOLDEN_COMMANDS))
+def test_rendered_report_matches_golden(capsys, monkeypatch, name):
+    monkeypatch.delenv("GRMCODES_CAP", raising=False)
+    code, out, _ = run(capsys, *RENDERED_GOLDEN_COMMANDS[name].split())
+    assert code == EXIT_OK
+    assert out.encode() == (GOLDEN_DIR / name).read_bytes()

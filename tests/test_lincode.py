@@ -1038,7 +1038,7 @@ def test_restriction_codewords_are_exactly_subfield_codewords():
             subwords = {
                 w
                 for w in oracle_codewords(f, D.gen)
-                if all(pair.in_subfield(x) for x in w)
+                if all(pair.emb_inv[x] >= 0 for x in w)
             }
             down = {
                 tuple(int(pair.emb_inv[x]) for x in w) for w in subwords

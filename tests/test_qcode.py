@@ -1,6 +1,10 @@
 """CSS and Hermitian construction tests."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,3 +230,33 @@ def test_css_purity_matches_brute_force():
         old_rule_wrong += pure != (p["wt_diff_c2_c1"] == p["wt_c2"] and p["wt_diff_c1perp_c2perp"] == p["wt_c1perp"])
         checked += 1
     assert checked >= 100 and old_rule_wrong >= 10
+
+
+# A wrong closed form planted in the subprocess: d(nu2) is off by one for
+# R_3(2, 2), so css_grm(3, 2, 1, 2) predicts d = 4 where enumeration gives 3.
+PLANTED_DISTANCE = """
+import grmcodes.qcode as qcode
+from grmcodes.errors import ParameterMismatch
+true_distance = qcode.grm_distance
+qcode.grm_distance = lambda q, m, nu: true_distance(q, m, nu) + ((q, m, nu) == (3, 2, 2))
+try:
+    rec = qcode.css_grm(3, 2, 1, 2)
+except ParameterMismatch as exc:
+    print("ParameterMismatch:", exc)
+else:
+    print("record", rec.params_str())
+"""
+
+
+def test_planted_closed_form_raises_parameter_mismatch_without_asserts():
+    # python -O strips assert statements; a parameter claim must still raise
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", PLANTED_DISTANCE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ParameterMismatch: enumerated distance 3 disagrees with predicted 4")
