@@ -9,7 +9,9 @@ Each family has one verdict, the named checks its closed form implies:
 ``grm_verdict``, ``quantum_verdict`` (CSS and Hermitian records),
 ``mds_verdict`` and ``punctured_verdict``.  A single-record command calls
 its verdict directly; a sweep row of the ``SWEEPS`` table passes exactly
-when every check of its verdict passes.
+when every check of its verdict passes.  A row whose record raises
+``CapExceeded`` is ``capped`` and one that raises ``ParameterMismatch``
+is ``fail``; either way the other rows stand.
 
 Exit codes partition outcomes: 0 pass; 2 bad parameters (a malformed
 sweep grid and a negative witness weight included); 3 enumeration capped
@@ -362,6 +364,9 @@ def run_sweep(args) -> RunReport:
         except CapExceeded:
             # only a distance bound: this row is capped, the others stand
             row.update(exact=False, status="capped")
+        except ParameterMismatch as exc:
+            # the library refused this row's record: it fails, the others stand
+            row.update(status="fail", mismatch=str(exc))
         else:
             row["status"] = "pass" if verdict.ok() else "fail"
         rows.append(row)
@@ -369,7 +374,8 @@ def run_sweep(args) -> RunReport:
     passes = sum(1 for r in rows if r["status"] == "pass")
     failures = sum(1 for r in rows if r["status"] == "fail")
     rep.check("all_rows_pass", failures == 0, f"{passes}/{len(rows)} pass")
-    rep.capped = any(not r["exact"] for r in rows)
+    # a mismatch row has no record, so it says nothing about capping
+    rep.capped = any(not r.get("exact", True) for r in rows)
     return rep
 
 

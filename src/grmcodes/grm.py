@@ -117,7 +117,7 @@ class GrmCode:
         return f"GrmCode(q={self.q}, m={self.m}, nu={self.nu}; [{self.n},{self.k}])"
 
 
-def build_grm(q: int, m: int, nu: int, max_length: int = MAX_LENGTH) -> GrmCode:
+def build_grm(q: int, m: int, nu: int) -> GrmCode:
     """Evaluate the monomials at every point and canonicalize.
 
     One gather per variable: row r is multiplied by x_i^{e_ri} at every
@@ -126,8 +126,8 @@ def build_grm(q: int, m: int, nu: int, max_length: int = MAX_LENGTH) -> GrmCode:
     field = get_field(q)
     _check_order(q, m, nu)
     n = q**m
-    if n > max_length:
-        raise LengthCapExceeded(f"q^m = {n} exceeds the configured maximum {max_length}")
+    if n > MAX_LENGTH:
+        raise LengthCapExceeded(f"q^m = {n} exceeds the configured maximum {MAX_LENGTH}")
     exps = np.array(monomial_exponents(q, m, nu), dtype=np.intp)  # (monomials, m)
     pts = point_matrix(field, m)
     rows = np.ones((len(exps), n), dtype=np.uint8)
@@ -136,11 +136,11 @@ def build_grm(q: int, m: int, nu: int, max_length: int = MAX_LENGTH) -> GrmCode:
     return GrmCode(q, m, nu, LinearCode(field, rows, n))
 
 
-def grm_dual_code(g: GrmCode, max_length: int = MAX_LENGTH) -> LinearCode:
+def grm_dual_code(g: GrmCode) -> LinearCode:
     """The dual order's code; the zero code when nu was maximal."""
     if g.nu_perp < 0:
         return LinearCode.zero_code(g.field, g.n)
-    return build_grm(g.q, g.m, g.nu_perp, max_length).code
+    return build_grm(g.q, g.m, g.nu_perp).code
 
 
 def nesting_weight_check(

@@ -15,6 +15,12 @@ The Reed-Muller chain used for the MDS family walks
 where the last containment identifies GF(q)^2 with GF(q^2) through the
 basis (1, gamma); the scan for a minimum-weight vector runs in the small
 multivariate code and the result is carried back up the chain.
+
+``puncture_css`` and ``puncture_hermitian`` take the puncture-code record
+as a required keyword, share one witness check and one record tail (the
+promised k and d bounds), and leave CSS nesting and Hermitian
+self-orthogonality of the punctured code to ``qcode.css`` and
+``qcode.hermitian``, which check them once.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ import numpy as np
 from .errors import (
     CapExceeded,
     NotNested,
-    NotSelfOrthogonal,
     OrderOutOfRange,
     ParameterMismatch,
     PointOrderMismatch,
@@ -38,13 +43,7 @@ from .errors import (
 from .gf import extension_pair_for, quadratic_extension
 from .grm import GrmCode, build_grm, grm_dimension, grm_distance, point_matrix
 from .lincode import DEFAULT_CAP, LinearCode, find_first_of_weight, product_span
-from .qcode import (
-    QuantumCodeRecord,
-    css,
-    hermitian,
-    hermitian_grm_distance,
-    hermitian_self_orthogonal,
-)
+from .qcode import QuantumCodeRecord, css, hermitian, hermitian_grm_distance
 
 
 @dataclass
@@ -186,13 +185,38 @@ def find_weight_witness(rec: PunctureCodeRecord, r: int, cap: int = DEFAULT_CAP)
     raise WitnessNotFound(f"weight {r}: {detail}", proven_absent=False)
 
 
-def _check_punctured_bounds(out: QuantumCodeRecord) -> None:
-    """Raise ParameterMismatch if k or an exact d falls below the bound in its provenance."""
-    k_low, d_low = out.provenance.get("k_lower_bound"), out.provenance.get("d_lower_bound")
-    if k_low is not None and out.k < k_low:
+def _witness_support(rec: PunctureCodeRecord, n: int, w: PunctureWitness) -> tuple[np.ndarray, list]:
+    """(x, support) of a witness after the checks both constructions share.
+
+    x has length n and lies in the puncture code, the support tuple lists
+    exactly the nonzero coordinates of x, and it is not empty.
+    """
+    x = np.asarray(w.x, dtype=np.uint8)
+    if len(x) != n or not rec.pcode.contains(x):
+        raise WitnessInvalid("witness vector is not in the puncture code")
+    support = list(w.support)
+    if sorted(support) != list(np.flatnonzero(x)):
+        raise WitnessInvalid("witness support does not match its vector")
+    if not support:
+        raise WitnessInvalid("cannot puncture to length 0")
+    return x, support
+
+
+def _punctured_record(
+    out: QuantumCodeRecord, construction: str, n: int, w: PunctureWitness, k_low: int, d_low: Optional[int]
+) -> QuantumCodeRecord:
+    """Label a punctured record with its witness and bounds; raise if k or an exact d falls below."""
+    out.construction = construction
+    out.provenance.update(
+        {"punctured_from_n": n, "witness_weight": w.weight, "witness_source": w.source, "k_lower_bound": k_low}
+    )
+    if d_low is not None:
+        out.provenance["d_lower_bound"] = d_low
+    if out.k < k_low:
         raise ParameterMismatch("exact dimension fell below the promised bound")
     if d_low is not None and not out.d_is_lower_bound and out.d < d_low:
         raise ParameterMismatch("exact distance fell below the promised bound")
+    return out
 
 
 def puncture_css(
@@ -200,117 +224,56 @@ def puncture_css(
     C2: Union[LinearCode, GrmCode],
     w: PunctureWitness,
     cap: int = DEFAULT_CAP,
-    pcode_record: Optional[PunctureCodeRecord] = None,
-    k_lower_bound: Optional[int] = None,
-    d_lower_bound: Optional[int] = None,
+    *,
+    pcode_record: PunctureCodeRecord,
 ) -> QuantumCodeRecord:
     """Materialize the length-r punctured CSS code for a weight-r witness.
 
-    The scaled restriction pair is (x*C1)|_S and the S-dual of C2-perp|_S;
-    containment of the first in the second is forced by x lying in the
-    puncture code, and is re-verified numerically.
+    ``pcode_record`` is the puncture code of (C1, C2); the witness must lie
+    in it.  The scaled restriction pair is (x*C1)|_S and the S-dual of
+    C2-perp|_S; containment of the first in the second is forced by x lying
+    in the puncture code, and ``css`` verifies it.  The record promises
+    k >= k2 - k1 - (n - r) and, for a GRM pair, d >= min(d(nu2), d(nu1-perp)).
     """
     code1, code2 = _as_code(C1), _as_code(C2)
-    rec = pcode_record or puncture_code_css(C1, C2)
-    x = np.asarray(w.x, dtype=np.uint8)
-    if len(x) != code1.n or not rec.pcode.contains(x):
-        raise WitnessInvalid("witness vector is not in the puncture code")
-    support = list(w.support)
-    if sorted(support) != list(np.flatnonzero(x)):
-        raise WitnessInvalid("witness support does not match its vector")
-    r = len(support)
-    if r == 0:
-        raise WitnessInvalid("cannot puncture to length 0")
-
+    x, support = _witness_support(pcode_record, code1.n, w)
     B = code1.scaled_by(x).punctured_to(support)
     C2p = code2.dual().punctured_to(support).dual()
-    if not B.is_subcode_of(C2p):
-        raise WitnessInvalid("scaled restriction failed CSS nesting (invalid witness)")
-
-    if isinstance(C1, GrmCode) and isinstance(C2, GrmCode) and d_lower_bound is None:
-        d_lower_bound = min(
-            grm_distance(C2.q, C2.m, C2.nu),
-            grm_distance(C1.q, C1.m, C1.nu_perp),
-        )
-    if isinstance(C1, GrmCode) and isinstance(C2, GrmCode) and k_lower_bound is None:
-        k_lower_bound = code2.k - code1.k - code1.n + r
-
+    grm_pair = isinstance(C1, GrmCode) and isinstance(C2, GrmCode)
+    d_lower_bound = min(grm_distance(C2.q, C2.m, C2.nu), grm_distance(C1.q, C1.m, C1.nu_perp)) if grm_pair else None
     out = css(B, C2p, cap, d_lower_bound=d_lower_bound)
-    out.construction = "PuncturedCSS"
-    out.provenance.update(
-        {
-            "punctured_from_n": code1.n,
-            "witness_weight": r,
-            "witness_source": w.source,
-        }
-    )
-    if k_lower_bound is not None:
-        out.provenance["k_lower_bound"] = k_lower_bound
-    if d_lower_bound is not None:
-        out.provenance["d_lower_bound"] = d_lower_bound
-    _check_punctured_bounds(out)
-    return out
+    k_lower_bound = code2.k - code1.k - code1.n + len(support)
+    return _punctured_record(out, "PuncturedCSS", code1.n, w, k_lower_bound, d_lower_bound)
 
 
 def puncture_hermitian(
     C: Union[LinearCode, GrmCode],
     w: PunctureWitness,
     cap: int = DEFAULT_CAP,
-    pcode_record: Optional[PunctureCodeRecord] = None,
-    d_lower_bound: Optional[int] = None,
+    *,
+    pcode_record: PunctureCodeRecord,
 ) -> QuantumCodeRecord:
     """Materialize the punctured Hermitian code for a scaled weight-r witness.
 
-    With y_i^(q+1) = x_i on the support, the code {(y_i a_i)_S : a in C}
-    inherits Hermitian self-orthogonality from x being in the puncture
-    code (nondegeneracy of the trace form upgrades trace-zero to zero).
-    A failure of that check indicates an implementation bug, so it aborts.
+    ``pcode_record`` is the Hermitian puncture code of C; the witness must
+    lie in it, and its scaling must solve y_i^(q+1) = x_i on the support.
+    The code {(y_i a_i)_S : a in C} then inherits Hermitian
+    self-orthogonality from x being in the puncture code (nondegeneracy of
+    the trace form upgrades trace-zero to zero); ``hermitian`` verifies it.
+    The record promises k >= r - 2k(C) and, for a GRM code, d >= d(nu-perp).
     """
     code = _as_code(C)
     pair = extension_pair_for(code.field)
-    rec = pcode_record or puncture_code_hermitian(C)
-    x = np.asarray(w.x, dtype=np.uint8)
-    if len(x) != code.n or not rec.pcode.contains(x):
-        raise WitnessInvalid("witness vector is not in the puncture code")
+    x, support = _witness_support(pcode_record, code.n, w)
     if w.scaling is None:
         raise WitnessInvalid("Hermitian puncturing needs the norm-solving scaling")
-    support = list(w.support)
-    if sorted(support) != list(np.flatnonzero(x)):
-        raise WitnessInvalid("witness support does not match its vector")
     y = np.asarray(w.scaling, dtype=np.uint8)
-    ext = code.field
     for i in support:
-        if ext.pow(int(y[i]), pair.sub.q + 1) != int(pair.emb[x[i]]):
+        if code.field.pow(int(y[i]), pair.sub.q + 1) != int(pair.emb[x[i]]):
             raise WitnessInvalid(f"scaling at coordinate {i} does not solve the norm equation")
-    r = len(support)
-    if r == 0:
-        raise WitnessInvalid("cannot puncture to length 0")
-
-    Cp = code.scaled_by(y).punctured_to(support)
-    if not hermitian_self_orthogonal(Cp):
-        raise NotSelfOrthogonal(
-            "scaled restriction lost Hermitian self-orthogonality; "
-            "this contradicts the puncture-code membership and indicates a bug"
-        )
-
-    if isinstance(C, GrmCode) and d_lower_bound is None:
-        d_lower_bound = hermitian_grm_distance(pair.sub.q, C.nu)
-    k_lower_bound = r - 2 * code.k
-
-    out = hermitian(Cp, cap, d_lower_bound=d_lower_bound)
-    out.construction = "PuncturedHermitian"
-    out.provenance.update(
-        {
-            "punctured_from_n": code.n,
-            "witness_weight": r,
-            "witness_source": w.source,
-            "k_lower_bound": k_lower_bound,
-        }
-    )
-    if d_lower_bound is not None:
-        out.provenance["d_lower_bound"] = d_lower_bound
-    _check_punctured_bounds(out)
-    return out
+    d_lower_bound = hermitian_grm_distance(pair.sub.q, C.nu) if isinstance(C, GrmCode) else None
+    out = hermitian(code.scaled_by(y).punctured_to(support), cap, d_lower_bound=d_lower_bound)
+    return _punctured_record(out, "PuncturedHermitian", code.n, w, len(support) - 2 * code.k, d_lower_bound)
 
 
 # -- the GF(q)^2 <-> GF(q^2) point bijection ---------------------------------
@@ -383,13 +346,17 @@ def mds_chain(q: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
     slice when that scan would blow the cap), materializes the punctured
     Hermitian code, and checks it is MDS with exact parameters.  Raises
     CapExceeded when the distance search gives up and leaves only a bound.
+
+    The puncture code is built from the plain code, without the family's
+    known subcodes; the chain checks the one restriction it walks through
+    (step 2), and ``puncture_hermitian`` checks the witness's membership.
     """
     if not 0 <= nu <= q - 2:
         raise OrderOutOfRange(f"need 0 <= nu <= q-2, got nu={nu}")
     pair = quadratic_extension(q)
     q2 = pair.ext.q
     g = build_grm(q2, 1, nu)
-    prec = puncture_code_hermitian(g)
+    prec = puncture_code_hermitian(g.code)
     r = (nu + 1) * q
     perm = extension_point_map(q)
 
@@ -421,8 +388,6 @@ def mds_chain(q: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
         raise ParameterMismatch("chain step 1 containment failed")
     if not restricted.is_subcode_of(prec.pcode):
         raise ParameterMismatch("chain step 2 containment failed")
-    if not prec.pcode.contains(X):
-        raise WitnessSearchFailed("mapped witness left the puncture code; bijection bug")
 
     witness = _attach_scaling(prec, X, np.flatnonzero(X), scan_label)
     out = puncture_hermitian(g, witness, cap, pcode_record=prec)

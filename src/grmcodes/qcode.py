@@ -10,6 +10,8 @@ Two constructions are implemented at the classical-code level:
 
 Records carry exact parameters whenever the distance enumeration finished;
 when it cannot, the record degrades to a lower-bound distance and says so.
+``css`` and ``hermitian`` share that rule, the stabilizer check and the
+record assembly (``_record``).
 Stabilizer matrices are emitted alongside and checked for symplectic
 self-orthogonality (after the basis-(1, gamma) expansion in the Hermitian
 case).
@@ -18,7 +20,7 @@ case).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -150,6 +152,41 @@ class QuantumCodeRecord:
         return out
 
 
+def _record(
+    k: int,
+    construction: str,
+    prov: dict,
+    stab: StabilizerMatrix,
+    distance: Callable[[], tuple[int, bool, dict]],
+    d_lower_bound: Optional[int],
+) -> QuantumCodeRecord:
+    """Run ``distance`` under the capped-distance rule, check the stabilizer, assemble.
+
+    ``distance()`` returns (d, pure, provenance found on the way).  If it
+    raises CapExceeded, d is the promised bound (or the trivial bound 1),
+    purity is unknown and the provenance says the distance was capped.
+    """
+    try:
+        d, pure, found = distance()
+    except CapExceeded:
+        d = d_lower_bound if d_lower_bound is not None else 1
+        pure, found = None, {"distance_capped": True}
+    prov.update(found)
+    if not stab.is_self_orthogonal():
+        raise ParameterMismatch(f"{construction} stabilizer failed the symplectic check")
+    return QuantumCodeRecord(
+        q=stab.base_field().q,
+        n=stab.n,
+        k=k,
+        d=d,
+        d_is_lower_bound="distance_capped" in found,
+        pure=pure,
+        construction=construction,
+        provenance=prov,
+        stabilizer=stab,
+    )
+
+
 def css(
     C1: LinearCode,
     C2: LinearCode,
@@ -158,9 +195,10 @@ def css(
 ) -> QuantumCodeRecord:
     """CSS construction from nested classical codes C1 <= C2.
 
-    The distance enumeration runs over both difference sets; if it cannot
-    finish within the caps the record degrades to the supplied lower bound
-    (or the trivial bound 1) with the flag set.
+    The nesting is checked here, once, for every CSS record (the punctured
+    pair included).  The distance enumeration runs over both difference
+    sets; if it cannot finish within the caps the record degrades to the
+    supplied lower bound (or the trivial bound 1) with the flag set.
     """
     if C1.field is not C2.field:
         raise FieldMismatch("CSS inputs live over different fields")
@@ -169,61 +207,25 @@ def css(
     if not C1.is_subcode_of(C2):
         raise NotNested("CSS needs C1 contained in C2")
     n = C1.n
-    k = C2.k - C1.k
-    q = C1.field.q
     C2perp = C2.dual()
     C1perp = C1.dual()
+    prov = {"n": n, "k1": C1.k, "k2": C2.k, "branch": "strict" if C1.k < C2.k else "equal", "cap": cap}
 
-    prov: dict = {
-        "n": n,
-        "k1": C1.k,
-        "k2": C2.k,
-        "branch": "strict" if C1.k < C2.k else "equal",
-        "cap": cap,
-    }
-    pure: Optional[bool] = None
-    d_is_bound = False
-    try:
-        if C1.k < C2.k:
-            wt_c2, w_right = lincode.exact_min_weight(C2, C1, cap)
-            wt_c1perp, w_left = lincode.exact_min_weight(C1perp, C2perp, cap)
-            d = min(w_right, w_left)
-            # pure: wt(C1) >= d and wt(C2-perp) >= d, as wt(C2) = min(wt(C1), w_right)
-            pure = min(wt_c2, wt_c1perp) == d
-            prov.update(
-                {
-                    "wt_diff_c2_c1": w_right,
-                    "wt_diff_c1perp_c2perp": w_left,
-                    "wt_c2": wt_c2,
-                    "wt_c1perp": wt_c1perp,
-                }
-            )
-        else:
-            d = min(lincode.exact_min_weight(c, cap=cap)[0] for c in (C1, C1perp) if c.k)
-            pure = True
-    except CapExceeded:
-        d = d_lower_bound if d_lower_bound is not None else 1
-        d_is_bound = True
-        prov["distance_capped"] = True
+    def distance():
+        if C1.k == C2.k:
+            return min(lincode.exact_min_weight(c, cap=cap)[0] for c in (C1, C1perp) if c.k), True, {}
+        wt_c2, w_right = lincode.exact_min_weight(C2, C1, cap)
+        wt_c1perp, w_left = lincode.exact_min_weight(C1perp, C2perp, cap)
+        d = min(w_right, w_left)
+        # pure: wt(C1) >= d and wt(C2-perp) >= d, as wt(C2) = min(wt(C1), w_right)
+        found = {"wt_diff_c2_c1": w_right, "wt_diff_c1perp_c2perp": w_left, "wt_c2": wt_c2, "wt_c1perp": wt_c1perp}
+        return d, min(wt_c2, wt_c1perp) == d, found
 
     rows = np.zeros((C1.k + C2perp.k, 2 * n), dtype=np.uint8)
     rows[: C1.k, :n] = C1.gen
     rows[C1.k :, n:] = C2perp.gen
     stab = StabilizerMatrix("css", C1.field, n, rows)
-    if not stab.is_self_orthogonal():
-        raise ParameterMismatch("CSS stabilizer failed the symplectic check")
-
-    return QuantumCodeRecord(
-        q=q,
-        n=n,
-        k=k,
-        d=d,
-        d_is_lower_bound=d_is_bound,
-        pure=pure,
-        construction="CSS",
-        provenance=prov,
-        stabilizer=stab,
-    )
+    return _record(C2.k - C1.k, "CSS", prov, stab, distance, d_lower_bound)
 
 
 def _check_grm_record(rec: QuantumCodeRecord) -> None:
@@ -300,45 +302,25 @@ def hermitian(
     cap: int = DEFAULT_CAP,
     d_lower_bound: Optional[int] = None,
 ) -> QuantumCodeRecord:
-    """Hermitian construction from a self-orthogonal code over GF(q^2)."""
-    pair = extension_pair_for(C.field)
+    """Hermitian construction from a self-orthogonal code over GF(q^2).
+
+    Self-orthogonality is checked here, once, for every Hermitian record
+    (the punctured code included).  A capped distance degrades as in
+    ``css``; a capped record carries no ``branch`` key.
+    """
     if not hermitian_self_orthogonal(C):
         raise NotSelfOrthogonal("input is not Hermitian self-orthogonal")
-    n = C.n
-    k = n - 2 * C.k
     dual_h = C.hermitian_dual()
-    prov: dict = {"n": n, "k_classical": C.k, "cap": cap}
-    pure: Optional[bool] = None
-    d_is_bound = False
-    try:
+
+    def distance():
         if C.k == dual_h.k:
-            d = lincode.exact_min_weight(C, cap=cap)[0]
-            pure = True
-            prov["branch"] = "self_dual"
-        else:
-            wt_dual, d = lincode.exact_min_weight(dual_h, C, cap)
-            pure = d == wt_dual
-            prov.update({"branch": "strict", "wt_hermitian_dual": wt_dual})
-    except CapExceeded:
-        d = d_lower_bound if d_lower_bound is not None else 1
-        d_is_bound = True
-        prov["distance_capped"] = True
+            return lincode.exact_min_weight(C, cap=cap)[0], True, {"branch": "self_dual"}
+        wt_dual, d = lincode.exact_min_weight(dual_h, C, cap)
+        return d, d == wt_dual, {"branch": "strict", "wt_hermitian_dual": wt_dual}
 
-    stab = StabilizerMatrix("hermitian", C.field, n, C.gen.copy())
-    if not stab.is_self_orthogonal():
-        raise ParameterMismatch("Hermitian stabilizer failed the symplectic check")
-
-    return QuantumCodeRecord(
-        q=pair.sub.q,
-        n=n,
-        k=k,
-        d=d,
-        d_is_lower_bound=d_is_bound,
-        pure=pure,
-        construction="Hermitian",
-        provenance=prov,
-        stabilizer=stab,
-    )
+    prov = {"n": C.n, "k_classical": C.k, "cap": cap}
+    stab = StabilizerMatrix("hermitian", C.field, C.n, C.gen.copy())
+    return _record(C.n - 2 * C.k, "Hermitian", prov, stab, distance, d_lower_bound)
 
 
 def hermitian_grm_distance(q: int, nu: int) -> int:

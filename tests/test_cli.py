@@ -10,6 +10,7 @@ import pytest
 
 import grmcodes.cli as cli
 import grmcodes.grm as grm
+import grmcodes.qcode as qcode
 from grmcodes.cli import (
     EXIT_ABSENT,
     EXIT_CAPPED,
@@ -305,6 +306,32 @@ def test_planted_grm_distance_fails_the_command_and_its_sweep_row(capsys, monkey
     assert code == EXIT_MISMATCH
     rows = {r["nu"]: r["status"] for r in json.loads(out)["tables"]["rows"]}
     assert rows == {0: "pass", 1: "fail", 2: "pass", 3: "pass", 4: "pass"}
+
+
+def test_mismatch_row_fails_and_the_other_rows_stand(capsys, monkeypatch):
+    # d(R_3(2, 2)) planted one too high: css_grm raises ParameterMismatch on
+    # every row whose predicted distance uses it, and only those rows fail
+    true_distance = qcode.grm_distance
+    monkeypatch.setattr(
+        qcode, "grm_distance", lambda q, m, nu: true_distance(q, m, nu) + ((q, m, nu) == (3, 2, 2))
+    )
+    code, out, _ = run(capsys, "sweep", "css", "-q", "2,3", "-m", "2", "--json")
+    assert code == EXIT_MISMATCH
+    report = json.loads(out)
+    rows = report["tables"]["rows"]
+    failed = {(r["nu1"], r["nu2"]) for r in rows if r["status"] == "fail"}
+    assert failed == {(1, 1), (1, 2), (2, 2)}
+    assert all(r["q"] == 3 and "disagrees with predicted 4" in r["mismatch"] for r in rows if r["status"] == "fail")
+    assert len(rows) == 13 and sum(r["status"] == "pass" for r in rows) == 10
+    assert report["capped"] is False
+    assert {c["name"]: c["observed"] for c in report["checks"]} == {"all_rows_pass": "10/13 pass"}
+
+
+def test_over_length_grm_exits_usage(capsys):
+    code, out, err = run(capsys, "grm", "-q", "2", "-m", "9", "--order", "0")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: q^m = 512 exceeds the configured maximum 256\n"
 
 
 def test_stabilizer_dump(capsys):

@@ -108,7 +108,7 @@ def test_build_grm_guards():
     with pytest.raises(UnsupportedField):
         build_grm(6, 1, 0)
     with pytest.raises(LengthCapExceeded):
-        build_grm(3, 2, 1, max_length=8)
+        build_grm(2, 9, 0)  # 2^9 = 512 points, over MAX_LENGTH = 256
 
 
 def test_point_order_is_base_q_counter():

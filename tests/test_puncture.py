@@ -1,8 +1,11 @@
 """Puncture code and punctured quantum code tests."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+import grmcodes.puncture as puncture
 from grmcodes import gf
 from grmcodes.errors import (
     NotNested,
@@ -73,22 +76,25 @@ def test_hermitian_puncture_containment_q2():
         assert sub.is_subcode_of(rec.pcode)
 
 
+def _count_grm_builds(monkeypatch) -> list:
+    built = []
+    real = puncture.build_grm
+
+    def counting(q, m, nu):
+        built.append((q, m, nu))
+        return real(q, m, nu)
+
+    monkeypatch.setattr(puncture, "build_grm", counting)
+    return built
+
 
 def test_puncture_code_css_builds_each_grm_order_once(monkeypatch):
     # R_q(nu2 - nu1, m) serves as the identity check and as the last known
     # subcode: diff + 1 builds, not diff + 2
-    import grmcodes.puncture as puncture
-
-    calls = []
-
-    def counting_build(q, m, nu, *args):
-        calls.append(nu)
-        return build_grm(q, m, nu, *args)
-
     g1, g2 = build_grm(7, 2, 2), build_grm(7, 2, 9)
-    monkeypatch.setattr(puncture, "build_grm", counting_build)
+    built = _count_grm_builds(monkeypatch)
     rec = puncture_code_css(g1, g2)
-    assert sorted(calls) == list(range(8))
+    assert sorted(nu for _, _, nu in built) == list(range(8))
     expect = sorted(((f"grm(q=7,m=2,nu={mu})", build_grm(7, 2, mu).code) for mu in range(8)), key=lambda t: t[1].k)
     assert rec.known_subcodes == expect
 
@@ -211,6 +217,41 @@ def test_puncture_hermitian_requires_scaling():
     corrupted.scaling[w.support[0]] = 0
     with pytest.raises(WitnessInvalid):
         puncture_hermitian(g, corrupted, pcode_record=rec)
+
+
+@pytest.mark.parametrize("construction", ["css", "hermitian"])
+def test_punctures_reject_a_support_off_the_vector_and_a_zero_witness(construction):
+    if construction == "css":
+        g1, g2 = build_grm(3, 2, 0), build_grm(3, 2, 3)
+        rec = puncture_code_css(g1, g2)
+        materialize = partial(puncture_css, g1, g2, pcode_record=rec)
+    else:
+        g = build_grm(9, 1, 1)
+        rec = puncture_code_hermitian(g)
+        materialize = partial(puncture_hermitian, g, pcode_record=rec)
+    w = find_weight_witness(rec, 6)
+    off_support = tuple(i for i in range(len(w.x)) if i not in w.support)
+    for support in (off_support, w.support[1:]):
+        with pytest.raises(WitnessInvalid, match="support does not match"):
+            materialize(PunctureWitness(w.x, support, w.scaling, "forged"))
+    zero = find_weight_witness(rec, 0)
+    with pytest.raises(WitnessInvalid, match="length 0"):
+        materialize(zero)
+
+
+@pytest.mark.parametrize(
+    "q,nu,builds",
+    [
+        # R_64(0,1) and R_64(56,1): the scan runs in the univariate slice
+        (8, 0, [(64, 1, 0), (64, 1, 56)]),
+        # R_25(2,1), the scan code R_5(2,2) and the restriction's R_25(10,1)
+        (5, 2, [(25, 1, 2), (5, 2, 2), (25, 1, 10)]),
+    ],
+)
+def test_mds_chain_builds_only_the_codes_it_reads(monkeypatch, q, nu, builds):
+    built = _count_grm_builds(monkeypatch)
+    mds_chain(q, nu)
+    assert built == builds
 
 
 @pytest.mark.parametrize(
