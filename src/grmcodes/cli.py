@@ -25,6 +25,8 @@ the library; 5 a witness weight was proven absent.  A bare
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -384,10 +386,12 @@ def _render_csv(rep: RunReport) -> str:
     if not rows:
         return "empty\n"
     headers = sorted({key for row in rows for key in row})
-    lines = [",".join(headers)]
-    for row in rows:
-        lines.append(",".join(str(row.get(h, "")) for h in headers))
-    return "\n".join(lines)
+    # csv.writer quotes a field that holds a comma, such as [[3,1,2]]_3
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows([row.get(h, "") for h in headers] for row in rows)
+    return buf.getvalue().removesuffix("\n")
 
 
 # -- argument parsing ------------------------------------------------------------

@@ -9,11 +9,41 @@ makes the closed-form dimension a pure monomial count.
 Points are enumerated as an m-digit base-q counter over the canonical
 element order, least-significant coordinate first, so generator matrices
 are reproducible across runs.
+
+The generator is written in RREF directly, with no elimination.  Name a
+point by its coordinate indices a = (a_1, ..., a_m), element j being the
+node j, and let A be the lower set {a : sum(a) <= nu}, of size k.
+
+* Pivots.  For a point a outside A, the tensor divided difference over the
+  box {b <= a} annihilates every monomial of degree <= nu (it needs
+  exponents e >= a componentwise), gives a a nonzero weight, and uses only
+  points before a in the counter order.  So column a depends on earlier
+  columns and is never a pivot; as |A| = k, the pivots are exactly A.
+* Rows.  The row of pivot s is the code word that is 1 at s and 0 on the
+  rest of A: the Lagrange function of s on the lower set (Dyn and Floater,
+  "Multivariate polynomial interpolation on lower sets", J. Approx. Theory
+  177, 2014),
+
+      l_s(x) = sum over a in A with a >= s of prod_i G[s_i, a_i, x_i],
+
+  where G[l, j] = H[l, j] - H[l, j-1] and H[l, j] is the univariate
+  Lagrange basis polynomial of node l on the nodes 0..j (zero for l > j).
+  Each product has degree sum(a) <= nu, so l_s lies in the code.
+* Recursion.  Splitting off the last coordinate (the most significant
+  digit of the point index) gives
+
+      rows(m, nu)[(s_m, s'), (x_m, x')]
+          = sum_{a = s_m}^{min(nu, q-1)} G[s_m, a, x_m] rows(m-1, nu-a)[s', x'],
+
+  and for one coordinate the sum telescopes to rows(1, b) = H[0..b, b].
+  Each level is one loop over a, whose terms are row gathers from the
+  table of multiples of rows(m-1, nu-a).  Only the table H is kept per
+  field; G is taken from it where m >= 2.
 """
 
 from __future__ import annotations
 
-import itertools
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -66,18 +96,6 @@ def dual_order(q: int, m: int, nu: int) -> int:
     return m * (q - 1) - 1 - nu
 
 
-def monomial_exponents(q: int, m: int, nu: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent tuples with entries <= q-1 and total degree <= nu, graded-lex."""
-    _check_order(q, m, nu)
-    exps = [
-        t
-        for t in itertools.product(range(min(nu, q - 1) + 1), repeat=m)
-        if sum(t) <= nu
-    ]
-    exps.sort(key=lambda t: (sum(t), t))
-    return tuple(exps)
-
-
 def point_matrix(field: FieldSpec, m: int) -> np.ndarray:
     """Coordinates of all q^m points, shape (m, q^m); coordinate 0 varies fastest."""
     q = field.q
@@ -100,7 +118,7 @@ class GrmCode:
         self.nu_perp = m * (q - 1) - 1 - nu
         if code.k != self.k_formula:
             raise ParameterMismatch(
-                f"evaluation rank {code.k} disagrees with dimension formula {self.k_formula}"
+                f"generator rank {code.k} disagrees with dimension formula {self.k_formula}"
             )
         if code.n != q**m:
             raise ParameterMismatch("length must be q^m")
@@ -117,23 +135,106 @@ class GrmCode:
         return f"GrmCode(q={self.q}, m={self.m}, nu={self.nu}; [{self.n},{self.k}])"
 
 
-def build_grm(q: int, m: int, nu: int) -> GrmCode:
-    """Evaluate the monomials at every point and canonicalize.
+@lru_cache(maxsize=None)
+def lagrange_table(q: int) -> np.ndarray:
+    """Univariate Lagrange table H over GF(q), shape (q, q, q), read-only.
 
-    One gather per variable: row r is multiplied by x_i^{e_ri} at every
-    point, with POW[0, 0] = 1 giving 0^0 = 1.
+    H[l, j, x] is the basis polynomial of node l on the nodes 0..j at x,
+    zero for l > j.  Built on first use and cached apart from the field,
+    so building a field does not pay for it.
+    """
+    f = get_field(q)
+    x = np.arange(q, dtype=np.uint8)
+    H = np.zeros((q, q, q), dtype=np.uint8)
+    vanish = np.ones(q, dtype=np.uint8)  # prod_{i<j} (x - i)
+    for j in range(q):
+        x_minus_j = f.sub_arrays(x, x[j])
+        # adding node j multiplies the basis of each old node l by (x - j) / (l - j)
+        scale = f.INV[f.sub_arrays(x[:j], x[j])]
+        H[:j, j] = f.MUL[H[:j, j - 1], f.MUL[scale[:, None], x_minus_j]]
+        H[j, j] = f.MUL[vanish, f.INV[vanish[j]]]
+        vanish = f.MUL[vanish, x_minus_j]
+    H.setflags(write=False)
+    return H
+
+
+def _lagrange_rows(field: FieldSpec, m: int, nu: int, digit_sum: np.ndarray) -> np.ndarray:
+    """Rows l_s for s in A(m, nu), in counter order, by the last-coordinate recursion.
+
+    ``digit_sum[t]`` is the coordinate-index sum of point t.  Level i
+    needs rows(i, b) for the budgets b its parent asks for; a budget past
+    i(q-1) is clamped, because the lower set is then the whole box.
+    """
+    q = field.q
+    top = q - 1
+    need = {m: {nu}}
+    for i in range(m, 1, -1):
+        need[i - 1] = {min(b - a, (i - 1) * top) for b in need[i] for a in range(min(b, top) + 1)}
+    H = lagrange_table(q)
+    rows = {b: H[: b + 1, b] for b in need[1]}
+    if m == 1:
+        return rows[nu]
+    # G[l, j] = H[l, j] - H[l, j-1]; q <= 16 once m >= 2, so it is small
+    G = H.copy()
+    G[:, 1:] = field.sub_arrays(H[:, 1:], H[:, :-1])
+    for i in range(2, m + 1):
+        w = q ** (i - 1)
+        prev_pts = {c: np.flatnonzero(digit_sum[:w] <= c) for c in rows}
+        level = {}
+        for b in need[i]:
+            pts = np.flatnonzero(digit_sum[: q * w] <= b)
+            pos = np.zeros(q * w, dtype=np.intp)
+            pos[pts] = np.arange(pts.size)
+            out = np.zeros((pts.size, q, w), dtype=np.uint8)
+            for a in range(min(b, top) + 1):
+                c = min(b - a, (i - 1) * top)
+                # the rows (s_i, s') with s_i <= a and s' in A(i-1, c)
+                idx = pos[np.arange(a + 1)[:, None] * w + prev_pts[c]]
+                # G[s_i, a, x_i] times rows(i-1, c)[s', x'], gathered from
+                # the (q, rows, w) table of rows(i-1, c)'s multiples
+                term = field.MUL.take(rows[c], axis=1)[G[: a + 1, a]].transpose(0, 2, 1, 3)
+                out[idx] = field.add_arrays(out[idx], term)
+            level[b] = out.reshape(pts.size, q * w)
+        rows = level
+    return rows[nu]
+
+
+def build_grm(q: int, m: int, nu: int) -> GrmCode:
+    """R_q(nu, m) with its RREF generator written directly, no elimination.
+
+    The pivots are the points of the lower set A = {a : sum(a) <= nu} and
+    the row of pivot s is its Lagrange function on A (see the module
+    docstring for why and for the recursion that builds the rows).  The
+    rows are checked to be the identity on the pivot columns and zero left
+    of each pivot, and to sum to the constant 1 (the Lagrange functions
+    interpolate it), before they are taken as canonical; ``GrmCode`` then
+    checks k against the dimension formula.
     """
     field = get_field(q)
     _check_order(q, m, nu)
     n = q**m
     if n > MAX_LENGTH:
         raise LengthCapExceeded(f"q^m = {n} exceeds the configured maximum {MAX_LENGTH}")
-    exps = np.array(monomial_exponents(q, m, nu), dtype=np.intp)  # (monomials, m)
-    pts = point_matrix(field, m)
-    rows = np.ones((len(exps), n), dtype=np.uint8)
-    for i in range(m):
-        rows = field.MUL[rows, field.POW[pts[i][None, :], exps[:, i][:, None]]]
-    return GrmCode(q, m, nu, LinearCode(field, rows, n))
+    digit_sum = point_matrix(field, m).sum(axis=0, dtype=np.intp)
+    pivots = np.flatnonzero(digit_sum <= nu)
+    rows = _lagrange_rows(field, m, nu, digit_sum)
+    # the constant 1 is in the code and interpolates to itself, so the
+    # rows sum to 1 at every point, non-pivot columns included
+    total = rows
+    while total.shape[0] > 1:
+        half = total.shape[0] // 2
+        total = np.vstack([field.add_arrays(total[:half], total[half : 2 * half]), total[2 * half :]])
+    # with a 1 at every pivot, "zero left of it" is "first nonzero entry"
+    if not (
+        np.array_equal(rows[:, pivots], np.eye(pivots.size, dtype=np.uint8))
+        and np.array_equal((rows != 0).argmax(axis=1), pivots)
+        and np.all(total == 1)
+    ):
+        raise ParameterMismatch(
+            f"Lagrange rows of R_{q}({nu}, {m}) are not in RREF on the lower set"
+            " or do not sum to 1"
+        )
+    return GrmCode(q, m, nu, LinearCode(field, rows, n, _canonical=True))
 
 
 def grm_dual_code(g: GrmCode) -> LinearCode:

@@ -1,5 +1,6 @@
 """CLI behaviour: commands, exit codes, output determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -237,6 +238,21 @@ def test_sweep_csv_output(capsys):
     assert any("[[6,2,3]]_3" in l for l in lines)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("sweep", "mds", "-q", "3,4"), ("sweep", "grm", "-q", "2,3", "-m", "1,2"), ("sweep", "css", "-q", "2", "-m", "1,2")],
+)
+def test_sweep_csv_rows_parse_to_the_header_width(capsys, argv):
+    # the params field holds commas; unquoted it would split into columns
+    code, out, _ = run(capsys, *argv, "--csv")
+    assert code == EXIT_OK
+    header, *rows = list(csv.reader(out.splitlines()))
+    assert rows and "params" in header
+    assert all(len(row) == len(header) for row in rows)
+    params = [row[header.index("params")] for row in rows]
+    assert all(p.startswith("[") and p.count(",") == 2 for p in params)
+
+
 def test_sweep_empty_grid(capsys):
     code, out, _ = run(capsys, "sweep", "grm", "-q", "", "-m", "")
     assert code == EXIT_OK
@@ -359,6 +375,10 @@ GOLDEN_COMMANDS = {
     "grm_q3_m2_order1_dual_dump": "grm -q 3 -m 2 --order 1 --dual-check --dump-matrix",
     # a distance bound
     "grm_q5_m2_order4_cap50000": "grm -q 5 -m 2 --order 4 --cap 50000",
+    # RREF generators written by the Lagrange construction, over GF(16)
+    # and in three variables
+    "grm_q16_m2_order2_dump": "grm -q 16 -m 2 --order 2 --dump-matrix",
+    "grm_q4_m3_order2_dump": "grm -q 4 -m 3 --order 2 --dump-matrix",
     "quantum_css_q2_m2_nu1_0_nu2_1_dump": "quantum css -q 2 -m 2 --nu1 0 --nu2 1 --dump-stabilizer",
     "quantum_hermitian_q3_m1_nu1_dump": "quantum hermitian -q 3 -m 1 --nu 1 --dump-stabilizer",
     "puncture_css_q3_m2_nu1_1_nu2_2_w6": "puncture css -q 3 -m 2 --nu1 1 --nu2 2 --target-weight 6",

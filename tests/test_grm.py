@@ -1,12 +1,17 @@
 """GRM construction tests: formula fidelity, duality, nesting."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from grmcodes import grm
 from grmcodes.errors import LengthCapExceeded, NotNested, OrderOutOfRange, UnsupportedField
+from grmcodes.gf import SUPPORTED_SIZES
 from grmcodes.grm import (
     GrmCode,
     build_grm,
@@ -14,9 +19,44 @@ from grmcodes.grm import (
     grm_dimension,
     grm_distance,
     grm_dual_code,
-    monomial_exponents,
     nesting_weight_check,
 )
+
+
+def monomial_exponents(q, m, nu):
+    """Exponent tuples with entries <= q-1 and total degree <= nu, graded-lex."""
+    exps = [
+        t
+        for t in itertools.product(range(min(nu, q - 1) + 1), repeat=m)
+        if sum(t) <= nu
+    ]
+    exps.sort(key=lambda t: (sum(t), t))
+    return tuple(exps)
+
+
+def reference_build_grm(q, m, nu):
+    """R_q(nu, m) by evaluating every monomial at every point, then ``rref``.
+
+    One gather per variable: row r is multiplied by x_i^{e_ri} at every
+    point, with POW[0, 0] = 1 giving 0^0 = 1.
+    """
+    field = grm.get_field(q)
+    exps = np.array(monomial_exponents(q, m, nu), dtype=np.intp)  # (monomials, m)
+    pts = grm.point_matrix(field, m)
+    rows = np.ones((len(exps), q**m), dtype=np.uint8)
+    for i in range(m):
+        rows = field.MUL[rows, field.POW[pts[i][None, :], exps[:, i][:, None]]]
+    return grm.LinearCode(field, rows, q**m)
+
+
+# every (q, m, nu) with q^m <= 256: 421 codes
+ALL_SMALL_ORDERS = [
+    (q, m, nu)
+    for q in SUPPORTED_SIZES
+    for m in range(1, 9)
+    if q**m <= grm.MAX_LENGTH
+    for nu in range(m * (q - 1) + 1)
+]
 
 
 def oracle_dimension(q, m, nu):
@@ -102,6 +142,68 @@ def test_build_grm_matches_scalar_evaluation(q, m):
             rows.append(row)
         c = build_grm(q, m, nu)
         assert c.code == grm.LinearCode(f, np.array(rows, dtype=np.uint8), q**m)
+
+
+def test_lagrange_rows_equal_evaluate_then_rref_on_every_small_code():
+    assert len(ALL_SMALL_ORDERS) == 421
+    for q, m, nu in ALL_SMALL_ORDERS:
+        c = build_grm(q, m, nu).code
+        ref = reference_build_grm(q, m, nu)
+        assert np.array_equal(c.gen, ref.gen), (q, m, nu)
+        assert c.pivots == ref.pivots, (q, m, nu)
+        # the pivots are the points of the lower set {a : sum(a) <= nu}
+        lower = grm.point_matrix(c.field, m).sum(axis=0) <= nu
+        assert c.pivots == tuple(np.flatnonzero(lower)), (q, m, nu)
+
+
+def test_lagrange_table_holds_univariate_lagrange_bases():
+    for q in (2, 3, 4, 7, 9, 16):
+        H = grm.lagrange_table(q)
+        assert H.shape == (q, q, q) and not H.flags.writeable
+        for j in range(q):
+            # 1 at its own node, 0 at the other nodes 0..j; zero past j
+            assert np.array_equal(H[: j + 1, j, : j + 1], np.eye(j + 1, dtype=np.uint8))
+            assert not H[j + 1 :, j].any()
+        # on all q nodes the basis is the indicator of each element
+        assert np.array_equal(H[:, q - 1], np.eye(q, dtype=np.uint8))
+
+
+# A wrong Lagrange table entry H[l, j, x] planted in the subprocess:
+# one is added to it.  Over GF(3), H[0, 1, 0] (node 0's basis on the
+# nodes {0, 1}, at 0) turns the first pivot of R_3(1, 2) into 0; over
+# GF(7), H[0, 1, 5] only reaches column 5 of R_7(1, 1), not a pivot, so
+# only the sum of the rows shows it.
+PLANTED_TABLE = """
+import sys
+import grmcodes.grm as grm
+from grmcodes.errors import ParameterMismatch
+q, l, j, x, m, nu = map(int, sys.argv[1:])
+H = grm.lagrange_table(q).copy()
+H[l, j, x] = (int(H[l, j, x]) + 1) % q
+grm.lagrange_table = lambda q: H
+try:
+    g = grm.build_grm(q, m, nu)
+except ParameterMismatch as exc:
+    print("ParameterMismatch:", exc)
+else:
+    print("built", g)
+"""
+
+
+@pytest.mark.parametrize("plant", ["3 0 1 0 2 1", "7 0 1 5 1 1"])
+def test_planted_table_entry_raises_parameter_mismatch_without_asserts(plant):
+    # python -O strips assert statements; the row check must still raise
+    q, _, _, _, m, nu = plant.split()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", PLANTED_TABLE, *plant.split()],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"ParameterMismatch: Lagrange rows of R_{q}({nu}, {m}) are not in RREF")
 
 
 def test_build_grm_guards():
