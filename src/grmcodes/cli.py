@@ -339,7 +339,8 @@ def run_puncture(args) -> RunReport:
         return rep
     else:
         g = build_grm(args.q * args.q, args.m, args.nu)
-        prec = puncture_code_hermitian(g)
+        # only the witness search reads the family's restriction subcodes
+        prec = puncture_code_hermitian(g.code if args.list_weights else g)
         materialize = partial(puncture_hermitian, g, cap=args.cap, pcode_record=prec)
     if args.list_weights:
         dist = prec.pcode.weight_distribution(args.cap)

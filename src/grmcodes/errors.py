@@ -25,10 +25,6 @@ class NoEmbeddingDefined(GrmError, ValueError):
     """No designated quadratic extension/subfield for this field."""
 
 
-class ZeroInput(GrmError, ValueError):
-    """Operation requires a nonzero input."""
-
-
 class DimensionMismatch(GrmError, ValueError):
     """Vector or code lengths do not agree."""
 

@@ -41,7 +41,6 @@ from .errors import (
     DivisionByZero,
     NoEmbeddingDefined,
     UnsupportedField,
-    ZeroInput,
 )
 
 # q -> (p, e, modulus coefficients constant-first, generator index)
@@ -342,12 +341,6 @@ class QuadraticExtension:
 
         for t in (emb, frob, trace, norm, dec_a, dec_b, first_pre):
             t.setflags(write=False)
-
-    def solve_norm(self, x: int) -> int:
-        """Smallest y in GF(q^2) with y^(q+1) equal to the base element x."""
-        if x == 0:
-            raise ZeroInput("norm equation y^(q+1) = 0 has only y = 0")
-        return int(self.norm_first_preimage[x])
 
 
 @lru_cache(maxsize=None)

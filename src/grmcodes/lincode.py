@@ -344,15 +344,6 @@ class WeightDistribution:
     def __post_init__(self):
         assert self.counts[0] == 1, "exact distribution must count the zero word once"
 
-    def min_positive_weight(self) -> int | None:
-        for i, c in enumerate(self.counts):
-            if i >= 1 and c > 0:
-                return i
-        return None
-
-    def total(self) -> int:
-        return sum(self.counts)
-
 
 # -- span enumeration engine -------------------------------------------------
 

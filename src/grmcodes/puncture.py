@@ -5,16 +5,18 @@ componentwise products of C1 with C2-perp; for a Hermitian code C over
 GF(q^2) it is the dual over GF(q) of the trace code of the span of all
 products a * b^q.  The nonzero weights r occurring in the puncture code
 are exactly the lengths the quantum code can be shortened to: a weight-r
-vector yields a scaled, support-restricted classical pair (or code) that
-is again self-orthogonal, hence a quantum code of length r.
+vector x yields a scaled, support-restricted classical pair (or code) that
+is again self-orthogonal, hence a quantum code of length r.  A witness is
+just x: its support is the nonzeros of x, and the Hermitian scaling y,
+with y_i^(q+1) = x_i, is read off the tower's norm table.
 
 The Reed-Muller chain used for the MDS family walks
 
     P_h(R_{q^2}(nu,1))  >=  R_{q^2}(q^2-(nu+1)q, 1)|_{GF(q)}  >=  R_q(q-nu-1, 2)
 
-where the last containment identifies GF(q)^2 with GF(q^2) through the
-basis (1, gamma); the scan for a minimum-weight vector runs in the small
-multivariate code and the result is carried back up the chain.
+where the last containment (step 1) identifies GF(q)^2 with GF(q^2)
+through the basis (1, gamma); the scan for a minimum-weight vector runs in
+the small multivariate code and the result is carried back up the chain.
 
 ``puncture_css`` and ``puncture_hermitian`` take the puncture-code record
 as a required keyword, share one witness check and one record tail (the
@@ -32,6 +34,7 @@ import numpy as np
 
 from .errors import (
     CapExceeded,
+    NoEmbeddingDefined,
     NotNested,
     OrderOutOfRange,
     ParameterMismatch,
@@ -50,7 +53,6 @@ from .qcode import QuantumCodeRecord, css, hermitian, hermitian_grm_distance
 class PunctureCodeRecord:
     """A computed puncture code plus any subcodes known by construction."""
 
-    kind: str  # "euclidean" | "hermitian"
     pcode: LinearCode
     provenance: dict = dc_field(default_factory=dict)
     known_subcodes: list = dc_field(default_factory=list)  # (label, LinearCode)
@@ -58,20 +60,22 @@ class PunctureCodeRecord:
 
 @dataclass
 class PunctureWitness:
-    """A vector of the requested weight, with Hermitian coordinate scaling.
+    """A vector x of the puncture code and where it was found.
 
-    ``scaling`` solves y_i^(q+1) = x_i on the support (entries off the
-    support are zero) and is None for Euclidean witnesses.
+    The support and the weight are those of x; ``puncture_hermitian``
+    derives the scaling from x itself.
     """
 
     x: np.ndarray
-    support: tuple[int, ...]
-    scaling: Optional[np.ndarray]
     source: str
 
     @property
+    def support(self) -> tuple[int, ...]:
+        return tuple(int(i) for i in np.flatnonzero(self.x))
+
+    @property
     def weight(self) -> int:
-        return len(self.support)
+        return int(np.count_nonzero(self.x))
 
 
 def _as_code(c: Union[LinearCode, GrmCode]) -> LinearCode:
@@ -114,7 +118,7 @@ def puncture_code_css(
                 raise ParameterMismatch(f"R_q({mu}, m) escapes the puncture code")
             known.append((f"grm(q={q},m={m},nu={mu})", sub))
         known.sort(key=lambda item: item[1].k)
-    return PunctureCodeRecord("euclidean", pcode, prov, known)
+    return PunctureCodeRecord(pcode, prov, known)
 
 
 def puncture_code_hermitian(C: Union[LinearCode, GrmCode]) -> PunctureCodeRecord:
@@ -142,29 +146,21 @@ def puncture_code_hermitian(C: Union[LinearCode, GrmCode]) -> PunctureCodeRecord
                 raise ParameterMismatch(f"restriction at mu={mu} escapes the puncture code")
             known.append((f"restriction(dual(grm(q={q2},m={m},nu={mu})))", sub))
         known.sort(key=lambda item: item[1].k)
-    return PunctureCodeRecord("hermitian", pcode, prov, known)
-
-
-def _attach_scaling(rec: PunctureCodeRecord, x: np.ndarray, support, source: str) -> PunctureWitness:
-    scaling = None
-    if rec.kind == "hermitian":
-        pair = quadratic_extension(rec.pcode.field.q)
-        scaling = np.zeros(len(x), dtype=np.uint8)
-        for i in support:
-            scaling[i] = pair.solve_norm(int(x[i]))
-    return PunctureWitness(x=x, support=tuple(int(i) for i in support), scaling=scaling, source=source)
+    return PunctureCodeRecord(pcode, prov, known)
 
 
 def find_weight_witness(rec: PunctureCodeRecord, r: int, cap: int = DEFAULT_CAP) -> PunctureWitness:
     """Canonically-first vector of weight exactly r in the puncture code.
 
+    The witness is that vector with the label of the code it was found in
+    (``"pcode"``, a known subcode's label, or ``"zero"`` for r = 0).
     Scans the full puncture code when its span fits the cap (absence is
     then proven); otherwise scans the known subcodes smallest-first, in
     which case a miss is inconclusive and reported as such.
     """
     pcode = rec.pcode
     if r == 0:
-        return _attach_scaling(rec, np.zeros(pcode.n, dtype=np.uint8), (), "zero")
+        return PunctureWitness(np.zeros(pcode.n, dtype=np.uint8), "zero")
     q = pcode.field.q
     if q**pcode.k <= cap:
         x = find_first_of_weight(pcode.field, pcode.gen, r)
@@ -172,7 +168,7 @@ def find_weight_witness(rec: PunctureCodeRecord, r: int, cap: int = DEFAULT_CAP)
             raise WitnessNotFound(
                 f"weight {r} proven absent from the puncture code", proven_absent=True
             )
-        return _attach_scaling(rec, x, np.flatnonzero(x), "pcode")
+        return PunctureWitness(x, "pcode")
     scanned_any = False
     for label, sub in rec.known_subcodes:
         if q**sub.k > cap:
@@ -180,24 +176,21 @@ def find_weight_witness(rec: PunctureCodeRecord, r: int, cap: int = DEFAULT_CAP)
         scanned_any = True
         x = find_first_of_weight(sub.field, sub.gen, r)
         if x is not None:
-            return _attach_scaling(rec, x, np.flatnonzero(x), label)
+            return PunctureWitness(x, label)
     detail = "no known subcode fits the cap" if not scanned_any else "not found in scanned subcodes"
     raise WitnessNotFound(f"weight {r}: {detail}", proven_absent=False)
 
 
-def _witness_support(rec: PunctureCodeRecord, n: int, w: PunctureWitness) -> tuple[np.ndarray, list]:
-    """(x, support) of a witness after the checks both constructions share.
+def _witness_support(rec: PunctureCodeRecord, n: int, w: PunctureWitness) -> tuple[np.ndarray, np.ndarray]:
+    """(x, nonzeros of x) after the checks both constructions share.
 
-    x has length n and lies in the puncture code, the support tuple lists
-    exactly the nonzero coordinates of x, and it is not empty.
+    x has length n, lies in the puncture code, and is not zero.
     """
     x = np.asarray(w.x, dtype=np.uint8)
     if len(x) != n or not rec.pcode.contains(x):
         raise WitnessInvalid("witness vector is not in the puncture code")
-    support = list(w.support)
-    if sorted(support) != list(np.flatnonzero(x)):
-        raise WitnessInvalid("witness support does not match its vector")
-    if not support:
+    support = np.flatnonzero(x)
+    if not len(support):
         raise WitnessInvalid("cannot puncture to length 0")
     return x, support
 
@@ -253,10 +246,11 @@ def puncture_hermitian(
     *,
     pcode_record: PunctureCodeRecord,
 ) -> QuantumCodeRecord:
-    """Materialize the punctured Hermitian code for a scaled weight-r witness.
+    """Materialize the punctured Hermitian code for a weight-r witness.
 
-    ``pcode_record`` is the Hermitian puncture code of C; the witness must
-    lie in it, and its scaling must solve y_i^(q+1) = x_i on the support.
+    ``pcode_record`` is the Hermitian puncture code of C; the witness x
+    must lie in it.  On the support S the scaling y_i is the smallest
+    solution of y_i^(q+1) = x_i (the tower's ``norm_first_preimage``).
     The code {(y_i a_i)_S : a in C} then inherits Hermitian
     self-orthogonality from x being in the puncture code (nondegeneracy of
     the trace form upgrades trace-zero to zero); ``hermitian`` verifies it.
@@ -265,12 +259,8 @@ def puncture_hermitian(
     code = _as_code(C)
     pair = extension_pair_for(code.field)
     x, support = _witness_support(pcode_record, code.n, w)
-    if w.scaling is None:
-        raise WitnessInvalid("Hermitian puncturing needs the norm-solving scaling")
-    y = np.asarray(w.scaling, dtype=np.uint8)
-    for i in support:
-        if code.field.pow(int(y[i]), pair.sub.q + 1) != int(pair.emb[x[i]]):
-            raise WitnessInvalid(f"scaling at coordinate {i} does not solve the norm equation")
+    y = np.zeros(code.n, dtype=np.uint8)
+    y[support] = pair.norm_first_preimage[x[support]]
     d_lower_bound = hermitian_grm_distance(pair.sub.q, C.nu) if isinstance(C, GrmCode) else None
     out = hermitian(code.scaled_by(y).punctured_to(support), cap, d_lower_bound=d_lower_bound)
     return _punctured_record(out, "PuncturedHermitian", code.n, w, len(support) - 2 * code.k, d_lower_bound)
@@ -295,25 +285,24 @@ def extension_point_map(q: int) -> np.ndarray:
     return perm.astype(np.int64)
 
 
-def extended_rs_code(q: int, mu: int, point_elements: np.ndarray) -> LinearCode:
-    """Evaluations of 1, z, ..., z^mu at the given extension elements.
+def _chain_step1(code: LinearCode, mu: int) -> tuple[LinearCode, LinearCode]:
+    """A code on GF(q)^2 moved onto GF(q^2), and R_{q^2}(mu, 1)|_GF(q).
 
-    With all q^2 elements as points this is R_{q^2}(mu, 1) up to the
-    coordinate order fixed by ``point_elements``.
+    Coordinate t of ``code`` goes to ``extension_point_map(q)[t]``, so both
+    codes evaluate at the elements of GF(q^2) in their canonical order.
     """
-    ext = quadratic_extension(q).ext
-    if not 0 <= mu <= ext.q - 2:
-        raise OrderOutOfRange(f"univariate order {mu} outside [0, {ext.q - 2}]")
-    pts = np.asarray(point_elements, dtype=np.uint8)
-    rows = [ext.POW[pts, j] for j in range(mu + 1)]
-    return LinearCode(ext, np.vstack(rows), len(pts))
+    q = code.field.q
+    mapped = np.zeros_like(code.gen)
+    mapped[:, extension_point_map(q)] = code.gen
+    return LinearCode(code.field, mapped, q * q), build_grm(q * q, 1, mu).code.restriction()
 
 
 def extended_rs_embedding_check(q: int, m: int, nu: int) -> bool:
     """Does R_q(nu, m) embed in the matching extended-RS subfield restriction?
 
-    The univariate side has order q^m - d(nu) and is evaluated at the
-    points induced by the basis bijection, so both sides share coordinates.
+    The univariate side is R_{q^m}(q^m - d(nu), 1)|_GF(q).  For m = 2 the
+    bivariate code is moved onto GF(q^2) by the basis bijection, as chain
+    step 1 of ``mds_chain`` does; every order 0 <= nu <= 2(q-1) is valid.
     Only m in {1, 2} has a configured bijection.
     """
     if m == 1:
@@ -323,16 +312,11 @@ def extended_rs_embedding_check(q: int, m: int, nu: int) -> bool:
     if m != 2:
         raise PointOrderMismatch(f"no point bijection configured for m={m}")
     try:
-        pair = quadratic_extension(q)
-    except Exception as exc:
+        quadratic_extension(q)
+    except NoEmbeddingDefined as exc:
         raise PointOrderMismatch(f"no designated extension for q={q}") from exc
-    grm_side = build_grm(q, 2, nu).code
-    mu = q * q - grm_distance(q, 2, nu)
-    perm = extension_point_map(q)
-    uni = extended_rs_code(q, mu, perm.astype(np.uint8))
-    restricted = uni.restriction()
-    assert restricted.field is pair.sub
-    return grm_side.is_subcode_of(restricted)
+    mapped, restricted = _chain_step1(build_grm(q, 2, nu).code, q * q - grm_distance(q, 2, nu))
+    return mapped.is_subcode_of(restricted)
 
 
 # -- the quantum MDS chain -----------------------------------------------------
@@ -358,7 +342,6 @@ def mds_chain(q: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
     g = build_grm(q2, 1, nu)
     prec = puncture_code_hermitian(g.code)
     r = (nu + 1) * q
-    perm = extension_point_map(q)
 
     scan_order = q - nu - 1
     scan_dim = grm_dimension(q, 2, scan_order)
@@ -378,19 +361,15 @@ def mds_chain(q: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
             f"no weight-{r} vector in {scan_label}; this contradicts the chain"
         )
     X = np.zeros(q * q, dtype=np.uint8)
-    X[perm] = x
+    X[extension_point_map(q)] = x
 
-    mapped = np.zeros_like(scan_code.gen)
-    mapped[:, perm] = scan_code.gen
-    mapped_code = LinearCode(pair.sub, mapped, q * q)
-    restricted = build_grm(q2, 1, q2 - (nu + 1) * q).code.restriction()
-    if not mapped_code.is_subcode_of(restricted):
+    mapped, restricted = _chain_step1(scan_code, q2 - (nu + 1) * q)
+    if not mapped.is_subcode_of(restricted):
         raise ParameterMismatch("chain step 1 containment failed")
     if not restricted.is_subcode_of(prec.pcode):
         raise ParameterMismatch("chain step 2 containment failed")
 
-    witness = _attach_scaling(prec, X, np.flatnonzero(X), scan_label)
-    out = puncture_hermitian(g, witness, cap, pcode_record=prec)
+    out = puncture_hermitian(g, PunctureWitness(X, scan_label), cap, pcode_record=prec)
     out.provenance.update({"chain": "mds", "q": q, "nu": nu, "target_weight": r})
     if not out.exact:
         # a bound cannot confirm the MDS claim; that is a capped run, not a mismatch

@@ -57,14 +57,6 @@ class StabilizerMatrix:
     matrix: np.ndarray
     _self_orthogonal: Optional[bool] = dc_field(default=None, init=False, repr=False, compare=False)
 
-    def x_part(self) -> np.ndarray:
-        assert self.kind == "css"
-        return self.matrix[:, : self.n]
-
-    def z_part(self) -> np.ndarray:
-        assert self.kind == "css"
-        return self.matrix[:, self.n :]
-
     def expanded(self) -> np.ndarray:
         """GF(q) symplectic form of the generators, shape (rows, 2n)."""
         if self.kind == "css":

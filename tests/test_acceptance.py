@@ -139,7 +139,7 @@ def test_criterion_6_puncture_code_machinery():
                 failures.append(f"P(C) identity failed at ({nu1},{nu2})")
                 continue
             dist = prec.pcode.weight_distribution(CAP)
-            r = dist.min_positive_weight()
+            r = next(i for i, c in enumerate(dist.counts) if i and c)
             w = find_weight_witness(prec, r, CAP)
             rec = puncture_css(g1, g2, w, CAP, pcode_record=prec)
             if rec.k < rec.provenance["k_lower_bound"]:

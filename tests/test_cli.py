@@ -11,6 +11,7 @@ import pytest
 
 import grmcodes.cli as cli
 import grmcodes.grm as grm
+import grmcodes.puncture as puncture
 import grmcodes.qcode as qcode
 from grmcodes.cli import (
     EXIT_ABSENT,
@@ -79,6 +80,17 @@ def test_list_weights_over_cap_exits_capped(capsys, strict):
     )
     assert code == EXIT_CAPPED
     assert out == "" and "exact distribution" in err
+
+
+def test_hermitian_list_weights_builds_no_subcodes(capsys, monkeypatch):
+    # only the witness search reads the restriction subcodes, so listing
+    # the weights builds none of them
+    built = []
+    real = puncture.build_grm
+    monkeypatch.setattr(puncture, "build_grm", lambda q, m, nu: built.append((q, m, nu)) or real(q, m, nu))
+    code, _, _ = run(capsys, "puncture", "hermitian", "-q", "3", "-m", "2", "--nu", "1", "--list-weights")
+    assert code == EXIT_CAPPED
+    assert built == []
 
 
 def test_puncture_full_weight_witness(capsys):
@@ -383,6 +395,7 @@ GOLDEN_COMMANDS = {
     "quantum_hermitian_q3_m1_nu1_dump": "quantum hermitian -q 3 -m 1 --nu 1 --dump-stabilizer",
     "puncture_css_q3_m2_nu1_1_nu2_2_w6": "puncture css -q 3 -m 2 --nu1 1 --nu2 2 --target-weight 6",
     "puncture_css_q3_m2_nu1_1_nu2_2_weights": "puncture css -q 3 -m 2 --nu1 1 --nu2 2 --list-weights",
+    "puncture_hermitian_q3_nu1_weights": "puncture hermitian -q 3 --nu 1 --list-weights",
     "puncture_hermitian_q5_nu2_mds_chain": "puncture hermitian -q 5 --nu 2 --mds-chain",
     "puncture_hermitian_q5_nu2_w15": "puncture hermitian -q 5 --nu 2 --target-weight 15",
     # five capped rows

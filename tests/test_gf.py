@@ -8,7 +8,6 @@ from grmcodes.errors import (
     DivisionByZero,
     NoEmbeddingDefined,
     UnsupportedField,
-    ZeroInput,
 )
 
 SMALL_SIZES = [2, 3, 4, 5, 7, 8, 9, 16]
@@ -159,21 +158,16 @@ def test_norm_is_surjective_with_equal_fibers(base_q):
     assert all(count == base_q + 1 for count in fibers.values())
 
 
-def test_solve_norm():
-    # q=2, x=1: the solutions of y^3 = 1 in GF(4) are all three nonzero
-    # elements; the smallest index is 1
-    pair = gf.quadratic_extension(2)
-    assert pair.solve_norm(1) == 1
-    # q=3: each nonzero x has exactly 4 solutions; returned one is smallest
-    pair9 = gf.quadratic_extension(3)
-    for x in range(1, 3):
-        sols = [y for y in range(9) if pair9.norm[y] == x and y != 0]
-        assert len(sols) == 4
-        assert pair9.solve_norm(x) == min(sols)
-        y = pair9.solve_norm(x)
-        assert pair9.ext.pow(y, 4) == pair9.emb[x]
-    with pytest.raises(ZeroInput):
-        pair9.solve_norm(0)
+def test_norm_first_preimage():
+    # for every tower and nonzero base x, the entry is the smallest nonzero
+    # y with norm(y) = x, and it solves y^(q+1) = x in the extension
+    for base_q in (2, 3, 4, 5, 7, 8):
+        pair = gf.quadratic_extension(base_q)
+        for x in range(1, base_q):
+            sols = [y for y in range(1, pair.ext.q) if pair.norm[y] == x]
+            y = int(pair.norm_first_preimage[x])
+            assert y == min(sols)
+            assert pair.ext.pow(y, base_q + 1) == pair.emb[x]
 
 
 def test_decomposition_tables_are_bijective():

@@ -115,10 +115,8 @@ def test_hermitian_puncture_code_contains_weight_6_vector():
     dist = rec.pcode.weight_distribution()
     assert dist.counts[6] > 0
     w = find_weight_witness(rec, 6)
-    assert w.weight == 6 and w.scaling is not None
-    pair = gf.quadratic_extension(3)
-    for i in w.support:
-        assert pair.ext.pow(int(w.scaling[i]), 4) == int(pair.emb[w.x[i]])
+    assert w.weight == 6 and w.support == tuple(np.flatnonzero(w.x))
+    assert rec.pcode.contains(w.x)
 
 
 def test_hermitian_puncture_code_restriction_containments():
@@ -168,7 +166,7 @@ def test_puncture_css_every_grm_pair_q3_m2():
             g1, g2 = build_grm(3, 2, nu1), build_grm(3, 2, nu2)
             rec = puncture_code_css(g1, g2)
             dist = rec.pcode.weight_distribution()
-            r = dist.min_positive_weight()
+            r = next(i for i, c in enumerate(dist.counts) if i and c)
             w = find_weight_witness(rec, r)
             out = puncture_css(g1, g2, w, pcode_record=rec)
             assert out.n == r and out.exact
@@ -183,7 +181,7 @@ def test_puncture_css_rejects_foreign_witness():
     bad = np.zeros(9, dtype=np.uint8)
     bad[0] = 1  # weight-1 vectors are not in R_3(1,2)
     with pytest.raises(WitnessInvalid):
-        puncture_css(g1, g2, PunctureWitness(bad, (0,), None, "forged"), pcode_record=rec)
+        puncture_css(g1, g2, PunctureWitness(bad, "forged"), pcode_record=rec)
 
 
 def test_puncture_hermitian_full_weight_reproduces_parent():
@@ -206,21 +204,8 @@ def test_puncture_hermitian_lemma7_instance():
     assert out.k >= out.provenance["k_lower_bound"]
 
 
-def test_puncture_hermitian_requires_scaling():
-    g = build_grm(9, 1, 1)
-    rec = puncture_code_hermitian(g)
-    w = find_weight_witness(rec, 6)
-    stripped = PunctureWitness(w.x, w.support, None, "stripped")
-    with pytest.raises(WitnessInvalid):
-        puncture_hermitian(g, stripped, pcode_record=rec)
-    corrupted = PunctureWitness(w.x, w.support, w.scaling.copy(), "corrupt")
-    corrupted.scaling[w.support[0]] = 0
-    with pytest.raises(WitnessInvalid):
-        puncture_hermitian(g, corrupted, pcode_record=rec)
-
-
 @pytest.mark.parametrize("construction", ["css", "hermitian"])
-def test_punctures_reject_a_support_off_the_vector_and_a_zero_witness(construction):
+def test_punctures_reject_a_foreign_and_a_zero_witness(construction):
     if construction == "css":
         g1, g2 = build_grm(3, 2, 0), build_grm(3, 2, 3)
         rec = puncture_code_css(g1, g2)
@@ -229,11 +214,12 @@ def test_punctures_reject_a_support_off_the_vector_and_a_zero_witness(constructi
         g = build_grm(9, 1, 1)
         rec = puncture_code_hermitian(g)
         materialize = partial(puncture_hermitian, g, pcode_record=rec)
-    w = find_weight_witness(rec, 6)
-    off_support = tuple(i for i in range(len(w.x)) if i not in w.support)
-    for support in (off_support, w.support[1:]):
-        with pytest.raises(WitnessInvalid, match="support does not match"):
-            materialize(PunctureWitness(w.x, support, w.scaling, "forged"))
+    # the puncture codes here have minimum weight above 1
+    foreign = np.zeros(9, dtype=np.uint8)
+    foreign[0] = 1
+    for x in (foreign, foreign[1:]):
+        with pytest.raises(WitnessInvalid, match="not in the puncture code"):
+            materialize(PunctureWitness(x, "forged"))
     zero = find_weight_witness(rec, 0)
     with pytest.raises(WitnessInvalid, match="length 0"):
         materialize(zero)
@@ -307,8 +293,9 @@ def test_extension_point_map_is_additive_bijection_for_q4():
             assert perm[s ^ t] == f16.add(int(perm[s]), int(perm[t]))
 
 
-@pytest.mark.parametrize("q,m,nu", [(3, 2, 1), (2, 2, 1), (3, 2, 2), (4, 2, 2), (5, 2, 3)])
+@pytest.mark.parametrize("q,m,nu", [(q, 2, nu) for q in (2, 3, 4, 5, 7, 8) for nu in range(2 * q - 1)])
 def test_extended_rs_embedding(q, m, nu):
+    # every order of R_q(nu, 2), the top one nu = 2(q-1) included
     assert extended_rs_embedding_check(q, m, nu)
 
 

@@ -82,7 +82,7 @@ def test_css_grm_matches_formula_on_grid():
 def test_css_stabilizer_layout():
     rec = css_grm(3, 2, 1, 2)
     stab = rec.stabilizer
-    X, Z = stab.x_part(), stab.z_part()
+    X, Z = stab.matrix[:, : stab.n], stab.matrix[:, stab.n :]
     assert X.shape == (6, 9) and Z.shape == (6, 9)
     c1 = build_grm(3, 2, 1).code
     c2perp = build_grm(3, 2, 2).code.dual()
