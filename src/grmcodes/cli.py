@@ -327,8 +327,13 @@ def run_puncture(args) -> RunReport:
         if not 0 <= args.nu1 <= args.nu2 <= args.m * (args.q - 1) - 1:
             raise GrmError("orders must satisfy 0 <= nu1 <= nu2 <= m(q-1)-1")
         g1, g2 = build_grm(args.q, args.m, args.nu1), build_grm(args.q, args.m, args.nu2)
-        prec = puncture_code_css(g1, g2)
-        rep.check("puncture_code_is_grm_difference_order", prec.provenance.get("grm_identity", False))
+        if args.list_weights:  # the weights need the plain codes and R_q(nu2 - nu1, m) alone
+            prec = puncture_code_css(g1.code, g2.code)
+            identity = prec.pcode == build_grm(args.q, args.m, args.nu2 - args.nu1).code
+        else:
+            prec = puncture_code_css(g1, g2)
+            identity = prec.provenance.get("grm_identity", False)
+        rep.check("puncture_code_is_grm_difference_order", identity)
         materialize = partial(puncture_css, g1, g2, cap=args.cap, pcode_record=prec)
     elif args.mds_chain:
         if args.m != 1:

@@ -23,12 +23,13 @@ the embedding sends the base generator to the smallest-index root of the
 base modulus inside the extension, which fixes one of the e conjugate
 embeddings once and for all.
 
-Array operations on uint8 index arrays use one rule per characteristic:
-XOR for p = 2, ``(a + b) % p`` for prime q, and for q in {9, 25, 27, 49}
-one gather from the flattened ADD table at ``a * q + b`` in uint16.
-Subtraction adds the negation.  Elimination and matrix products share
-the row-multiple kernel :meth:`FieldSpec.add_multiples`, which builds the
-q multiples of a row once and then gathers whole rows.
+Array operations on uint8 index arrays use one rule per field: XOR for
+p = 2, min(s, s - p) of the uint8 sum s < 2p for prime q (s - p wraps
+past 255 exactly when s < p; subtraction adds p - b), and for q in
+{9, 25, 27, 49} one ``take`` from the flattened ADD table at ``a * q + b``
+in uint16.  A matrix product over an odd prime field is one exact float64
+product mod p; elsewhere it and elimination use the row-multiple kernel
+:meth:`FieldSpec.add_multiples`, which gathers whole rows of multiples.
 """
 
 from __future__ import annotations
@@ -166,11 +167,8 @@ class FieldSpec:
         pow_table[0, 1:] = 0
         self.POW = pow_table
 
-        self.ADD.setflags(write=False)
-        self.MUL.setflags(write=False)
-        self.NEG.setflags(write=False)
-        self.INV.setflags(write=False)
-        self.POW.setflags(write=False)
+        for t in (self.ADD, self.MUL, self.NEG, self.INV, self.POW):
+            t.setflags(write=False)
 
     # -- scalar operations ------------------------------------------------
 
@@ -212,16 +210,18 @@ class FieldSpec:
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.e == 1:
-            # indices < p <= 7, so uint8 addition cannot wrap
-            return (a + b) % self.p
+            # s < 2p, and s - p wraps past 255 exactly when s < p
+            s = np.asarray(a + b, dtype=np.uint8)
+            return np.minimum(s, s - self.p, out=s)
         # a * q + b < 49^2 overflows uint8 but not uint16
-        return self._add_flat[np.asarray(a, dtype=np.uint16) * self.q + b]
+        return self._add_flat.take(np.asarray(a, dtype=np.uint16) * self.q + b)
 
     def sub_arrays(self, a, b):
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.e == 1:
-            return (a + (self.p - b)) % self.p
+            s = np.asarray(a + (self.p - b), dtype=np.uint8)
+            return np.minimum(s, s - self.p, out=s)
         return self.add_arrays(a, self.NEG[b])
 
     def add_multiples(self, Y, coeffs, row):
@@ -238,9 +238,12 @@ class FieldSpec:
         return self.add_multiples(Y, self.NEG[coeffs], row)
 
     def matmul(self, a, b):
-        """Matrix product over the field; a is (m,r), b is (r,n)."""
+        """Matrix product over the field; a is (m,r), b is (r,n).  Over GF(p),
+        p odd, one float64 product, exact as every sum is <= r(p-1)^2 < 2^53."""
         a = np.asarray(a, dtype=np.uint8)
         b = np.asarray(b, dtype=np.uint8)
+        if self.p != 2 and self.e == 1:
+            return (np.matmul(a, b, dtype=np.float64) % self.p).astype(np.uint8)
         out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
         for k in range(a.shape[1]):
             out = self.add_multiples(out, a[:, k], b[k])

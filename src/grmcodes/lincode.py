@@ -7,12 +7,12 @@ equal exactly when their matrices are equal, and every derived object
 
 The construction algebra leans on that form.  An ``rref`` pivot step
 touches only the columns at and right of the pivot, since everything to
-its left is already zero, and ``reduce`` reads all its multipliers off
-the pivot columns at once.  ``dual`` reads its null rows off the
-generator's own RREF and pivots; a matrix already in RREF (a Frobenius
-image, the identity) is taken as it is, each row's first nonzero entry
-being its pivot; and ``restriction`` solves for the GF(q) message over k
-unknowns, because the pivot columns carry the message.
+its left is already zero; ``reduce`` is one product, as its multipliers
+are the pivot columns; ``dual`` reads its null rows off an RREF with
+min(k, n - k) pivots; a matrix already in RREF (a Frobenius image, the
+identity) is taken as it is, each row's first nonzero entry being its
+pivot; and ``restriction`` is one RREF over k GF(q) unknowns, because
+the pivot columns carry the message.
 
 Every exact distance goes through one engine, ``exact_min_weight(code,
 exclude)``, which returns the pair (wt(code), wt(code minus exclude)) from
@@ -179,17 +179,15 @@ class LinearCode:
 
         The RREF generator is the identity on its pivot columns, so no step
         changes another pivot's entry: the multipliers are read off V once,
-        and the residue is V - V[:, pivots] @ gen.
+        and the residue is the one product V - V[:, pivots] @ gen.
         """
-        V = np.array(vecs, dtype=np.uint8, copy=True)
+        V = np.asarray(vecs, dtype=np.uint8)
         single = V.ndim == 1
         if single:
             V = V[None, :]
         if V.shape[1] != self.n:
             raise DimensionMismatch(f"expected length {self.n}")
-        coeffs = self.field.NEG[V[:, list(self.pivots)].T]
-        for c, row in zip(coeffs, self.gen):
-            V = self.field.add_multiples(V, c, row)
+        V = self.field.sub_arrays(V, self.field.matmul(V[:, list(self.pivots)], self.gen))
         return V[0] if single else V
 
     def contains(self, v) -> bool:
@@ -207,12 +205,16 @@ class LinearCode:
     # -- duality -------------------------------------------------------------
 
     def dual(self) -> "LinearCode":
-        """Euclidean dual, from the null rows of the generator's own RREF.
-
-        One null vector per free column (see :func:`_null_rows`), so the
-        only elimination is the RREF of those n - k rows.
+        """Euclidean dual from the null rows (:func:`_null_rows`) of an RREF
+        with min(k, n - k) pivots: the generator's own, whose n - k null rows
+        then need an RREF, or for k < n - k the column-reversed generator's,
+        whose null rows reversed in rows and columns are already in RREF (a
+        leading 1 at the free column, other nonzeros at pivots right of it).
         """
-        if self._dual is None:
+        if self._dual is None and 2 * self.k < self.n:
+            H = _null_rows(self.field, *rref(self.field, self.gen[:, ::-1]))[::-1, ::-1]
+            self._dual = LinearCode(self.field, H, self.n, _canonical=True)
+        elif self._dual is None:
             self._dual = LinearCode(self.field, _null_rows(self.field, self.gen, self.pivots), self.n)
         return self._dual
 
@@ -240,16 +242,17 @@ class LinearCode:
         return LinearCode(pair.sub, np.vstack(rows), self.n)
 
     def restriction(self) -> "LinearCode":
-        """Subfield subcode C intersect GF(q)^n, solved over k unknowns.
+        """Subfield subcode C intersect GF(q)^n, one RREF over k unknowns.
 
         The generator G is in RREF, so a codeword c = uG carries its message
         u on the pivot columns, and a codeword over GF(q) has its message
         over GF(q).  Split each entry as a + gamma*b over the base field:
-        the restriction is {u dec_a[G] : u in GF(q)^k, u dec_b[G] = 0}.
+        the restriction is {u dec_a[G] : u in GF(q)^k, u dec_b[G] = 0}, the
+        a-parts of the rows of RREF[dec_b[G] | dec_a[G]] that pivot past n.
         """
         pair = extension_pair_for(self.field)
-        K = kernel_basis(pair.sub, pair.dec_b[self.gen].T)
-        return LinearCode(pair.sub, pair.sub.matmul(K, pair.dec_a[self.gen]), self.n)
+        R, pivots = rref(pair.sub, np.hstack([pair.dec_b[self.gen], pair.dec_a[self.gen]]))
+        return LinearCode(pair.sub, R[int(np.searchsorted(pivots, self.n)) :, self.n :], self.n, _canonical=True)
 
     # -- coordinate surgery ----------------------------------------------------
 

@@ -43,7 +43,7 @@ from .errors import (
     WitnessNotFound,
     WitnessSearchFailed,
 )
-from .gf import extension_pair_for, quadratic_extension
+from .gf import extension_pair_for, get_field, quadratic_extension
 from .grm import GrmCode, build_grm, grm_dimension, grm_distance, point_matrix
 from .lincode import DEFAULT_CAP, LinearCode, find_first_of_weight, product_span
 from .qcode import QuantumCodeRecord, css, hermitian, hermitian_grm_distance
@@ -116,8 +116,7 @@ def puncture_code_css(
             sub = expected if mu == diff else build_grm(q, m, mu).code
             if not sub.is_subcode_of(pcode):
                 raise ParameterMismatch(f"R_q({mu}, m) escapes the puncture code")
-            known.append((f"grm(q={q},m={m},nu={mu})", sub))
-        known.sort(key=lambda item: item[1].k)
+            known.append((f"grm(q={q},m={m},nu={mu})", sub))  # k rises with mu
     return PunctureCodeRecord(pcode, prov, known)
 
 
@@ -303,12 +302,12 @@ def extended_rs_embedding_check(q: int, m: int, nu: int) -> bool:
     The univariate side is R_{q^m}(q^m - d(nu), 1)|_GF(q).  For m = 2 the
     bivariate code is moved onto GF(q^2) by the basis bijection, as chain
     step 1 of ``mds_chain`` does; every order 0 <= nu <= 2(q-1) is valid.
-    Only m in {1, 2} has a configured bijection.
+    Only m in {1, 2} has a configured bijection.  For m = 1 both sides are
+    R_q(nu, 1), as d(nu) = q - nu: the identity, returned with no code built.
     """
     if m == 1:
-        grm_side = build_grm(q, 1, nu).code
-        other = build_grm(q, 1, q - grm_distance(q, 1, nu)).code
-        return grm_side.is_subcode_of(other)
+        get_field(q)  # raises UnsupportedField
+        return q - grm_distance(q, 1, nu) == nu
     if m != 2:
         raise PointOrderMismatch(f"no point bijection configured for m={m}")
     try:

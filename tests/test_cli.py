@@ -93,6 +93,22 @@ def test_hermitian_list_weights_builds_no_subcodes(capsys, monkeypatch):
     assert built == []
 
 
+def test_css_list_weights_builds_only_the_difference_order_code(capsys, monkeypatch):
+    # the report reads the identity flag, which needs R_q(nu2 - nu1, m)
+    # alone: nu1, nu2 and nu2 - nu1, and none of the known subcodes
+    built = []
+    for module in (cli, puncture):
+        real = module.build_grm
+        monkeypatch.setattr(module, "build_grm", lambda q, m, nu, real=real: built.append((q, m, nu)) or real(q, m, nu))
+    code, _, err = run(capsys, "puncture", "css", "-q", "7", "-m", "2", "--nu1", "0", "--nu2", "11", "--list-weights")
+    assert code == EXIT_CAPPED and "exact distribution" in err
+    assert sorted(built) == [(7, 2, 0), (7, 2, 11), (7, 2, 11)]
+    built.clear()
+    code, out, _ = run(capsys, "puncture", "css", "-q", "3", "-m", "2", "--nu1", "1", "--nu2", "2", "--list-weights")
+    assert code == EXIT_OK and "puncture_code_is_grm_difference_order" in out
+    assert sorted(built) == [(3, 2, 1), (3, 2, 1), (3, 2, 2)]
+
+
 def test_puncture_full_weight_witness(capsys):
     code, out, _ = run(
         capsys, "puncture", "hermitian", "-q", "2", "--nu", "0", "--target-weight", "4"

@@ -206,11 +206,16 @@ def test_array_ops_match_scalar_ops_exhaustively(q):
 
 @pytest.mark.parametrize("q", ALL_SIZES)
 def test_matmul_matches_scalar_triple_loop(q):
+    # odd prime fields take one float64 product mod p, the others the row loop
     f = gf.get_field(q)
     rng = np.random.default_rng(q)
-    for m, r, n in ((1, 1, 1), (3, 5, 4), (6, 2, 9), (4, 0, 3)):
-        a = rng.integers(0, q, size=(m, r)).astype(np.uint8)
-        b = rng.integers(0, q, size=(r, n)).astype(np.uint8)
+    pairs = [
+        (rng.integers(0, q, size=(m, r)).astype(np.uint8), rng.integers(0, q, size=(r, n)).astype(np.uint8))
+        for m, r, n in ((1, 1, 1), (3, 5, 4), (6, 2, 9), (4, 0, 3), (0, 3, 4), (2, 5, 0), (0, 0, 0), (5, 512, 9), (7, 40, 64))
+    ]
+    top = np.full((2, 512), q - 1, dtype=np.uint8)  # over GF(p) every sum is the largest, 512 (p-1)^2
+    for a, b in pairs + [(top, top.T)]:
+        (m, r), n = a.shape, b.shape[1]
         expect = np.zeros((m, n), dtype=np.uint8)
         for i in range(m):
             for j in range(n):
@@ -220,3 +225,34 @@ def test_matmul_matches_scalar_triple_loop(q):
                 expect[i, j] = acc
         got = f.matmul(a, b)
         assert got.dtype == np.uint8 and np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_prime_field_add_and_sub_without_division_match_the_tables(q):
+    # the uint8 sum s < 2p is reduced as min(s, s - p); every pair, then
+    # scalar, broadcast and int64 operands, whose promotion differs between
+    # numpy 1.x (value-based) and 2.x (NEP 50)
+    f = gf.get_field(q)
+    idx = np.arange(q, dtype=np.uint8)
+    a, b = np.meshgrid(idx, idx, indexing="ij")
+    plus, minus = f.ADD[a, b], f.ADD[a, f.NEG[b]]
+    for x, y in ((a, b), (a.astype(np.int64), b), (a, b.astype(np.int64)), (a.astype(np.int64), b.astype(np.int64))):
+        got_add, got_sub = f.add_arrays(x, y), f.sub_arrays(x, y)
+        assert got_add.dtype == got_sub.dtype == np.uint8
+        assert np.array_equal(got_add, plus) and np.array_equal(got_sub, minus)
+    # broadcast: a column against a row gives the whole table
+    assert np.array_equal(f.add_arrays(idx[:, None], idx[None, :]), plus)
+    assert np.array_equal(f.sub_arrays(idx[:, None], idx[None, :]), minus)
+    for y in range(q):
+        for scalar in (y, np.uint8(y), np.int64(y)):
+            assert np.array_equal(f.add_arrays(idx, scalar), plus[:, y])
+            assert np.array_equal(f.sub_arrays(idx, scalar), minus[:, y])
+            assert np.array_equal(f.add_arrays(scalar, idx), plus[y])
+            assert np.array_equal(f.sub_arrays(scalar, idx), minus[y])
+        for x in range(q):
+            assert int(f.add_arrays(x, y)) == plus[x, y] and int(f.sub_arrays(x, y)) == minus[x, y]
+    # the result is a fresh array: no operand is written through out=
+    keep = a.copy()
+    f.add_arrays(a, b)
+    f.sub_arrays(a, b)
+    assert np.array_equal(a, keep)

@@ -138,6 +138,42 @@ def test_rref_kernel_and_reduce_match_reference_rref(q):
         assert np.array_equal(code.reduce(V[0]), f.ADD[V[0], f.NEG[lifted[0]]])
 
 
+def reference_dual(field, gen):
+    """Right kernel of gen from reference_rref: one null row per free column
+    of its RREF, then the RREF of those rows, with no column reversal."""
+    R, pivots = reference_rref(field, gen)
+    free = [c for c in range(gen.shape[1]) if c not in pivots]
+    H = np.zeros((len(free), gen.shape[1]), dtype=np.uint8)
+    for j, c in enumerate(free):
+        H[j, c] = 1
+        H[j, list(pivots)] = field.NEG[R[:, c]]
+    return reference_rref(field, H)[0]
+
+
+@pytest.mark.parametrize("q", list(gf.SUPPORTED_SIZES))
+def test_dual_from_either_side_matches_reference_dual(q):
+    # 2k < n eliminates the column-reversed generator, 2k >= n the null rows
+    f = gf.get_field(q)
+    rng = np.random.default_rng(300 + q)
+    seen = set()
+    for n in (1, 2, 7, 8, 31):
+        for k in sorted({0, 1, n // 2 - 1, n // 2, n // 2 + 1, n - 1, n} & set(range(n + 1))):
+            # rank exactly k: the identity on k random columns, random elsewhere
+            cols = rng.permutation(n)
+            gen = np.zeros((k, n), dtype=np.uint8)
+            gen[:, cols[:k]] = np.eye(k, dtype=np.uint8)
+            gen[:, cols[k:]] = rng.integers(0, q, size=(k, n - k))
+            code = LinearCode(f, gen, n)
+            assert code.k == k
+            D = code.dual()
+            assert np.array_equal(D.gen, reference_dual(f, code.gen))
+            assert D.k == n - k and D.pivots == reference_rref(f, D.gen)[1]
+            assert not np.any(reference_matmul(f, code.gen, D.gen.T))
+            assert D.dual() == code
+            seen.add((k == 0, k == n, (2 * k > n) - (2 * k < n)))
+    assert {(True, False, -1), (False, True, 1), (False, False, -1), (False, False, 0), (False, False, 1)} <= seen
+
+
 def test_rref_is_idempotent_and_canonical():
     rng = np.random.default_rng(1)
     for q in (2, 3, 4, 9):
@@ -1025,6 +1061,21 @@ def test_restriction_matches_reference_with_planted_base_rows(q):
         assert R == reference_restriction(C)
         planted_code = LinearCode(pair.sub, base, n)
         assert planted_code.k > 0 and planted_code.is_subcode_of(R)
+
+
+@pytest.mark.parametrize("q", TOWERS)
+def test_restriction_matches_reference_on_random_codes(q):
+    # one RREF of [dec_b[G] | dec_a[G]] against the 2k-unknown reference;
+    # k close to n forces a restriction of dimension at least 2k - n
+    pair = gf.quadratic_extension(q)
+    rng = np.random.default_rng(600 + q)
+    for n, rows in ((1, 0), (1, 1), (4, 2), (6, 6), (9, 3), (12, 11), (20, 17), (33, 30)):
+        C = LinearCode(pair.ext, rng.integers(0, pair.ext.q, size=(rows, n)).astype(np.uint8), n)
+        R = C.restriction()
+        assert R == reference_restriction(C)
+        assert R.k >= 2 * C.k - n
+        assert np.array_equal(R.gen, reference_rref(pair.sub, R.gen)[0])
+        assert R.pivots == reference_rref(pair.sub, R.gen)[1]
 
 
 def test_restriction_codewords_are_exactly_subfield_codewords():

@@ -11,6 +11,7 @@ from grmcodes.errors import (
     NotNested,
     OrderOutOfRange,
     PointOrderMismatch,
+    UnsupportedField,
     WitnessInvalid,
     WitnessNotFound,
 )
@@ -305,3 +306,19 @@ def test_extended_rs_embedding_univariate_and_errors():
         extended_rs_embedding_check(3, 3, 1)
     with pytest.raises(PointOrderMismatch):
         extended_rs_embedding_check(9, 2, 1)  # GF(81) is not in the table
+
+
+@pytest.mark.parametrize("q", list(gf.SUPPORTED_SIZES))
+def test_extended_rs_embedding_univariate_is_the_identity_and_builds_no_code(q, monkeypatch):
+    # d(nu) = q - nu, so the extended-RS side R_q(q - d(nu), 1) is R_q(nu, 1)
+    monkeypatch.setattr(puncture, "build_grm", lambda *args: pytest.fail(f"built {args}"))
+    for nu in range(q):
+        assert q - grm_distance(q, 1, nu) == nu
+        assert extended_rs_embedding_check(q, 1, nu)
+    with pytest.raises(OrderOutOfRange):
+        extended_rs_embedding_check(q, 1, q)
+
+
+def test_extended_rs_embedding_univariate_rejects_an_unsupported_field():
+    with pytest.raises(UnsupportedField):
+        extended_rs_embedding_check(6, 1, 1)
