@@ -13,8 +13,9 @@ when every check of its verdict passes.  A row whose record raises
 ``CapExceeded`` is ``capped`` and one that raises ``ParameterMismatch``
 is ``fail``; either way the other rows stand.
 
-Exit codes partition outcomes: 0 pass; 2 bad parameters (a malformed
-sweep grid and a negative witness weight included); 3 enumeration capped
+Exit codes partition outcomes: 0 pass; 2 bad parameters (an order
+outside the quantum range, a malformed sweep grid and a negative witness
+weight included); 3 enumeration capped
 (strict mode, an inconclusive witness scan, or a weight distribution
 over the cap); 4 a predicted parameter disagreed with enumeration, either
 as a failed check in the report or as a ``ParameterMismatch`` raised by
@@ -50,7 +51,7 @@ from .puncture import (
     puncture_css,
     puncture_hermitian,
 )
-from .qcode import QuantumCodeRecord, css_grm, hermitian_grm
+from .qcode import QuantumCodeRecord, check_quantum_orders, css_grm, hermitian_grm, quantum_orders
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -254,7 +255,7 @@ def _hermitian_row(rep: RunReport, q: int, m: int, nu: int) -> dict:
 def _mds_grid(q: int, m: int) -> list:
     if m != 1:
         raise GrmError("sweep mds is defined for m=1 inputs")
-    return [(nu,) for nu in range(q - 1)]
+    return [(nu,) for nu in quantum_orders(q, 1)]
 
 
 def _mds_row(rep: RunReport, q: int, nu: int) -> dict:
@@ -283,10 +284,10 @@ SWEEPS = {
     "grm": Sweep(("m", "nu"), lambda q, m: [(m, nu) for nu in range(m * (q - 1) + 1)], _grm_row),
     "css": Sweep(
         ("m", "nu1", "nu2"),
-        lambda q, m: [(m, a, b) for a in range(m * (q - 1)) for b in range(a, m * (q - 1))],
+        lambda q, m: [(m, a, b) for a in quantum_orders(q, m) for b in quantum_orders(q, m)[a:]],
         _css_row,
     ),
-    "hermitian": Sweep(("m", "nu"), lambda q, m: [(m, nu) for nu in range(m * (q - 1))], _hermitian_row),
+    "hermitian": Sweep(("m", "nu"), lambda q, m: [(m, nu) for nu in quantum_orders(q, m)], _hermitian_row),
     "mds": Sweep(("nu",), _mds_grid, _mds_row),
 }
 
@@ -323,9 +324,8 @@ def run_quantum(args) -> RunReport:
 
 def run_puncture(args) -> RunReport:
     rep = RunReport(f"puncture {args.construction}", _record_params(args), cap=args.cap)
+    check_quantum_orders(**rep.params)
     if args.construction == "css":
-        if not 0 <= args.nu1 <= args.nu2 <= args.m * (args.q - 1) - 1:
-            raise GrmError("orders must satisfy 0 <= nu1 <= nu2 <= m(q-1)-1")
         g1, g2 = build_grm(args.q, args.m, args.nu1), build_grm(args.q, args.m, args.nu2)
         if args.list_weights:  # the weights need the plain codes and R_q(nu2 - nu1, m) alone
             prec = puncture_code_css(g1.code, g2.code)

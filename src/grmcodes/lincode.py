@@ -59,6 +59,8 @@ DEFAULT_CAP = 2**24
 _BLOCK_ROWS = 1 << 18
 # column subsets the support route may scan when q^k is over the cap
 SUPPORT_BUDGET = 2 * 10**6
+# largest kernel span the support route enumerates on one column subset
+KERNEL_BUDGET = 4096
 # column subsets per batched rank test; the stack takes chunk * r * w bytes
 _SUBSET_CHUNK = 1 << 13
 # costs in exhaustive-scan words of a search row gather (binary, other
@@ -278,8 +280,8 @@ class LinearCode:
         that bound is not exact, its lightest word (weight ``best``, an
         upper bound on d) shows whether the support route is sure to
         finish: it is tried only when best <= n - k and the supports of
-        size <= best fit min(SUPPORT_BUDGET, cap), and the bound stands if
-        it gives up anyway.
+        size <= best fit its subset budget under ``cap``, and the bound
+        stands if it gives up anyway.
         """
         if self.k == 0:
             raise EmptyCode("the zero code has no minimum weight")
@@ -290,7 +292,7 @@ class LinearCode:
             not exact
             and best is not None
             and best <= self.n - self.k
-            and sum(comb(self.n, w) for w in range(1, best + 1)) <= min(SUPPORT_BUDGET, cap)
+            and sum(comb(self.n, w) for w in range(1, best + 1)) <= _subset_budget(cap)
         ):
             try:
                 return exact_min_weight(self, cap=cap)[0], True
@@ -587,11 +589,13 @@ def _dependent_subsets(field: FieldSpec, H: np.ndarray, subsets: np.ndarray) -> 
     return subsets[np.sort(np.concatenate(dependent))]
 
 
+def _subset_budget(cap: int) -> int:
+    """Column subsets the support route may scan under ``cap``."""
+    return min(SUPPORT_BUDGET, cap)
+
+
 def min_weight_support_search(
-    code: LinearCode,
-    exclude: LinearCode | None = None,
-    subset_budget: int = SUPPORT_BUDGET,
-    kernel_budget: int = 4096,
+    code: LinearCode, exclude: LinearCode | None = None, cap: int = DEFAULT_CAP
 ) -> tuple[int, int]:
     """Exact (wt(code), wt(code minus exclude)) by support search.
 
@@ -608,10 +612,10 @@ def min_weight_support_search(
     dependent subsets go on, in order, to the per-subset kernel,
     full-support and exclusion checks, so the hits and both budget checks
     fall exactly where a one-subset-at-a-time scan would put them.
-    ``subset_budget`` is charged C(n, w) before a size w <= r (the number
-    of parity checks) is scanned; above r every subset is dependent and
-    usually the first one hits, so each is charged 1 as it reaches its
-    kernel.
+    The subset budget min(SUPPORT_BUDGET, cap) is charged C(n, w) before
+    a size w <= r (the number of parity checks) is scanned; above r every
+    subset is dependent and usually the first one hits, so each is charged
+    1 as it reaches its kernel.
     """
     if code.k == 0:
         raise EmptyCode("the zero code has no minimum weight")
@@ -619,12 +623,12 @@ def min_weight_support_search(
     H = code.dual().gen
     r = H.shape[0]
     first = None
-    spent = 0
+    spent, budget = 0, _subset_budget(cap)
 
     def charge(subsets: int, w: int) -> None:
         nonlocal spent
         spent += subsets
-        if spent > subset_budget:
+        if spent > budget:
             raise CapExceeded(f"support search budget exceeded at weight {w}")
 
     for w in range(1, n + 1):
@@ -637,7 +641,7 @@ def min_weight_support_search(
                 K = kernel_basis(field, H[:, S])
                 if K.shape[0] == 0:
                     continue
-                if field.q**K.shape[0] > kernel_budget:
+                if field.q**K.shape[0] > KERNEL_BUDGET:
                     raise CapExceeded("kernel span too large to enumerate")
                 for _, block in iter_span_blocks(field, K):
                     for v in block[np.all(block != 0, axis=1)]:
@@ -660,8 +664,8 @@ def exact_min_weight(
 
     ``exclude`` must be a proper subcode; without one (or with the zero
     code) both values are wt(code).  The span route (:func:`_span_min_weight`)
-    runs when q^k <= cap, otherwise the support route with a subset budget
-    of min(SUPPORT_BUDGET, cap), so one cap bounds both.  Raises
+    runs when q^k <= cap, otherwise the support route under the same cap,
+    so one cap bounds both.  Raises
     CapExceeded when the support route gives up.
     """
     if code.k == 0:
@@ -672,7 +676,7 @@ def exact_min_weight(
         if exclude.k == code.k:
             raise NotNested("containment must be strict")
     if code.field.q**code.k > cap:
-        return min_weight_support_search(code, exclude, subset_budget=min(SUPPORT_BUDGET, cap))
+        return min_weight_support_search(code, exclude, cap)
     return _span_min_weight(code, exclude if exclude is not None and exclude.k else None)
 
 

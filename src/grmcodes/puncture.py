@@ -18,17 +18,18 @@ where the last containment (step 1) identifies GF(q)^2 with GF(q^2)
 through the basis (1, gamma); the scan for a minimum-weight vector runs in
 the small multivariate code and the result is carried back up the chain.
 
-``puncture_css`` and ``puncture_hermitian`` take the puncture-code record
-as a required keyword, share one witness check and one record tail (the
-promised k and d bounds), and leave CSS nesting and Hermitian
-self-orthogonality of the punctured code to ``qcode.css`` and
-``qcode.hermitian``, which check them once.
+``puncture_css`` and ``puncture_hermitian`` take GRM codes, whose closed
+form gives the promised d, and the puncture-code record as a required
+keyword.  They share one witness check and one record tail (the promised
+k and d bounds), and leave CSS nesting and Hermitian self-orthogonality
+of the punctured code to ``qcode.css`` and ``qcode.hermitian``, which
+check them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .errors import (
     CapExceeded,
     NoEmbeddingDefined,
     NotNested,
-    OrderOutOfRange,
     ParameterMismatch,
     PointOrderMismatch,
     WitnessInvalid,
@@ -46,7 +46,7 @@ from .errors import (
 from .gf import extension_pair_for, get_field, quadratic_extension
 from .grm import GrmCode, build_grm, grm_dimension, grm_distance, point_matrix
 from .lincode import DEFAULT_CAP, LinearCode, find_first_of_weight, product_span
-from .qcode import QuantumCodeRecord, css, hermitian, hermitian_grm_distance
+from .qcode import QuantumCodeRecord, check_quantum_orders, css, hermitian
 
 
 @dataclass
@@ -78,10 +78,6 @@ class PunctureWitness:
         return int(np.count_nonzero(self.x))
 
 
-def _as_code(c: Union[LinearCode, GrmCode]) -> LinearCode:
-    return c.code if isinstance(c, GrmCode) else c
-
-
 def puncture_code_css(
     C1: Union[LinearCode, GrmCode], C2: Union[LinearCode, GrmCode]
 ) -> PunctureCodeRecord:
@@ -90,7 +86,7 @@ def puncture_code_css(
     For a Reed-Muller pair the result equals R_q(nu2-nu1, m) exactly, and
     the lower-order codes R_q(mu, m) are recorded as known subcodes.
     """
-    code1, code2 = _as_code(C1), _as_code(C2)
+    code1, code2 = (c.code if isinstance(c, GrmCode) else c for c in (C1, C2))
     if not code1.is_subcode_of(code2):
         raise NotNested("puncture code needs C1 contained in C2")
     span = product_span(code1, code2.dual())
@@ -101,9 +97,8 @@ def puncture_code_css(
         isinstance(C1, GrmCode)
         and isinstance(C2, GrmCode)
         and (C1.q, C1.m) == (C2.q, C2.m)
-        # the difference-order identity needs C2-perp nonzero, i.e. the
-        # quantum range nu2 <= m(q-1)-1
-        and C2.nu <= C2.m * (C2.q - 1) - 1
+        # the difference-order identity needs C2-perp nonzero: a quantum order
+        and C2.nu_perp >= 0
     )
     if grm_pair:
         q, m = C1.q, C1.m
@@ -127,7 +122,7 @@ def puncture_code_hermitian(C: Union[LinearCode, GrmCode]) -> PunctureCodeRecord
     with (q+1)nu <= mu <= m(q^2-1)-1 is contained in the puncture code;
     these are materialized and recorded as known subcodes.
     """
-    code = _as_code(C)
+    code = C.code if isinstance(C, GrmCode) else C
     pair = extension_pair_for(code.field)
     prod = product_span(code, code.frobenius_image())
     pcode = prod.trace_code().dual()
@@ -195,72 +190,62 @@ def _witness_support(rec: PunctureCodeRecord, n: int, w: PunctureWitness) -> tup
 
 
 def _punctured_record(
-    out: QuantumCodeRecord, construction: str, n: int, w: PunctureWitness, k_low: int, d_low: Optional[int]
+    out: QuantumCodeRecord, construction: str, n: int, w: PunctureWitness, k_low: int, d_low: int
 ) -> QuantumCodeRecord:
     """Label a punctured record with its witness and bounds; raise if k or an exact d falls below."""
     out.construction = construction
     out.provenance.update(
-        {"punctured_from_n": n, "witness_weight": w.weight, "witness_source": w.source, "k_lower_bound": k_low}
+        punctured_from_n=n, witness_weight=w.weight, witness_source=w.source, k_lower_bound=k_low, d_lower_bound=d_low
     )
-    if d_low is not None:
-        out.provenance["d_lower_bound"] = d_low
     if out.k < k_low:
         raise ParameterMismatch("exact dimension fell below the promised bound")
-    if d_low is not None and not out.d_is_lower_bound and out.d < d_low:
+    if not out.d_is_lower_bound and out.d < d_low:
         raise ParameterMismatch("exact distance fell below the promised bound")
     return out
 
 
 def puncture_css(
-    C1: Union[LinearCode, GrmCode],
-    C2: Union[LinearCode, GrmCode],
-    w: PunctureWitness,
-    cap: int = DEFAULT_CAP,
-    *,
-    pcode_record: PunctureCodeRecord,
+    C1: GrmCode, C2: GrmCode, w: PunctureWitness, cap: int = DEFAULT_CAP, *, pcode_record: PunctureCodeRecord
 ) -> QuantumCodeRecord:
     """Materialize the length-r punctured CSS code for a weight-r witness.
 
-    ``pcode_record`` is the puncture code of (C1, C2); the witness must lie
-    in it.  The scaled restriction pair is (x*C1)|_S and the S-dual of
-    C2-perp|_S; containment of the first in the second is forced by x lying
-    in the puncture code, and ``css`` verifies it.  The record promises
-    k >= k2 - k1 - (n - r) and, for a GRM pair, d >= min(d(nu2), d(nu1-perp)).
+    ``pcode_record`` is the puncture code of C1 = R_q(nu1, m) and
+    C2 = R_q(nu2, m); the witness must lie in it.  The scaled restriction
+    pair is (x*C1)|_S and the S-dual of C2-perp|_S; containment of the
+    first in the second is forced by x lying in the puncture code, and
+    ``css`` verifies it.  The record promises k >= k2 - k1 - (n - r) and
+    d >= min(d(nu2), d(nu1-perp)).
     """
-    code1, code2 = _as_code(C1), _as_code(C2)
+    code1, code2 = C1.code, C2.code
     x, support = _witness_support(pcode_record, code1.n, w)
     B = code1.scaled_by(x).punctured_to(support)
     C2p = code2.dual().punctured_to(support).dual()
-    grm_pair = isinstance(C1, GrmCode) and isinstance(C2, GrmCode)
-    d_lower_bound = min(grm_distance(C2.q, C2.m, C2.nu), grm_distance(C1.q, C1.m, C1.nu_perp)) if grm_pair else None
+    d_lower_bound = min(grm_distance(C2.q, C2.m, C2.nu), grm_distance(C1.q, C1.m, C1.nu_perp))
     out = css(B, C2p, cap, d_lower_bound=d_lower_bound)
     k_lower_bound = code2.k - code1.k - code1.n + len(support)
     return _punctured_record(out, "PuncturedCSS", code1.n, w, k_lower_bound, d_lower_bound)
 
 
 def puncture_hermitian(
-    C: Union[LinearCode, GrmCode],
-    w: PunctureWitness,
-    cap: int = DEFAULT_CAP,
-    *,
-    pcode_record: PunctureCodeRecord,
+    C: GrmCode, w: PunctureWitness, cap: int = DEFAULT_CAP, *, pcode_record: PunctureCodeRecord
 ) -> QuantumCodeRecord:
     """Materialize the punctured Hermitian code for a weight-r witness.
 
-    ``pcode_record`` is the Hermitian puncture code of C; the witness x
-    must lie in it.  On the support S the scaling y_i is the smallest
-    solution of y_i^(q+1) = x_i (the tower's ``norm_first_preimage``).
-    The code {(y_i a_i)_S : a in C} then inherits Hermitian
-    self-orthogonality from x being in the puncture code (nondegeneracy of
-    the trace form upgrades trace-zero to zero); ``hermitian`` verifies it.
-    The record promises k >= r - 2k(C) and, for a GRM code, d >= d(nu-perp).
+    ``pcode_record`` is the Hermitian puncture code of C = R_{q^2}(nu, m);
+    the witness x must lie in it.  On the support S the scaling y_i is the
+    smallest solution of y_i^(q+1) = x_i (the tower's
+    ``norm_first_preimage``).  The code {(y_i a_i)_S : a in C} then
+    inherits Hermitian self-orthogonality from x being in the puncture code
+    (nondegeneracy of the trace form upgrades trace-zero to zero);
+    ``hermitian`` verifies it.
+    The record promises k >= r - 2k(C) and d >= d(nu-perp) over GF(q^2).
     """
-    code = _as_code(C)
+    code = C.code
     pair = extension_pair_for(code.field)
     x, support = _witness_support(pcode_record, code.n, w)
     y = np.zeros(code.n, dtype=np.uint8)
     y[support] = pair.norm_first_preimage[x[support]]
-    d_lower_bound = hermitian_grm_distance(pair.sub.q, C.nu) if isinstance(C, GrmCode) else None
+    d_lower_bound = grm_distance(C.q, C.m, C.nu_perp)
     out = hermitian(code.scaled_by(y).punctured_to(support), cap, d_lower_bound=d_lower_bound)
     return _punctured_record(out, "PuncturedHermitian", code.n, w, len(support) - 2 * code.k, d_lower_bound)
 
@@ -322,7 +307,7 @@ def extended_rs_embedding_check(q: int, m: int, nu: int) -> bool:
 
 
 def mds_chain(q: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
-    """End-to-end punctured MDS construction for 0 <= nu <= q-2.
+    """End-to-end punctured MDS construction for 0 <= nu <= q-2 (m = 1).
 
     Builds C = R_{q^2}(nu, 1), locates a weight-(nu+1)q vector in the
     puncture code through the embedded R_q(q-nu-1, 2) (or its univariate
@@ -334,8 +319,7 @@ def mds_chain(q: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
     known subcodes; the chain checks the one restriction it walks through
     (step 2), and ``puncture_hermitian`` checks the witness's membership.
     """
-    if not 0 <= nu <= q - 2:
-        raise OrderOutOfRange(f"need 0 <= nu <= q-2, got nu={nu}")
+    check_quantum_orders(q, 1, nu=nu)
     pair = quadratic_extension(q)
     q2 = pair.ext.q
     g = build_grm(q2, 1, nu)

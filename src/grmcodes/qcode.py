@@ -11,7 +11,9 @@ Two constructions are implemented at the classical-code level:
 Records carry exact parameters whenever the distance enumeration finished;
 when it cannot, the record degrades to a lower-bound distance and says so.
 ``css`` and ``hermitian`` share that rule, the stabilizer check and the
-record assembly (``_record``).
+record assembly (``_record``).  The GRM families take only the quantum
+orders 0 <= nu1 <= ... <= m(q-1)-1 (``check_quantum_orders``), and every
+predicted distance is ``grm_distance``: over GF(q^2) when Hermitian.
 Stabilizer matrices are emitted alongside and checked for symplectic
 self-orthogonality (after the basis-(1, gamma) expansion in the Hermitian
 case).
@@ -27,8 +29,6 @@ import numpy as np
 from . import lincode
 from .errors import (
     CapExceeded,
-    DimensionMismatch,
-    FieldMismatch,
     InexactParameters,
     NotNested,
     NotSelfOrthogonal,
@@ -91,15 +91,14 @@ class StabilizerMatrix:
 class QuantumCodeRecord:
     """An [[n, k, d]]_q record with provenance and exactness flags.
 
-    A True lower-bound flag means the stored value is only a promise from
-    the construction, not an enumerated parameter.
+    A True ``d_is_lower_bound`` means d is only a promise from the
+    construction, not an enumerated parameter.  k is a generator rank.
     """
 
     q: int
     n: int
     k: int
     d: int
-    k_is_lower_bound: bool = False
     d_is_lower_bound: bool = False
     pure: Optional[bool] = None
     construction: str = ""
@@ -108,7 +107,7 @@ class QuantumCodeRecord:
 
     @property
     def exact(self) -> bool:
-        return not (self.k_is_lower_bound or self.d_is_lower_bound)
+        return not self.d_is_lower_bound
 
     @property
     def singleton_slack(self) -> int:
@@ -121,9 +120,8 @@ class QuantumCodeRecord:
         return self.singleton_slack == 0
 
     def params_str(self) -> str:
-        k = f">={self.k}" if self.k_is_lower_bound else str(self.k)
         d = f">={self.d}" if self.d_is_lower_bound else str(self.d)
-        return f"[[{self.n},{k},{d}]]_{self.q}"
+        return f"[[{self.n},{self.k},{d}]]_{self.q}"
 
     def to_dict(self) -> dict:
         out = {
@@ -131,7 +129,7 @@ class QuantumCodeRecord:
             "n": self.n,
             "k": self.k,
             "d": self.d,
-            "k_is_lower_bound": self.k_is_lower_bound,
+            "k_is_lower_bound": False,
             "d_is_lower_bound": self.d_is_lower_bound,
             "pure": self.pure,
             "construction": self.construction,
@@ -188,14 +186,11 @@ def css(
     """CSS construction from nested classical codes C1 <= C2.
 
     The nesting is checked here, once, for every CSS record (the punctured
-    pair included).  The distance enumeration runs over both difference
+    pair included), by ``is_subcode_of``, which also rejects a field or
+    length mismatch.  The distance enumeration runs over both difference
     sets; if it cannot finish within the caps the record degrades to the
     supplied lower bound (or the trivial bound 1) with the flag set.
     """
-    if C1.field is not C2.field:
-        raise FieldMismatch("CSS inputs live over different fields")
-    if C1.n != C2.n:
-        raise DimensionMismatch("CSS inputs have different lengths")
     if not C1.is_subcode_of(C2):
         raise NotNested("CSS needs C1 contained in C2")
     n = C1.n
@@ -220,6 +215,19 @@ def css(
     return _record(C2.k - C1.k, "CSS", prov, stab, distance, d_lower_bound)
 
 
+def quantum_orders(q: int, m: int) -> range:
+    """The orders nu whose dual R_q(nu, m)-perp is nonzero: 0 <= nu <= m(q-1)-1."""
+    return range(m * (q - 1))
+
+
+def check_quantum_orders(q: int, m: int, **orders: int) -> None:
+    """Raise OrderOutOfRange unless the orders, in keyword order, rise within ``quantum_orders``."""
+    chain = [0, *orders.values(), len(quantum_orders(q, m)) - 1]
+    if chain != sorted(chain):
+        got = ", ".join(f"{name}={nu}" for name, nu in orders.items())
+        raise OrderOutOfRange(f"need 0 <= {' <= '.join(orders)} <= m(q-1)-1 = {chain[-1]} for q={q}, m={m}, got {got}")
+
+
 def _check_grm_record(rec: QuantumCodeRecord) -> None:
     """Raise ParameterMismatch unless rec meets its predicted k, d and purity."""
     k_pred, d_pred = rec.provenance["k_predicted"], rec.provenance["d_predicted"]
@@ -236,20 +244,16 @@ def _check_grm_record(rec: QuantumCodeRecord) -> None:
 def css_grm(
     q: int, m: int, nu1: int, nu2: int, cap: int = DEFAULT_CAP
 ) -> QuantumCodeRecord:
-    """CSS record from the nested pair R_q(nu1, m) <= R_q(nu2, m).
+    """CSS record from R_q(nu1, m) <= R_q(nu2, m), 0 <= nu1 <= nu2 <= m(q-1)-1.
 
     Predicted parameters [[q^m, k(nu2)-k(nu1), min(d(nu1-perp), d(nu2))]]
     are cross-checked against the enumeration whenever it finished.
     """
-    if not 0 <= nu1 <= nu2 <= m * (q - 1) - 1:
-        raise OrderOutOfRange(
-            f"need 0 <= nu1 <= nu2 <= m(q-1)-1, got nu1={nu1}, nu2={nu2}"
-        )
+    check_quantum_orders(q, m, nu1=nu1, nu2=nu2)
     g1 = build_grm(q, m, nu1)
     g2 = build_grm(q, m, nu2)
     d_pred = min(grm_distance(q, m, dual_order(q, m, nu1)), grm_distance(q, m, nu2))
     rec = css(g1.code, g2.code, cap, d_lower_bound=d_pred)
-    rec.construction = "CSS"
     rec.provenance.update(
         {
             "family": "grm",
@@ -315,22 +319,15 @@ def hermitian(
     return _record(C.n - 2 * C.k, "Hermitian", prov, stab, distance, d_lower_bound)
 
 
-def hermitian_grm_distance(q: int, nu: int) -> int:
-    """Predicted distance d(nu-perp) over GF(q^2): (R+1)q^{2Q}, nu+1 = (q^2-1)Q + R."""
-    Q, R = divmod(nu + 1, q * q - 1)
-    return (R + 1) * q ** (2 * Q)
-
-
 def hermitian_grm(q: int, m: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
     """Hermitian record from R_{q^2}(nu, m); range 0 <= nu <= m(q-1)-1.
 
     In that range the code is self-orthogonal and the record matches
-    [[q^{2m}, q^{2m} - 2k(nu), d(nu-perp)]]_q with parameters over GF(q^2).
+    [[q^{2m}, q^{2m} - 2k(nu), d(nu-perp)]]_q, k and d over GF(q^2).
     """
-    if not 0 <= nu <= m * (q - 1) - 1:
-        raise OrderOutOfRange(f"need 0 <= nu <= m(q-1)-1, got nu={nu}")
+    check_quantum_orders(q, m, nu=nu)
     g = build_grm(q * q, m, nu)
-    d_pred = hermitian_grm_distance(q, nu)
+    d_pred = grm_distance(q * q, m, g.nu_perp)
     rec = hermitian(g.code, cap, d_lower_bound=d_pred)
     rec.provenance.update(
         {

@@ -23,7 +23,6 @@ from grmcodes.qcode import (
     css_grm,
     css_grm_selfdual_pair,
     hermitian_grm,
-    hermitian_grm_distance,
     hermitian_self_orthogonal,
 )
 
@@ -121,7 +120,9 @@ def test_criterion_5_hermitian_family():
         rec = hermitian_grm(q, m, nu, CAP)
         if (rec.n, rec.k, rec.d) != expect or not rec.exact:
             failures.append(f"hermitian_grm({q},{m},{nu}) gave {rec.params_str()}")
-        if rec.d != hermitian_grm_distance(q, nu):
+        # d(nu-perp) over GF(q^2) written out: (R+1)q^(2Q) with nu+1 = (q^2-1)Q + R
+        Q, R = divmod(nu + 1, q * q - 1)
+        if rec.d != (R + 1) * q ** (2 * Q):
             failures.append(f"distance formula mismatch at ({q},{m},{nu})")
     report(5, "hermitian-family", failures, t0)
 

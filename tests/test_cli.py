@@ -141,6 +141,42 @@ def test_exit_usage_on_bad_parameters(capsys):
     assert code == EXIT_USAGE
 
 
+HERMITIAN_Q3_RANGE = "error: need 0 <= nu <= m(q-1)-1 = 1 for q=3, m=1, got nu=2\n"
+CSS_Q3_M2_RANGE = "error: need 0 <= nu1 <= nu2 <= m(q-1)-1 = 3 for q=3, m=2, got nu1=1, nu2=4\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("quantum", "css", "-q", "3", "-m", "2", "--nu1", "1", "--nu2", "4"), CSS_Q3_M2_RANGE),
+        (("quantum", "hermitian", "-q", "3", "-m", "1", "--nu", "2"), HERMITIAN_Q3_RANGE),
+        (
+            ("puncture", "css", "-q", "3", "-m", "2", "--nu1", "1", "--nu2", "4", "--target-weight", "3"),
+            CSS_Q3_M2_RANGE,
+        ),
+        (("puncture", "hermitian", "-q", "3", "--nu", "2", "--target-weight", "9"), HERMITIAN_Q3_RANGE),
+        (("puncture", "hermitian", "-q", "3", "--nu", "2", "--list-weights"), HERMITIAN_Q3_RANGE),
+        (("puncture", "hermitian", "-q", "3", "--nu", "2", "--mds-chain"), HERMITIAN_Q3_RANGE),
+        (
+            ("puncture", "hermitian", "-q", "3", "-m", "2", "--nu", "4", "--target-weight", "3"),
+            "error: need 0 <= nu <= m(q-1)-1 = 3 for q=3, m=2, got nu=4\n",
+        ),
+    ],
+    ids=[
+        "quantum-css",
+        "quantum-hermitian",
+        "puncture-css",
+        "puncture-hermitian-target-weight",
+        "puncture-hermitian-list-weights",
+        "puncture-hermitian-mds-chain",
+        "puncture-hermitian-m2-target-weight",
+    ],
+)
+def test_order_one_past_the_quantum_range_exits_usage(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", message)
+
+
 def test_strict_mode_exits_capped_on_degraded_record(capsys):
     code, out, _ = run(
         capsys, "quantum", "css", "-q", "3", "-m", "2", "--nu1", "0", "--nu2", "3",

@@ -541,13 +541,14 @@ def reference_support_search(code, exclude=None, subset_budget=2 * 10**6, kernel
     raise EmptyCode("difference set is empty")
 
 
-def support_weight(code, exclude=None, **budgets):
+def support_weight(code, exclude=None, cap=lincode.DEFAULT_CAP):
     """The value of the pair that reference_support_search computes.
 
     That is the second value, wt(code minus exclude), with an exclusion
-    and the first, wt(code), without.
+    and the first, wt(code), without.  A ``cap`` below SUPPORT_BUDGET is
+    the search's subset budget.
     """
-    pair = min_weight_support_search(code, exclude, **budgets)
+    pair = min_weight_support_search(code, exclude, cap)
     return pair[0] if exclude is None else pair[1]
 
 
@@ -634,7 +635,7 @@ def test_batched_support_search_crosses_chunk_boundaries():
     assert support_weight(code, exclude=excl) == reference_support_search(code, exclude=excl) == 4
 
 
-def test_batched_support_search_budgets_trip_at_the_reference_weight():
+def test_batched_support_search_budgets_trip_at_the_reference_weight(monkeypatch):
     # columns 0..2 of H are zero, so e_0, e_1, e_2 are codewords; excluding
     # their span leaves no hit at weights 1 and 2, and the first subsets
     # with 2- and 3-dim kernels are {0, 1} and {0, 1, 2}
@@ -645,22 +646,26 @@ def test_batched_support_search_budgets_trip_at_the_reference_weight():
     excl = LinearCode(f, np.eye(9, dtype=np.uint8)[:3], 9)
     cumulative = list(itertools.accumulate(comb(9, w) for w in range(1, 10)))
 
-    def outcome(search, w, kernel_budget):
-        # a subset budget of cumulative[w - 1] scans weights 1..w and stops
-        # at weight w + 1, which pins the weight where the kernel budget trips
-        kw = dict(exclude=excl, subset_budget=cumulative[w - 1], kernel_budget=kernel_budget)
-        return search_outcome(search, code, **kw)
+    # a subset budget of cumulative[w - 1] (the cap, as every one of them is
+    # below SUPPORT_BUDGET) scans weights 1..w and stops at weight w + 1,
+    # which pins the weight where the kernel budget trips
+    def engine(w, kernel_budget):
+        monkeypatch.setattr(lincode, "KERNEL_BUDGET", kernel_budget)
+        return search_outcome(support_weight, code, exclude=excl, cap=cumulative[w - 1])
 
+    def reference(w, kernel_budget):
+        kw = dict(exclude=excl, subset_budget=cumulative[w - 1], kernel_budget=kernel_budget)
+        return search_outcome(reference_support_search, code, **kw)
+
+    assert cumulative[-1] < lincode.SUPPORT_BUDGET
     for w in range(1, 5):
         for kernel_budget in (3, 9, 27, 4096):
-            assert outcome(support_weight, w, kernel_budget) == outcome(
-                reference_support_search, w, kernel_budget
-            )
+            assert engine(w, kernel_budget) == reference(w, kernel_budget)
     tripped = ("CapExceeded", "kernel span too large to enumerate")
-    assert outcome(support_weight, 1, 3) == ("CapExceeded", "support search budget exceeded at weight 2")
-    assert outcome(support_weight, 2, 3) == tripped  # {0, 1}: 3^2 > 3
-    assert outcome(support_weight, 2, 9) != tripped
-    assert outcome(support_weight, 3, 9) == tripped  # {0, 1, 2}: 3^3 > 9
+    assert engine(1, 3) == ("CapExceeded", "support search budget exceeded at weight 2")
+    assert engine(2, 3) == tripped  # {0, 1}: 3^2 > 3
+    assert engine(2, 9) != tripped
+    assert engine(3, 9) == tripped  # {0, 1, 2}: 3^3 > 9
 
 
 @pytest.mark.parametrize("chunk", [None, 3])
@@ -678,14 +683,15 @@ def test_support_budget_trips_partway_through_a_layer_above_r(chunk, monkeypatch
     excl = LinearCode(f, pairs, 6)
     assert excl.k == 4 and excl.is_subcode_of(code)
     for budget in range(5, 30):
-        assert search_outcome(support_weight, code, exclude=excl, subset_budget=budget) == search_outcome(
+        assert search_outcome(support_weight, code, exclude=excl, cap=budget) == search_outcome(
             reference_support_search, code, exclude=excl, subset_budget=budget
         )
     tripped = ("CapExceeded", "support search budget exceeded at weight 2")
-    assert search_outcome(min_weight_support_search, code, excl, subset_budget=10) == tripped
-    assert min_weight_support_search(code, excl, subset_budget=11) == (2, 2)
+    # each cap below SUPPORT_BUDGET is the subset budget
+    assert search_outcome(min_weight_support_search, code, excl, cap=10) == tripped
+    assert min_weight_support_search(code, excl, cap=11) == (2, 2)
     # the first subset of the layer is a hit, so the plain weight costs 7
-    assert min_weight_support_search(code, subset_budget=7) == (2, 2)
+    assert min_weight_support_search(code, cap=7) == (2, 2)
 
 
 def test_row_weights_do_not_wrap_at_length_256():

@@ -11,6 +11,8 @@ import pytest
 
 from grmcodes import gf
 from grmcodes.errors import (
+    DimensionMismatch,
+    FieldMismatch,
     InexactParameters,
     NotNested,
     NotSelfOrthogonal,
@@ -19,14 +21,21 @@ from grmcodes.errors import (
 from grmcodes.grm import build_grm, dual_order, grm_distance
 from grmcodes.lincode import LinearCode
 from grmcodes.qcode import (
+    check_quantum_orders,
     css,
     css_grm,
     css_grm_selfdual_pair,
     hermitian,
     hermitian_grm,
-    hermitian_grm_distance,
     hermitian_self_orthogonal,
+    quantum_orders,
 )
+
+
+def hermitian_distance_formula(q, nu):
+    """The predicted Hermitian distance written out: (R+1)q^(2Q), nu+1 = (q^2-1)Q + R."""
+    Q, R = divmod(nu + 1, q * q - 1)
+    return (R + 1) * q ** (2 * Q)
 
 
 def test_css_trivial_pair_gives_full_parameter_code():
@@ -43,6 +52,27 @@ def test_css_requires_nesting():
     b = LinearCode(f, np.array([[0, 1, 0, 0]], dtype=np.uint8), 4)
     with pytest.raises(NotNested):
         css(a, b)
+
+
+def test_css_rejects_inputs_over_different_fields_or_lengths():
+    f2, f3 = gf.get_field(2), gf.get_field(3)
+    with pytest.raises(FieldMismatch):
+        css(LinearCode.zero_code(f2, 4), LinearCode.full_space(f3, 4))
+    with pytest.raises(DimensionMismatch):
+        css(LinearCode.zero_code(f2, 4), LinearCode.full_space(f2, 5))
+
+
+@pytest.mark.parametrize("q,m", [(q, m) for q in (2, 3, 4, 5) for m in (1, 2, 3)])
+def test_quantum_orders_are_those_with_a_nonzero_dual(q, m):
+    orders = quantum_orders(q, m)
+    assert list(orders) == [nu for nu in range(m * (q - 1) + 1) if dual_order(q, m, nu) >= 0]
+    top = m * (q - 1) - 1
+    for nu in orders:
+        check_quantum_orders(q, m, nu=nu)
+        check_quantum_orders(q, m, nu1=nu, nu2=top)
+    for bad in ({"nu": -1}, {"nu": top + 1}, {"nu1": 0, "nu2": top + 1}, {"nu1": 1, "nu2": 0}):
+        with pytest.raises(OrderOutOfRange, match=rf"<= m\(q-1\)-1 = {top} for q={q}, m={m}, got"):
+            check_quantum_orders(q, m, **bad)
 
 
 def test_css_grm_9_3_3():
@@ -165,11 +195,23 @@ def test_hermitian_grm_known_records(q, m, nu, expect):
 
 
 def test_hermitian_grm_distance_formula():
-    assert hermitian_grm_distance(2, 1) == 3
-    assert hermitian_grm_distance(3, 1) == 3
-    assert hermitian_grm_distance(2, 0) == 2
+    assert hermitian_distance_formula(2, 1) == 3
+    assert hermitian_distance_formula(3, 1) == 3
+    assert hermitian_distance_formula(2, 0) == 2
     # wrap into the q^{2Q} factor once nu+1 passes q^2 - 1
-    assert hermitian_grm_distance(2, 2) == 4  # nu+1 = 3 = (4-1)*1 + 0
+    assert hermitian_distance_formula(2, 2) == 4  # nu+1 = 3 = (4-1)*1 + 0
+    for q, m, nu, d in ((2, 1, 0, 2), (3, 1, 1, 3), (2, 2, 1, 3)):
+        rec = hermitian_grm(q, m, nu)
+        assert rec.d == rec.provenance["d_predicted"] == hermitian_distance_formula(q, nu) == d
+
+
+@pytest.mark.parametrize(
+    "q,m", [(q, m) for q in (2, 3, 4, 5, 7, 8) for m in (1, 2) if q ** (2 * m) <= 256]
+)
+def test_hermitian_distance_formula_is_the_grm_distance_of_the_dual_order(q, m):
+    # nu+1 = m(q^2-1) - nu_perp, so the written-out formula is d(nu-perp) over GF(q^2)
+    for nu in range(m * (q - 1)):
+        assert hermitian_distance_formula(q, nu) == grm_distance(q * q, m, dual_order(q * q, m, nu))
 
 
 def test_hermitian_grm_range():
