@@ -27,9 +27,11 @@ Array operations on uint8 index arrays use one rule per field: XOR for
 p = 2, min(s, s - p) of the uint8 sum s < 2p for prime q (s - p wraps
 past 255 exactly when s < p; subtraction adds p - b), and for q in
 {9, 25, 27, 49} one ``take`` from the flattened ADD table at ``a * q + b``
-in uint16.  A matrix product over an odd prime field is one exact float64
-product mod p; elsewhere it and elimination use the row-multiple kernel
-:meth:`FieldSpec.add_multiples`, which gathers whole rows of multiples.
+in uint16.  Elimination uses the row-multiple kernel
+:meth:`FieldSpec.add_multiples`, which gathers whole rows of multiples.  A
+matrix product, in every field, is one exact floating-point product of
+base-p digit planes, reduced mod p afterwards (Dumas, Gautier and Pernet,
+ISSAC 2002); see :meth:`FieldSpec.matmul`.
 """
 
 from __future__ import annotations
@@ -167,7 +169,12 @@ class FieldSpec:
         pow_table[0, 1:] = 0
         self.POW = pow_table
 
-        for t in (self.ADD, self.MUL, self.NEG, self.INV, self.POW):
+        # DIGITS[x, s] is digit s of x; p^s is both the place value of digit
+        # s and the index of x^s (s < e)
+        self.DIGITS = np.stack(digit_mats, axis=1).astype(np.uint8)
+        self._xpow = p ** np.arange(e)
+
+        for t in (self.ADD, self.MUL, self.NEG, self.INV, self.POW, self.DIGITS):
             t.setflags(write=False)
 
     # -- scalar operations ------------------------------------------------
@@ -238,16 +245,29 @@ class FieldSpec:
         return self.add_multiples(Y, self.NEG[coeffs], row)
 
     def matmul(self, a, b):
-        """Matrix product over the field; a is (m,r), b is (r,n).  Over GF(p),
-        p odd, one float64 product, exact as every sum is <= r(p-1)^2 < 2^53."""
+        """Matrix product over the field; a is (m, r), b is (r, n).
+
+        One float product over base-p digit planes: digit u of entry (i, j)
+        is sum_{t, s} a_s[i, t] * (x^s b[t, j])_u mod p, where a_s is digit
+        s of a.  The multiples x^s b come from the MUL table, so they are
+        already reduced by the modulus, and the product's inner dimension
+        is r e.  Each sum is at most r e (p-1)^2: float32 is exact below
+        2^24 and is used there, float64 (exact below 2^53) above.
+        """
         a = np.asarray(a, dtype=np.uint8)
         b = np.asarray(b, dtype=np.uint8)
-        if self.p != 2 and self.e == 1:
-            return (np.matmul(a, b, dtype=np.float64) % self.p).astype(np.uint8)
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-        for k in range(a.shape[1]):
-            out = self.add_multiples(out, a[:, k], b[k])
-        return out
+        (m, r), n, p, e = a.shape, b.shape[1], self.p, self.e
+        small = r * e * (p - 1) ** 2 < 1 << 24
+        planes = self.DIGITS.astype(np.float32 if small else np.float64)
+        # column t*e + s of A and row t*e + s of B pair digit s of a with x^s b
+        A = planes.take(a, axis=0).reshape(m, r * e)
+        xb = self.MUL[self._xpow].take(b, axis=1).transpose(1, 0, 2)
+        B = planes.take(xb, axis=0).reshape(r * e, n * e)
+        digits = (A @ B).astype(np.uint32 if small else np.uint64)
+        digits -= p * (digits // p)  # floor division by a constant is fast; % is not
+        if e > 1:
+            digits = digits.reshape(m, n, e) @ self._xpow
+        return digits.astype(np.uint8)
 
     def __repr__(self) -> str:
         return f"FieldSpec(GF({self.q}))"

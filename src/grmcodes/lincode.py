@@ -5,14 +5,17 @@ matrix in reduced row-echelon form.  RREF is unique, so two codes are
 equal exactly when their matrices are equal, and every derived object
 (duals, spans, restrictions) is reproducible bit for bit.
 
-The construction algebra leans on that form.  An ``rref`` pivot step
-touches only the columns at and right of the pivot, since everything to
-its left is already zero; ``reduce`` is one product, as its multipliers
-are the pivot columns; ``dual`` reads its null rows off an RREF with
-min(k, n - k) pivots; a matrix already in RREF (a Frobenius image, the
-identity) is taken as it is, each row's first nonzero entry being its
-pivot; and ``restriction`` is one RREF over k GF(q) unknowns, because
-the pivot columns carry the message.
+The construction algebra leans on that form: the generator is the
+identity on its pivot columns.  An ``rref`` pivot step touches only the
+columns at and right of the pivot, since everything to its left is
+already zero; ``reduce`` is one product, as its multipliers are the
+pivot columns, computed on the free columns only, as the residue is 0 on
+the pivots; ``kernel_basis`` is one elimination and ``dual`` reads its
+null rows off an RREF with min(k, n - k) pivots; a matrix already in
+RREF (a Frobenius image, the identity, a product of RREF matrices) is
+taken as it is, each row's first nonzero entry being its pivot; and
+``restriction`` is one kernel over the n - k free columns, because the
+pivot columns carry the message and its imaginary part vanishes there.
 
 Every exact distance goes through one engine, ``exact_min_weight(code,
 exclude)``, which returns the pair (wt(code), wt(code minus exclude)) from
@@ -120,9 +123,14 @@ def _null_rows(field: FieldSpec, R: np.ndarray, pivots) -> np.ndarray:
 
 
 def kernel_basis(field: FieldSpec, mat) -> np.ndarray:
-    """RREF basis of the right kernel {x : mat @ x = 0} over the field."""
-    R, pivots = rref(field, mat)
-    return rref(field, _null_rows(field, R, pivots))[0]
+    """RREF basis of the right kernel {x : mat @ x = 0} over the field.
+
+    One elimination: the null rows of the column-reversed matrix's RREF,
+    reversed in rows and columns, are already in RREF (each has its
+    leading 1 at its free column, its other nonzeros at pivots right of it).
+    """
+    mat = np.asarray(mat, dtype=np.uint8)
+    return _null_rows(field, *rref(field, mat[:, ::-1]))[::-1, ::-1]
 
 
 class LinearCode:
@@ -149,6 +157,10 @@ class LinearCode:
         self.gen.setflags(write=False)
         self.n = int(self.gen.shape[1])
         self.k = int(self.gen.shape[0])
+        free = np.ones(self.n, dtype=bool)
+        free[list(self.pivots)] = False
+        self.free = np.flatnonzero(free)  # the non-pivot columns
+        self.free.setflags(write=False)
         self._dual: LinearCode | None = None
 
     @classmethod
@@ -181,7 +193,8 @@ class LinearCode:
 
         The RREF generator is the identity on its pivot columns, so no step
         changes another pivot's entry: the multipliers are read off V once,
-        and the residue is the one product V - V[:, pivots] @ gen.
+        the residue is V - V[:, pivots] @ gen, and that is 0 on the pivots.
+        Only its free columns F are computed, as V_F - V[:, pivots] @ gen_F.
         """
         V = np.asarray(vecs, dtype=np.uint8)
         single = V.ndim == 1
@@ -189,8 +202,10 @@ class LinearCode:
             V = V[None, :]
         if V.shape[1] != self.n:
             raise DimensionMismatch(f"expected length {self.n}")
-        V = self.field.sub_arrays(V, self.field.matmul(V[:, list(self.pivots)], self.gen))
-        return V[0] if single else V
+        out = np.zeros_like(V)
+        f, F = self.field, self.free
+        out[:, F] = f.sub_arrays(V.take(F, axis=1), f.matmul(V[:, list(self.pivots)], self.gen.take(F, axis=1)))
+        return out[0] if single else out
 
     def contains(self, v) -> bool:
         return not np.any(self.reduce(v))
@@ -208,14 +223,12 @@ class LinearCode:
 
     def dual(self) -> "LinearCode":
         """Euclidean dual from the null rows (:func:`_null_rows`) of an RREF
-        with min(k, n - k) pivots: the generator's own, whose n - k null rows
-        then need an RREF, or for k < n - k the column-reversed generator's,
-        whose null rows reversed in rows and columns are already in RREF (a
-        leading 1 at the free column, other nonzeros at pivots right of it).
+        with min(k, n - k) pivots: for k < n - k the column-reversed
+        generator's, as :func:`kernel_basis` takes them, else the generator's
+        own, whose n - k null rows then need an RREF.
         """
         if self._dual is None and 2 * self.k < self.n:
-            H = _null_rows(self.field, *rref(self.field, self.gen[:, ::-1]))[::-1, ::-1]
-            self._dual = LinearCode(self.field, H, self.n, _canonical=True)
+            self._dual = LinearCode(self.field, kernel_basis(self.field, self.gen), self.n, _canonical=True)
         elif self._dual is None:
             self._dual = LinearCode(self.field, _null_rows(self.field, self.gen, self.pivots), self.n)
         return self._dual
@@ -244,17 +257,25 @@ class LinearCode:
         return LinearCode(pair.sub, np.vstack(rows), self.n)
 
     def restriction(self) -> "LinearCode":
-        """Subfield subcode C intersect GF(q)^n, one RREF over k unknowns.
+        """Subfield subcode C intersect GF(q)^n, from a kernel over n - k columns.
 
         The generator G is in RREF, so a codeword c = uG carries its message
         u on the pivot columns, and a codeword over GF(q) has its message
         over GF(q).  Split each entry as a + gamma*b over the base field:
-        the restriction is {u dec_a[G] : u in GF(q)^k, u dec_b[G] = 0}, the
-        a-parts of the rows of RREF[dec_b[G] | dec_a[G]] that pivot past n.
+        the restriction is {u dec_a[G] : u in GF(q)^k, u dec_b[G] = 0}.
+        dec_b[G] is 0 on the pivots, so the messages are the left kernel U
+        of dec_b[G] on the n - k free columns, one :func:`kernel_basis`.  U
+        and dec_a[G] (the identity on the pivots) are both in RREF, so their
+        product is too: it is dec_a[G][U.pivots] plus the product over U's
+        free columns, with no further elimination.
         """
         pair = extension_pair_for(self.field)
-        R, pivots = rref(pair.sub, np.hstack([pair.dec_b[self.gen], pair.dec_a[self.gen]]))
-        return LinearCode(pair.sub, R[int(np.searchsorted(pivots, self.n)) :, self.n :], self.n, _canonical=True)
+        if self.k == 0:
+            return LinearCode.zero_code(pair.sub, self.n)
+        U = LinearCode(pair.sub, kernel_basis(pair.sub, pair.dec_b[self.gen[:, self.free]].T), self.k, _canonical=True)
+        A = pair.dec_a[self.gen]
+        R = pair.sub.add_arrays(A[list(U.pivots)], pair.sub.matmul(U.gen[:, U.free], A[U.free]))
+        return LinearCode(pair.sub, R, self.n, _canonical=True)
 
     # -- coordinate surgery ----------------------------------------------------
 

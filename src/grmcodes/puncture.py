@@ -103,12 +103,14 @@ def puncture_code_css(
     if grm_pair:
         q, m = C1.q, C1.m
         diff = C2.nu - C1.nu
-        expected = build_grm(q, m, diff).code
-        if pcode != expected:
+        codes = {C1.nu: code1, C2.nu: code2}  # R_q(mu, m) by order, the caller's reused
+        if diff not in codes:
+            codes[diff] = build_grm(q, m, diff).code
+        if pcode != codes[diff]:
             raise ParameterMismatch("puncture code disagrees with R_q(nu2-nu1, m)")
         prov.update({"family": "grm", "q": q, "m": m, "nu1": C1.nu, "nu2": C2.nu, "grm_identity": True})
         for mu in range(diff + 1):
-            sub = expected if mu == diff else build_grm(q, m, mu).code
+            sub = codes[mu] if mu in codes else build_grm(q, m, mu).code
             if not sub.is_subcode_of(pcode):
                 raise ParameterMismatch(f"R_q({mu}, m) escapes the puncture code")
             known.append((f"grm(q={q},m={m},nu={mu})", sub))  # k rises with mu
@@ -135,7 +137,7 @@ def puncture_code_hermitian(C: Union[LinearCode, GrmCode]) -> PunctureCodeRecord
         prov.update({"family": "grm", "m": m, "nu": nu})
         for mu in range((q + 1) * nu, m * (q2 - 1)):
             mu_perp = m * (q2 - 1) - 1 - mu
-            sub = build_grm(q2, m, mu_perp).code.restriction()
+            sub = (code if mu_perp == nu else build_grm(q2, m, mu_perp).code).restriction()
             if not sub.is_subcode_of(pcode):
                 raise ParameterMismatch(f"restriction at mu={mu} escapes the puncture code")
             known.append((f"restriction(dual(grm(q={q2},m={m},nu={mu})))", sub))

@@ -206,14 +206,14 @@ def test_array_ops_match_scalar_ops_exhaustively(q):
 
 @pytest.mark.parametrize("q", ALL_SIZES)
 def test_matmul_matches_scalar_triple_loop(q):
-    # odd prime fields take one float64 product mod p, the others the row loop
+    # every field takes one float product of base-p digit planes, then mod p
     f = gf.get_field(q)
     rng = np.random.default_rng(q)
     pairs = [
         (rng.integers(0, q, size=(m, r)).astype(np.uint8), rng.integers(0, q, size=(r, n)).astype(np.uint8))
         for m, r, n in ((1, 1, 1), (3, 5, 4), (6, 2, 9), (4, 0, 3), (0, 3, 4), (2, 5, 0), (0, 0, 0), (5, 512, 9), (7, 40, 64))
     ]
-    top = np.full((2, 512), q - 1, dtype=np.uint8)  # over GF(p) every sum is the largest, 512 (p-1)^2
+    top = np.full((2, 512), q - 1, dtype=np.uint8)  # every digit of q - 1 is p - 1, the largest
     for a, b in pairs + [(top, top.T)]:
         (m, r), n = a.shape, b.shape[1]
         expect = np.zeros((m, n), dtype=np.uint8)
@@ -225,6 +225,21 @@ def test_matmul_matches_scalar_triple_loop(q):
                 expect[i, j] = acc
         got = f.matmul(a, b)
         assert got.dtype == np.uint8 and np.array_equal(got, expect)
+
+
+def test_matmul_uses_float64_where_float32_sums_are_inexact():
+    # GF(49) has the largest e(p-1)^2, 72.  With a = b = 5 (digits 5, 0) the
+    # one entry's digit-0 sum is 25 r = 16777225 at r = 671089: odd and past
+    # 2^24, so no float32 product returns it, and r e (p-1)^2 >= 2^24 selects
+    # float64.  All entries q - 1 would not show it: every product of its
+    # digit 6 is even, and float32 is exact on even sums below 2^25.
+    f = gf.get_field(49)
+    r = 671_089
+    a = np.full((1, r), 5, dtype=np.uint8)
+    expect = 0
+    for _ in range(r % f.p):
+        expect = f.add(expect, f.mul(5, 5))
+    assert f.matmul(a, a.T).tolist() == [[expect]]
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])

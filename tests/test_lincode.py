@@ -132,10 +132,12 @@ def test_rref_kernel_and_reduce_match_reference_rref(q):
         assert not np.any(reference_matmul(f, R, D.gen.T))
         assert D.dual() == code
         V = rng.integers(0, q, size=(7, n)).astype(np.uint8)
-        # the generator is in RREF, so the residue is V - V[:, pivots] @ R
-        lifted = reference_matmul(f, V[:, list(pivots)], R)
-        assert np.array_equal(code.reduce(V), f.ADD[V, f.NEG[lifted]])
-        assert np.array_equal(code.reduce(V[0]), f.ADD[V[0], f.NEG[lifted[0]]])
+        # the generator is in RREF, so the residue is V - V[:, pivots] @ gen,
+        # also for k = 0 (no pivot: V itself) and k = n (no free column: 0)
+        for c in (code, LinearCode.zero_code(f, n), LinearCode.full_space(f, n)):
+            lifted = reference_matmul(f, V[:, list(c.pivots)], c.gen)
+            assert np.array_equal(c.reduce(V), f.ADD[V, f.NEG[lifted]])
+            assert np.array_equal(c.reduce(V[0]), f.ADD[V[0], f.NEG[lifted[0]]])
 
 
 def reference_dual(field, gen):
@@ -1070,8 +1072,28 @@ def test_restriction_matches_reference_with_planted_base_rows(q):
 
 
 @pytest.mark.parametrize("q", TOWERS)
+def test_restriction_matches_reference_at_the_extremes(q):
+    # k = n has no free column: the restriction is the whole base space.
+    # G = [I | X + gamma Y] with Y of full row rank has dec_b[G] of rank k on
+    # the free columns, so no nonzero base message survives: it is zero.
+    pair = gf.quadratic_extension(q)
+    ext, sub = pair.ext, pair.sub
+    rng = np.random.default_rng(700 + q)
+    for n in (1, 7):
+        full = LinearCode.full_space(ext, n)
+        assert full.restriction() == reference_restriction(full) == LinearCode.full_space(sub, n)
+    for k, n in ((1, 2), (3, 8), (5, 10)):
+        X, Y = (rng.integers(0, q, size=(k, n - k)).astype(np.uint8) for _ in range(2))
+        Y[:, :k] = np.eye(k, dtype=np.uint8)
+        right = ext.ADD[pair.emb[X], ext.MUL[pair.gamma, pair.emb[Y]]]
+        C = LinearCode(ext, np.hstack([np.eye(k, dtype=np.uint8), right]), n)
+        assert C.k == k
+        assert C.restriction() == reference_restriction(C) == LinearCode.zero_code(sub, n)
+
+
+@pytest.mark.parametrize("q", TOWERS)
 def test_restriction_matches_reference_on_random_codes(q):
-    # one RREF of [dec_b[G] | dec_a[G]] against the 2k-unknown reference;
+    # the kernel over the n - k free columns against the 2k-unknown reference;
     # k close to n forces a restriction of dimension at least 2k - n
     pair = gf.quadratic_extension(q)
     rng = np.random.default_rng(600 + q)

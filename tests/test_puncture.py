@@ -91,13 +91,26 @@ def _count_grm_builds(monkeypatch) -> list:
 
 def test_puncture_code_css_builds_each_grm_order_once(monkeypatch):
     # R_q(nu2 - nu1, m) serves as the identity check and as the last known
-    # subcode: diff + 1 builds, not diff + 2
+    # subcode, and the caller's R_q(nu1, m) is reused: every order in 0..diff
+    # but nu1 is built exactly once
     g1, g2 = build_grm(7, 2, 2), build_grm(7, 2, 9)
     built = _count_grm_builds(monkeypatch)
     rec = puncture_code_css(g1, g2)
-    assert sorted(nu for _, _, nu in built) == list(range(8))
+    assert sorted(nu for _, _, nu in built) == [0, 1, 3, 4, 5, 6, 7]
     expect = sorted(((f"grm(q=7,m=2,nu={mu})", build_grm(7, 2, mu).code) for mu in range(8)), key=lambda t: t[1].k)
     assert rec.known_subcodes == expect
+
+
+def test_puncture_code_hermitian_reuses_the_callers_code(monkeypatch):
+    # q = 3, m = 1, nu = 1: mu runs over [4, 8), so mu_perp = 7 - mu over
+    # 3..0, and R_9(1, 1) is the code passed in
+    g = build_grm(9, 1, 1)
+    built = _count_grm_builds(monkeypatch)
+    rec = puncture_code_hermitian(g)
+    assert sorted(nu for _, _, nu in built) == [0, 2, 3]
+    expect = sorted((build_grm(9, 1, nu).code.restriction() for nu in (3, 2, 1, 0)), key=lambda c: c.k)
+    assert [sub for _, sub in rec.known_subcodes] == expect
+
 
 def test_puncture_code_css_equal_orders_gives_repetition():
     rec = puncture_code_css(build_grm(3, 2, 1), build_grm(3, 2, 1))
