@@ -13,7 +13,6 @@ from .grm import (
     dual_order,
     grm_dimension,
     grm_distance,
-    nesting_weight_check,
 )
 from .lincode import (
     DEFAULT_CAP,
@@ -37,7 +36,6 @@ from .qcode import (
     StabilizerMatrix,
     css,
     css_grm,
-    css_grm_selfdual_pair,
     hermitian,
     hermitian_grm,
     hermitian_self_orthogonal,
@@ -57,7 +55,6 @@ __all__ = [
     "build_grm",
     "css",
     "css_grm",
-    "css_grm_selfdual_pair",
     "dual_order",
     "extended_rs_embedding_check",
     "find_weight_witness",
@@ -68,7 +65,6 @@ __all__ = [
     "hermitian_grm",
     "hermitian_self_orthogonal",
     "mds_chain",
-    "nesting_weight_check",
     "product_span",
     "puncture_code_css",
     "puncture_code_hermitian",

@@ -38,7 +38,13 @@ class NotNested(GrmError, ValueError):
 
 
 class CapExceeded(GrmError, RuntimeError):
-    """An exhaustive enumeration would exceed the configured cap."""
+    """An exhaustive enumeration would exceed the configured cap.
+
+    ``bound`` is set when the distance engine gives up: the lower bound on
+    the weight it was asked for that its search certified.
+    """
+
+    bound = None
 
 
 class OrderOutOfRange(GrmError, ValueError):

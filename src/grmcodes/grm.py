@@ -48,10 +48,9 @@ from math import comb
 
 import numpy as np
 
-from . import lincode
-from .errors import LengthCapExceeded, NotNested, OrderOutOfRange, ParameterMismatch
+from .errors import LengthCapExceeded, OrderOutOfRange, ParameterMismatch
 from .gf import FieldSpec, get_field
-from .lincode import DEFAULT_CAP, LinearCode
+from .lincode import LinearCode
 
 MAX_LENGTH = 256
 
@@ -242,32 +241,3 @@ def grm_dual_code(g: GrmCode) -> LinearCode:
     if g.nu_perp < 0:
         return LinearCode.zero_code(g.field, g.n)
     return build_grm(g.q, g.m, g.nu_perp).code
-
-
-def nesting_weight_check(
-    q: int, m: int, nu1: int, nu2: int, cap: int = DEFAULT_CAP
-) -> dict:
-    """Verify strict nesting and the set-difference weight identity.
-
-    For nu1 < nu2 the difference set C2 minus C1 must attain wt(C2); the
-    returned report carries all three enumerated weights.
-    """
-    if not nu1 < nu2:
-        raise NotNested(f"need nu1 < nu2, got {nu1}, {nu2}")
-    c1 = build_grm(q, m, nu1)
-    c2 = build_grm(q, m, nu2)
-    if not (c1.code.is_subcode_of(c2.code) and c1.k < c2.k):
-        raise ParameterMismatch("orders increased but codes are not strictly nested")
-    w2, wdiff = lincode.exact_min_weight(c2.code, c1.code, cap)
-    w1 = lincode.exact_min_weight(c1.code, cap=cap)[0]
-    return {
-        "q": q,
-        "m": m,
-        "nu1": nu1,
-        "nu2": nu2,
-        "wt_c1": w1,
-        "wt_c2": w2,
-        "wt_difference": wdiff,
-        "difference_attains_wt_c2": wdiff == w2,
-        "strictly_nested": True,
-    }

@@ -9,36 +9,46 @@ The construction algebra leans on that form: the generator is the
 identity on its pivot columns.  An ``rref`` pivot step touches only the
 columns at and right of the pivot, since everything to its left is
 already zero; ``reduce`` is one product, as its multipliers are the
-pivot columns, computed on the free columns only, as the residue is 0 on
-the pivots; ``kernel_basis`` is one elimination and ``dual`` reads its
+pivot columns, and returns the residue on the free columns only, as it
+is 0 on the pivots; ``kernel_basis`` is one elimination and ``dual`` reads its
 null rows off an RREF with min(k, n - k) pivots; a matrix already in
 RREF (a Frobenius image, the identity, a product of RREF matrices) is
 taken as it is, each row's first nonzero entry being its pivot; and
 ``restriction`` is one kernel over the n - k free columns, because the
 pivot columns carry the message and its imaginary part vanishes there.
 
-Every exact distance goes through one engine, ``exact_min_weight(code,
+Every distance goes through one engine, ``exact_min_weight(code,
 exclude)``, which returns the pair (wt(code), wt(code minus exclude)) from
-a single pass over the code by one of two exact routes:
+a single pass over the code by one of three exact routes:
 
-* span route, when q^k fits the cap: a Brouwer-Zimmermann search over
-  disjoint information sets (Zimmermann 1996; Grassl 2006) enumerates each
-  set's messages, one per scalar class, weight by weight until the floor
-  on unseen words reaches the lightest word outside the excluded subcode
-  (nonzero residue under its ``reduce``).  Where one exhaustive scan of
-  the (q^k - 1)/(q - 1) scalar classes is estimated cheaper, it runs;
-* support search, otherwise: scan supports of increasing size for
-  dependent column sets of the parity-check matrix, which suits codes
-  whose *dual* is small.  The first size with a full-support kernel vector
-  is wt(code); the first size with one outside the excluded subcode is
-  the second value.  Supports are tested in lexicographic chunks by one
-  batched rank filter (a forward elimination run across the whole stack
-  of column subsets at once); only the dependent sets, which are rare
-  below the minimum weight, reach the per-subset kernel computation.
+* information-set search: a Brouwer-Zimmermann search over disjoint
+  information sets (Zimmermann 1996; Grassl 2006) enumerates each set's
+  messages, one per scalar class, weight by weight until the floor on
+  unseen words reaches the lightest word outside the excluded subcode
+  (nonzero residue under its ``reduce``).  It prices the rest of its work
+  before each weight and stops when that tops its budget;
+* span scan, when q^k fits the cap and one exhaustive scan of the
+  (q^k - 1)/(q - 1) scalar classes is estimated cheaper than the search;
+* support search: scan supports of increasing size for dependent column
+  sets of the parity-check matrix, which suits codes whose *dual* is
+  small.  The first size with a full-support kernel vector is wt(code);
+  the first size with one outside the excluded subcode is the second
+  value.  Supports are tested in lexicographic chunks by one batched rank
+  filter (a forward elimination run across the whole stack of column
+  subsets at once); only the dependent sets, which are rare below the
+  minimum weight, reach the per-subset kernel computation.
 
-Both are complete searches; tests cross-check one against the other, the
-span route against the exhaustive scan, the batched support search
-against a per-subset reference, and both against a brute-force oracle.
+When q^k fits the cap, the search runs with the scan's cost as its budget
+and the scan finishes what it leaves.  Above the cap, the search runs
+first under the cap (for a code of rate above 1/2, only its first look),
+and the support search runs only when the support sizes it charges up
+front, up to the lightest word the search saw, fit its subset budget.
+When neither finishes, the engine raises CapExceeded carrying the bound
+the search certified, which is what ``LinearCode.min_weight`` reports.
+
+All three are complete searches; tests cross-check them against each
+other, the batched support search against a per-subset reference, and
+all of them against a brute-force oracle.
 """
 
 from __future__ import annotations
@@ -151,7 +161,7 @@ class LinearCode:
             raise ValueError(f"entries must be indices below q={field.q}")
         if _canonical:  # rows already in RREF: each row's first nonzero entry is its pivot
             self.gen = rows.copy()
-            self.pivots = tuple(int(c) for c in (rows != 0).argmax(axis=1))
+            self.pivots = tuple((rows != 0).argmax(axis=1).tolist())
         else:
             self.gen, self.pivots = rref(field, rows)
         self.gen.setflags(write=False)
@@ -189,12 +199,13 @@ class LinearCode:
     # -- membership --------------------------------------------------------
 
     def reduce(self, vecs: np.ndarray) -> np.ndarray:
-        """Residue of row vectors after elimination by the generator rows.
+        """Residue of row vectors after elimination by the generator rows, on
+        the free columns: a vector lies in the code iff its residue is 0.
 
         The RREF generator is the identity on its pivot columns, so no step
         changes another pivot's entry: the multipliers are read off V once,
         the residue is V - V[:, pivots] @ gen, and that is 0 on the pivots.
-        Only its free columns F are computed, as V_F - V[:, pivots] @ gen_F.
+        What is returned is its free columns F, V_F - V[:, pivots] @ gen_F.
         """
         V = np.asarray(vecs, dtype=np.uint8)
         single = V.ndim == 1
@@ -202,9 +213,8 @@ class LinearCode:
             V = V[None, :]
         if V.shape[1] != self.n:
             raise DimensionMismatch(f"expected length {self.n}")
-        out = np.zeros_like(V)
         f, F = self.field, self.free
-        out[:, F] = f.sub_arrays(V.take(F, axis=1), f.matmul(V[:, list(self.pivots)], self.gen.take(F, axis=1)))
+        out = f.sub_arrays(V.take(F, axis=1), f.matmul(V[:, list(self.pivots)], self.gen.take(F, axis=1)))
         return out[0] if single else out
 
     def contains(self, v) -> bool:
@@ -293,55 +303,18 @@ class LinearCode:
     # -- weights ---------------------------------------------------------------
 
     def min_weight(self, cap: int = DEFAULT_CAP) -> tuple[int, bool]:
-        """Exact minimum weight when q^k <= cap, else a certified lower bound.
+        """(weight, exact): wt(C) from :func:`exact_min_weight` under ``cap``,
+        or, where that gives up, (the lower bound its search certified, False).
 
-        Returns (weight, exact).  Above the cap the information-set bound
-        enumerates all low-weight messages; codeword weight is at least
-        message weight because the RREF pivots carry the message.  When
-        that bound is not exact, its lightest word (weight ``best``, an
-        upper bound on d) shows whether the support route is sure to
-        finish: it is tried only when best <= n - k and the supports of
-        size <= best fit its subset budget under ``cap``, and the bound
-        stands if it gives up anyway.
+        That bound is t + 1 when the search saw every message of weight <= t
+        on the RREF generator (codeword weight is at least message weight,
+        since the pivots carry the message), or the lightest word it saw if
+        that is lower.
         """
-        if self.k == 0:
-            raise EmptyCode("the zero code has no minimum weight")
-        if self.field.q**self.k <= cap:
+        try:
             return exact_min_weight(self, cap=cap)[0], True
-        bound, exact, best = self._partial_lower_bound(cap)
-        if (
-            not exact
-            and best is not None
-            and best <= self.n - self.k
-            and sum(comb(self.n, w) for w in range(1, best + 1)) <= _subset_budget(cap)
-        ):
-            try:
-                return exact_min_weight(self, cap=cap)[0], True
-            except CapExceeded:
-                pass
-        return bound, exact
-
-    def _partial_lower_bound(self, cap: int) -> tuple[int, bool, int | None]:
-        """(bound, exact, best) from every message of weight <= t.
-
-        t is the largest weight whose messages fit the budget; ``best`` is
-        the lightest word among them (None when t = 0), and it is exact
-        when t = k, since every nonzero message has then been seen.  The
-        words come from the span route's message enumerator on the RREF
-        generator, :func:`_message_words`, leading coefficient 1.
-        """
-        budget, k, q = min(cap, 1 << 16), self.k, self.field.q
-        t, used = 0, 0
-        while t < k and used + comb(k, t + 1) * (q - 1) ** (t + 1) <= budget:
-            t += 1
-            used += comb(k, t) * (q - 1) ** t
-        best = [self.n + 1] * 2
-        for w in range(1, t + 1):
-            for block in _message_words(self.field, self.gen, w):
-                _fold_block(block, None, best)
-        if t and (best[0] <= t + 1 or t == k):
-            return best[0], True, best[0]
-        return t + 1, False, best[0] if t else None
+        except CapExceeded as exc:
+            return exc.bound, False
 
     def weight_distribution(self, cap: int = DEFAULT_CAP) -> "WeightDistribution":
         """Exact weight counts by full enumeration; CapExceeded when q^k > cap.
@@ -421,7 +394,7 @@ def iter_span_blocks(field: FieldSpec, rows):
             yield lead, field.add_arrays(base, prefix[None, :])
 
 
-# -- span route: information-set search -------------------------------------------
+# -- information-set search -------------------------------------------
 
 
 def _index_chunks(tuples, rows: int, width: int):
@@ -503,51 +476,63 @@ def _search_plan(field: FieldSpec, k: int, ranks, w: int, target: int) -> tuple[
     return sum(r >= k - stop for r in ranks) * words, stop
 
 
-def _information_set_search(
-    code: LinearCode, exclude: LinearCode | None = None, budget: float = float("inf")
-) -> tuple[list[int], bool]:
-    """Brouwer-Zimmermann search: ([wt(C), wt(C minus exclude)], finished).
+def _look_weight(q: int, k: int, cap: int) -> int:
+    """Weights the search first enumerates on the RREF generator alone.
 
-    For w = 1, 2, ... it enumerates the weight-w messages (leading
-    coefficient 1) on every information set, until :func:`_unseen_bound`
-    reaches the lightest word outside ``exclude`` or w = k.  It stops
-    unfinished when its estimated cost to finish tops ``budget``."""
+    Within the cap they are 1 and 2, unless one rref costs more than the
+    scan.  Above it they are every weight t whose messages, counted as
+    comb(k, t) (q-1)^t and summed, fit min(cap, 2^16): the weight-by-weight
+    floor t + 1 (the pivots carry the message) that every capped code gets.
+    """
+    if q**k <= cap:
+        return min(2, k) if _PIVOT_COST * k <= (q**k - 1) // (q - 1) else 0
+    t, used = 0, 0
+    while t < k and used + comb(k, t + 1) * (q - 1) ** (t + 1) <= min(cap, 1 << 16):
+        t += 1
+        used += comb(k, t) * (q - 1) ** t
+    return t
+
+
+def _information_set_search(
+    code: LinearCode, exclude: LinearCode | None = None, budget: float = float("inf"), look: int = 2
+) -> tuple[list[int], int]:
+    """Brouwer-Zimmermann search: ([wt(C), wt(C minus exclude)] as far as
+    seen, a certified lower bound on wt(C minus exclude)).
+
+    It first enumerates the messages of weight <= ``look`` on the RREF
+    generator alone.  Then for w = 1, 2, ... it enumerates the weight-w
+    messages (leading coefficient 1) on every information set, until
+    :func:`_unseen_bound` reaches the lightest word outside ``exclude`` or
+    w = k; the bound is then that word's weight.  It stops unfinished when
+    its estimated cost to finish tops ``budget``.  That cost only falls as w
+    rises and lighter words turn up, so it stops, if at all, before any set
+    but the first is enumerated, and the bound is the floor look + 1 on the
+    words that set did not show, or the lightest word seen if lower."""
     field, k, n = code.field, code.k, code.n
     best = [n + 1, n + 1]
-    if _PIVOT_COST * k > budget:  # cheaper than one more set's rref
-        return best, False
-    look = min(2, k)  # a first look, on the RREF generator alone
+    look = min(look, k)
     for w in range(1, look + 1):
         for block in _message_words(field, code.gen, w):
             _fold_block(block, exclude, best)
     if look + 1 >= best[1] or look == k:
-        return best, True
+        return best, best[1]
     hint = [k] * (n // k) + [n % k] * (n % k > 0)  # ranks no sets can beat
-    if _search_plan(field, k, hint, 1, best[1])[0] + _PIVOT_COST * k * (len(hint) - 1) > budget:
-        return best, False
+    if _PIVOT_COST * k > budget or (
+        _search_plan(field, k, hint, 1, best[1])[0] + _PIVOT_COST * k * (len(hint) - 1) > budget
+    ):
+        return best, look + 1
     sets = _information_sets(field, code.gen, code.pivots)
     for w in range(1, k + 1):
         cost, stop = _search_plan(field, k, [r for _, r in sets], w, best[1])
         if cost > budget:
-            return best, False
+            return best, min(best[1], look + 1)
         sets = [(gen, r) for gen, r in sets if r >= k - stop]
         for gen, _ in sets[w <= look :]:  # the first set has had its look
             for block in _message_words(field, gen, w):
                 _fold_block(block, exclude, best)
         if _unseen_bound(k, [r for _, r in sets], w) >= best[1]:
             break
-    return best, True
-
-
-def _span_min_weight(code: LinearCode, exclude: LinearCode | None = None) -> tuple[int, int]:
-    """(wt(C), wt(C minus exclude)) by the information-set search, or by one
-    exhaustive scan through the same update where that is estimated cheaper."""
-    q = code.field.q
-    best, done = _information_set_search(code, exclude, budget=(q**code.k - 1) // (q - 1))
-    if not done:
-        for _, block in iter_span_blocks(code.field, code.gen):
-            _fold_block(block, exclude, best)
-    return best[0], best[1]
+    return best, best[1]
 
 
 def find_first_of_weight(field: FieldSpec, rows, target: int) -> np.ndarray | None:
@@ -684,10 +669,16 @@ def exact_min_weight(
     """Exact (wt(code), wt(code minus exclude)) in one pass over the code.
 
     ``exclude`` must be a proper subcode; without one (or with the zero
-    code) both values are wt(code).  The span route (:func:`_span_min_weight`)
-    runs when q^k <= cap, otherwise the support route under the same cap,
-    so one cap bounds both.  Raises
-    CapExceeded when the support route gives up.
+    code) both values are wt(code).  The information-set search runs first.
+    When q^k <= cap its budget is the cost of one scan of the span, and the
+    scan finishes what the search leaves.  Above the cap its budget is the
+    cap, for a code with n >= 2k; a code of higher rate has one full-rank
+    information set, so there the search takes only its first look, and
+    the support search, which suits its small dual, is the route.  That
+    runs, under the same cap, only when the support sizes it charges up
+    front (those <= n - k) up to the lightest word seen fit its subset
+    budget.  If neither finishes, this raises CapExceeded with ``bound``
+    set to the lower bound on wt(code minus exclude) the search certified.
     """
     if code.k == 0:
         raise EmptyCode("the zero code has no minimum weight")
@@ -696,9 +687,28 @@ def exact_min_weight(
             raise NotNested("the excluded code must be contained in the code")
         if exclude.k == code.k:
             raise NotNested("containment must be strict")
-    if code.field.q**code.k > cap:
-        return min_weight_support_search(code, exclude, cap)
-    return _span_min_weight(code, exclude if exclude is not None and exclude.k else None)
+        exclude = exclude if exclude.k else None
+    field, k, n = code.field, code.k, code.n
+    within = field.q**k <= cap
+    if within:
+        budget = (field.q**k - 1) // (field.q - 1)  # one scan
+    else:
+        budget = cap if 2 * k <= n else 0  # one full-rank set: the first look alone
+    best, bound = _information_set_search(code, exclude, budget, _look_weight(field.q, k, cap))
+    if bound == best[1]:
+        return best[0], best[1]
+    if within:
+        for _, block in iter_span_blocks(field, code.gen):
+            _fold_block(block, exclude, best)
+        return best[0], best[1]
+    if sum(comb(n, w) for w in range(1, min(best[1], n - k) + 1)) <= _subset_budget(cap):
+        try:
+            return min_weight_support_search(code, exclude, cap)
+        except CapExceeded:
+            pass
+    exc = CapExceeded(f"weight not settled under cap {cap}; certified lower bound {bound}")
+    exc.bound = bound
+    raise exc
 
 
 # -- componentwise product span ---------------------------------------------------

@@ -36,7 +36,7 @@ from .errors import (
     ParameterMismatch,
 )
 from .gf import FieldSpec, extension_pair_for
-from .grm import build_grm, dual_order, grm_dimension, grm_distance
+from .grm import build_grm, dual_order, grm_distance
 from .lincode import DEFAULT_CAP, LinearCode
 
 
@@ -266,20 +266,6 @@ def css_grm(
         }
     )
     _check_grm_record(rec)
-    return rec
-
-
-def css_grm_selfdual_pair(q: int, m: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
-    """CSS record from the pair (nu, nu-perp); needs 2*nu <= m(q-1)-1."""
-    nu_perp = dual_order(q, m, nu)
-    if nu > nu_perp:
-        raise OrderOutOfRange(f"need nu <= (m(q-1)-1)/2, got nu={nu}")
-    rec = css_grm(q, m, nu, nu_perp, cap)
-    if not rec.d_is_lower_bound:
-        if (rec.n, rec.k) != (q**m, q**m - 2 * grm_dimension(q, m, nu)):
-            raise ParameterMismatch(f"self-dual pair gave {rec.params_str()}, not [[n, n-2k(nu)]]")
-        if rec.d != grm_distance(q, m, nu_perp):
-            raise ParameterMismatch(f"self-dual pair distance {rec.d} is not d(nu-perp)")
     return rec
 
 

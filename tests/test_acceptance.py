@@ -21,7 +21,6 @@ from grmcodes.puncture import (
 )
 from grmcodes.qcode import (
     css_grm,
-    css_grm_selfdual_pair,
     hermitian_grm,
     hermitian_self_orthogonal,
 )
@@ -96,7 +95,7 @@ def test_criterion_4_css_instances():
     if (rec.n, rec.k, rec.d) != (9, 3, 3) or rec.pure is not True or not rec.exact:
         failures.append(f"css_grm(3,2,1,2) gave {rec.params_str()} pure={rec.pure}")
     for q, nu in ((3, 0), (5, 0), (5, 1), (7, 1), (7, 2)):
-        rec = css_grm_selfdual_pair(q, 1, nu, CAP)
+        rec = css_grm(q, 1, nu, dual_order(q, 1, nu), CAP)
         expect = (q, q - 2 * nu - 2, nu + 2)
         if (rec.n, rec.k, rec.d) != expect or rec.pure is not True or not rec.exact:
             failures.append(f"(q={q},nu={nu}) gave {rec.params_str()}, expected {expect}")

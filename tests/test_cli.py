@@ -430,7 +430,8 @@ GOLDEN_COMMANDS = {
     "quantum_hermitian_q4_m2_nu3": "quantum hermitian -q 4 -m 2 --nu 3",
     "puncture_hermitian_q3_m2_nu2_w27": "puncture hermitian -q 3 -m 2 --nu 2 --target-weight 27",
     "sweep_mds_q3_4_5": "sweep mds -q 3,4,5",
-    # span route for C2 minus C1, support route for C1-perp minus C2-perp
+    # information-set search on both sides: C2 minus C1 within the cap, and
+    # C1-perp minus C2-perp over it, where its first look settles the weight
     "quantum_css_q5_m2_nu1_1_nu2_3": "quantum css -q 5 -m 2 --nu1 1 --nu2 3",
     # a capped record
     "quantum_hermitian_q4_m2_nu1": "quantum hermitian -q 4 -m 2 --nu 1",

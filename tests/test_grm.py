@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from grmcodes import grm
-from grmcodes.errors import LengthCapExceeded, NotNested, OrderOutOfRange, UnsupportedField
+from grmcodes.errors import LengthCapExceeded, OrderOutOfRange, UnsupportedField
 from grmcodes.gf import SUPPORTED_SIZES
 from grmcodes.grm import (
     GrmCode,
@@ -19,8 +19,8 @@ from grmcodes.grm import (
     grm_dimension,
     grm_distance,
     grm_dual_code,
-    nesting_weight_check,
 )
+from grmcodes.qcode import css_grm
 
 
 def monomial_exponents(q, m, nu):
@@ -255,24 +255,29 @@ def test_exhaustive_distance_matches_formula_small():
             assert exact and w == c.d_formula
 
 
-@pytest.mark.parametrize("q,nu", [(7, 9), (8, 11), (8, 12)])
+@pytest.mark.parametrize("q,nu", [(7, 3), (7, 9), (8, 11), (8, 12)])
 def test_min_weight_exact_above_the_cap(q, nu):
-    # q^k is far over the cap; the information-set bound's lightest word
-    # shows the support route will finish, so the distance comes out exact
+    # q^k is far over the cap.  R_7(3,2) = [49,10,28]_7 has n >= 2k and the
+    # information-set search's plan fits the cap, so it runs to the end; the
+    # others have n < 2k, and the search's first look finds a word light
+    # enough that the support route's charges up to it fit its budget
     c = build_grm(q, 2, nu)
     assert c.code.field.q**c.k > 2**24
     assert c.code.min_weight() == (c.d_formula, True)
 
 
-def test_nesting_weight_check_reports():
-    rep = nesting_weight_check(3, 2, 1, 2)
-    assert rep["wt_c2"] == 3 and rep["wt_difference"] == 3
-    assert rep["difference_attains_wt_c2"]
-    # order 0 inside anything: difference weight equals d(nu2) < q^m
-    rep = nesting_weight_check(3, 2, 0, 2)
-    assert rep["wt_difference"] == grm_distance(3, 2, 2) < 9
-    with pytest.raises(NotNested):
-        nesting_weight_check(3, 2, 2, 2)
+def test_css_grm_records_the_nesting_weights():
+    # a strict pair records wt(C2) and wt(C2 minus C1); the difference set
+    # attains wt(C2) = d(nu2)
+    prov = css_grm(3, 2, 1, 2).provenance
+    assert prov["branch"] == "strict" and prov["k1"] < prov["k2"]
+    assert prov["wt_c2"] == prov["wt_diff_c2_c1"] == grm_distance(3, 2, 2) == 3
+    # order 0 inside anything: the difference weight is d(nu2) < q^m
+    prov = css_grm(3, 2, 0, 2).provenance
+    assert prov["wt_diff_c2_c1"] == prov["wt_c2"] == grm_distance(3, 2, 2) < 9
+    # equal orders leave no difference set to weigh
+    prov = css_grm(3, 2, 2, 2).provenance
+    assert prov["branch"] == "equal" and "wt_diff_c2_c1" not in prov
 
 
 def test_grm_code_repr_and_fields():

@@ -133,11 +133,14 @@ def test_rref_kernel_and_reduce_match_reference_rref(q):
         assert D.dual() == code
         V = rng.integers(0, q, size=(7, n)).astype(np.uint8)
         # the generator is in RREF, so the residue is V - V[:, pivots] @ gen,
-        # also for k = 0 (no pivot: V itself) and k = n (no free column: 0)
+        # which is 0 on the pivots; reduce returns it on the free columns,
+        # also for k = 0 (no pivot: V itself) and k = n (no free column)
         for c in (code, LinearCode.zero_code(f, n), LinearCode.full_space(f, n)):
             lifted = reference_matmul(f, V[:, list(c.pivots)], c.gen)
-            assert np.array_equal(c.reduce(V), f.ADD[V, f.NEG[lifted]])
-            assert np.array_equal(c.reduce(V[0]), f.ADD[V[0], f.NEG[lifted[0]]])
+            residue = f.ADD[V, f.NEG[lifted]]
+            assert not np.any(residue[:, list(c.pivots)])
+            assert np.array_equal(c.reduce(V), residue[:, c.free])
+            assert np.array_equal(c.reduce(V[0]), residue[0, c.free])
 
 
 def reference_dual(field, gen):
@@ -339,10 +342,10 @@ def test_min_weight_repetition():
     f = gf.get_field(5)
     rep = LinearCode(f, np.ones((1, 7), dtype=np.uint8), 7)
     assert rep.min_weight() == (7, True)
-    # cap q^k - 1 = 4 leaves the exact route, but the bound then sees every
-    # nonzero message, so its lightest word is the minimum weight
+    # cap q^k - 1 = 4 puts the code over the cap, but the search's first look
+    # then sees every nonzero message, so its lightest word is the minimum weight
     assert rep.min_weight(cap=4) == (7, True)
-    assert rep._partial_lower_bound(4) == (7, True, 7) == reference_partial_lower_bound(rep, 4)
+    assert reference_partial_lower_bound(rep, 4) == (7, True, 7)
 
 
 def reference_partial_lower_bound(code, cap):
@@ -373,19 +376,21 @@ def reference_partial_lower_bound(code, cap):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_partial_lower_bound_matches_reference(q):
+def test_capped_bound_lies_between_reference_and_oracle(q):
     f = gf.get_field(q)
     rng = np.random.default_rng(90 + q)
     for n, k_rows in ((10, 6), (14, 8), (9, 3)):
         C = random_code(f, n, k_rows, rng)
+        weight = reference_span_min_weight(C)[0]
         for t in (1, 2, 3):
-            # the cap that admits exactly the messages of weight <= t
+            # the cap that admits exactly the messages of weight <= t, below q^k
             cap = sum(comb(C.k, s) * (q - 1) ** s for s in range(1, t + 1))
-            got = C._partial_lower_bound(cap)
-            assert got == reference_partial_lower_bound(C, cap)
-            bound, exact, best = got
-            assert best >= C.min_weight()[0]
-            assert exact or bound == min(t, C.k) + 1
+            assert cap < q**C.k
+            ref_bound, ref_exact, _ = reference_partial_lower_bound(C, cap)
+            got, exact = C.min_weight(cap)
+            assert ref_bound <= got <= weight
+            assert got == weight or not exact
+            assert exact or not ref_exact  # the search sees every message the reference does
 
 
 def test_min_weight_partial_lower_bound():
@@ -751,7 +756,9 @@ def reference_span_min_weight(code, exclude=None):
     field, n = code.field, code.n
     rows, split = code.gen, code.k
     if exclude is not None and exclude.k:
-        residues = exclude.reduce(code.gen)
+        # the full residues: reduce's free columns, and 0 on the pivots
+        residues = np.zeros_like(code.gen)
+        residues[:, exclude.free] = exclude.reduce(code.gen)
         ext, _ = rref(field, residues[np.any(residues, axis=1)])
         rows, split = np.vstack([ext, exclude.gen]), ext.shape[0]
     inside = outside = n + 1  # minima over words led by rows[split:] and by rows[:split]
@@ -766,8 +773,8 @@ def reference_span_min_weight(code, exclude=None):
 
 def information_set_search(code, exclude=None):
     """The search alone, with no budget, so the cost rule never hands over to the scan."""
-    best, done = lincode._information_set_search(code, exclude)
-    assert done
+    best, bound = lincode._information_set_search(code, exclude)
+    assert bound == best[1]
     return tuple(best)
 
 
@@ -893,16 +900,113 @@ def test_bound_counts_only_fully_enumerated_sets(monkeypatch):
     checked = 0
     for code, sub in cases:
         calls.update(sets=[], words=set(), bounds=[])
-        best, done = lincode._information_set_search(code, sub)
+        best, bound = lincode._information_set_search(code, sub)
         if not calls["sets"]:
             continue  # finished on the first look
         counted, w = calls["bounds"][-1]  # the stopping test comes last
         full = [r for gen, r in calls["sets"] if all((gen.tobytes(), v) in calls["words"] for v in range(1, w + 1))]
         for r in set(counted):
             assert counted.count(r) <= full.count(r)
-        assert done and (real_bound(code.k, counted, w) >= best[1] or w == code.k)
+        assert bound == best[1] and (real_bound(code.k, counted, w) >= best[1] or w == code.k)
         checked += 1
     assert checked >= 30
+
+
+def search_under(code, exclude, cap):
+    """The search with the budget and first look it gets from exact_min_weight at ``cap``,
+    whatever the code's rate."""
+    q, k = code.field.q, code.k
+    budget = (q**k - 1) // (q - 1) if q**k <= cap else cap
+    return lincode._information_set_search(code, exclude, budget, lincode._look_weight(q, k, cap))
+
+
+@st.composite
+def code_for_the_routes(draw):
+    """A random [8..20, <=10] code with zero and repeated columns, and a proper subcode or None."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 8]))
+    n = draw(st.integers(8, 20))
+    k = draw(st.integers(2, {2: 10, 3: 7, 4: 6, 5: 5, 8: 4}[q]))
+    code, sub = planted_code(gf.get_field(q), n, k, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    assume(code.k > 0)
+    return code, sub
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=60)
+@given(code_for_the_routes(), st.integers(0, 4096))
+def test_routes_give_the_same_pair_wherever_they_finish(case, extra_cap):
+    code, sub = case
+    f, q, k, n = code.field, code.field.q, code.k, code.n
+    for exclude in (None, sub):
+        expect = reference_span_min_weight(code, exclude)
+        scan = [n + 1, n + 1]
+        for _, block in iter_span_blocks(f, code.gen):
+            lincode._fold_block(block, exclude, scan)
+        assert tuple(scan) == expect
+        assert information_set_search(code, exclude) == expect
+        # within the cap (q^k and above), and over it (below q^k)
+        for cap in sorted({1, 2 + extra_cap % q**k, q**k - 1, q**k, q**k + extra_cap} - {0}):
+            best, bound = search_under(code, exclude, cap)
+            assert bound <= expect[1] and best[0] >= expect[0] and best[1] >= expect[1]
+            assert bound < best[1] or tuple(best) == expect
+            try:
+                assert min_weight_support_search(code, exclude, cap) == expect
+            except CapExceeded:
+                pass
+            try:
+                assert exact_min_weight(code, exclude, cap) == expect
+            except CapExceeded as exc:
+                assert q**k > cap and 1 <= exc.bound <= expect[1]
+            if exclude is None:
+                w, exact = code.min_weight(cap)
+                assert w == expect[0] if exact else 1 <= w <= expect[0]
+
+
+def test_engine_skips_a_support_search_sure_to_give_up(monkeypatch):
+    # the Hermitian distance of R_16(1, 2): its dual is [256, 253] over GF(16)
+    # with r = 3 checks, so the search takes only its first look (weight 1,
+    # the most that fits 2^16 messages), and that sees a word of weight 3;
+    # C(256, 1..3) = 2.79*10^6 supports are over the subset budget
+    calls = []
+    monkeypatch.setattr(lincode, "min_weight_support_search", lambda *args: calls.append(args))
+    C = build_grm(16, 2, 1).code
+    D = C.hermitian_dual()
+    assert sum(comb(256, w) for w in range(1, 4)) > lincode.SUPPORT_BUDGET
+    with pytest.raises(CapExceeded) as capped:
+        exact_min_weight(D, C)
+    assert capped.value.bound == 2 and not calls
+    # without the exclusion, min_weight reports the same bound
+    assert D.min_weight() == (2, False) and not calls
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_unfinished_search_bound_counts_only_the_first_set(q):
+    """A search stopped above the cap has seen the messages of weight <= look
+    on the RREF generator and nothing on any other set: its bound is look + 1
+    at most, even where counting the other sets at that weight would give more."""
+    f = gf.get_field(q)
+    rng = np.random.default_rng(40 + q)
+    tight = 0
+    for _ in range(30):
+        for t in (1, 2):
+            # [I | A] with the first t + 1 rows of A summing to 0: a word of
+            # weight t + 1 whose message, of weight t + 1, the look does not reach
+            k = int(rng.integers(t + 2, 6))
+            n = int(rng.integers(2 * k, 3 * k + 1))
+            G = np.hstack([np.eye(k, dtype=np.uint8), rng.integers(0, q, size=(k, n - k)).astype(np.uint8)])
+            G[t, k:] = f.NEG[reference_matmul(f, np.ones((1, t), dtype=np.uint8), G[:t, k:])[0]]
+            code = LinearCode(f, G, n)
+            weight = reference_span_min_weight(code)[0]
+            # the cap whose first look is exactly weights <= t; below q^k
+            cap = sum(comb(k, s) * (q - 1) ** s for s in range(1, t + 1))
+            assert lincode._look_weight(q, k, cap) == t
+            best, bound = search_under(code, None, cap)
+            assert bound <= weight <= best[0]
+            if bound < best[1]:
+                hint = [k] * (n // k) + [n % k] * (n % k > 0)
+                tight += bound == weight < lincode._unseen_bound(k, hint, t)
+            w, exact = code.min_weight(cap)
+            assert w == weight if exact else bound <= w <= weight
+    assert tight >= 10
 
 
 def test_message_words_enumerate_each_scalar_class_once():

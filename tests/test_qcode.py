@@ -18,13 +18,12 @@ from grmcodes.errors import (
     NotSelfOrthogonal,
     OrderOutOfRange,
 )
-from grmcodes.grm import build_grm, dual_order, grm_distance
+from grmcodes.grm import build_grm, dual_order, grm_dimension, grm_distance
 from grmcodes.lincode import LinearCode
 from grmcodes.qcode import (
     check_quantum_orders,
     css,
     css_grm,
-    css_grm_selfdual_pair,
     hermitian,
     hermitian_grm,
     hermitian_self_orthogonal,
@@ -134,17 +133,21 @@ def test_css_degrades_to_lower_bound_when_capped():
     [(3, 0, (3, 1, 2)), (5, 0, (5, 3, 2)), (5, 1, (5, 1, 3)), (7, 1, (7, 3, 3)), (7, 2, (7, 1, 4))],
 )
 def test_css_selfdual_pair_univariate_mds(q, nu, expect):
-    rec = css_grm_selfdual_pair(q, 1, nu)
+    # the pair (nu, nu-perp): [[n, n - 2k(nu), d(nu-perp)]]
+    nu_perp = dual_order(q, 1, nu)
+    rec = css_grm(q, 1, nu, nu_perp)
     assert (rec.n, rec.k, rec.d) == expect
+    assert (rec.k, rec.d) == (q - 2 * grm_dimension(q, 1, nu), grm_distance(q, 1, nu_perp))
     assert rec.pure is True
     assert rec.is_mds
 
 
 def test_css_selfdual_pair_multivariate_and_range():
-    rec = css_grm_selfdual_pair(2, 2, 0)
+    rec = css_grm(2, 2, 0, dual_order(2, 2, 0))
     assert (rec.n, rec.k, rec.d) == (4, 2, 2)
+    assert (rec.k, rec.d) == (4 - 2 * grm_dimension(2, 2, 0), grm_distance(2, 2, 1))
     with pytest.raises(OrderOutOfRange):
-        css_grm_selfdual_pair(3, 1, 2)  # nu > (m(q-1)-1)/2
+        css_grm(3, 1, 2, dual_order(3, 1, 2))  # nu > nu-perp = (m(q-1)-1) - nu
 
 
 def test_hermitian_self_orthogonality():
