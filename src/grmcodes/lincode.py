@@ -33,10 +33,13 @@ a single pass over the code by one of three exact routes:
   sets of the parity-check matrix, which suits codes whose *dual* is
   small.  The first size with a full-support kernel vector is wt(code);
   the first size with one outside the excluded subcode is the second
-  value.  Supports are tested in lexicographic chunks by one batched rank
-  filter (a forward elimination run across the whole stack of column
-  subsets at once); only the dependent sets, which are rare below the
-  minimum weight, reach the per-subset kernel computation.
+  value.  Up to r (the number of checks) the supports come from a
+  lexicographic prefix tree: each independent prefix carries every
+  column's residue modulo its span, got from its parent's in one pivot
+  step, and an extension by column j is dependent exactly when that
+  residue is 0.  Above r every support is dependent and is walked untested.  Only
+  the dependent sets, rare below the minimum weight, reach the per-subset
+  kernel computation.
 
 When q^k fits the cap, the search runs with the scan's cost as its budget
 and the scan finishes what it leaves.  Above the cap, the search runs
@@ -47,7 +50,7 @@ When neither finishes, the engine raises CapExceeded carrying the bound
 the search certified, which is what ``LinearCode.min_weight`` reports.
 
 All three are complete searches; tests cross-check them against each
-other, the batched support search against a per-subset reference, and
+other, the filtered support search against a per-subset reference, and
 all of them against a brute-force oracle.
 """
 
@@ -74,7 +77,8 @@ _BLOCK_ROWS = 1 << 18
 SUPPORT_BUDGET = 2 * 10**6
 # largest kernel span the support route enumerates on one column subset
 KERNEL_BUDGET = 4096
-# column subsets per batched rank test; the stack takes chunk * r * w bytes
+# the support filter's prefix-tree blocks hold chunk * 8 // n prefixes,
+# whose residue stack takes chunk * 8 * r bytes
 _SUBSET_CHUNK = 1 << 13
 # costs in exhaustive-scan words of a search row gather (binary, other
 # fields) and of an rref pivot step; a search word's weight count is 0.5
@@ -559,40 +563,48 @@ def find_first_of_weight(field: FieldSpec, rows, target: int) -> np.ndarray | No
 # -- exact low-weight support search ---------------------------------------------
 
 
-def _dependent_subsets(field: FieldSpec, H: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """The rows of ``subsets`` whose columns of H are linearly dependent.
+def _prefix_tree(field: FieldSpec, H: np.ndarray, t: int, size: int):
+    """The t-subsets T of H's columns in lexicographic order, in blocks of
+    at most ``size``, with the (r, ., n) stack of their residues: all n
+    columns of H modulo span(H[:, T]) for an independent T, 0 for a
+    dependent one.
 
-    ``subsets`` is an (S, w) array of column indices; the result keeps its
-    row order.  One forward elimination runs across the whole (S, r, w)
-    stack.  The invariant that keeps it uniform: a subset still independent
-    after c columns has rank exactly c, so after those c pivots are cleared
-    away every surviving matrix has its next pivot in (what was) row c.  A
-    subset whose column c is zero from row c down is dependent and leaves
-    the batch.  With w > r the rows run out first, so every subset is
-    dependent.
+    A child T + {j} (j > max T) takes its residues from its parent's in one
+    pivot step on column j's residue.  That residue is 0 exactly when the
+    child is dependent, and then so is every extension of it, as its zero
+    residues say.
     """
-    w = subsets.shape[1]
-    M = H[:, subsets].transpose(1, 0, 2)  # (S, r, w)
-    live = np.arange(len(subsets))
-    dependent = []
-    for c in range(w):
-        # M holds the rows c.. and columns c.. still in play
-        nz = M[:, :, 0] != 0
-        alive = nz.any(axis=1)
-        if not alive.all():
-            dependent.append(live[~alive])
-            live, M, nz = live[alive], M[alive], nz[alive]
-        if c == w - 1 or live.size == 0:
-            break
-        b = np.arange(live.size)
-        p = nz.argmax(axis=1)
-        pivot = M[b, p]
-        M[b, p] = M[:, 0]  # the old top row takes the pivot row's place
-        scaled = field.MUL[field.INV[pivot[:, 0]][:, None], pivot[:, 1:]]
-        M = field.sub_arrays(M[:, 1:, 1:], field.MUL[M[:, 1:, 0][:, :, None], scaled[:, None, :]])
-    if not dependent:
-        return subsets[:0]
-    return subsets[np.sort(np.concatenate(dependent))]
+    if t == 0:
+        yield np.zeros((1, 0), dtype=np.intp), H[:, None]
+        return
+    mul = field.MUL.reshape(-1)  # MUL[a, b] == mul[a * q + b]; q^2 - 1 fits uint16
+    for T, R in _prefix_tree(field, H, t - 1, size):
+        b, j = np.nonzero(np.arange(H.shape[1]) > T.max(axis=1, initial=-1)[:, None])
+        for s in range(0, b.size, size):
+            bs, js = b[s : s + size], j[s : s + size]
+            P, i = R[:, bs], np.arange(bs.size)
+            col = P[:, i, js]
+            p = (col != 0).argmax(axis=0)
+            row = mul.take(field.INV[col[p, i]][:, None].astype(np.uint16) * field.q + P[p, i])
+            for a, c in enumerate(field.NEG[col].astype(np.uint16)):  # plane by plane: small temporaries
+                P[a] = field.add_arrays(P[a], mul.take(c[:, None] * field.q + row))
+            P[:, ~col.any(axis=0)] = 0  # a dependent child: all its extensions are too
+            yield np.column_stack([T[bs], js]), P
+
+
+def _dependent_supports(field: FieldSpec, H: np.ndarray, w: int):
+    """The linearly dependent w-subsets of H's columns, in lexicographic
+    order.  For w <= r (H's rows), T + {j} is one exactly when column j's
+    residue is 0 for the (w-1)-prefix T, tested for a whole block of
+    :func:`_prefix_tree` at once; above r every subset is one."""
+    r, n = H.shape
+    if w > r:
+        yield from map(list, itertools.combinations(range(n), w))
+        return
+    for T, R in _prefix_tree(field, H, w - 1, max(1, _SUBSET_CHUNK * 8 // n)):
+        zero = np.bitwise_or.reduce(R, axis=0) == 0
+        b, j = np.nonzero(zero & (np.arange(n) > T.max(axis=1, initial=-1)[:, None]))
+        yield from np.column_stack([T[b], j])
 
 
 def _subset_budget(cap: int) -> int:
@@ -613,11 +625,12 @@ def min_weight_support_search(
     Cost grows with C(n, w) and with the dual dimension, so this route
     suits codes whose dual is small.
 
-    The supports of each size come in lexicographic chunks, each through
-    one batched rank filter (:func:`_dependent_subsets`).  Only the
-    dependent subsets go on, in order, to the per-subset kernel,
-    full-support and exclusion checks, so the hits and both budget checks
-    fall exactly where a one-subset-at-a-time scan would put them.
+    :func:`_dependent_supports` gives the dependent supports of each size
+    in lexicographic order: up to r, those its prefix tree's residues mark,
+    a block of prefixes at a time; above r, every subset.  Only those go
+    on, in order, to the per-subset kernel, full-support and exclusion
+    checks, so the hits and both budget checks fall exactly where a
+    one-subset-at-a-time scan would put them.
     The subset budget min(SUPPORT_BUDGET, cap) is charged C(n, w) before
     a size w <= r (the number of parity checks) is scanned; above r every
     subset is dependent and usually the first one hits, so each is charged
@@ -640,23 +653,22 @@ def min_weight_support_search(
     for w in range(1, n + 1):
         if w <= r:
             charge(comb(n, w), w)
-        for chunk in _index_chunks(itertools.combinations(range(n), w), _SUBSET_CHUNK, w):
-            for S in _dependent_subsets(field, H, chunk):
-                if w > r:
-                    charge(1, w)
-                K = kernel_basis(field, H[:, S])
-                if K.shape[0] == 0:
-                    continue
-                if field.q**K.shape[0] > KERNEL_BUDGET:
-                    raise CapExceeded("kernel span too large to enumerate")
-                for _, block in iter_span_blocks(field, K):
-                    for v in block[np.all(block != 0, axis=1)]:
-                        if first is None:
-                            first = w
-                        cand = np.zeros(n, dtype=np.uint8)
-                        cand[S] = v
-                        if exclude is None or not exclude.contains(cand):
-                            return first, w
+        for S in _dependent_supports(field, H, w):
+            if w > r:
+                charge(1, w)
+            K = kernel_basis(field, H[:, S])
+            if K.shape[0] == 0:
+                continue
+            if field.q**K.shape[0] > KERNEL_BUDGET:
+                raise CapExceeded("kernel span too large to enumerate")
+            for _, block in iter_span_blocks(field, K):
+                for v in block[np.all(block != 0, axis=1)]:
+                    if first is None:
+                        first = w
+                    cand = np.zeros(n, dtype=np.uint8)
+                    cand[S] = v
+                    if exclude is None or not exclude.contains(cand):
+                        return first, w
     raise EmptyCode("difference set is empty")
 
 

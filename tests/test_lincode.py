@@ -29,7 +29,7 @@ from grmcodes.lincode import (
     min_weight_support_search,
     product_span,
     rref,
-    _dependent_subsets,
+    _dependent_supports,
 )
 
 
@@ -572,6 +572,16 @@ def code_from_checks(field, H):
     return LinearCode(field, H).dual()
 
 
+def dependent_by_rank(f, H, w):
+    """The w-subsets of H's columns with a nonzero kernel, in lexicographic order."""
+    subsets = itertools.combinations(range(H.shape[1]), w)
+    return [S for S in subsets if kernel_basis(f, H[:, list(S)]).shape[0] > 0]
+
+
+def dependent_by_filter(f, H, w):
+    return [tuple(int(c) for c in S) for S in _dependent_supports(f, H, w)]
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_dependent_subsets_match_scalar_rank(q):
     f = gf.get_field(q)
@@ -583,16 +593,43 @@ def test_dependent_subsets_match_scalar_rank(q):
         if trial % 3 == 0:
             H[:, int(rng.integers(n))] = 0
         for w in range(1, min(n, r + 2) + 1):  # w > r included
-            subsets = np.array(list(itertools.combinations(range(n), w)), dtype=np.intp)
-            expect = [S for S in subsets if kernel_basis(f, H[:, S]).shape[0] > 0]
-            got = _dependent_subsets(f, H, subsets)
-            assert np.array_equal(got, np.array(expect, dtype=np.intp).reshape(-1, w))
+            assert dependent_by_filter(f, H, w) == dependent_by_rank(f, H, w)
+
+
+@st.composite
+def checks_with_zero_and_repeated_columns(draw):
+    """(field, H) with a few columns zeroed and a few copied, scaled, onto others."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 8, 9, 16, 49]))
+    f = gf.get_field(q)
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(r, 8))
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=r * n, max_size=r * n))
+    H = np.array(entries, dtype=np.uint8).reshape(r, n)
+    column = st.integers(0, n - 1)
+    for src, dst, c in draw(st.lists(st.tuples(column, column, st.integers(1, q - 1)), max_size=3)):
+        H[:, dst] = f.MUL[c, H[:, src]]
+    H[:, draw(st.lists(column, max_size=2))] = 0
+    return f, H
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=200)
+@given(checks_with_zero_and_repeated_columns(), st.sampled_from([1, 2, 3, 5]))
+def test_prefix_filter_matches_scalar_rank_across_block_boundaries(case, chunk):
+    # blocks of max(1, chunk * 8 // n) <= 40 // n prefixes: at chunk 1 a
+    # boundary falls inside one prefix's extensions, at 5 a block holds
+    # several prefixes with dependent extensions, whose order must be
+    # prefix by prefix
+    f, H = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lincode, "_SUBSET_CHUNK", chunk)
+        for w in range(1, H.shape[0] + 1):
+            assert dependent_by_filter(f, H, w) == dependent_by_rank(f, H, w)
 
 
 @pytest.mark.parametrize("chunk", [None, 3])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_batched_support_search_matches_reference(q, chunk, monkeypatch):
-    if chunk is not None:  # tiny chunks put a chunk boundary inside every weight
+    if chunk is not None:  # tiny chunks put block boundaries inside each prefix-tree layer
         monkeypatch.setattr(lincode, "_SUBSET_CHUNK", chunk)
     f = gf.get_field(q)
     rng = np.random.default_rng(100 + q)
@@ -614,11 +651,13 @@ def test_batched_support_search_matches_reference(q, chunk, monkeypatch):
             )
 
 
-def test_batched_support_search_crosses_chunk_boundaries():
+def test_batched_support_search_crosses_chunk_boundaries(monkeypatch):
     # [40, 37] code over GF(49) checked by 3 x 40 Vandermonde rows, with
     # column 31 a copy of column 30.  The weight-2 word on {30, 31} is
-    # excluded, so weight 3 is scanned in full: 9880 subsets, more than one
-    # chunk, with dependent ones ({.., 30, 31}) on both sides of the boundary.
+    # excluded, so weight 3 is scanned in full.  Its dependent subsets are
+    # {a, 30, 31} and every extension of the dependent prefix {30, 31}; in
+    # blocks of 1000 * 8 // 40 = 200 prefixes they fall in several blocks.
+    monkeypatch.setattr(lincode, "_SUBSET_CHUNK", 1000)
     f = gf.get_field(49)
     n = 40
     pts = np.arange(1, n + 1, dtype=np.uint8)
@@ -630,13 +669,11 @@ def test_batched_support_search_crosses_chunk_boundaries():
     assert code.contains(low[0])
     excl = LinearCode(f, low, n)
 
-    chunk = lincode._SUBSET_CHUNK
-    assert comb(n, 3) > chunk
-    subsets = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp)
-    positions = [i for i, S in enumerate(subsets) if {30, 31} <= set(S)]
-    assert min(positions) < chunk <= max(positions)
-    dependent = _dependent_subsets(f, code.dual().gen, subsets)
-    assert [tuple(S) for S in dependent] == [tuple(subsets[i]) for i in positions]
+    dependent = dependent_by_filter(f, code.dual().gen, 3)
+    assert dependent == [S for S in itertools.combinations(range(n), 3) if {30, 31} <= set(S)]
+    assert dependent == dependent_by_rank(f, code.dual().gen, 3)
+    prefixes = list(itertools.combinations(range(n), 2))
+    assert len({prefixes.index(S[:2]) // 200 for S in dependent}) > 1
 
     assert support_weight(code) == reference_support_search(code) == 2
     assert support_weight(code, exclude=excl) == reference_support_search(code, exclude=excl) == 4
