@@ -5,11 +5,14 @@ parameters against enumeration, and emits a report in which each numeric
 claim is labeled exact or bound.  Reports are deterministic byte streams
 for fixed inputs and caps (timing is opt-in for that reason).
 
-Each family has one verdict, the named checks its closed form implies:
-``grm_verdict``, ``quantum_verdict`` (CSS and Hermitian records),
-``mds_verdict`` and ``punctured_verdict``.  A single-record command calls
-its verdict directly; a sweep row of the ``SWEEPS`` table passes exactly
-when every check of its verdict passes.  A row whose record raises
+A quantum record's named checks are decided once, by the construction
+that returns it (``qcode.require``): the report copies them from the
+record (``RunReport.add_record``), and a record whose check fails is
+never returned, since the library raises ``ParameterMismatch`` instead.
+So a failed check in a report comes only from ``grm_verdict`` (the
+library computes no classical GRM distance) or from a sweep's
+``all_rows_pass``.  A sweep row of the ``SWEEPS`` table passes exactly
+when every check it reports passes.  A row whose record raises
 ``CapExceeded`` is ``capped`` and one that raises ``ParameterMismatch``
 is ``fail``; either way the other rows stand.
 
@@ -19,7 +22,8 @@ weight included); 3 enumeration capped
 (strict mode, an inconclusive witness scan, or a weight distribution
 over the cap); 4 a predicted parameter disagreed with enumeration, either
 as a failed check in the report or as a ``ParameterMismatch`` raised by
-the library; 5 a witness weight was proven absent.  A bare
+the library, which is how a failed record check ends; 5 a witness weight
+was proven absent, a weight above the length included.  A bare
 ``AssertionError`` is an internal bug and is not mapped to an exit code.
 """
 
@@ -43,7 +47,6 @@ from .errors import CapExceeded, GrmError, ParameterMismatch, WitnessNotFound
 from .grm import GrmCode, build_grm, grm_dual_code
 from .lincode import DEFAULT_CAP
 from .puncture import (
-    PunctureWitness,
     find_weight_witness,
     mds_chain,
     puncture_code_css,
@@ -113,7 +116,11 @@ class RunReport:
         )
 
     def add_record(self, rec: QuantumCodeRecord):
+        """List rec with the checks its construction decided; capped when its d is a bound."""
         self.records.append(rec.to_dict())
+        self.capped = rec.d_is_lower_bound
+        for check in rec.checks:
+            self.check(*check)
 
     def ok(self) -> bool:
         return all(c["status"] == "pass" for c in self.checks)
@@ -167,7 +174,7 @@ def _matrix_rows(mat: np.ndarray) -> list:
     return [[int(v) for v in row] for row in mat]
 
 
-# -- verdicts: one per family --------------------------------------------------
+# -- the classical verdict -----------------------------------------------------
 
 
 def grm_verdict(rep: RunReport, g: GrmCode, dual_check: bool) -> dict:
@@ -194,42 +201,6 @@ def grm_verdict(rep: RunReport, g: GrmCode, dual_check: bool) -> dict:
     }
 
 
-def quantum_verdict(rep: RunReport, rec: QuantumCodeRecord) -> None:
-    """Check a css_grm or hermitian_grm record against its predicted k and d."""
-    k_pred, d_pred = rec.provenance["k_predicted"], rec.provenance["d_predicted"]
-    rep.capped = rec.d_is_lower_bound
-    rep.check("dimension_matches_formula", rec.k == k_pred, rec.k, k_pred)
-    if rec.d_is_lower_bound:
-        rep.check("distance_bound_recorded", True, rec.d, d_pred, exact=False)
-    else:
-        rep.check("distance_matches_formula", rec.d == d_pred, rec.d, d_pred)
-        rep.check("purity_certified", rec.pure is True, rec.pure, True)
-        rep.check("singleton_slack_nonnegative", rec.singleton_slack >= 0, rec.singleton_slack, ">=0")
-    rep.check("stabilizer_symplectic", rec.stabilizer.is_self_orthogonal())
-
-
-def mds_verdict(rep: RunReport, rec: QuantumCodeRecord, q: int, nu: int) -> None:
-    """Check an mds_chain record against [[(nu+1)q, (nu+1)q-2nu-2, nu+2]]_q."""
-    rep.check("exact_parameters", rec.exact)
-    rep.check("singleton_slack_zero", rec.singleton_slack == 0, rec.singleton_slack, 0)
-    expect = [(nu + 1) * q, (nu + 1) * q - 2 * nu - 2, nu + 2]
-    got = [rec.n, rec.k, rec.d]
-    rep.check("matches_mds_family_formula", got == expect, got, expect)
-    rep.check("stabilizer_symplectic", rec.stabilizer.is_self_orthogonal())
-
-
-def punctured_verdict(rep: RunReport, rec: QuantumCodeRecord, w: PunctureWitness) -> None:
-    """Check a witness-punctured record against the bounds its construction promises."""
-    rep.capped = rec.d_is_lower_bound
-    rep.check("witness_in_puncture_code", True, w.source)
-    k_low = rec.provenance["k_lower_bound"]
-    rep.check("dimension_meets_bound", rec.k >= k_low, rec.k, f">={k_low}")
-    if not rec.d_is_lower_bound:
-        d_low = rec.provenance["d_lower_bound"]
-        rep.check("distance_meets_bound", rec.d >= d_low, rec.d, f">={d_low}")
-    rep.check("stabilizer_symplectic", rec.stabilizer.is_self_orthogonal())
-
-
 # -- the family table ----------------------------------------------------------
 
 
@@ -240,7 +211,7 @@ def _grm_row(rep: RunReport, q: int, m: int, nu: int) -> dict:
 
 
 def _quantum_row(rep: RunReport, rec: QuantumCodeRecord) -> dict:
-    quantum_verdict(rep, rec)
+    rep.add_record(rec)
     return {"params": rec.params_str(), "exact": rec.exact}
 
 
@@ -260,7 +231,7 @@ def _mds_grid(q: int, m: int) -> list:
 
 def _mds_row(rep: RunReport, q: int, nu: int) -> dict:
     rec = mds_chain(q, nu, rep.cap)
-    mds_verdict(rep, rec, q, nu)
+    rep.add_record(rec)
     return {"params": rec.params_str(), "exact": rec.exact, "slack": rec.singleton_slack}
 
 
@@ -269,8 +240,8 @@ class Sweep:
     """A family as a sweep sees it.
 
     ``orders`` names a row's key fields after q, ``grid(q, m)`` lists their
-    values, and ``row(report, q, *key)`` builds the record, runs the
-    family's verdict into ``report`` and returns the row's other fields.
+    values, and ``row(report, q, *key)`` builds the record, puts its
+    checks into ``report`` and returns the row's other fields.
     Row builders call the library through this module's names at call
     time, so a rebinding of those names (a tracer, a test) reaches them.
     """
@@ -315,7 +286,6 @@ def run_quantum(args) -> RunReport:
     build = css_grm if args.construction == "css" else hermitian_grm
     rec = build(*rep.params.values(), args.cap)
     rep.add_record(rec)
-    quantum_verdict(rep, rec)
     if args.dump_stabilizer:
         rep.matrices["stabilizer"] = _matrix_rows(rec.stabilizer.matrix)
         rep.matrices["stabilizer_symplectic_expansion"] = _matrix_rows(rec.stabilizer.expanded())
@@ -338,9 +308,7 @@ def run_puncture(args) -> RunReport:
     elif args.mds_chain:
         if args.m != 1:
             raise GrmError("--mds-chain is defined for m=1 inputs")
-        rec = mds_chain(args.q, args.nu, args.cap)
-        rep.add_record(rec)
-        mds_verdict(rep, rec, args.q, args.nu)
+        rep.add_record(mds_chain(args.q, args.nu, args.cap))
         return rep
     else:
         g = build_grm(args.q * args.q, args.m, args.nu)
@@ -351,10 +319,7 @@ def run_puncture(args) -> RunReport:
         dist = prec.pcode.weight_distribution(args.cap)
         rep.tables["puncture_code_weights"] = {"counts": list(dist.counts), "exact": True}
         return rep
-    w = find_weight_witness(prec, args.target_weight, args.cap)
-    rec = materialize(w)
-    rep.add_record(rec)
-    punctured_verdict(rep, rec, w)
+    rep.add_record(materialize(find_weight_witness(prec, args.target_weight, args.cap)))
     return rep
 
 

@@ -114,7 +114,7 @@ class GrmCode:
         self.code = code
         self.k_formula = grm_dimension(q, m, nu)
         self.d_formula = grm_distance(q, m, nu)
-        self.nu_perp = m * (q - 1) - 1 - nu
+        self.nu_perp = dual_order(q, m, nu)
         if code.k != self.k_formula:
             raise ParameterMismatch(
                 f"generator rank {code.k} disagrees with dimension formula {self.k_formula}"

@@ -19,11 +19,12 @@ through the basis (1, gamma); the scan for a minimum-weight vector runs in
 the small multivariate code and the result is carried back up the chain.
 
 ``puncture_css`` and ``puncture_hermitian`` take GRM codes, whose closed
-form gives the promised d, and the puncture-code record as a required
-keyword.  They share one witness check and one record tail (the promised
-k and d bounds), and leave CSS nesting and Hermitian self-orthogonality
-of the punctured code to ``qcode.css`` and ``qcode.hermitian``, which
-check them once.
+form gives the promised d (``qcode.css_grm_distance`` and
+``qcode.hermitian_grm_distance``), and the puncture-code record as a
+required keyword.  They share one witness check and one record tail,
+which requires the promised k and d bounds through ``qcode.require``, and
+leave CSS nesting and Hermitian self-orthogonality of the punctured code
+to ``qcode.css`` and ``qcode.hermitian``, which check them once.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import (
 from .gf import extension_pair_for, get_field, quadratic_extension
 from .grm import GrmCode, build_grm, grm_dimension, grm_distance, point_matrix
 from .lincode import DEFAULT_CAP, LinearCode, find_first_of_weight, product_span
-from .qcode import QuantumCodeRecord, check_quantum_orders, css, hermitian
+from .qcode import QuantumCodeRecord, check_quantum_orders, css, css_grm_distance, hermitian, hermitian_grm_distance, require
 
 
 @dataclass
@@ -150,13 +151,16 @@ def find_weight_witness(rec: PunctureCodeRecord, r: int, cap: int = DEFAULT_CAP)
 
     The witness is that vector with the label of the code it was found in
     (``"pcode"``, a known subcode's label, or ``"zero"`` for r = 0).
-    Scans the full puncture code when its span fits the cap (absence is
-    then proven); otherwise scans the known subcodes smallest-first, in
+    A weight above the length is absent with no scan.  Scans the full
+    puncture code when its span fits the cap (absence is then proven);
+    otherwise scans the known subcodes smallest-first, in
     which case a miss is inconclusive and reported as such.
     """
     pcode = rec.pcode
     if r == 0:
         return PunctureWitness(np.zeros(pcode.n, dtype=np.uint8), "zero")
+    if r > pcode.n:
+        raise WitnessNotFound(f"weight {r} exceeds the length {pcode.n}", proven_absent=True)
     q = pcode.field.q
     if q**pcode.k <= cap:
         x = find_first_of_weight(pcode.field, pcode.gen, r)
@@ -194,16 +198,19 @@ def _witness_support(rec: PunctureCodeRecord, n: int, w: PunctureWitness) -> tup
 def _punctured_record(
     out: QuantumCodeRecord, construction: str, n: int, w: PunctureWitness, k_low: int, d_low: int
 ) -> QuantumCodeRecord:
-    """Label a punctured record with its witness and bounds; raise if k or an exact d falls below."""
+    """Label a punctured record with its witness and bounds; require k and an exact d to meet them."""
     out.construction = construction
     out.provenance.update(
         punctured_from_n=n, witness_weight=w.weight, witness_source=w.source, k_lower_bound=k_low, d_lower_bound=d_low
     )
-    if out.k < k_low:
-        raise ParameterMismatch("exact dimension fell below the promised bound")
-    if not out.d_is_lower_bound and out.d < d_low:
-        raise ParameterMismatch("exact distance fell below the promised bound")
-    return out
+    distance = [] if out.d_is_lower_bound else [("distance_meets_bound", out.d >= d_low, out.d, f">={d_low}", True)]
+    return require(
+        out,
+        # _witness_support raised WitnessInvalid for a vector outside the puncture code
+        ("witness_in_puncture_code", True, w.source, None, True),
+        ("dimension_meets_bound", out.k >= k_low, out.k, f">={k_low}", True),
+        *distance,
+    )
 
 
 def puncture_css(
@@ -222,7 +229,7 @@ def puncture_css(
     x, support = _witness_support(pcode_record, code1.n, w)
     B = code1.scaled_by(x).punctured_to(support)
     C2p = code2.dual().punctured_to(support).dual()
-    d_lower_bound = min(grm_distance(C2.q, C2.m, C2.nu), grm_distance(C1.q, C1.m, C1.nu_perp))
+    d_lower_bound = css_grm_distance(C1, C2)
     out = css(B, C2p, cap, d_lower_bound=d_lower_bound)
     k_lower_bound = code2.k - code1.k - code1.n + len(support)
     return _punctured_record(out, "PuncturedCSS", code1.n, w, k_lower_bound, d_lower_bound)
@@ -247,7 +254,7 @@ def puncture_hermitian(
     x, support = _witness_support(pcode_record, code.n, w)
     y = np.zeros(code.n, dtype=np.uint8)
     y[support] = pair.norm_first_preimage[x[support]]
-    d_lower_bound = grm_distance(C.q, C.m, C.nu_perp)
+    d_lower_bound = hermitian_grm_distance(C)
     out = hermitian(code.scaled_by(y).punctured_to(support), cap, d_lower_bound=d_lower_bound)
     return _punctured_record(out, "PuncturedHermitian", code.n, w, len(support) - 2 * code.k, d_lower_bound)
 
@@ -291,6 +298,11 @@ def extended_rs_embedding_check(q: int, m: int, nu: int) -> bool:
     step 1 of ``mds_chain`` does; every order 0 <= nu <= 2(q-1) is valid.
     Only m in {1, 2} has a configured bijection.  For m = 1 both sides are
     R_q(nu, 1), as d(nu) = q - nu: the identity, returned with no code built.
+
+    Kept beside ``mds_chain`` because it checks step 1 where the chain does
+    not: the chain scans only the orders 1..q-1, never 0 or q..2(q-1), and
+    where a full R_q(nu, 2) is over the cap it embeds only its univariate
+    slice.
     """
     if m == 1:
         get_field(q)  # raises UnsupportedField
@@ -314,8 +326,10 @@ def mds_chain(q: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
     Builds C = R_{q^2}(nu, 1), locates a weight-(nu+1)q vector in the
     puncture code through the embedded R_q(q-nu-1, 2) (or its univariate
     slice when that scan would blow the cap), materializes the punctured
-    Hermitian code, and checks it is MDS with exact parameters.  Raises
-    CapExceeded when the distance search gives up and leaves only a bound.
+    Hermitian code, and requires it to be exact, MDS and of the family's
+    parameters; these checks replace the punctured record's.  Raises
+    CapExceeded first when the distance search gives up and leaves only a
+    bound.
 
     The puncture code is built from the plain code, without the family's
     known subcodes; the chain checks the one restriction it walks through
@@ -359,11 +373,10 @@ def mds_chain(q: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
     if not out.exact:
         # a bound cannot confirm the MDS claim; that is a capped run, not a mismatch
         raise CapExceeded(f"MDS chain record {out.params_str()} has only a distance bound")
-    if (out.n, out.k, out.d) != (r, r - 2 * (nu + 1), nu + 2):
-        raise ParameterMismatch(
-            f"MDS chain produced {out.params_str()}, expected "
-            f"[[{r},{r - 2 * (nu + 1)},{nu + 2}]]_{q}"
-        )
-    if out.singleton_slack != 0:
-        raise ParameterMismatch("MDS chain record must meet the Singleton bound")
-    return out
+    got, expect = [out.n, out.k, out.d], [r, r - 2 * (nu + 1), nu + 2]
+    return require(
+        out,
+        ("exact_parameters", out.exact, None, None, True),
+        ("singleton_slack_zero", out.singleton_slack == 0, out.singleton_slack, 0, True),
+        ("matches_mds_family_formula", got == expect, got, expect, True),
+    )

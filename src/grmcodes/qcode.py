@@ -12,11 +12,17 @@ Records carry exact parameters whenever the distance enumeration finished;
 when it cannot, the record degrades to a lower-bound distance and says so.
 ``css`` and ``hermitian`` share that rule, the stabilizer check and the
 record assembly (``_record``).  The GRM families take only the quantum
-orders 0 <= nu1 <= ... <= m(q-1)-1 (``check_quantum_orders``), and every
-predicted distance is ``grm_distance``: over GF(q^2) when Hermitian.
-Stabilizer matrices are emitted alongside and checked for symplectic
-self-orthogonality (after the basis-(1, gamma) expansion in the Hermitian
-case).
+orders 0 <= nu1 <= ... <= m(q-1)-1 (``check_quantum_orders``), and each
+predicted distance has one home: ``css_grm_distance`` and
+``hermitian_grm_distance``, the latter over GF(q^2).  Stabilizer matrices
+are emitted alongside and checked for symplectic self-orthogonality
+(after the basis-(1, gamma) expansion in the Hermitian case).
+
+A construction that states a closed form decides it once, in ``require``:
+the named checks are kept on the record (``QuantumCodeRecord.checks``),
+which a report lists as they are, and the first that fails raises
+``ParameterMismatch``.  The GRM families, the punctured records and the
+MDS chain all go through it.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .errors import (
     ParameterMismatch,
 )
 from .gf import FieldSpec, extension_pair_for
-from .grm import build_grm, dual_order, grm_distance
+from .grm import GrmCode, build_grm, grm_distance
 from .lincode import DEFAULT_CAP, LinearCode
 
 
@@ -81,7 +87,7 @@ class StabilizerMatrix:
         return f.sub_arrays(a, b)
 
     def is_self_orthogonal(self) -> bool:
-        # the construction checks this and the CLI verdict reports it: compute once
+        # ``_record`` checks this and ``require`` lists it: compute once
         if self._self_orthogonal is None:
             self._self_orthogonal = not np.any(self.symplectic_gram())
         return self._self_orthogonal
@@ -104,6 +110,8 @@ class QuantumCodeRecord:
     construction: str = ""
     provenance: dict = dc_field(default_factory=dict)
     stabilizer: Optional[StabilizerMatrix] = None
+    # (name, passed, observed, expected, exact) per check ``require`` decided
+    checks: list = dc_field(default_factory=list, repr=False, compare=False)
 
     @property
     def exact(self) -> bool:
@@ -228,17 +236,42 @@ def check_quantum_orders(q: int, m: int, **orders: int) -> None:
         raise OrderOutOfRange(f"need 0 <= {' <= '.join(orders)} <= m(q-1)-1 = {chain[-1]} for q={q}, m={m}, got {got}")
 
 
-def _check_grm_record(rec: QuantumCodeRecord) -> None:
-    """Raise ParameterMismatch unless rec meets its predicted k, d and purity."""
-    k_pred, d_pred = rec.provenance["k_predicted"], rec.provenance["d_predicted"]
-    if rec.k != k_pred:
-        raise ParameterMismatch(f"dimension {rec.k} disagrees with the closed form {k_pred}")
+def require(rec: QuantumCodeRecord, *checks: tuple) -> QuantumCodeRecord:
+    """Keep ``checks`` on rec, then the stabilizer's; raise ParameterMismatch at the first that fails.
+
+    Each check is (name, passed, observed, expected, exact), as a report
+    lists it.  This is where a construction decides its closed form.
+    """
+    rec.checks = [*checks, ("stabilizer_symplectic", rec.stabilizer.is_self_orthogonal(), None, None, True)]
+    for name, passed, observed, expected, _ in rec.checks:
+        if not passed:
+            raise ParameterMismatch(f"{rec.construction} check {name} failed: observed {observed}, expected {expected}")
+    return rec
+
+
+def css_grm_distance(g1: GrmCode, g2: GrmCode) -> int:
+    """The CSS distance of R_q(nu1, m) <= R_q(nu2, m): min(d(nu2), d(nu1-perp))."""
+    return min(grm_distance(g2.q, g2.m, g2.nu), grm_distance(g1.q, g1.m, g1.nu_perp))
+
+
+def hermitian_grm_distance(g: GrmCode) -> int:
+    """The Hermitian distance of R_{q^2}(nu, m): d(nu-perp) over GF(q^2)."""
+    return grm_distance(g.q, g.m, g.nu_perp)
+
+
+def _grm_record(rec: QuantumCodeRecord, orders: dict, k_pred: int, d_pred: int) -> QuantumCodeRecord:
+    """Label a GRM family record with its closed form and require k, d (or its bound) and purity."""
+    rec.provenance.update(family="grm", **orders, k_predicted=k_pred, d_predicted=d_pred)
     if rec.d_is_lower_bound:
-        return
-    if rec.d != d_pred:
-        raise ParameterMismatch(f"enumerated distance {rec.d} disagrees with predicted {d_pred}")
-    if not rec.pure:
-        raise ParameterMismatch("construction predicts a pure code")
+        distance = [("distance_bound_recorded", rec.d <= d_pred, rec.d, d_pred, False)]
+    else:
+        slack = rec.singleton_slack
+        distance = [
+            ("distance_matches_formula", rec.d == d_pred, rec.d, d_pred, True),
+            ("purity_certified", rec.pure is True, rec.pure, True, True),
+            ("singleton_slack_nonnegative", slack >= 0, slack, ">=0", True),
+        ]
+    return require(rec, ("dimension_matches_formula", rec.k == k_pred, rec.k, k_pred, True), *distance)
 
 
 def css_grm(
@@ -252,21 +285,9 @@ def css_grm(
     check_quantum_orders(q, m, nu1=nu1, nu2=nu2)
     g1 = build_grm(q, m, nu1)
     g2 = build_grm(q, m, nu2)
-    d_pred = min(grm_distance(q, m, dual_order(q, m, nu1)), grm_distance(q, m, nu2))
+    d_pred = css_grm_distance(g1, g2)
     rec = css(g1.code, g2.code, cap, d_lower_bound=d_pred)
-    rec.provenance.update(
-        {
-            "family": "grm",
-            "q": q,
-            "m": m,
-            "nu1": nu1,
-            "nu2": nu2,
-            "k_predicted": g2.k_formula - g1.k_formula,
-            "d_predicted": d_pred,
-        }
-    )
-    _check_grm_record(rec)
-    return rec
+    return _grm_record(rec, {"q": q, "m": m, "nu1": nu1, "nu2": nu2}, g2.k_formula - g1.k_formula, d_pred)
 
 
 def hermitian_self_orthogonal(C: LinearCode) -> bool:
@@ -313,19 +334,6 @@ def hermitian_grm(q: int, m: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCod
     """
     check_quantum_orders(q, m, nu=nu)
     g = build_grm(q * q, m, nu)
-    d_pred = grm_distance(q * q, m, g.nu_perp)
+    d_pred = hermitian_grm_distance(g)
     rec = hermitian(g.code, cap, d_lower_bound=d_pred)
-    rec.provenance.update(
-        {
-            "family": "grm",
-            "q": q,
-            "m": m,
-            "nu": nu,
-            "k_predicted": q ** (2 * m) - 2 * g.k_formula,
-            "d_predicted": d_pred,
-        }
-    )
-    if rec.n != q ** (2 * m):
-        raise ParameterMismatch(f"length {rec.n} is not q^(2m) = {q ** (2 * m)}")
-    _check_grm_record(rec)
-    return rec
+    return _grm_record(rec, {"q": q, "m": m, "nu": nu}, q ** (2 * m) - 2 * g.k_formula, d_pred)

@@ -401,10 +401,120 @@ def test_mismatch_row_fails_and_the_other_rows_stand(capsys, monkeypatch):
     rows = report["tables"]["rows"]
     failed = {(r["nu1"], r["nu2"]) for r in rows if r["status"] == "fail"}
     assert failed == {(1, 1), (1, 2), (2, 2)}
-    assert all(r["q"] == 3 and "disagrees with predicted 4" in r["mismatch"] for r in rows if r["status"] == "fail")
+    message = "CSS check distance_matches_formula failed: observed 3, expected 4"
+    assert all(r["q"] == 3 and r["mismatch"] == message for r in rows if r["status"] == "fail")
     assert len(rows) == 13 and sum(r["status"] == "pass" for r in rows) == 10
     assert report["capped"] is False
     assert {c["name"]: c["observed"] for c in report["checks"]} == {"all_rows_pass": "10/13 pass"}
+
+
+# Each family's closed form planted wrong in a python -O subprocess: the
+# library call must raise ParameterMismatch naming the failed check, and
+# the command built on it must exit 4 with the same message.  The MDS
+# family's formula is written only in mds_chain, so there the plant is on
+# the other side: the punctured record it checks reports k - 2 and d + 1,
+# which keeps the Singleton slack at 0 and breaks only the formula.
+PLANTED_FAMILY = """
+import sys
+import grmcodes.cli as cli
+import grmcodes.puncture as puncture
+import grmcodes.qcode as qcode
+from grmcodes.errors import ParameterMismatch
+from grmcodes.grm import build_grm
+true_distance = qcode.grm_distance
+planted = tuple(int(v) for v in sys.argv[2].split(",")) if sys.argv[2] else None
+qcode.grm_distance = lambda q, m, nu: true_distance(q, m, nu) + ((q, m, nu) == planted)
+true_puncture_hermitian = puncture.puncture_hermitian
+def shifted(*args, **kwargs):
+    rec = true_puncture_hermitian(*args, **kwargs)
+    rec.k, rec.d = rec.k - 2, rec.d + 1
+    return rec
+if sys.argv[1] == "mds_chain":
+    puncture.puncture_hermitian = shifted
+def punctured(g, r, pcode, materialize):
+    prec = pcode(*g)
+    return materialize(*g, puncture.find_weight_witness(prec, r), pcode_record=prec)
+calls = {
+    "hermitian_grm": lambda: qcode.hermitian_grm(3, 1, 1),
+    "puncture_css": lambda: punctured(
+        (build_grm(3, 2, 1), build_grm(3, 2, 2)), 6, puncture.puncture_code_css, puncture.puncture_css
+    ),
+    "puncture_hermitian": lambda: punctured(
+        (build_grm(25, 1, 2),), 15, puncture.puncture_code_hermitian, puncture.puncture_hermitian
+    ),
+    "mds_chain": lambda: puncture.mds_chain(5, 2),
+}
+try:
+    rec = calls[sys.argv[1]]()
+except ParameterMismatch as exc:
+    print("ParameterMismatch:", exc)
+else:
+    print("record", rec.params_str())
+print("exit", cli.main(sys.argv[3].split()))
+"""
+
+
+@pytest.mark.parametrize(
+    "family,plant,command,message",
+    [
+        (
+            "hermitian_grm",
+            "9,1,6",
+            "quantum hermitian -q 3 -m 1 --nu 1",
+            "Hermitian check distance_matches_formula failed: observed 3, expected 4",
+        ),
+        (
+            "puncture_css",
+            "3,2,2",
+            "puncture css -q 3 -m 2 --nu1 1 --nu2 2 --target-weight 6",
+            "PuncturedCSS check distance_meets_bound failed: observed 3, expected >=4",
+        ),
+        (
+            "puncture_hermitian",
+            "25,1,21",
+            "puncture hermitian -q 5 --nu 2 --target-weight 15",
+            "PuncturedHermitian check distance_meets_bound failed: observed 4, expected >=5",
+        ),
+        (
+            "mds_chain",
+            "",
+            "puncture hermitian -q 5 --nu 2 --mds-chain",
+            "PuncturedHermitian check matches_mds_family_formula failed: observed [15, 7, 5], expected [15, 9, 4]",
+        ),
+    ],
+    ids=["hermitian_grm", "puncture_css", "puncture_hermitian", "mds_chain"],
+)
+def test_planted_family_closed_form_raises_and_exits_mismatch_without_asserts(family, plant, command, message):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", PLANTED_FAMILY, family, plant, command],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"ParameterMismatch: {message}\nexit {EXIT_MISMATCH}\n"
+    assert proc.stderr == f"mismatch: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,n",
+    [
+        (("puncture", "hermitian", "-q", "3", "-m", "2", "--nu", "2", "--target-weight", "82"), 81),
+        (("puncture", "hermitian", "-q", "4", "--nu", "1", "--target-weight", "17"), 16),
+    ],
+    ids=["over-the-cap", "within-the-cap"],
+)
+def test_target_weight_above_the_length_is_absent_without_a_scan(capsys, monkeypatch, argv, n):
+    def scan(*args):
+        raise AssertionError("a weight above the length needs no scan")
+
+    monkeypatch.setattr(puncture, "find_first_of_weight", scan)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_ABSENT
+    assert out == ""
+    assert err == f"error: weight {argv[-1]} exceeds the length {n}\n"
 
 
 def test_over_length_grm_exits_usage(capsys):

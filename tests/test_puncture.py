@@ -5,7 +5,9 @@ from functools import partial
 import numpy as np
 import pytest
 
+import grmcodes.grm as grm
 import grmcodes.puncture as puncture
+import grmcodes.qcode as qcode
 from grmcodes import gf
 from grmcodes.errors import (
     NotNested,
@@ -335,3 +337,38 @@ def test_extended_rs_embedding_univariate_is_the_identity_and_builds_no_code(q, 
 def test_extended_rs_embedding_univariate_rejects_an_unsupported_field():
     with pytest.raises(UnsupportedField):
         extended_rs_embedding_check(6, 1, 1)
+
+
+def _grm_and_punctured_records(family, cap):
+    """The GRM family record and a punctured record of the same codes, at this cap."""
+    if family == "css":
+        g = (build_grm(3, 2, 0), build_grm(3, 2, 0))
+        prec = puncture_code_css(*g)
+        punctured = puncture_css(*g, find_weight_witness(prec, 9), cap, pcode_record=prec)
+        return qcode.css_grm(3, 2, 0, 0, cap), punctured
+    g = build_grm(9, 1, 1)
+    prec = puncture_code_hermitian(g)
+    punctured = puncture_hermitian(g, find_weight_witness(prec, 6), cap, pcode_record=prec)
+    return qcode.hermitian_grm(3, 1, 1, cap), punctured
+
+
+@pytest.mark.parametrize("family", ["css", "hermitian"])
+@pytest.mark.parametrize("plant", ["grm_distance", "dual_order"])
+def test_predicted_distance_has_one_home(monkeypatch, family, plant):
+    # a wrong value planted where the closed form is stated: the record's
+    # prediction and the punctured record's promised bound both follow it,
+    # as capped records (cap 1) that carry it as their distance bound
+    rec, punctured = _grm_and_punctured_records(family, cap=1)
+    assert rec.d == punctured.d == {"css": 2, "hermitian": 3}[family]
+    if plant == "grm_distance":
+        monkeypatch.setattr(qcode, "grm_distance", lambda q, m, nu: 99)
+        planted = 99
+    else:
+        # nu-perp one lower: R_3(2, 2) has d = 3 and R_9(5, 1) has d = 4
+        true_order = grm.dual_order
+        monkeypatch.setattr(grm, "dual_order", lambda q, m, nu: true_order(q, m, nu) - 1)
+        planted = {"css": 3, "hermitian": 4}[family]
+    rec, punctured = _grm_and_punctured_records(family, cap=1)
+    assert rec.provenance["d_predicted"] == rec.d == planted
+    assert punctured.provenance["d_lower_bound"] == punctured.d == planted
+    assert rec.d_is_lower_bound and punctured.d_is_lower_bound

@@ -1,5 +1,6 @@
 """CSS and Hermitian construction tests."""
 
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -17,6 +18,7 @@ from grmcodes.errors import (
     NotNested,
     NotSelfOrthogonal,
     OrderOutOfRange,
+    ParameterMismatch,
 )
 from grmcodes.grm import build_grm, dual_order, grm_dimension, grm_distance
 from grmcodes.lincode import LinearCode
@@ -28,6 +30,7 @@ from grmcodes.qcode import (
     hermitian_grm,
     hermitian_self_orthogonal,
     quantum_orders,
+    require,
 )
 
 
@@ -304,4 +307,27 @@ def test_planted_closed_form_raises_parameter_mismatch_without_asserts():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("ParameterMismatch: enumerated distance 3 disagrees with predicted 4")
+    assert proc.stdout == "ParameterMismatch: CSS check distance_matches_formula failed: observed 3, expected 4\n"
+
+
+def test_record_keeps_its_checks_out_of_its_dict_equality_and_repr():
+    rec = css_grm(3, 2, 1, 2)
+    assert rec.checks == [
+        ("dimension_matches_formula", True, 3, 3, True),
+        ("distance_matches_formula", True, 3, 3, True),
+        ("purity_certified", True, True, True, True),
+        ("singleton_slack_nonnegative", True, 2, ">=0", True),
+        ("stabilizer_symplectic", True, None, None, True),
+    ]
+    bare = dataclasses.replace(rec, checks=[])
+    assert bare == rec and repr(bare) == repr(rec) and bare.to_dict() == rec.to_dict()
+
+
+def test_require_raises_at_the_first_failed_check_and_lists_the_stabilizer_last():
+    rec = css_grm(3, 2, 1, 2)
+    checks = [("first", True, 0, 0, True), ("second", False, 1, 2, True), ("third", False, 3, 4, True)]
+    with pytest.raises(ParameterMismatch) as info:
+        require(rec, *checks)
+    assert str(info.value) == "CSS check second failed: observed 1, expected 2"
+    assert rec.checks == [*checks, ("stabilizer_symplectic", True, None, None, True)]
+    assert require(rec, checks[0]) is rec
