@@ -5,25 +5,25 @@ parameters against enumeration, and emits a report in which each numeric
 claim is labeled exact or bound.  Reports are deterministic byte streams
 for fixed inputs and caps (timing is opt-in for that reason).
 
-A quantum record's named checks are decided once, by the construction
-that returns it (``qcode.require``): the report copies them from the
-record (``RunReport.add_record``), and a record whose check fails is
-never returned, since the library raises ``ParameterMismatch`` instead.
-So a failed check in a report comes only from ``grm_verdict`` (the
-library computes no classical GRM distance) or from a sweep's
-``all_rows_pass``.  A sweep row of the ``SWEEPS`` table passes exactly
-when every check it reports passes.  A row whose record raises
-``CapExceeded`` is ``capped`` and one that raises ``ParameterMismatch``
-is ``fail``; either way the other rows stand.
+Every claim fails one way: ``ParameterMismatch``, raised at its first
+failed check.  A quantum record's checks are decided by the construction
+that returns it (``qcode.require``), and the classical GRM record's rank,
+distance and dual checks by ``grm_record`` through the same rule
+(``qcode.decide``); a report copies the checks of the record it lists
+(``RunReport.add_record``), all of them passed.  A failed claim ends a
+single command with exit 4 and no report, and makes its sweep row
+``fail``, with the message as ``mismatch``; a row whose record raises
+``CapExceeded`` is ``capped``, and either way the other rows stand.  So
+a sweep's ``all_rows_pass`` is the only report check that can fail.
 
 Exit codes partition outcomes: 0 pass; 2 bad parameters (an order
-outside the quantum range, a malformed sweep grid and a negative witness
-weight included); 3 enumeration capped
-(strict mode, an inconclusive witness scan, or a weight distribution
-over the cap); 4 a predicted parameter disagreed with enumeration, either
-as a failed check in the report or as a ``ParameterMismatch`` raised by
-the library, which is how a failed record check ends; 5 a witness weight
-was proven absent, a weight above the length included.  A bare
+outside the quantum range, a malformed sweep grid, a witness weight
+below 1, and ``--csv`` with ``--json`` or ``--timing`` included); 3
+enumeration capped (strict mode, an inconclusive witness scan, or a
+weight distribution over the cap); 4 a claim was contradicted: a
+``ParameterMismatch`` (a contradicted MDS chain included), or a sweep
+row that failed on one; 5 a witness weight was proven absent, a weight
+above the length included, before any puncture code is built.  A bare
 ``AssertionError`` is an internal bug and is not mapped to an exit code.
 """
 
@@ -37,7 +37,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -47,6 +46,7 @@ from .errors import CapExceeded, GrmError, ParameterMismatch, WitnessNotFound
 from .grm import GrmCode, build_grm, grm_dual_code
 from .lincode import DEFAULT_CAP
 from .puncture import (
+    check_witness_weight,
     find_weight_witness,
     mds_chain,
     puncture_code_css,
@@ -54,7 +54,7 @@ from .puncture import (
     puncture_css,
     puncture_hermitian,
 )
-from .qcode import QuantumCodeRecord, check_quantum_orders, css_grm, hermitian_grm, quantum_orders
+from .qcode import check_quantum_orders, css_grm, decide, hermitian_grm, quantum_orders
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -86,7 +86,6 @@ def _grid(item: Callable[[str], int]) -> Callable[[str], list]:
 
 
 _positive = _int_at_least(1, "a positive integer")
-_nonnegative = _int_at_least(0, "a non-negative integer")
 _field_size = _int_at_least(2, "a field size of at least 2")
 
 
@@ -115,11 +114,11 @@ class RunReport:
             }
         )
 
-    def add_record(self, rec: QuantumCodeRecord):
-        """List rec with the checks its construction decided; capped when its d is a bound."""
-        self.records.append(rec.to_dict())
-        self.capped = rec.d_is_lower_bound
-        for check in rec.checks:
+    def add_record(self, record: dict, checks: list):
+        """List a record with the checks its builder decided; capped when its d is a bound."""
+        self.records.append(record)
+        self.capped = record["d_is_lower_bound"]
+        for check in checks:
             self.check(*check)
 
     def ok(self) -> bool:
@@ -174,21 +173,21 @@ def _matrix_rows(mat: np.ndarray) -> list:
     return [[int(v) for v in row] for row in mat]
 
 
-# -- the classical verdict -----------------------------------------------------
+# -- the classical record -----------------------------------------------------
 
 
-def grm_verdict(rep: RunReport, g: GrmCode, dual_check: bool) -> dict:
-    """Enumerate wt(R_q(nu, m)) under the cap, check k and d; return the record."""
-    w, exact = g.code.min_weight(rep.cap)
-    rep.capped = not exact
-    rep.check("rank_equals_dimension_formula", g.k == g.k_formula, g.k, g.k_formula)
+def grm_record(g: GrmCode, cap: int, dual_check: bool) -> tuple[dict, list]:
+    """Enumerate wt(R_q(nu, m)) under the cap and decide k, d and the dual; the record and its checks."""
+    w, exact = g.code.min_weight(cap)
+    checks = [("rank_equals_dimension_formula", g.k == g.k_formula, g.k, g.k_formula, True)]
     if exact:
-        rep.check("enumerated_distance_equals_formula", w == g.d_formula, w, g.d_formula)
+        checks.append(("enumerated_distance_equals_formula", w == g.d_formula, w, g.d_formula, True))
     else:
-        rep.check("distance_lower_bound_consistent", w <= g.d_formula, w, g.d_formula, exact=False)
+        checks.append(("distance_lower_bound_consistent", w <= g.d_formula, w, g.d_formula, False))
     if dual_check:
-        dual_ok = g.code.dual() == grm_dual_code(g)
-        rep.check("dual_is_grm_of_dual_order", dual_ok, expected=f"order {g.nu_perp}")
+        dual = g.code.dual() == grm_dual_code(g)
+        checks.append(("dual_is_grm_of_dual_order", dual, None, f"order {g.nu_perp}", True))
+    decide("classical-grm", *checks)
     return {
         "construction": "classical-grm",
         "params": f"[{g.n},{g.k},{w if exact else f'>={w}'}]_{g.q}",
@@ -198,29 +197,26 @@ def grm_verdict(rep: RunReport, g: GrmCode, dual_check: bool) -> dict:
         "d": w,
         "d_is_lower_bound": not exact,
         "pure": None,
-    }
+    }, checks
 
 
 # -- the family table ----------------------------------------------------------
 
 
-def _grm_row(rep: RunReport, q: int, m: int, nu: int) -> dict:
-    rec = grm_verdict(rep, build_grm(q, m, nu), dual_check=True)
+def _grm_row(cap: int, q: int, m: int, nu: int) -> dict:
+    rec, _ = grm_record(build_grm(q, m, nu), cap, dual_check=True)
     exact = not rec["d_is_lower_bound"]
     return {"params": f"[{rec['n']},{rec['k']},{rec['d'] if exact else '?'}]_{q}", "exact": exact}
 
 
-def _quantum_row(rep: RunReport, rec: QuantumCodeRecord) -> dict:
-    rep.add_record(rec)
+def _css_row(cap: int, q: int, m: int, nu1: int, nu2: int) -> dict:
+    rec = css_grm(q, m, nu1, nu2, cap)
     return {"params": rec.params_str(), "exact": rec.exact}
 
 
-def _css_row(rep: RunReport, q: int, m: int, nu1: int, nu2: int) -> dict:
-    return _quantum_row(rep, css_grm(q, m, nu1, nu2, rep.cap))
-
-
-def _hermitian_row(rep: RunReport, q: int, m: int, nu: int) -> dict:
-    return _quantum_row(rep, hermitian_grm(q, m, nu, rep.cap))
+def _hermitian_row(cap: int, q: int, m: int, nu: int) -> dict:
+    rec = hermitian_grm(q, m, nu, cap)
+    return {"params": rec.params_str(), "exact": rec.exact}
 
 
 def _mds_grid(q: int, m: int) -> list:
@@ -229,9 +225,8 @@ def _mds_grid(q: int, m: int) -> list:
     return [(nu,) for nu in quantum_orders(q, 1)]
 
 
-def _mds_row(rep: RunReport, q: int, nu: int) -> dict:
-    rec = mds_chain(q, nu, rep.cap)
-    rep.add_record(rec)
+def _mds_row(cap: int, q: int, nu: int) -> dict:
+    rec = mds_chain(q, nu, cap)
     return {"params": rec.params_str(), "exact": rec.exact, "slack": rec.singleton_slack}
 
 
@@ -240,8 +235,8 @@ class Sweep:
     """A family as a sweep sees it.
 
     ``orders`` names a row's key fields after q, ``grid(q, m)`` lists their
-    values, and ``row(report, q, *key)`` builds the record, puts its
-    checks into ``report`` and returns the row's other fields.
+    values, and ``row(cap, q, *key)`` builds the record, whose builder
+    decides its checks, and returns the row's other fields.
     Row builders call the library through this module's names at call
     time, so a rebinding of those names (a tracer, a test) reaches them.
     """
@@ -275,7 +270,7 @@ def run_grm(args) -> RunReport:
     params = {"q": args.q, "m": args.m, "order": args.order, "strict": args.strict}
     rep = RunReport("grm", params, cap=args.cap)
     g = build_grm(args.q, args.m, args.order)
-    rep.records.append(grm_verdict(rep, g, args.dual_check))
+    rep.add_record(*grm_record(g, args.cap, args.dual_check))
     if args.dump_matrix:
         rep.matrices["generator"] = _matrix_rows(g.code.gen)
     return rep
@@ -285,7 +280,7 @@ def run_quantum(args) -> RunReport:
     rep = RunReport(f"quantum {args.construction}", _record_params(args), cap=args.cap)
     build = css_grm if args.construction == "css" else hermitian_grm
     rec = build(*rep.params.values(), args.cap)
-    rep.add_record(rec)
+    rep.add_record(rec.to_dict(), rec.checks)
     if args.dump_stabilizer:
         rep.matrices["stabilizer"] = _matrix_rows(rec.stabilizer.matrix)
         rep.matrices["stabilizer_symplectic_expansion"] = _matrix_rows(rec.stabilizer.expanded())
@@ -295,31 +290,32 @@ def run_quantum(args) -> RunReport:
 def run_puncture(args) -> RunReport:
     rep = RunReport(f"puncture {args.construction}", _record_params(args), cap=args.cap)
     check_quantum_orders(**rep.params)
-    if args.construction == "css":
-        g1, g2 = build_grm(args.q, args.m, args.nu1), build_grm(args.q, args.m, args.nu2)
-        if args.list_weights:  # the weights need the plain codes and R_q(nu2 - nu1, m) alone
-            prec = puncture_code_css(g1.code, g2.code)
-            identity = prec.pcode == build_grm(args.q, args.m, args.nu2 - args.nu1).code
-        else:
-            prec = puncture_code_css(g1, g2)
-            identity = prec.provenance.get("grm_identity", False)
-        rep.check("puncture_code_is_grm_difference_order", identity)
-        materialize = partial(puncture_css, g1, g2, cap=args.cap, pcode_record=prec)
-    elif args.mds_chain:
+    css = args.construction == "css"
+    if not css and args.mds_chain:
         if args.m != 1:
             raise GrmError("--mds-chain is defined for m=1 inputs")
-        rep.add_record(mds_chain(args.q, args.nu, args.cap))
+        rec = mds_chain(args.q, args.nu, args.cap)
+        rep.add_record(rec.to_dict(), rec.checks)
         return rep
+    if css:
+        codes = build_grm(args.q, args.m, args.nu1), build_grm(args.q, args.m, args.nu2)
     else:
-        g = build_grm(args.q * args.q, args.m, args.nu)
+        codes = (build_grm(args.q * args.q, args.m, args.nu),)
+    if args.target_weight is not None:
+        check_witness_weight(args.target_weight, codes[0].n)  # before any puncture code is built
+    if css:
+        prec = puncture_code_css(*codes)
+        rep.check("puncture_code_is_grm_difference_order", prec.provenance.get("grm_identity", False))
+    else:
         # only the witness search reads the family's restriction subcodes
-        prec = puncture_code_hermitian(g.code if args.list_weights else g)
-        materialize = partial(puncture_hermitian, g, cap=args.cap, pcode_record=prec)
+        prec = puncture_code_hermitian(codes[0].code if args.list_weights else codes[0])
     if args.list_weights:
         dist = prec.pcode.weight_distribution(args.cap)
         rep.tables["puncture_code_weights"] = {"counts": list(dist.counts), "exact": True}
         return rep
-    rep.add_record(materialize(find_weight_witness(prec, args.target_weight, args.cap)))
+    materialize = puncture_css if css else puncture_hermitian
+    rec = materialize(*codes, find_weight_witness(prec, args.target_weight, args.cap), args.cap, pcode_record=prec)
+    rep.add_record(rec.to_dict(), rec.checks)
     return rep
 
 
@@ -331,17 +327,14 @@ def run_sweep(args) -> RunReport:
     rows: list[dict] = []
     for key in keys:
         row = dict(zip(("q", *family.orders), key))
-        verdict = RunReport(rep.command, {}, cap=args.cap)
         try:
-            row.update(family.row(verdict, *key))
+            row.update(family.row(args.cap, *key), status="pass")
         except CapExceeded:
             # only a distance bound: this row is capped, the others stand
             row.update(exact=False, status="capped")
         except ParameterMismatch as exc:
-            # the library refused this row's record: it fails, the others stand
+            # a claim of this row failed: the row fails, the others stand
             row.update(status="fail", mismatch=str(exc))
-        else:
-            row["status"] = "pass" if verdict.ok() else "fail"
         rows.append(row)
     rep.tables["rows"] = rows
     passes = sum(1 for r in rows if r["status"] == "pass")
@@ -417,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, orders in (("css", css_orders), ("hermitian", herm_orders)):
         pp = psub.add_parser(name, parents=[orders])
         mode = pp.add_mutually_exclusive_group(required=True)
-        mode.add_argument("--target-weight", type=_nonnegative)
+        mode.add_argument("--target-weight", type=_positive)
         if name == "hermitian":
             mode.add_argument("--mds-chain", action="store_true")
         mode.add_argument("--list-weights", action="store_true")
@@ -436,6 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "csv", False) and (args.json or args.timing):
+        parser.error("--csv cannot be combined with --json or --timing")
     if args.cap is None:
         raw = os.environ.get(CAP_ENV_VAR)
         try:

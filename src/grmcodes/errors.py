@@ -75,10 +75,6 @@ class WitnessNotFound(GrmError, RuntimeError):
         self.proven_absent = proven_absent
 
 
-class WitnessSearchFailed(GrmError, RuntimeError):
-    """A search that is mathematically guaranteed to succeed came up empty."""
-
-
 class PointOrderMismatch(GrmError, ValueError):
     """No configured point bijection between the two evaluation domains."""
 

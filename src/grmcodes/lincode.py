@@ -370,9 +370,10 @@ def iter_span_blocks(field: FieldSpec, rows):
     coefficient 1, (q^k - 1)/(q - 1) of them, in lexicographic message
     order (canonical element order per digit, first row most significant);
     ``lead``, the row of that leading 1, runs from k-1 down to 0.  The
-    block for lead i is rows[i] plus the span of rows[i+1:]: a prefix of
-    the base block when that tail fits in it, else one base-sized block per
-    combination of the tail rows above the base.
+    words for lead i are rows[i] plus the span of rows[i+1:]: one block per
+    combination of the tail rows above the base block (a single block when
+    the tail fits in the base), each the head prefix plus the base block's
+    first q^min(tail, t) words.
     """
     rows = np.asarray(rows, dtype=np.uint8)
     k, n = rows.shape
@@ -385,17 +386,14 @@ def iter_span_blocks(field: FieldSpec, rows):
         t += 1
     base = _base_block(field, rows[k - t :])
     for lead in range(k - 1, -1, -1):
-        tail = k - 1 - lead
-        if tail <= t:
-            yield lead, field.add_arrays(base[: q**tail], rows[lead][None, :])
-            continue
-        head = rows[lead + 1 : k - t]
+        block = base[: q ** min(k - 1 - lead, t)]
+        head = rows[lead + 1 : max(lead + 1, k - t)]  # empty when the tail fits the base
         for digits in itertools.product(range(q), repeat=len(head)):
             prefix = rows[lead]
             for d, row in zip(digits, head):
                 if d:
                     prefix = field.add_arrays(prefix, field.MUL[d, row])
-            yield lead, field.add_arrays(base, prefix[None, :])
+            yield lead, field.add_arrays(block, prefix[None, :])
 
 
 # -- information-set search -------------------------------------------

@@ -22,9 +22,10 @@ the small multivariate code and the result is carried back up the chain.
 form gives the promised d (``qcode.css_grm_distance`` and
 ``qcode.hermitian_grm_distance``), and the puncture-code record as a
 required keyword.  They share one witness check and one record tail,
-which requires the promised k and d bounds through ``qcode.require``, and
-leave CSS nesting and Hermitian self-orthogonality of the punctured code
-to ``qcode.css`` and ``qcode.hermitian``, which check them once.
+which writes the promised d onto a capped record and requires the k and
+d bounds through ``qcode.require``, and leave CSS nesting and Hermitian
+self-orthogonality of the punctured code to ``qcode.css`` and
+``qcode.hermitian``.  Every contradicted claim raises ``ParameterMismatch``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .errors import (
     PointOrderMismatch,
     WitnessInvalid,
     WitnessNotFound,
-    WitnessSearchFailed,
 )
 from .gf import extension_pair_for, get_field, quadratic_extension
 from .grm import GrmCode, build_grm, grm_dimension, grm_distance, point_matrix
@@ -146,6 +146,12 @@ def puncture_code_hermitian(C: Union[LinearCode, GrmCode]) -> PunctureCodeRecord
     return PunctureCodeRecord(pcode, prov, known)
 
 
+def check_witness_weight(r: int, n: int) -> None:
+    """Raise WitnessNotFound, proven absent, for a weight r above the length n: no scan is needed."""
+    if r > n:
+        raise WitnessNotFound(f"weight {r} exceeds the length {n}", proven_absent=True)
+
+
 def find_weight_witness(rec: PunctureCodeRecord, r: int, cap: int = DEFAULT_CAP) -> PunctureWitness:
     """Canonically-first vector of weight exactly r in the puncture code.
 
@@ -159,8 +165,7 @@ def find_weight_witness(rec: PunctureCodeRecord, r: int, cap: int = DEFAULT_CAP)
     pcode = rec.pcode
     if r == 0:
         return PunctureWitness(np.zeros(pcode.n, dtype=np.uint8), "zero")
-    if r > pcode.n:
-        raise WitnessNotFound(f"weight {r} exceeds the length {pcode.n}", proven_absent=True)
+    check_witness_weight(r, pcode.n)
     q = pcode.field.q
     if q**pcode.k <= cap:
         x = find_first_of_weight(pcode.field, pcode.gen, r)
@@ -198,8 +203,10 @@ def _witness_support(rec: PunctureCodeRecord, n: int, w: PunctureWitness) -> tup
 def _punctured_record(
     out: QuantumCodeRecord, construction: str, n: int, w: PunctureWitness, k_low: int, d_low: int
 ) -> QuantumCodeRecord:
-    """Label a punctured record with its witness and bounds; require k and an exact d to meet them."""
+    """Label a punctured record, d_low as a capped d; require k and an exact d to meet its bounds."""
     out.construction = construction
+    if out.d_is_lower_bound:
+        out.d = d_low
     out.provenance.update(
         punctured_from_n=n, witness_weight=w.weight, witness_source=w.source, k_lower_bound=k_low, d_lower_bound=d_low
     )
@@ -229,10 +236,8 @@ def puncture_css(
     x, support = _witness_support(pcode_record, code1.n, w)
     B = code1.scaled_by(x).punctured_to(support)
     C2p = code2.dual().punctured_to(support).dual()
-    d_lower_bound = css_grm_distance(C1, C2)
-    out = css(B, C2p, cap, d_lower_bound=d_lower_bound)
     k_lower_bound = code2.k - code1.k - code1.n + len(support)
-    return _punctured_record(out, "PuncturedCSS", code1.n, w, k_lower_bound, d_lower_bound)
+    return _punctured_record(css(B, C2p, cap), "PuncturedCSS", code1.n, w, k_lower_bound, css_grm_distance(C1, C2))
 
 
 def puncture_hermitian(
@@ -254,9 +259,8 @@ def puncture_hermitian(
     x, support = _witness_support(pcode_record, code.n, w)
     y = np.zeros(code.n, dtype=np.uint8)
     y[support] = pair.norm_first_preimage[x[support]]
-    d_lower_bound = hermitian_grm_distance(C)
-    out = hermitian(code.scaled_by(y).punctured_to(support), cap, d_lower_bound=d_lower_bound)
-    return _punctured_record(out, "PuncturedHermitian", code.n, w, len(support) - 2 * code.k, d_lower_bound)
+    out = hermitian(code.scaled_by(y).punctured_to(support), cap)
+    return _punctured_record(out, "PuncturedHermitian", code.n, w, len(support) - 2 * code.k, hermitian_grm_distance(C))
 
 
 # -- the GF(q)^2 <-> GF(q^2) point bijection ---------------------------------
@@ -329,7 +333,8 @@ def mds_chain(q: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
     Hermitian code, and requires it to be exact, MDS and of the family's
     parameters; these checks replace the punctured record's.  Raises
     CapExceeded first when the distance search gives up and leaves only a
-    bound.
+    bound, and ParameterMismatch when a step of the chain fails, an empty
+    witness scan included.
 
     The puncture code is built from the plain code, without the family's
     known subcodes; the chain checks the one restriction it walks through
@@ -356,9 +361,7 @@ def mds_chain(q: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
         scan_label = f"univariate-slice(deg<={scan_order})"
     x = find_first_of_weight(scan_code.field, scan_code.gen, r)
     if x is None:
-        raise WitnessSearchFailed(
-            f"no weight-{r} vector in {scan_label}; this contradicts the chain"
-        )
+        raise ParameterMismatch(f"no weight-{r} vector in {scan_label}; this contradicts the chain")
     X = np.zeros(q * q, dtype=np.uint8)
     X[extension_point_map(q)] = x
 

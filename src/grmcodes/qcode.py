@@ -9,20 +9,20 @@ Two constructions are implemented at the classical-code level:
   an [[n, n-2k, d]]_q code with d the minimum weight of C-perp_h minus C.
 
 Records carry exact parameters whenever the distance enumeration finished;
-when it cannot, the record degrades to a lower-bound distance and says so.
+when it cannot, the record degrades to the trivial bound d = 1 and says so.
 ``css`` and ``hermitian`` share that rule, the stabilizer check and the
-record assembly (``_record``).  The GRM families take only the quantum
-orders 0 <= nu1 <= ... <= m(q-1)-1 (``check_quantum_orders``), and each
-predicted distance has one home: ``css_grm_distance`` and
+record assembly (``_record``), and take no promise: a family that states a
+distance writes it onto its own capped record.  The GRM families take only
+the quantum orders 0 <= nu1 <= ... <= m(q-1)-1 (``check_quantum_orders``),
+and each predicted distance has one home: ``css_grm_distance`` and
 ``hermitian_grm_distance``, the latter over GF(q^2).  Stabilizer matrices
-are emitted alongside and checked for symplectic self-orthogonality
-(after the basis-(1, gamma) expansion in the Hermitian case).
+are checked for symplectic self-orthogonality (after the basis-(1, gamma)
+expansion in the Hermitian case).
 
-A construction that states a closed form decides it once, in ``require``:
-the named checks are kept on the record (``QuantumCodeRecord.checks``),
-which a report lists as they are, and the first that fails raises
-``ParameterMismatch``.  The GRM families, the punctured records and the
-MDS chain all go through it.
+A claim fails one way: ``decide`` raises ``ParameterMismatch`` at the
+first failed check.  ``require`` keeps a record's checks on it
+(``QuantumCodeRecord.checks``), the stabilizer's last, and decides them;
+the GRM families, the punctured records and the MDS chain all call it.
 """
 
 from __future__ import annotations
@@ -156,19 +156,17 @@ def _record(
     prov: dict,
     stab: StabilizerMatrix,
     distance: Callable[[], tuple[int, bool, dict]],
-    d_lower_bound: Optional[int],
 ) -> QuantumCodeRecord:
     """Run ``distance`` under the capped-distance rule, check the stabilizer, assemble.
 
     ``distance()`` returns (d, pure, provenance found on the way).  If it
-    raises CapExceeded, d is the promised bound (or the trivial bound 1),
-    purity is unknown and the provenance says the distance was capped.
+    raises CapExceeded, d is the trivial bound 1, purity is unknown and the
+    provenance says the distance was capped.
     """
     try:
         d, pure, found = distance()
     except CapExceeded:
-        d = d_lower_bound if d_lower_bound is not None else 1
-        pure, found = None, {"distance_capped": True}
+        d, pure, found = 1, None, {"distance_capped": True}
     prov.update(found)
     if not stab.is_self_orthogonal():
         raise ParameterMismatch(f"{construction} stabilizer failed the symplectic check")
@@ -185,19 +183,14 @@ def _record(
     )
 
 
-def css(
-    C1: LinearCode,
-    C2: LinearCode,
-    cap: int = DEFAULT_CAP,
-    d_lower_bound: Optional[int] = None,
-) -> QuantumCodeRecord:
+def css(C1: LinearCode, C2: LinearCode, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
     """CSS construction from nested classical codes C1 <= C2.
 
     The nesting is checked here, once, for every CSS record (the punctured
     pair included), by ``is_subcode_of``, which also rejects a field or
     length mismatch.  The distance enumeration runs over both difference
     sets; if it cannot finish within the caps the record degrades to the
-    supplied lower bound (or the trivial bound 1) with the flag set.
+    trivial bound 1 with the flag set.
     """
     if not C1.is_subcode_of(C2):
         raise NotNested("CSS needs C1 contained in C2")
@@ -220,7 +213,7 @@ def css(
     rows[: C1.k, :n] = C1.gen
     rows[C1.k :, n:] = C2perp.gen
     stab = StabilizerMatrix("css", C1.field, n, rows)
-    return _record(C2.k - C1.k, "CSS", prov, stab, distance, d_lower_bound)
+    return _record(C2.k - C1.k, "CSS", prov, stab, distance)
 
 
 def quantum_orders(q: int, m: int) -> range:
@@ -236,16 +229,21 @@ def check_quantum_orders(q: int, m: int, **orders: int) -> None:
         raise OrderOutOfRange(f"need 0 <= {' <= '.join(orders)} <= m(q-1)-1 = {chain[-1]} for q={q}, m={m}, got {got}")
 
 
-def require(rec: QuantumCodeRecord, *checks: tuple) -> QuantumCodeRecord:
-    """Keep ``checks`` on rec, then the stabilizer's; raise ParameterMismatch at the first that fails.
+def decide(construction: str, *checks: tuple) -> None:
+    """Raise ParameterMismatch at the first of ``checks`` that fails: the one way a claim fails.
 
     Each check is (name, passed, observed, expected, exact), as a report
-    lists it.  This is where a construction decides its closed form.
+    lists it.
     """
-    rec.checks = [*checks, ("stabilizer_symplectic", rec.stabilizer.is_self_orthogonal(), None, None, True)]
-    for name, passed, observed, expected, _ in rec.checks:
+    for name, passed, observed, expected, _ in checks:
         if not passed:
-            raise ParameterMismatch(f"{rec.construction} check {name} failed: observed {observed}, expected {expected}")
+            raise ParameterMismatch(f"{construction} check {name} failed: observed {observed}, expected {expected}")
+
+
+def require(rec: QuantumCodeRecord, *checks: tuple) -> QuantumCodeRecord:
+    """Keep a construction's ``checks`` on rec, then the stabilizer's, and ``decide`` them."""
+    rec.checks = [*checks, ("stabilizer_symplectic", rec.stabilizer.is_self_orthogonal(), None, None, True)]
+    decide(rec.construction, *rec.checks)
     return rec
 
 
@@ -260,9 +258,10 @@ def hermitian_grm_distance(g: GrmCode) -> int:
 
 
 def _grm_record(rec: QuantumCodeRecord, orders: dict, k_pred: int, d_pred: int) -> QuantumCodeRecord:
-    """Label a GRM family record with its closed form and require k, d (or its bound) and purity."""
+    """Label a GRM family record with its closed form, d_pred as a capped d; require k, d and purity."""
     rec.provenance.update(family="grm", **orders, k_predicted=k_pred, d_predicted=d_pred)
     if rec.d_is_lower_bound:
+        rec.d = d_pred
         distance = [("distance_bound_recorded", rec.d <= d_pred, rec.d, d_pred, False)]
     else:
         slack = rec.singleton_slack
@@ -286,7 +285,7 @@ def css_grm(
     g1 = build_grm(q, m, nu1)
     g2 = build_grm(q, m, nu2)
     d_pred = css_grm_distance(g1, g2)
-    rec = css(g1.code, g2.code, cap, d_lower_bound=d_pred)
+    rec = css(g1.code, g2.code, cap)
     return _grm_record(rec, {"q": q, "m": m, "nu1": nu1, "nu2": nu2}, g2.k_formula - g1.k_formula, d_pred)
 
 
@@ -300,11 +299,7 @@ def hermitian_self_orthogonal(C: LinearCode) -> bool:
     return not np.any(gram)
 
 
-def hermitian(
-    C: LinearCode,
-    cap: int = DEFAULT_CAP,
-    d_lower_bound: Optional[int] = None,
-) -> QuantumCodeRecord:
+def hermitian(C: LinearCode, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
     """Hermitian construction from a self-orthogonal code over GF(q^2).
 
     Self-orthogonality is checked here, once, for every Hermitian record
@@ -323,7 +318,7 @@ def hermitian(
 
     prov = {"n": C.n, "k_classical": C.k, "cap": cap}
     stab = StabilizerMatrix("hermitian", C.field, C.n, C.gen.copy())
-    return _record(C.n - 2 * C.k, "Hermitian", prov, stab, distance, d_lower_bound)
+    return _record(C.n - 2 * C.k, "Hermitian", prov, stab, distance)
 
 
 def hermitian_grm(q: int, m: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
@@ -335,5 +330,5 @@ def hermitian_grm(q: int, m: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCod
     check_quantum_orders(q, m, nu=nu)
     g = build_grm(q * q, m, nu)
     d_pred = hermitian_grm_distance(g)
-    rec = hermitian(g.code, cap, d_lower_bound=d_pred)
+    rec = hermitian(g.code, cap)
     return _grm_record(rec, {"q": q, "m": m, "nu": nu}, q ** (2 * m) - 2 * g.k_formula, d_pred)

@@ -93,20 +93,19 @@ def test_hermitian_list_weights_builds_no_subcodes(capsys, monkeypatch):
     assert built == []
 
 
-def test_css_list_weights_builds_only_the_difference_order_code(capsys, monkeypatch):
-    # the report reads the identity flag, which needs R_q(nu2 - nu1, m)
-    # alone: nu1, nu2 and nu2 - nu1, and none of the known subcodes
-    built = []
-    for module in (cli, puncture):
-        real = module.build_grm
-        monkeypatch.setattr(module, "build_grm", lambda q, m, nu, real=real: built.append((q, m, nu)) or real(q, m, nu))
-    code, _, err = run(capsys, "puncture", "css", "-q", "7", "-m", "2", "--nu1", "0", "--nu2", "11", "--list-weights")
-    assert code == EXIT_CAPPED and "exact distribution" in err
-    assert sorted(built) == [(7, 2, 0), (7, 2, 11), (7, 2, 11)]
-    built.clear()
-    code, out, _ = run(capsys, "puncture", "css", "-q", "3", "-m", "2", "--nu1", "1", "--nu2", "2", "--list-weights")
-    assert code == EXIT_OK and "puncture_code_is_grm_difference_order" in out
-    assert sorted(built) == [(3, 2, 1), (3, 2, 1), (3, 2, 2)]
+def test_css_list_weights_decides_the_identity_in_the_puncture_code(capsys, monkeypatch):
+    # R_3(2, 2), the difference order of (1, 3), planted as R_3(1, 2) where
+    # puncture_code_css builds it: the identity fails there, and listing
+    # the weights exits 4 with its message and no report
+    real = puncture.build_grm
+    monkeypatch.setattr(puncture, "build_grm", lambda q, m, nu: real(q, m, nu - ((q, m, nu) == (3, 2, 2))))
+    argv = ("puncture", "css", "-q", "3", "-m", "2", "--nu1", "1", "--nu2", "3", "--list-weights")
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_MISMATCH and out == ""
+    assert err == "mismatch: puncture code disagrees with R_q(nu2-nu1, m)\n"
+    monkeypatch.setattr(puncture, "build_grm", real)
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and "check [PASS] puncture_code_is_grm_difference_order" in out
 
 
 def test_puncture_full_weight_witness(capsys):
@@ -349,9 +348,18 @@ def test_bad_sweep_grid_exits_usage(capsys, argv, message):
 
 
 def test_negative_target_weight_exits_usage(capsys):
-    code, err = exit_code(capsys, "puncture", "hermitian", "-q", "3", "--nu", "0", "--target-weight", "-1")
+    # a weight of 0 punctures to nothing, so it is rejected with the negatives
+    for weight in ("-1", "0"):
+        code, err = exit_code(capsys, "puncture", "hermitian", "-q", "3", "--nu", "0", "--target-weight", weight)
+        assert code == EXIT_USAGE
+        assert f"expected a positive integer, got '{weight}'" in err
+
+
+@pytest.mark.parametrize("flag", ["--json", "--timing"])
+def test_sweep_csv_rejects_json_and_timing(capsys, flag):
+    code, err = exit_code(capsys, "sweep", "grm", "-q", "2", "--csv", flag)
     assert code == EXIT_USAGE
-    assert "expected a non-negative integer" in err
+    assert "--csv cannot be combined with --json or --timing" in err
 
 
 def test_parameter_mismatch_exits_mismatch_and_assertion_error_is_not_caught(capsys, monkeypatch):
@@ -373,19 +381,41 @@ def test_parameter_mismatch_exits_mismatch_and_assertion_error_is_not_caught(cap
 
 def test_planted_grm_distance_fails_the_command_and_its_sweep_row(capsys, monkeypatch):
     # d(R_3(1, 2)) planted one too high: the single command and the sweep
-    # row run the same verdict, so both must fail on it
+    # row build the same record, whose check fails through ParameterMismatch
     true_distance = grm.grm_distance
     monkeypatch.setattr(
         grm, "grm_distance", lambda q, m, nu: true_distance(q, m, nu) + ((q, m, nu) == (3, 2, 1))
     )
-    code, out, _ = run(capsys, "grm", "-q", "3", "-m", "2", "--order", "1", "--json")
+    message = "classical-grm check enumerated_distance_equals_formula failed: observed 6, expected 7"
+    code, out, err = run(capsys, "grm", "-q", "3", "-m", "2", "--order", "1", "--json")
     assert code == EXIT_MISMATCH
-    status = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
-    assert status["enumerated_distance_equals_formula"] == "fail"
+    assert out == "" and err == f"mismatch: {message}\n"
     code, out, _ = run(capsys, "sweep", "grm", "-q", "3", "-m", "2", "--json")
     assert code == EXIT_MISMATCH
-    rows = {r["nu"]: r["status"] for r in json.loads(out)["tables"]["rows"]}
-    assert rows == {0: "pass", 1: "fail", 2: "pass", 3: "pass", 4: "pass"}
+    report = json.loads(out)
+    rows = {r["nu"]: r for r in report["tables"]["rows"]}
+    assert {nu: r["status"] for nu, r in rows.items()} == {0: "pass", 1: "fail", 2: "pass", 3: "pass", 4: "pass"}
+    assert rows[1]["mismatch"] == message and all("mismatch" not in r for nu, r in rows.items() if nu != 1)
+    assert {c["name"]: (c["status"], c["observed"]) for c in report["checks"]} == {"all_rows_pass": ("fail", "4/5 pass")}
+
+
+def test_empty_mds_witness_scan_contradicts_the_chain(capsys, monkeypatch):
+    # the paper guarantees the scan a witness: finding none is a mismatch
+    # (exit 4), and in a sweep each such row fails while the report stands
+    monkeypatch.setattr(puncture, "find_first_of_weight", lambda *args: None)
+    code, out, err = run(capsys, "sweep", "mds", "-q", "3,4", "--json")
+    assert code == EXIT_MISMATCH and err == ""
+    report = json.loads(out)
+    rows = report["tables"]["rows"]
+    assert [(r["q"], r["nu"], r["status"]) for r in rows] == [
+        (3, 0, "fail"), (3, 1, "fail"), (4, 0, "fail"), (4, 1, "fail"), (4, 2, "fail")
+    ]
+    assert rows[0]["mismatch"] == "no weight-3 vector in grm(q=3,m=2,nu=2); this contradicts the chain"
+    assert all("this contradicts the chain" in r["mismatch"] for r in rows)
+    assert report["checks"][0]["observed"] == "0/5 pass" and report["capped"] is False
+    code, out, err = run(capsys, "puncture", "hermitian", "-q", "3", "--nu", "1", "--mds-chain")
+    assert code == EXIT_MISMATCH and out == ""
+    assert err == "mismatch: no weight-6 vector in grm(q=3,m=2,nu=1); this contradicts the chain\n"
 
 
 def test_mismatch_row_fails_and_the_other_rows_stand(capsys, monkeypatch):
@@ -503,14 +533,20 @@ def test_planted_family_closed_form_raises_and_exits_mismatch_without_asserts(fa
     [
         (("puncture", "hermitian", "-q", "3", "-m", "2", "--nu", "2", "--target-weight", "82"), 81),
         (("puncture", "hermitian", "-q", "4", "--nu", "1", "--target-weight", "17"), 16),
+        (("puncture", "hermitian", "-q", "4", "-m", "2", "--nu", "1", "--target-weight", "257"), 256),
+        (("puncture", "css", "-q", "3", "-m", "2", "--nu1", "1", "--nu2", "2", "--target-weight", "10"), 9),
     ],
-    ids=["over-the-cap", "within-the-cap"],
+    ids=["over-the-cap", "within-the-cap", "restriction-subcodes", "css"],
 )
 def test_target_weight_above_the_length_is_absent_without_a_scan(capsys, monkeypatch, argv, n):
+    # the length is known from the GRM code, so no puncture code is built either
     def scan(*args):
-        raise AssertionError("a weight above the length needs no scan")
+        raise AssertionError("a weight above the length needs no scan and no puncture code")
 
     monkeypatch.setattr(puncture, "find_first_of_weight", scan)
+    for module in (cli, puncture):
+        monkeypatch.setattr(module, "puncture_code_css", scan)
+        monkeypatch.setattr(module, "puncture_code_hermitian", scan)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_ABSENT
     assert out == ""

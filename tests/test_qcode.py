@@ -123,12 +123,19 @@ def test_css_stabilizer_layout():
 
 
 def test_css_degrades_to_lower_bound_when_capped():
+    # a plain pair states no distance: a capped record keeps the trivial
+    # bound 1; the GRM family writes its promised distance itself
     g1 = build_grm(3, 2, 1).code
     g2 = build_grm(3, 2, 2).code
-    rec = css(g1, g2, cap=1, d_lower_bound=3)
-    assert rec.d == 3 and rec.d_is_lower_bound and rec.pure is None
+    rec = css(g1, g2, cap=1)
+    assert rec.d == 1 and rec.d_is_lower_bound and rec.pure is None
+    assert rec.provenance["distance_capped"] is True
     with pytest.raises(InexactParameters):
         rec.singleton_slack
+    family = css_grm(3, 2, 1, 2, cap=1)
+    assert family.d == 3 and family.d_is_lower_bound and family.pure is None
+    assert family.params_str() == "[[9,3,>=3]]_3"
+    assert ("distance_bound_recorded", True, 3, 3, False) in family.checks
 
 
 @pytest.mark.parametrize(
