@@ -39,6 +39,18 @@ node j, and let A be the lower set {a : sum(a) <= nu}, of size k.
   Each level is one loop over a, whose terms are row gathers from the
   table of multiples of rows(m-1, nu-a).  Only the table H is kept per
   field; G is taken from it where m >= 2.
+
+Each code is built once per process.  ``_grm_code`` caches the canonical
+``LinearCode`` of R_q(nu, m) by (q, m, nu), with no limit: fields stop at
+q = 64 and ``MAX_LENGTH`` caps q^m at 256, so the generators of all 421
+supported codes take 2.78 MB together (6.75 MB with the duals and
+restrictions the codes memoize).  The code's arrays are read-only, and
+its ``dual`` and ``restriction`` are computed once per process.
+``build_grm`` wraps the shared code in a fresh ``GrmCode`` on every
+call, so the closed forms and the rank and length checks are read at
+call time, never kept from an earlier call.  A check that plants a fault
+inside the generator path in a running process must first call
+``_grm_code.cache_clear()``.
 """
 
 from __future__ import annotations
@@ -198,16 +210,17 @@ def _lagrange_rows(field: FieldSpec, m: int, nu: int, digit_sum: np.ndarray) -> 
     return rows[nu]
 
 
-def build_grm(q: int, m: int, nu: int) -> GrmCode:
-    """R_q(nu, m) with its RREF generator written directly, no elimination.
+@lru_cache(maxsize=None)
+def _grm_code(q: int, m: int, nu: int) -> LinearCode:
+    """R_q(nu, m)'s canonical code, its RREF generator written directly, no elimination.
 
     The pivots are the points of the lower set A = {a : sum(a) <= nu} and
     the row of pivot s is its Lagrange function on A (see the module
     docstring for why and for the recursion that builds the rows).  The
     rows are checked to be the identity on the pivot columns and zero left
     of each pivot, and to sum to the constant 1 (the Lagrange functions
-    interpolate it), before they are taken as canonical; ``GrmCode`` then
-    checks k against the dimension formula.
+    interpolate it), before they are taken as canonical.  Cached for the
+    process (see the module docstring); a raised error is not cached.
     """
     field = get_field(q)
     _check_order(q, m, nu)
@@ -233,7 +246,16 @@ def build_grm(q: int, m: int, nu: int) -> GrmCode:
             f"Lagrange rows of R_{q}({nu}, {m}) are not in RREF on the lower set"
             " or do not sum to 1"
         )
-    return GrmCode(q, m, nu, LinearCode(field, rows, n, _canonical=True))
+    return LinearCode(field, rows, n, _canonical=True)
+
+
+def build_grm(q: int, m: int, nu: int) -> GrmCode:
+    """R_q(nu, m): the process's one canonical code (``_grm_code``) in a fresh ``GrmCode``.
+
+    ``GrmCode`` reads the closed forms and checks k against the dimension
+    formula on every call; only the generator is shared.
+    """
+    return GrmCode(q, m, nu, _grm_code(q, m, nu))
 
 
 def grm_dual_code(g: GrmCode) -> LinearCode:

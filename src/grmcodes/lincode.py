@@ -16,6 +16,9 @@ RREF (a Frobenius image, the identity, a product of RREF matrices) is
 taken as it is, each row's first nonzero entry being its pivot; and
 ``restriction`` is one kernel over the n - k free columns, because the
 pivot columns carry the message and its imaginary part vanishes there.
+A code is immutable, so it computes its ``dual`` and its ``restriction``
+once and keeps them; a code shared across calls (``grm``'s cached GRM
+codes) computes them once per process.
 
 Every distance goes through one engine, ``exact_min_weight(code,
 exclude)``, which returns the pair (wt(code), wt(code minus exclude)) from
@@ -176,6 +179,7 @@ class LinearCode:
         self.free = np.flatnonzero(free)  # the non-pivot columns
         self.free.setflags(write=False)
         self._dual: LinearCode | None = None
+        self._restriction: LinearCode | None = None
 
     @classmethod
     def zero_code(cls, field: FieldSpec, n: int) -> "LinearCode":
@@ -281,15 +285,18 @@ class LinearCode:
         of dec_b[G] on the n - k free columns, one :func:`kernel_basis`.  U
         and dec_a[G] (the identity on the pivots) are both in RREF, so their
         product is too: it is dec_a[G][U.pivots] plus the product over U's
-        free columns, with no further elimination.
+        free columns, with no further elimination.  Memoized, as ``dual`` is.
         """
         pair = extension_pair_for(self.field)
-        if self.k == 0:
-            return LinearCode.zero_code(pair.sub, self.n)
-        U = LinearCode(pair.sub, kernel_basis(pair.sub, pair.dec_b[self.gen[:, self.free]].T), self.k, _canonical=True)
-        A = pair.dec_a[self.gen]
-        R = pair.sub.add_arrays(A[list(U.pivots)], pair.sub.matmul(U.gen[:, U.free], A[U.free]))
-        return LinearCode(pair.sub, R, self.n, _canonical=True)
+        if self._restriction is None and self.k == 0:
+            self._restriction = LinearCode.zero_code(pair.sub, self.n)
+        elif self._restriction is None:
+            B = pair.dec_b[self.gen[:, self.free]]
+            U = LinearCode(pair.sub, kernel_basis(pair.sub, B.T), self.k, _canonical=True)
+            A = pair.dec_a[self.gen]
+            R = pair.sub.add_arrays(A[list(U.pivots)], pair.sub.matmul(U.gen[:, U.free], A[U.free]))
+            self._restriction = LinearCode(pair.sub, R, self.n, _canonical=True)
+        return self._restriction
 
     # -- coordinate surgery ----------------------------------------------------
 

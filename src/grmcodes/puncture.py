@@ -25,7 +25,9 @@ required keyword.  They share one witness check and one record tail,
 which writes the promised d onto a capped record and requires the k and
 d bounds through ``qcode.require``, and leave CSS nesting and Hermitian
 self-orthogonality of the punctured code to ``qcode.css`` and
-``qcode.hermitian``.  Every contradicted claim raises ``ParameterMismatch``.
+``qcode.hermitian``.  Every contradicted claim raises ``ParameterMismatch``:
+a named check through ``qcode.decide``, or, for an empty MDS witness
+scan, a message naming the missing weight.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ from .errors import (
 from .gf import extension_pair_for, get_field, quadratic_extension
 from .grm import GrmCode, build_grm, grm_dimension, grm_distance, point_matrix
 from .lincode import DEFAULT_CAP, LinearCode, find_first_of_weight, product_span
-from .qcode import QuantumCodeRecord, check_quantum_orders, css, css_grm_distance, hermitian, hermitian_grm_distance, require
+from .qcode import (
+    QuantumCodeRecord, check_quantum_orders, css, css_grm_distance, decide, hermitian, hermitian_grm_distance, require
+)
 
 
 @dataclass
@@ -104,17 +108,16 @@ def puncture_code_css(
     if grm_pair:
         q, m = C1.q, C1.m
         diff = C2.nu - C1.nu
-        codes = {C1.nu: code1, C2.nu: code2}  # R_q(mu, m) by order, the caller's reused
-        if diff not in codes:
-            codes[diff] = build_grm(q, m, diff).code
-        if pcode != codes[diff]:
-            raise ParameterMismatch("puncture code disagrees with R_q(nu2-nu1, m)")
+        known = [(f"grm(q={q},m={m},nu={mu})", build_grm(q, m, mu).code) for mu in range(diff + 1)]  # k rises with mu
+        diff_label, grm_diff = known[diff]
+        observed, expected = f"[{pcode.n},{pcode.k}]", f"{diff_label} = [{grm_diff.n},{grm_diff.k}]"
+        escaped = [label for label, sub in known if not sub.is_subcode_of(pcode)]
+        decide(
+            "CSSPunctureCode",
+            ("puncture_code_is_grm_difference_order", pcode == grm_diff, observed, expected, True),
+            ("grm_subcodes_in_puncture_code", not escaped, escaped, [], True),
+        )
         prov.update({"family": "grm", "q": q, "m": m, "nu1": C1.nu, "nu2": C2.nu, "grm_identity": True})
-        for mu in range(diff + 1):
-            sub = codes[mu] if mu in codes else build_grm(q, m, mu).code
-            if not sub.is_subcode_of(pcode):
-                raise ParameterMismatch(f"R_q({mu}, m) escapes the puncture code")
-            known.append((f"grm(q={q},m={m},nu={mu})", sub))  # k rises with mu
     return PunctureCodeRecord(pcode, prov, known)
 
 
@@ -136,12 +139,13 @@ def puncture_code_hermitian(C: Union[LinearCode, GrmCode]) -> PunctureCodeRecord
         q = pair.sub.q
         assert q2 == q * q
         prov.update({"family": "grm", "m": m, "nu": nu})
-        for mu in range((q + 1) * nu, m * (q2 - 1)):
-            mu_perp = m * (q2 - 1) - 1 - mu
-            sub = (code if mu_perp == nu else build_grm(q2, m, mu_perp).code).restriction()
-            if not sub.is_subcode_of(pcode):
-                raise ParameterMismatch(f"restriction at mu={mu} escapes the puncture code")
-            known.append((f"restriction(dual(grm(q={q2},m={m},nu={mu})))", sub))
+        top = m * (q2 - 1) - 1  # R_{q^2}(mu, m)-dual is R_{q^2}(top - mu, m)
+        known = [
+            (f"restriction(dual(grm(q={q2},m={m},nu={mu})))", build_grm(q2, m, top - mu).code.restriction())
+            for mu in range((q + 1) * nu, top + 1)
+        ]
+        escaped = [label for label, sub in known if not sub.is_subcode_of(pcode)]
+        decide("HermitianPunctureCode", ("restrictions_in_puncture_code", not escaped, escaped, [], True))
         known.sort(key=lambda item: item[1].k)
     return PunctureCodeRecord(pcode, prov, known)
 
@@ -366,10 +370,12 @@ def mds_chain(q: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
     X[extension_point_map(q)] = x
 
     mapped, restricted = _chain_step1(scan_code, q2 - (nu + 1) * q)
-    if not mapped.is_subcode_of(restricted):
-        raise ParameterMismatch("chain step 1 containment failed")
-    if not restricted.is_subcode_of(prec.pcode):
-        raise ParameterMismatch("chain step 2 containment failed")
+    restricted_label = f"restriction(grm(q={q2},m=1,nu={q2 - (nu + 1) * q}))"
+    decide(
+        "MDSChain",
+        ("chain_step1_containment", mapped.is_subcode_of(restricted), scan_label, f"<= {restricted_label}", True),
+        ("chain_step2_containment", restricted.is_subcode_of(prec.pcode), restricted_label, "<= puncture code", True),
+    )
 
     out = puncture_hermitian(g, PunctureWitness(X, scan_label), cap, pcode_record=prec)
     out.provenance.update({"chain": "mds", "q": q, "nu": nu, "target_weight": r})

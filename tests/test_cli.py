@@ -102,7 +102,10 @@ def test_css_list_weights_decides_the_identity_in_the_puncture_code(capsys, monk
     argv = ("puncture", "css", "-q", "3", "-m", "2", "--nu1", "1", "--nu2", "3", "--list-weights")
     code, out, err = run(capsys, *argv)
     assert code == EXIT_MISMATCH and out == ""
-    assert err == "mismatch: puncture code disagrees with R_q(nu2-nu1, m)\n"
+    assert err == (
+        "mismatch: CSSPunctureCode check puncture_code_is_grm_difference_order failed:"
+        " observed [9,6], expected grm(q=3,m=2,nu=2) = [9,3]\n"
+    )
     monkeypatch.setattr(puncture, "build_grm", real)
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK and "check [PASS] puncture_code_is_grm_difference_order" in out
@@ -626,3 +629,15 @@ def test_rendered_report_matches_golden(capsys, monkeypatch, name):
     code, out, _ = run(capsys, *RENDERED_GOLDEN_COMMANDS[name].split())
     assert code == EXIT_OK
     assert out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_golden_reports_do_not_depend_on_the_order_of_commands(capsys, monkeypatch):
+    # the GRM codes and their duals and restrictions are shared by every
+    # command in a process: no command may change what a later one prints
+    monkeypatch.delenv("GRMCODES_CAP", raising=False)
+    runs = [(f"{name}.json", [*cmd.split(), "--json"]) for name, cmd in sorted(GOLDEN_COMMANDS.items())]
+    runs += [(name, cmd.split()) for name, cmd in sorted(RENDERED_GOLDEN_COMMANDS.items())]
+    for name, argv in runs + runs[::-1]:
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK, name
+        assert out.encode() == (GOLDEN_DIR / name).read_bytes(), name

@@ -213,6 +213,39 @@ def test_build_grm_guards():
         build_grm(2, 9, 0)  # 2^9 = 512 points, over MAX_LENGTH = 256
 
 
+def test_build_grm_shares_one_read_only_code_in_fresh_wrappers():
+    a, b = build_grm(5, 2, 3), build_grm(5, 2, 3)
+    assert a is not b and a.code is b.code
+    assert not a.code.gen.flags.writeable and not a.code.free.flags.writeable
+    # the dual is memoized on the shared code, so it is computed once
+    assert a.code.dual() is b.code.dual()
+
+
+def test_build_grm_errors_are_raised_on_every_call_and_never_cached():
+    before = grm._grm_code.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(OrderOutOfRange):
+            build_grm(3, 2, 5)
+        with pytest.raises(OrderOutOfRange):
+            build_grm(3, 0, 0)
+        with pytest.raises(LengthCapExceeded):
+            build_grm(2, 9, 0)
+    assert grm._grm_code.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("plant", ["grm_distance", "dual_order"])
+def test_warm_cache_reads_planted_closed_forms(monkeypatch, plant):
+    # the closed forms are read on every call, so a code built before the
+    # plant is wrapped with the planted value when it is built again
+    warm = build_grm(3, 2, 1)
+    true_form = getattr(grm, plant)
+    monkeypatch.setattr(grm, plant, lambda q, m, nu: true_form(q, m, nu) + 1)
+    g = build_grm(3, 2, 1)
+    assert g.code is warm.code
+    assert (g.d_formula, g.nu_perp) == {"grm_distance": (7, 2), "dual_order": (6, 3)}[plant]
+    assert (warm.d_formula, warm.nu_perp) == (6, 2)
+
+
 def test_point_order_is_base_q_counter():
     pts = grm.point_matrix(grm.get_field(3), 2)
     assert list(pts[0][:4]) == [0, 1, 2, 0]  # least significant coordinate first

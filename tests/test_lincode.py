@@ -1192,6 +1192,9 @@ def test_restriction_matches_reference_on_grm_codes(q, m):
         C = build_grm(q2, m, nu).code
         R = C.restriction()
         assert R == reference_restriction(C)
+        # memoized on the shared code; an uncached copy computes the same code
+        assert C.restriction() is R is build_grm(q2, m, nu).code.restriction()
+        assert R == LinearCode(C.field, C.gen.copy()).restriction()
         # the constants lie in every GRM code and are over GF(q)
         assert R.contains(np.ones(C.n, dtype=np.uint8))
 

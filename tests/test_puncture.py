@@ -12,6 +12,7 @@ from grmcodes import gf
 from grmcodes.errors import (
     NotNested,
     OrderOutOfRange,
+    ParameterMismatch,
     PointOrderMismatch,
     UnsupportedField,
     WitnessInvalid,
@@ -20,6 +21,7 @@ from grmcodes.errors import (
 from grmcodes.grm import build_grm, grm_distance
 from grmcodes.lincode import LinearCode
 from grmcodes.puncture import (
+    PunctureCodeRecord,
     PunctureWitness,
     extended_rs_embedding_check,
     extension_point_map,
@@ -91,25 +93,45 @@ def _count_grm_builds(monkeypatch) -> list:
     return built
 
 
+def _count_generator_builds(monkeypatch) -> list:
+    # an empty code cache, and the order of every generator built from here
+    grm._grm_code.cache_clear()
+    built = []
+    real = grm._lagrange_rows
+
+    def counting(field, m, nu, digit_sum):
+        built.append(nu)
+        return real(field, m, nu, digit_sum)
+
+    monkeypatch.setattr(grm, "_lagrange_rows", counting)
+    return built
+
+
 def test_puncture_code_css_builds_each_grm_order_once(monkeypatch):
     # R_q(nu2 - nu1, m) serves as the identity check and as the last known
-    # subcode, and the caller's R_q(nu1, m) is reused: every order in 0..diff
-    # but nu1 is built exactly once
+    # subcode, and the caller's R_q(nu1, m) is the process's shared code:
+    # every order in 0..diff but nu1 is built exactly once, a second
+    # puncture code builds none
+    built = _count_generator_builds(monkeypatch)
     g1, g2 = build_grm(7, 2, 2), build_grm(7, 2, 9)
-    built = _count_grm_builds(monkeypatch)
+    del built[:]
     rec = puncture_code_css(g1, g2)
-    assert sorted(nu for _, _, nu in built) == [0, 1, 3, 4, 5, 6, 7]
+    assert sorted(built) == [0, 1, 3, 4, 5, 6, 7]
+    assert puncture_code_css(g1, g2).known_subcodes == rec.known_subcodes and len(built) == 7
+    assert rec.known_subcodes[2][1] is g1.code
     expect = sorted(((f"grm(q=7,m=2,nu={mu})", build_grm(7, 2, mu).code) for mu in range(8)), key=lambda t: t[1].k)
     assert rec.known_subcodes == expect
 
 
 def test_puncture_code_hermitian_reuses_the_callers_code(monkeypatch):
     # q = 3, m = 1, nu = 1: mu runs over [4, 8), so mu_perp = 7 - mu over
-    # 3..0, and R_9(1, 1) is the code passed in
+    # 3..0, and R_9(1, 1) is the code passed in, whose restriction is kept
+    built = _count_generator_builds(monkeypatch)
     g = build_grm(9, 1, 1)
-    built = _count_grm_builds(monkeypatch)
+    del built[:]
     rec = puncture_code_hermitian(g)
-    assert sorted(nu for _, _, nu in built) == [0, 2, 3]
+    assert sorted(built) == [0, 2, 3]
+    assert any(sub is g.code.restriction() for _, sub in rec.known_subcodes)
     expect = sorted((build_grm(9, 1, nu).code.restriction() for nu in (3, 2, 1, 0)), key=lambda c: c.k)
     assert [sub for _, sub in rec.known_subcodes] == expect
 
@@ -239,6 +261,46 @@ def test_punctures_reject_a_foreign_and_a_zero_witness(construction):
     zero = find_weight_witness(rec, 0)
     with pytest.raises(WitnessInvalid, match="length 0"):
         materialize(zero)
+
+
+def _planted_build(monkeypatch, key, order):
+    # build_grm as puncture calls it, with R_q(order, m) in place of key
+    real = puncture.build_grm
+    monkeypatch.setattr(puncture, "build_grm", lambda q, m, nu: real(q, m, order if (q, m, nu) == key else nu))
+
+
+@pytest.mark.parametrize(
+    "plant,call,message",
+    [
+        (
+            lambda mp: _planted_build(mp, (3, 2, 0), 3),
+            lambda: puncture_code_css(build_grm(3, 2, 1), build_grm(3, 2, 3)),
+            "CSSPunctureCode check grm_subcodes_in_puncture_code failed:"
+            " observed ['grm(q=3,m=2,nu=0)'], expected []",
+        ),
+        (
+            lambda mp: _planted_build(mp, (9, 1, 3), 4),
+            lambda: puncture_code_hermitian(build_grm(9, 1, 1)),
+            "HermitianPunctureCode check restrictions_in_puncture_code failed:"
+            " observed ['restriction(dual(grm(q=9,m=1,nu=4)))'], expected []",
+        ),
+        (
+            # a puncture code too small to hold the restriction of chain step 2
+            lambda mp: mp.setattr(
+                puncture, "puncture_code_hermitian", lambda code: PunctureCodeRecord(LinearCode.zero_code(gf.get_field(3), 9))
+            ),
+            lambda: mds_chain(3, 1),
+            "MDSChain check chain_step2_containment failed:"
+            " observed restriction(grm(q=9,m=1,nu=3)), expected <= puncture code",
+        ),
+    ],
+    ids=["css-subcodes", "hermitian-restrictions", "mds-chain-step2"],
+)
+def test_planted_puncture_code_claims_fail_as_named_checks(monkeypatch, plant, call, message):
+    plant(monkeypatch)
+    with pytest.raises(ParameterMismatch) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
