@@ -9,7 +9,7 @@ Every claim fails one way: ``ParameterMismatch``, raised at its first
 failed check.  A quantum record's checks are decided by the construction
 that returns it (``qcode.require``), and the classical GRM record's rank,
 distance and dual checks by ``grm_record`` through the same rule
-(``qcode.decide``); a report copies the checks of the record it lists
+(``errors.decide``); a report copies the checks of the record it lists
 (``RunReport.add_record``), all of them passed.  A failed claim ends a
 single command with exit 4 and no report, and makes its sweep row
 ``fail``, with the message as ``mismatch``; a row whose record raises
@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .errors import CapExceeded, GrmError, ParameterMismatch, WitnessNotFound
+from .errors import CapExceeded, GrmError, ParameterMismatch, WitnessNotFound, decide
 from .grm import GrmCode, build_grm, grm_dual_code
 from .lincode import DEFAULT_CAP
 from .puncture import (
@@ -54,7 +54,7 @@ from .puncture import (
     puncture_css,
     puncture_hermitian,
 )
-from .qcode import check_quantum_orders, css_grm, decide, hermitian_grm, quantum_orders
+from .qcode import check_quantum_orders, css_grm, hermitian_grm, quantum_orders
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -321,7 +321,7 @@ def run_puncture(args) -> RunReport:
 
 def run_sweep(args) -> RunReport:
     family = SWEEPS[args.family]
-    ms = args.m or [1]
+    ms = [1] if args.m is None else args.m
     rep = RunReport(f"sweep {args.family}", {"q": args.q, "m": ms}, cap=args.cap)
     keys = [(q, *key) for q in args.q for m in ms for key in family.grid(q, m)]
     rows: list[dict] = []

@@ -44,7 +44,9 @@ class CapExceeded(GrmError, RuntimeError):
     the weight it was asked for that its search certified.
     """
 
-    bound = None
+    def __init__(self, message: str, bound=None):
+        super().__init__(message)
+        self.bound = bound
 
 
 class OrderOutOfRange(GrmError, ValueError):
@@ -88,3 +90,14 @@ class ParameterMismatch(GrmError):
 
     Raised, never asserted, so that the check survives ``python -O``.
     """
+
+
+def decide(construction: str, *checks: tuple) -> None:
+    """Raise ParameterMismatch at the first of ``checks`` that fails: the one way a claim fails.
+
+    Each check is (name, passed, observed, expected, exact), as a report
+    lists it.
+    """
+    for name, passed, observed, expected, _ in checks:
+        if not passed:
+            raise ParameterMismatch(f"{construction} check {name} failed: observed {observed}, expected {expected}")

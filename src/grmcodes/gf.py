@@ -15,13 +15,24 @@ same thing across runs:
     q=27 : x^3 + 2x + 1     q=49 : x^2 + x + 3     q=64 : x^6 + x + 1
 
 For prime q the modulus is x - g with g the smallest primitive root, and
-elements are plain residues.  For prime powers the class of x is itself
-primitive, so the generator index is always p.
+elements are plain residues.  In every supported field the class of x is
+primitive and is the generator: index p for e > 1, and g for prime q,
+where x = g.
+
+Every table is built from the one digit representation, ``DIGITS``
+(q x e) with the place values p^s, by array arithmetic: ADD and NEG digit
+by digit mod p, and multiplication by x as the companion map of the
+modulus (shift each digit up one place, fold the top digit back).  The
+orbit of 1 under it is the exp/log table, from which MUL, INV and POW
+follow.
 
 Quadratic towers GF(q) < GF(q^2) are designated for q in {2,3,4,5,7,8};
 the embedding sends the base generator to the smallest-index root of the
 base modulus inside the extension, which fixes one of the e conjugate
-embeddings once and for all.
+embeddings once and for all.  A tower's ``points`` table identifies
+GF(q)^2 with GF(q^2) through the basis (1, gamma), gamma the extension's
+generator: point a + q b, with coordinates (a, b), is emb[a] + gamma
+emb[b].  For prime q it is the identity.
 
 Array operations on uint8 index arrays use one rule per field: XOR for
 p = 2, min(s, s - p) of the uint8 sum s < 2p for prime q (s - p wraps
@@ -46,59 +57,26 @@ from .errors import (
     UnsupportedField,
 )
 
-# q -> (p, e, modulus coefficients constant-first, generator index)
+# q -> (p, e, modulus coefficients constant-first)
 _FIELD_TABLE = {
-    2: (2, 1, (1, 1), 1),
-    3: (3, 1, (1, 1), 2),
-    4: (2, 2, (1, 1, 1), 2),
-    5: (5, 1, (3, 1), 2),
-    7: (7, 1, (4, 1), 3),
-    8: (2, 3, (1, 1, 0, 1), 2),
-    9: (3, 2, (2, 1, 1), 3),
-    16: (2, 4, (1, 1, 0, 0, 1), 2),
-    25: (5, 2, (2, 1, 1), 5),
-    27: (3, 3, (1, 2, 0, 1), 3),
-    49: (7, 2, (3, 1, 1), 7),
-    64: (2, 6, (1, 1, 0, 0, 0, 0, 1), 2),
+    2: (2, 1, (1, 1)),
+    3: (3, 1, (1, 1)),
+    4: (2, 2, (1, 1, 1)),
+    5: (5, 1, (3, 1)),
+    7: (7, 1, (4, 1)),
+    8: (2, 3, (1, 1, 0, 1)),
+    9: (3, 2, (2, 1, 1)),
+    16: (2, 4, (1, 1, 0, 0, 1)),
+    25: (5, 2, (2, 1, 1)),
+    27: (3, 3, (1, 2, 0, 1)),
+    49: (7, 2, (3, 1, 1)),
+    64: (2, 6, (1, 1, 0, 0, 0, 0, 1)),
 }
 
 SUPPORTED_SIZES = tuple(sorted(_FIELD_TABLE))
 
 # designated quadratic towers: base q -> extension q^2
 _QUADRATIC_TOWERS = {2: 4, 3: 9, 4: 16, 5: 25, 7: 49, 8: 64}
-
-
-def _digits(index: int, p: int, e: int) -> list[int]:
-    out = []
-    for _ in range(e):
-        out.append(index % p)
-        index //= p
-    return out
-
-
-def _index(digits, p: int) -> int:
-    v = 0
-    for d in reversed(digits):
-        v = v * p + int(d)
-    return v
-
-
-def _polymulmod(a, b, modulus, p):
-    """Schoolbook product of coefficient lists, reduced mod the monic modulus."""
-    e = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    while len(prod) > e:
-        top = prod.pop()
-        if top:
-            base = len(prod) - e
-            for i in range(e):
-                prod[base + i] = (prod[base + i] - top * modulus[i]) % p
-    prod.extend([0] * (e - len(prod)))
-    return prod
 
 
 class FieldSpec:
@@ -114,45 +92,43 @@ class FieldSpec:
             raise UnsupportedField(
                 f"GF({q}) not supported; available sizes: {SUPPORTED_SIZES}"
             )
-        p, e, modulus, generator = _FIELD_TABLE[q]
+        p, e, modulus = _FIELD_TABLE[q]
         self.q = q
         self.p = p
         self.e = e
         self.modulus = modulus
-        self.generator = generator
 
-        # exp/log tables for the multiplicative group
+        # DIGITS[x, s] is digit s of x; p^s is both the place value of digit
+        # s and the index of x^s (s < e).  Tables are computed in intp and
+        # cast to uint8 once.
+        idxs = np.arange(q)
+        self._xpow = p ** np.arange(e)
+        digits = idxs[:, None] // self._xpow % p
+        self.DIGITS = digits.astype(np.uint8)
+        self.ADD = ((digits[:, None] + digits[None, :]) % p @ self._xpow).astype(np.uint8)
+        self.NEG = (-digits % p @ self._xpow).astype(np.uint8)
+
+        # times x: shift every digit up one place and fold the top digit back
+        # with the monic modulus, x^e = -(m_0 + ... + m_{e-1} x^{e-1})
+        shifted = np.zeros_like(digits)
+        shifted[:, 1:] = digits[:, :-1]
+        times_x = ((shifted - digits[:, -1:] * modulus[:e]) % p @ self._xpow).tolist()
+        # the class of x generates every supported field (x = g for prime q)
+        self.generator = times_x[1]
+
+        # exp/log tables for the multiplicative group: the orbit of 1 under x
         exp = np.zeros(2 * (q - 1), dtype=np.uint8)
         log = np.zeros(q, dtype=np.int64)
-        gen_digits = _digits(generator, p, e)
-        x = _digits(1, p, e)
+        x = 1
         for k in range(q - 1):
-            idx = _index(x, p)
-            exp[k] = idx
-            exp[k + q - 1] = idx
-            log[idx] = k
-            x = _polymulmod(x, gen_digits, modulus, p)
-        assert _index(x, p) == 1, "generator table is inconsistent"
+            exp[k] = x
+            log[x] = k
+            x = times_x[x]
+        assert x == 1 and np.bincount(exp[: q - 1], minlength=q).max() == 1, "x is not primitive"
+        exp[q - 1 :] = exp[: q - 1]
         log[0] = -1
         self._exp = exp
         self._log = log
-
-        # digit-wise addition table (index arithmetic is coefficient-wise mod p)
-        idxs = np.arange(q)
-        digit_mats = []
-        rest = idxs.copy()
-        for _ in range(e):
-            digit_mats.append(rest % p)
-            rest //= p
-        add = np.zeros((q, q), dtype=np.uint8)
-        for d_pos, dm in enumerate(digit_mats):
-            add += ((dm[:, None] + dm[None, :]) % p).astype(np.uint8) * (p**d_pos)
-        self.ADD = add
-        self._add_flat = add.reshape(-1)  # ADD[a, b] == _add_flat[a * q + b]
-        neg = np.zeros(q, dtype=np.uint8)
-        for d_pos, dm in enumerate(digit_mats):
-            neg += ((-dm) % p).astype(np.uint8) * (p**d_pos)
-        self.NEG = neg
 
         mul = np.zeros((q, q), dtype=np.uint8)
         lg = log[1:]
@@ -163,19 +139,15 @@ class FieldSpec:
         self.INV = inv
 
         # POW[x, j] = x**j for 0 <= j <= q-1, with 0**0 = 1
-        pow_table = np.ones((q, q), dtype=np.uint8)
-        for j in range(1, q):
-            pow_table[:, j] = mul[pow_table[:, j - 1], idxs]
-        pow_table[0, 1:] = 0
+        pow_table = np.zeros((q, q), dtype=np.uint8)
+        pow_table[1:] = exp[lg[:, None] * idxs % (q - 1)]
+        pow_table[0, 0] = 1
         self.POW = pow_table
-
-        # DIGITS[x, s] is digit s of x; p^s is both the place value of digit
-        # s and the index of x^s (s < e)
-        self.DIGITS = np.stack(digit_mats, axis=1).astype(np.uint8)
-        self._xpow = p ** np.arange(e)
 
         for t in (self.ADD, self.MUL, self.NEG, self.INV, self.POW, self.DIGITS):
             t.setflags(write=False)
+        # a view of the frozen ADD, so it is read-only too
+        self._add_flat = self.ADD.reshape(-1)  # ADD[a, b] == _add_flat[a * q + b]
 
     # -- scalar operations ------------------------------------------------
 
@@ -285,8 +257,9 @@ class QuadraticExtension:
     """Precomputed data for a designated tower GF(q) < GF(q^2).
 
     Holds the embedding table, Frobenius, trace and norm down to the base
-    field, and the coordinate split of GF(q^2) in the basis (1, gamma)
-    where gamma is the extension's primitive element.
+    field, and the point map of the basis (1, gamma), where gamma is the
+    extension's primitive element: ``points[a + q b] = emb[a] + gamma
+    emb[b]``, with ``dec_a`` and ``dec_b`` its inverse.
     """
 
     def __init__(self, base_q: int):
@@ -298,72 +271,47 @@ class QuadraticExtension:
         self.ext = get_field(_QUADRATIC_TOWERS[base_q])
         sub, ext = self.sub, self.ext
         q = sub.q
+        elements = np.arange(ext.q)
 
-        # embed the base generator as the smallest root of the base modulus
-        root = None
-        for y in range(ext.q):
-            acc = 0
-            for c in reversed(sub.modulus):
-                acc = ext.add(ext.mul(acc, y), c % sub.p)
-            if acc == 0:
-                root = y
-                break
-        assert root is not None, "base modulus has no root in the extension"
+        # embed the base generator as the smallest root of the base modulus;
+        # a prime-field coefficient has the same index in both fields
+        value = np.zeros(ext.q, dtype=np.uint8)
+        for c in reversed(sub.modulus):
+            value = ext.ADD[ext.MUL[value, elements], c]
+        root = int(np.flatnonzero(value == 0)[0])
 
         emb = np.zeros(q, dtype=np.uint8)
-        for a in range(q):
-            acc = 0
-            for c in reversed(_digits(a, sub.p, sub.e)):
-                acc = ext.add(ext.mul(acc, root), c)
-            emb[a] = acc
+        for s in reversed(range(sub.e)):
+            emb = ext.ADD[ext.MUL[emb, root], sub.DIGITS[:, s]]
         self.emb = emb
         emb_inv = np.full(ext.q, -1, dtype=np.int64)
         emb_inv[emb] = np.arange(q)
         self.emb_inv = emb_inv
 
         # Frobenius x -> x^q on the extension; fixes exactly the embedded copy
-        frob = np.zeros(ext.q, dtype=np.uint8)
-        for x in range(ext.q):
-            frob[x] = ext.pow(x, q)
-        self.frob = frob
-
-        trace = np.zeros(ext.q, dtype=np.uint8)
-        norm = np.zeros(ext.q, dtype=np.uint8)
-        for x in range(ext.q):
-            t = ext.add(x, int(frob[x]))
-            nm = ext.mul(x, int(frob[x]))
-            assert emb_inv[t] >= 0 and emb_inv[nm] >= 0
-            trace[x] = emb_inv[t]
-            norm[x] = emb_inv[nm]
-        self.trace = trace
-        self.norm = norm
+        self.frob = ext.POW[:, q].copy()
+        trace = emb_inv[ext.ADD[elements, self.frob]]
+        norm = emb_inv[ext.MUL[elements, self.frob]]
+        assert trace.min() >= 0 and norm.min() >= 0, "trace or norm leaves the base field"
+        self.trace = trace.astype(np.uint8)
+        self.norm = norm.astype(np.uint8)
 
         # coordinates of GF(q^2) in the basis (1, gamma) over GF(q)
         self.gamma = ext.generator
-        dec_a = np.zeros(ext.q, dtype=np.uint8)
-        dec_b = np.zeros(ext.q, dtype=np.uint8)
-        seen = np.zeros(ext.q, dtype=bool)
-        for a in range(q):
-            ea = int(emb[a])
-            for b in range(q):
-                x = ext.add(ea, ext.mul(self.gamma, int(emb[b])))
-                assert not seen[x]
-                seen[x] = True
-                dec_a[x] = a
-                dec_b[x] = b
-        self.dec_a = dec_a
-        self.dec_b = dec_b
+        b, a = np.divmod(np.arange(q * q), q)
+        self.points = ext.ADD[emb[a], ext.MUL[self.gamma, emb[b]]]
+        assert np.bincount(self.points, minlength=ext.q).max() == 1, "(1, gamma) is not a basis"
+        self.dec_a = np.zeros(ext.q, dtype=np.uint8)
+        self.dec_b = np.zeros(ext.q, dtype=np.uint8)
+        self.dec_a[self.points] = a
+        self.dec_b[self.points] = b
 
-        # smallest y with y^(q+1) = x, for each nonzero base x
-        first_pre = np.zeros(q, dtype=np.uint8)
-        for y in range(ext.q):
-            x = int(norm[y])
-            if x != 0 and first_pre[x] == 0:
-                first_pre[x] = y
-        self.norm_first_preimage = first_pre
+        # smallest y with y^(q+1) = x, for each nonzero base x (argmax finds
+        # the first match); 0 for x = 0
+        self.norm_first_preimage = np.argmax(norm == np.arange(q)[:, None], axis=1).astype(np.uint8)
 
-        for t in (emb, frob, trace, norm, dec_a, dec_b, first_pre):
-            t.setflags(write=False)
+        for name in ("emb", "emb_inv", "frob", "trace", "norm", "points", "dec_a", "dec_b", "norm_first_preimage"):
+            getattr(self, name).setflags(write=False)
 
 
 @lru_cache(maxsize=None)

@@ -60,7 +60,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import LengthCapExceeded, OrderOutOfRange, ParameterMismatch
+from .errors import LengthCapExceeded, OrderOutOfRange, ParameterMismatch, decide
 from .gf import FieldSpec, get_field
 from .lincode import LinearCode
 
@@ -127,12 +127,8 @@ class GrmCode:
         self.k_formula = grm_dimension(q, m, nu)
         self.d_formula = grm_distance(q, m, nu)
         self.nu_perp = dual_order(q, m, nu)
-        if code.k != self.k_formula:
-            raise ParameterMismatch(
-                f"generator rank {code.k} disagrees with dimension formula {self.k_formula}"
-            )
-        if code.n != q**m:
-            raise ParameterMismatch("length must be q^m")
+        rank = ("rank_equals_dimension_formula", code.k == self.k_formula, code.k, self.k_formula, True)
+        decide("classical-grm", rank)
 
     @property
     def n(self) -> int:

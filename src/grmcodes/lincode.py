@@ -723,9 +723,7 @@ def exact_min_weight(
             return min_weight_support_search(code, exclude, cap)
         except CapExceeded:
             pass
-    exc = CapExceeded(f"weight not settled under cap {cap}; certified lower bound {bound}")
-    exc.bound = bound
-    raise exc
+    raise CapExceeded(f"weight not settled under cap {cap}; certified lower bound {bound}", bound)
 
 
 # -- componentwise product span ---------------------------------------------------

@@ -15,8 +15,9 @@ The Reed-Muller chain used for the MDS family walks
     P_h(R_{q^2}(nu,1))  >=  R_{q^2}(q^2-(nu+1)q, 1)|_{GF(q)}  >=  R_q(q-nu-1, 2)
 
 where the last containment (step 1) identifies GF(q)^2 with GF(q^2)
-through the basis (1, gamma); the scan for a minimum-weight vector runs in
-the small multivariate code and the result is carried back up the chain.
+through the basis (1, gamma), the tower's ``points`` table; the scan for
+a minimum-weight vector runs in the small multivariate code and the
+result is carried back up the chain.
 
 ``puncture_css`` and ``puncture_hermitian`` take GRM codes, whose closed
 form gives the promised d (``qcode.css_grm_distance`` and
@@ -26,7 +27,7 @@ which writes the promised d onto a capped record and requires the k and
 d bounds through ``qcode.require``, and leave CSS nesting and Hermitian
 self-orthogonality of the punctured code to ``qcode.css`` and
 ``qcode.hermitian``.  Every contradicted claim raises ``ParameterMismatch``:
-a named check through ``qcode.decide``, or, for an empty MDS witness
+a named check through ``errors.decide``, or, for an empty MDS witness
 scan, a message naming the missing weight.
 """
 
@@ -45,12 +46,13 @@ from .errors import (
     PointOrderMismatch,
     WitnessInvalid,
     WitnessNotFound,
+    decide,
 )
 from .gf import extension_pair_for, get_field, quadratic_extension
 from .grm import GrmCode, build_grm, grm_dimension, grm_distance, point_matrix
 from .lincode import DEFAULT_CAP, LinearCode, find_first_of_weight, product_span
 from .qcode import (
-    QuantumCodeRecord, check_quantum_orders, css, css_grm_distance, decide, hermitian, hermitian_grm_distance, require
+    QuantumCodeRecord, check_quantum_orders, css, css_grm_distance, hermitian, hermitian_grm_distance, require
 )
 
 
@@ -270,31 +272,15 @@ def puncture_hermitian(
 # -- the GF(q)^2 <-> GF(q^2) point bijection ---------------------------------
 
 
-def extension_point_map(q: int) -> np.ndarray:
-    """perm[t] = canonical index of the extension element matching point t.
-
-    Point t of GF(q)^2 has coordinates (t mod q, t div q); its partner is
-    phi(t mod q) + gamma * phi(t div q).  For prime q this is the identity.
-    """
-    pair = quadratic_extension(q)
-    t = np.arange(q * q)
-    lo = pair.emb[(t % q).astype(np.uint8)]
-    hi = pair.emb[(t // q).astype(np.uint8)]
-    ext = pair.ext
-    perm = ext.ADD[lo, ext.MUL[pair.gamma, hi]]
-    assert len(set(int(v) for v in perm)) == q * q
-    return perm.astype(np.int64)
-
-
 def _chain_step1(code: LinearCode, mu: int) -> tuple[LinearCode, LinearCode]:
     """A code on GF(q)^2 moved onto GF(q^2), and R_{q^2}(mu, 1)|_GF(q).
 
-    Coordinate t of ``code`` goes to ``extension_point_map(q)[t]``, so both
+    Coordinate t of ``code`` goes to the tower's ``points[t]``, so both
     codes evaluate at the elements of GF(q^2) in their canonical order.
     """
     q = code.field.q
     mapped = np.zeros_like(code.gen)
-    mapped[:, extension_point_map(q)] = code.gen
+    mapped[:, quadratic_extension(q).points] = code.gen
     return LinearCode(code.field, mapped, q * q), build_grm(q * q, 1, mu).code.restriction()
 
 
@@ -367,7 +353,7 @@ def mds_chain(q: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
     if x is None:
         raise ParameterMismatch(f"no weight-{r} vector in {scan_label}; this contradicts the chain")
     X = np.zeros(q * q, dtype=np.uint8)
-    X[extension_point_map(q)] = x
+    X[pair.points] = x
 
     mapped, restricted = _chain_step1(scan_code, q2 - (nu + 1) * q)
     restricted_label = f"restriction(grm(q={q2},m=1,nu={q2 - (nu + 1) * q}))"

@@ -19,7 +19,7 @@ and each predicted distance has one home: ``css_grm_distance`` and
 are checked for symplectic self-orthogonality (after the basis-(1, gamma)
 expansion in the Hermitian case).
 
-A claim fails one way: ``decide`` raises ``ParameterMismatch`` at the
+A claim fails one way: ``errors.decide`` raises ``ParameterMismatch`` at the
 first failed check.  ``require`` keeps a record's checks on it
 (``QuantumCodeRecord.checks``), the stabilizer's last, and decides them;
 the GRM families, the punctured records and the MDS chain all call it.
@@ -39,7 +39,7 @@ from .errors import (
     NotNested,
     NotSelfOrthogonal,
     OrderOutOfRange,
-    ParameterMismatch,
+    decide,
 )
 from .gf import FieldSpec, extension_pair_for
 from .grm import GrmCode, build_grm, grm_distance
@@ -168,8 +168,7 @@ def _record(
     except CapExceeded:
         d, pure, found = 1, None, {"distance_capped": True}
     prov.update(found)
-    if not stab.is_self_orthogonal():
-        raise ParameterMismatch(f"{construction} stabilizer failed the symplectic check")
+    decide(construction, ("stabilizer_symplectic", stab.is_self_orthogonal(), None, None, True))
     return QuantumCodeRecord(
         q=stab.base_field().q,
         n=stab.n,
@@ -227,17 +226,6 @@ def check_quantum_orders(q: int, m: int, **orders: int) -> None:
     if chain != sorted(chain):
         got = ", ".join(f"{name}={nu}" for name, nu in orders.items())
         raise OrderOutOfRange(f"need 0 <= {' <= '.join(orders)} <= m(q-1)-1 = {chain[-1]} for q={q}, m={m}, got {got}")
-
-
-def decide(construction: str, *checks: tuple) -> None:
-    """Raise ParameterMismatch at the first of ``checks`` that fails: the one way a claim fails.
-
-    Each check is (name, passed, observed, expected, exact), as a report
-    lists it.
-    """
-    for name, passed, observed, expected, _ in checks:
-        if not passed:
-            raise ParameterMismatch(f"{construction} check {name} failed: observed {observed}, expected {expected}")
 
 
 def require(rec: QuantumCodeRecord, *checks: tuple) -> QuantumCodeRecord:

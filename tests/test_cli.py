@@ -324,6 +324,14 @@ def test_sweep_empty_grid(capsys):
     assert code == EXIT_OK
 
 
+def test_sweep_explicitly_empty_m_grid_is_an_empty_sweep(capsys):
+    # only an absent -m takes the default m = 1
+    code, out, _ = run(capsys, "sweep", "grm", "-q", "3", "-m", ",", "--json")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["tables"]["rows"] == [] and report["params"]["m"] == []
+
+
 def exit_code(capsys, *argv):
     """Exit code and stderr, whether main returns or argparse exits."""
     try:
@@ -400,6 +408,32 @@ def test_planted_grm_distance_fails_the_command_and_its_sweep_row(capsys, monkey
     assert {nu: r["status"] for nu, r in rows.items()} == {0: "pass", 1: "fail", 2: "pass", 3: "pass", 4: "pass"}
     assert rows[1]["mismatch"] == message and all("mismatch" not in r for nu, r in rows.items() if nu != 1)
     assert {c["name"]: (c["status"], c["observed"]) for c in report["checks"]} == {"all_rows_pass": ("fail", "4/5 pass")}
+
+
+def test_planted_grm_dimension_fails_the_command_and_its_sweep_rows(capsys, monkeypatch):
+    # k(R_3(1, 2)) planted one too high: GrmCode decides the rank as the
+    # report's named check, so the command and every sweep row that builds
+    # the code (order 1, and order 2 through its dual) fail through it
+    true_dimension = grm.grm_dimension
+    monkeypatch.setattr(
+        grm, "grm_dimension", lambda q, m, nu: true_dimension(q, m, nu) + ((q, m, nu) == (3, 2, 1))
+    )
+    message = "classical-grm check rank_equals_dimension_formula failed: observed 3, expected 4"
+    code, out, err = run(capsys, "grm", "-q", "3", "-m", "2", "--order", "1")
+    assert code == EXIT_MISMATCH
+    assert out == "" and err == f"mismatch: {message}\n"
+    code, out, _ = run(capsys, "sweep", "grm", "-q", "3", "-m", "2", "--json")
+    assert code == EXIT_MISMATCH
+    rows = {r["nu"]: r for r in json.loads(out)["tables"]["rows"]}
+    assert {nu: r["status"] for nu, r in rows.items()} == {0: "pass", 1: "fail", 2: "fail", 3: "pass", 4: "pass"}
+    assert rows[1]["mismatch"] == rows[2]["mismatch"] == message
+
+
+def test_planted_symplectic_gram_exits_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(qcode.StabilizerMatrix, "symplectic_gram", lambda self: [[1]])
+    code, out, err = run(capsys, "quantum", "css", "-q", "3", "-m", "2", "--nu1", "1", "--nu2", "2")
+    assert code == EXIT_MISMATCH and out == ""
+    assert err == "mismatch: CSS check stabilizer_symplectic failed: observed None, expected None\n"
 
 
 def test_empty_mds_witness_scan_contradicts_the_chain(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Field arithmetic tests: exhaustive axioms, towers, trace/norm maps."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from grmcodes.errors import (
     UnsupportedField,
 )
 
-SMALL_SIZES = [2, 3, 4, 5, 7, 8, 9, 16]
 ALL_SIZES = list(gf.SUPPORTED_SIZES)
+TOWER_BASES = [2, 3, 4, 5, 7, 8]
 
 
 def test_unsupported_size_fails_cleanly():
@@ -25,7 +27,7 @@ def test_get_field_is_cached():
     assert gf.get_field(9) is gf.get_field(9)
 
 
-@pytest.mark.parametrize("q", SMALL_SIZES)
+@pytest.mark.parametrize("q", ALL_SIZES)
 def test_field_axioms_exhaustive(q):
     """Associativity, commutativity, distributivity, identities, inverses."""
     f = gf.get_field(q)
@@ -55,6 +57,40 @@ def test_generator_is_primitive(q):
         seen.add(x)
     assert len(seen) == q - 1
     assert x == 1
+
+
+@pytest.mark.parametrize("q", ALL_SIZES)
+def test_generator_is_the_class_of_x(q):
+    # index p is x for e > 1; for prime q the modulus x - g makes x = g
+    f = gf.get_field(q)
+    if f.e > 1:
+        assert f.generator == f.p
+    value = 0
+    for c in reversed(f.modulus):
+        value = f.add(f.mul(value, f.generator), c)
+    assert value == 0
+
+
+def test_tables_are_byte_identical_to_the_scalar_construction():
+    # SHA-256 of every field and tower table, as uint8 bytes, in the order
+    # below; pinned from the tables the scalar polynomial arithmetic built
+    h = hashlib.sha256()
+
+    def put(*tables):
+        for t in tables:
+            assert t.dtype == np.uint8 and not t.flags.writeable
+            h.update(np.ascontiguousarray(t, dtype=np.uint8).tobytes())
+
+    for q in gf.SUPPORTED_SIZES:
+        f = gf.get_field(q)
+        h.update(bytes([f.generator]))
+        put(f.ADD, f.NEG, f.MUL, f.INV, f.POW, f.DIGITS)
+    for base_q in TOWER_BASES:
+        pair = gf.quadratic_extension(base_q)
+        h.update(bytes([pair.gamma]))
+        put(pair.emb, pair.frob, pair.trace, pair.norm, pair.dec_a, pair.dec_b)
+        put(pair.norm_first_preimage, pair.points)
+    assert h.hexdigest() == "0d3ddd71d9a4061bc42b5bfb4e6f11c58a16e78d4b61cde5b66ff720bd43e036"
 
 
 def test_known_products():
@@ -92,6 +128,7 @@ def test_embedding_is_ring_homomorphism(base_q):
     sub, ext = pair.sub, pair.ext
     emb = pair.emb
     assert emb[0] == 0 and emb[1] == 1
+    assert not pair.emb_inv.flags.writeable and not sub._add_flat.flags.writeable
     for a in range(sub.q):
         for b in range(sub.q):
             assert emb[sub.add(a, b)] == ext.add(int(emb[a]), int(emb[b]))
@@ -116,7 +153,7 @@ def test_prime_subfield_embeds_as_constants():
     assert pair9.ext.mul(img, img) == 1 and img != 1
 
 
-@pytest.mark.parametrize("base_q", [2, 3, 4, 5])
+@pytest.mark.parametrize("base_q", TOWER_BASES)
 def test_frobenius_fixes_exactly_the_subfield(base_q):
     pair = gf.quadratic_extension(base_q)
     ext = pair.ext
@@ -141,7 +178,7 @@ def test_trace_values_and_linearity():
             assert pr.trace[pr.emb[a]] == pr.sub.add(a, a)
 
 
-@pytest.mark.parametrize("base_q", [2, 3, 4, 5])
+@pytest.mark.parametrize("base_q", TOWER_BASES)
 def test_trace_form_nondegenerate(base_q):
     pair = gf.quadratic_extension(base_q)
     ext = pair.ext
@@ -149,7 +186,7 @@ def test_trace_form_nondegenerate(base_q):
         assert any(pair.trace[ext.mul(a, b)] != 0 for b in range(ext.q))
 
 
-@pytest.mark.parametrize("base_q", [2, 3, 4, 5])
+@pytest.mark.parametrize("base_q", TOWER_BASES)
 def test_norm_is_surjective_with_equal_fibers(base_q):
     pair = gf.quadratic_extension(base_q)
     fibers = {x: 0 for x in range(1, base_q)}
@@ -161,7 +198,7 @@ def test_norm_is_surjective_with_equal_fibers(base_q):
 def test_norm_first_preimage():
     # for every tower and nonzero base x, the entry is the smallest nonzero
     # y with norm(y) = x, and it solves y^(q+1) = x in the extension
-    for base_q in (2, 3, 4, 5, 7, 8):
+    for base_q in TOWER_BASES:
         pair = gf.quadratic_extension(base_q)
         for x in range(1, base_q):
             sols = [y for y in range(1, pair.ext.q) if pair.norm[y] == x]
@@ -171,13 +208,28 @@ def test_norm_first_preimage():
 
 
 def test_decomposition_tables_are_bijective():
-    for base_q in (2, 3, 4, 5):
+    for base_q in TOWER_BASES:
         pair = gf.quadratic_extension(base_q)
         ext = pair.ext
         for x in range(ext.q):
             a, b = int(pair.dec_a[x]), int(pair.dec_b[x])
             rebuilt = ext.add(int(pair.emb[a]), ext.mul(pair.gamma, int(pair.emb[b])))
             assert rebuilt == x
+
+
+def test_points_is_identity_for_prime_q():
+    for q in (2, 3, 5):
+        assert np.array_equal(gf.quadratic_extension(q).points, np.arange(q * q))
+
+
+def test_points_is_additive_bijection_for_q4():
+    perm = gf.quadratic_extension(4).points
+    assert sorted(perm) == list(range(16))
+    f16 = gf.get_field(16)
+    # the map t -> z_t is GF(2)-additive: z_(s xor t) = z_s + z_t
+    for s in range(16):
+        for t in range(16):
+            assert perm[s ^ t] == f16.add(int(perm[s]), int(perm[t]))
 
 
 @pytest.mark.parametrize("q", ALL_SIZES)

@@ -24,7 +24,6 @@ from grmcodes.puncture import (
     PunctureCodeRecord,
     PunctureWitness,
     extended_rs_embedding_check,
-    extension_point_map,
     find_weight_witness,
     mds_chain,
     puncture_code_css,
@@ -354,21 +353,6 @@ def test_mds_chain_q5_uses_slice_fallback_for_nu0():
     rec = mds_chain(5, 0)
     assert (rec.n, rec.k, rec.d) == (5, 3, 2)
     assert rec.provenance["witness_source"].startswith("univariate-slice")
-
-
-def test_extension_point_map_is_identity_for_prime_q():
-    for q in (2, 3, 5):
-        assert np.array_equal(extension_point_map(q), np.arange(q * q))
-
-
-def test_extension_point_map_is_additive_bijection_for_q4():
-    perm = extension_point_map(4)
-    assert sorted(perm) == list(range(16))
-    f16 = gf.get_field(16)
-    # the map t -> z_t is GF(2)-additive: z_(s xor t) = z_s + z_t
-    for s in range(16):
-        for t in range(16):
-            assert perm[s ^ t] == f16.add(int(perm[s]), int(perm[t]))
 
 
 @pytest.mark.parametrize("q,m,nu", [(q, 2, nu) for q in (2, 3, 4, 5, 7, 8) for nu in range(2 * q - 1)])

@@ -23,6 +23,7 @@ from grmcodes.errors import (
 from grmcodes.grm import build_grm, dual_order, grm_dimension, grm_distance
 from grmcodes.lincode import LinearCode
 from grmcodes.qcode import (
+    StabilizerMatrix,
     check_quantum_orders,
     css,
     css_grm,
@@ -315,6 +316,21 @@ def test_planted_closed_form_raises_parameter_mismatch_without_asserts():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ParameterMismatch: CSS check distance_matches_formula failed: observed 3, expected 4\n"
+
+
+@pytest.mark.parametrize("construction", ["CSS", "Hermitian"])
+def test_planted_symplectic_gram_fails_the_named_stabilizer_check(monkeypatch, construction):
+    # a nonzero Gram matrix is decided as the stabilizer_symplectic check,
+    # the one way a claim fails, by both plain constructions
+    monkeypatch.setattr(StabilizerMatrix, "symplectic_gram", lambda self: np.ones((1, 1), dtype=np.uint8))
+    build = {
+        "CSS": lambda: css(build_grm(3, 2, 1).code, build_grm(3, 2, 2).code),
+        "Hermitian": lambda: hermitian(build_grm(9, 1, 1).code),
+    }[construction]
+    message = f"{construction} check stabilizer_symplectic failed: observed None, expected None"
+    with pytest.raises(ParameterMismatch) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_record_keeps_its_checks_out_of_its_dict_equality_and_repr():
