@@ -7,14 +7,15 @@ for fixed inputs and caps (timing is opt-in for that reason).
 
 Every claim fails one way: ``ParameterMismatch``, raised at its first
 failed check.  A quantum record's checks are decided by the construction
-that returns it (``qcode.require``), and the classical GRM record's rank,
-distance and dual checks by ``grm_record`` through the same rule
-(``errors.decide``); a report copies the checks of the record it lists
+that returns it (``qcode.require``), the classical GRM record's rank by
+``GrmCode`` and its distance and dual by ``grm_record``, all through one
+rule (``errors.decide``); a report copies the checks of the record it lists
 (``RunReport.add_record``), all of them passed.  A failed claim ends a
 single command with exit 4 and no report, and makes its sweep row
-``fail``, with the message as ``mismatch``; a row whose record raises
-``CapExceeded`` is ``capped``, and either way the other rows stand.  So
-a sweep's ``all_rows_pass`` is the only report check that can fail.
+``fail``, with the message as ``mismatch``; an MDS row left with a bound
+raises ``CapExceeded`` and is ``capped`` (any other bound row passes,
+``exact: false``), and either way the other rows stand.  So a sweep's
+``all_rows_pass`` is the only report check that can fail.
 
 Exit codes partition outcomes: 0 pass; 2 bad parameters (an order
 outside the quantum range, a malformed sweep grid, a witness weight
@@ -177,17 +178,17 @@ def _matrix_rows(mat: np.ndarray) -> list:
 
 
 def grm_record(g: GrmCode, cap: int, dual_check: bool) -> tuple[dict, list]:
-    """Enumerate wt(R_q(nu, m)) under the cap and decide k, d and the dual; the record and its checks."""
+    """Enumerate wt(R_q(nu, m)) under the cap and decide d and the dual; the record and its checks, k's first."""
     w, exact = g.code.min_weight(cap)
-    checks = [("rank_equals_dimension_formula", g.k == g.k_formula, g.k, g.k_formula, True)]
     if exact:
-        checks.append(("enumerated_distance_equals_formula", w == g.d_formula, w, g.d_formula, True))
+        checks = [("enumerated_distance_equals_formula", w == g.d_formula, w, g.d_formula, True)]
     else:
-        checks.append(("distance_lower_bound_consistent", w <= g.d_formula, w, g.d_formula, False))
+        checks = [("distance_lower_bound_consistent", w <= g.d_formula, w, g.d_formula, False)]
     if dual_check:
         dual = g.code.dual() == grm_dual_code(g)
         checks.append(("dual_is_grm_of_dual_order", dual, None, f"order {g.nu_perp}", True))
     decide("classical-grm", *checks)
+    rank = ("rank_equals_dimension_formula", g.k == g.k_formula, g.k, g.k_formula, True)  # GrmCode decided it
     return {
         "construction": "classical-grm",
         "params": f"[{g.n},{g.k},{w if exact else f'>={w}'}]_{g.q}",
@@ -197,7 +198,7 @@ def grm_record(g: GrmCode, cap: int, dual_check: bool) -> tuple[dict, list]:
         "d": w,
         "d_is_lower_bound": not exact,
         "pure": None,
-    }, checks
+    }, [rank, *checks]
 
 
 # -- the family table ----------------------------------------------------------

@@ -40,13 +40,10 @@ class NotNested(GrmError, ValueError):
 class CapExceeded(GrmError, RuntimeError):
     """An exhaustive enumeration would exceed the configured cap.
 
-    ``bound`` is set when the distance engine gives up: the lower bound on
-    the weight it was asked for that its search certified.
+    It stops a command: a weight distribution over the cap, or an MDS chain
+    left with a distance bound.  The distance engine catches the support
+    search's and, when it gives up, returns its certified bound as a value.
     """
-
-    def __init__(self, message: str, bound=None):
-        super().__init__(message)
-        self.bound = bound
 
 
 class OrderOutOfRange(GrmError, ValueError):

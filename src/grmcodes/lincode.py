@@ -21,8 +21,8 @@ once and keeps them; a code shared across calls (``grm``'s cached GRM
 codes) computes them once per process.
 
 Every distance goes through one engine, ``exact_min_weight(code,
-exclude)``, which returns the pair (wt(code), wt(code minus exclude)) from
-a single pass over the code by one of three exact routes:
+exclude)``, which settles wt(code) and wt(code minus exclude) in a single
+pass over the code by one of three exact routes:
 
 * information-set search: a Brouwer-Zimmermann search over disjoint
   information sets (Zimmermann 1996; Grassl 2006) enumerates each set's
@@ -49,8 +49,8 @@ and the scan finishes what it leaves.  Above the cap, the search runs
 first under the cap (for a code of rate above 1/2, only its first look),
 and the support search runs only when the support sizes it charges up
 front, up to the lightest word the search saw, fit its subset budget.
-When neither finishes, the engine raises CapExceeded carrying the bound
-the search certified, which is what ``LinearCode.min_weight`` reports.
+When neither finishes, the engine returns an inexact value holding the
+bound the search certified, which is what ``LinearCode.min_weight`` reports.
 
 All three are complete searches; tests cross-check them against each
 other, the filtered support search against a per-subset reference, and
@@ -62,6 +62,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -315,17 +316,9 @@ class LinearCode:
 
     def min_weight(self, cap: int = DEFAULT_CAP) -> tuple[int, bool]:
         """(weight, exact): wt(C) from :func:`exact_min_weight` under ``cap``,
-        or, where that gives up, (the lower bound its search certified, False).
-
-        That bound is t + 1 when the search saw every message of weight <= t
-        on the RREF generator (codeword weight is at least message weight,
-        since the pivots carry the message), or the lightest word it saw if
-        that is lower.
-        """
-        try:
-            return exact_min_weight(self, cap=cap)[0], True
-        except CapExceeded as exc:
-            return exc.bound, False
+        or, where that gives up, (the lower bound its search certified, False)."""
+        found = exact_min_weight(self, cap=cap)
+        return found.diff, found.exact
 
     def weight_distribution(self, cap: int = DEFAULT_CAP) -> "WeightDistribution":
         """Exact weight counts by full enumeration; CapExceeded when q^k > cap.
@@ -680,10 +673,23 @@ def min_weight_support_search(
 # -- the exact-distance engine ---------------------------------------------------------
 
 
+class Weights(NamedTuple):
+    """The engine's answer: ``code`` = wt(C), ``diff`` = wt(C minus exclude).
+
+    Unless ``exact``, ``diff`` is the lower bound on wt(C minus exclude) the
+    search certified, and ``code`` the weight of the lightest word of C it
+    saw (n + 1 if none), an upper bound on wt(C).
+    """
+
+    code: int
+    diff: int
+    exact: bool
+
+
 def exact_min_weight(
     code: LinearCode, exclude: LinearCode | None = None, cap: int = DEFAULT_CAP
-) -> tuple[int, int]:
-    """Exact (wt(code), wt(code minus exclude)) in one pass over the code.
+) -> Weights:
+    """wt(code) and wt(code minus exclude), settled in one pass over the code.
 
     ``exclude`` must be a proper subcode; without one (or with the zero
     code) both values are wt(code).  The information-set search runs first.
@@ -694,8 +700,8 @@ def exact_min_weight(
     the support search, which suits its small dual, is the route.  That
     runs, under the same cap, only when the support sizes it charges up
     front (those <= n - k) up to the lightest word seen fit its subset
-    budget.  If neither finishes, this raises CapExceeded with ``bound``
-    set to the lower bound on wt(code minus exclude) the search certified.
+    budget.  If neither finishes, the value is not ``exact`` (``Weights``):
+    it holds the lower bound the search certified.  Bad input still raises.
     """
     if code.k == 0:
         raise EmptyCode("the zero code has no minimum weight")
@@ -713,17 +719,17 @@ def exact_min_weight(
         budget = cap if 2 * k <= n else 0  # one full-rank set: the first look alone
     best, bound = _information_set_search(code, exclude, budget, _look_weight(field.q, k, cap))
     if bound == best[1]:
-        return best[0], best[1]
+        return Weights(*best, True)
     if within:
         for _, block in iter_span_blocks(field, code.gen):
             _fold_block(block, exclude, best)
-        return best[0], best[1]
+        return Weights(*best, True)
     if sum(comb(n, w) for w in range(1, min(best[1], n - k) + 1)) <= _subset_budget(cap):
         try:
-            return min_weight_support_search(code, exclude, cap)
-        except CapExceeded:
+            return Weights(*min_weight_support_search(code, exclude, cap), True)
+        except CapExceeded:  # its subset or kernel budget ran out
             pass
-    raise CapExceeded(f"weight not settled under cap {cap}; certified lower bound {bound}", bound)
+    return Weights(best[0], bound, False)
 
 
 # -- componentwise product span ---------------------------------------------------

@@ -8,33 +8,33 @@ Two constructions are implemented at the classical-code level:
 * Hermitian: a code C over GF(q^2) contained in its Hermitian dual gives
   an [[n, n-2k, d]]_q code with d the minimum weight of C-perp_h minus C.
 
-Records carry exact parameters whenever the distance enumeration finished;
-when it cannot, the record degrades to the trivial bound d = 1 and says so.
-``css`` and ``hermitian`` share that rule, the stabilizer check and the
-record assembly (``_record``), and take no promise: a family that states a
-distance writes it onto its own capped record.  The GRM families take only
-the quantum orders 0 <= nu1 <= ... <= m(q-1)-1 (``check_quantum_orders``),
-and each predicted distance has one home: ``css_grm_distance`` and
-``hermitian_grm_distance``, the latter over GF(q^2).  Stabilizer matrices
-are checked for symplectic self-orthogonality (after the basis-(1, gamma)
-expansion in the Hermitian case).
+Records carry exact parameters whenever the engine settled the distance, and
+otherwise the trivial bound d = 1, flagged.  ``css`` and ``hermitian`` only
+name their sides (difference sets) and share that rule, d and purity, the
+stabilizer check and the assembly (``_record``), and take no promise: a
+family that states a distance writes it onto its own capped record.  The GRM
+families take only the quantum orders 0 <= nu1 <= ... <= m(q-1)-1
+(``check_quantum_orders``), and each predicted distance has one home:
+``css_grm_distance`` and ``hermitian_grm_distance``, the latter over
+GF(q^2).  Stabilizer matrices are checked for symplectic self-orthogonality
+(after the basis-(1, gamma) expansion in the Hermitian case).
 
 A claim fails one way: ``errors.decide`` raises ``ParameterMismatch`` at the
 first failed check.  ``require`` keeps a record's checks on it
-(``QuantumCodeRecord.checks``), the stabilizer's last, and decides them;
-the GRM families, the punctured records and the MDS chain all call it.
+(``QuantumCodeRecord.checks``), the stabilizer's last, and decides those
+``_record`` has not; the GRM families, the punctured records and the MDS
+chain all call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import lincode
 from .errors import (
-    CapExceeded,
     InexactParameters,
     NotNested,
     NotSelfOrthogonal,
@@ -151,22 +151,27 @@ class QuantumCodeRecord:
 
 
 def _record(
-    k: int,
-    construction: str,
-    prov: dict,
-    stab: StabilizerMatrix,
-    distance: Callable[[], tuple[int, bool, dict]],
+    k: int, construction: str, prov: dict, stab: StabilizerMatrix, cap: int, sides: list, found: dict
 ) -> QuantumCodeRecord:
-    """Run ``distance`` under the capped-distance rule, check the stabilizer, assemble.
+    """Settle the distance over ``sides``, check the stabilizer, assemble.
 
-    ``distance()`` returns (d, pure, provenance found on the way).  If it
-    raises CapExceeded, d is the trivial bound 1, purity is unknown and the
-    provenance says the distance was capped.
+    Each side is (code, exclude, names), settled by the engine in order
+    under ``cap``.  At the first it gives up on, d is the trivial bound 1,
+    purity is unknown and the provenance says the distance was capped.
+    Otherwise d is the least ``diff``, and the record is pure iff the least
+    ``code`` weight is d; ``names`` label a side's (code, diff) weights in
+    the provenance, as far as they go, and ``found`` joins it.
     """
-    try:
-        d, pure, found = distance()
-    except CapExceeded:
-        d, pure, found = 1, None, {"distance_capped": True}
+    settled = []
+    for code, exclude, names in sides:
+        settled.append(lincode.exact_min_weight(code, exclude, cap))
+        if not settled[-1].exact:
+            d, pure, found = 1, None, {"distance_capped": True}
+            break
+        found.update(zip(names, settled[-1]))
+    else:
+        d = min(w.diff for w in settled)
+        pure = min(w.code for w in settled) == d
     prov.update(found)
     decide(construction, ("stabilizer_symplectic", stab.is_self_orthogonal(), None, None, True))
     return QuantumCodeRecord(
@@ -187,9 +192,9 @@ def css(C1: LinearCode, C2: LinearCode, cap: int = DEFAULT_CAP) -> QuantumCodeRe
 
     The nesting is checked here, once, for every CSS record (the punctured
     pair included), by ``is_subcode_of``, which also rejects a field or
-    length mismatch.  The distance enumeration runs over both difference
-    sets; if it cannot finish within the caps the record degrades to the
-    trivial bound 1 with the flag set.
+    length mismatch.  Its sides are C2 minus C1 and C1-perp minus C2-perp
+    (the nonzero codes of C1 and C1-perp when C1 = C2); a capped distance
+    degrades the record to the trivial bound 1 with the flag set.
     """
     if not C1.is_subcode_of(C2):
         raise NotNested("CSS needs C1 contained in C2")
@@ -197,22 +202,15 @@ def css(C1: LinearCode, C2: LinearCode, cap: int = DEFAULT_CAP) -> QuantumCodeRe
     C2perp = C2.dual()
     C1perp = C1.dual()
     prov = {"n": n, "k1": C1.k, "k2": C2.k, "branch": "strict" if C1.k < C2.k else "equal", "cap": cap}
-
-    def distance():
-        if C1.k == C2.k:
-            return min(lincode.exact_min_weight(c, cap=cap)[0] for c in (C1, C1perp) if c.k), True, {}
-        wt_c2, w_right = lincode.exact_min_weight(C2, C1, cap)
-        wt_c1perp, w_left = lincode.exact_min_weight(C1perp, C2perp, cap)
-        d = min(w_right, w_left)
-        # pure: wt(C1) >= d and wt(C2-perp) >= d, as wt(C2) = min(wt(C1), w_right)
-        found = {"wt_diff_c2_c1": w_right, "wt_diff_c1perp_c2perp": w_left, "wt_c2": wt_c2, "wt_c1perp": wt_c1perp}
-        return d, min(wt_c2, wt_c1perp) == d, found
-
+    if C1.k == C2.k:
+        sides = [(c, None, ()) for c in (C1, C1perp) if c.k]
+    else:
+        sides = [(C2, C1, ("wt_c2", "wt_diff_c2_c1")), (C1perp, C2perp, ("wt_c1perp", "wt_diff_c1perp_c2perp"))]
     rows = np.zeros((C1.k + C2perp.k, 2 * n), dtype=np.uint8)
     rows[: C1.k, :n] = C1.gen
     rows[C1.k :, n:] = C2perp.gen
     stab = StabilizerMatrix("css", C1.field, n, rows)
-    return _record(C2.k - C1.k, "CSS", prov, stab, distance)
+    return _record(C2.k - C1.k, "CSS", prov, stab, cap, sides, {})
 
 
 def quantum_orders(q: int, m: int) -> range:
@@ -229,9 +227,9 @@ def check_quantum_orders(q: int, m: int, **orders: int) -> None:
 
 
 def require(rec: QuantumCodeRecord, *checks: tuple) -> QuantumCodeRecord:
-    """Keep a construction's ``checks`` on rec, then the stabilizer's, and ``decide`` them."""
+    """Keep a construction's ``checks`` on rec, then the stabilizer's, and ``decide`` the construction's."""
     rec.checks = [*checks, ("stabilizer_symplectic", rec.stabilizer.is_self_orthogonal(), None, None, True)]
-    decide(rec.construction, *rec.checks)
+    decide(rec.construction, *checks)  # ``_record`` decided the stabilizer's
     return rec
 
 
@@ -291,22 +289,20 @@ def hermitian(C: LinearCode, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
     """Hermitian construction from a self-orthogonal code over GF(q^2).
 
     Self-orthogonality is checked here, once, for every Hermitian record
-    (the punctured code included).  A capped distance degrades as in
-    ``css``; a capped record carries no ``branch`` key.
+    (the punctured code included).  Its side is C-perp_h minus C, or C when
+    self-dual; a capped distance degrades as in ``css`` and carries no
+    ``branch`` key.
     """
     if not hermitian_self_orthogonal(C):
         raise NotSelfOrthogonal("input is not Hermitian self-orthogonal")
     dual_h = C.hermitian_dual()
-
-    def distance():
-        if C.k == dual_h.k:
-            return lincode.exact_min_weight(C, cap=cap)[0], True, {"branch": "self_dual"}
-        wt_dual, d = lincode.exact_min_weight(dual_h, C, cap)
-        return d, d == wt_dual, {"branch": "strict", "wt_hermitian_dual": wt_dual}
-
+    if C.k == dual_h.k:
+        sides, branch = [(C, None, ())], "self_dual"
+    else:
+        sides, branch = [(dual_h, C, ("wt_hermitian_dual",))], "strict"
     prov = {"n": C.n, "k_classical": C.k, "cap": cap}
     stab = StabilizerMatrix("hermitian", C.field, C.n, C.gen.copy())
-    return _record(C.n - 2 * C.k, "Hermitian", prov, stab, distance)
+    return _record(C.n - 2 * C.k, "Hermitian", prov, stab, cap, sides, {"branch": branch})
 
 
 def hermitian_grm(q: int, m: int, nu: int, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:

@@ -455,7 +455,7 @@ def test_min_weight_difference_oracle_and_contract():
         expect = min(
             sum(1 for x in w if x) for w in words_big - words_small
         )
-        assert got == (oracle_min_weight(f, big.gen), expect)
+        assert got == (oracle_min_weight(f, big.gen), expect, True)
     C = LinearCode(f, np.array([[1, 1, 1]], dtype=np.uint8), 3)
     with pytest.raises(NotNested):
         exact_min_weight(C, C)
@@ -467,15 +467,15 @@ def test_min_weight_difference_oracle_and_contract():
         exact_min_weight(LinearCode.zero_code(f, 3))
     # a zero-code exclusion, or none, gives the plain minimum weight twice
     z = LinearCode.zero_code(f, 3)
-    assert exact_min_weight(C, z) == exact_min_weight(C) == (3, 3)
+    assert exact_min_weight(C, z) == exact_min_weight(C) == (3, 3, True)
     # over the cap the support route runs under a subset budget of the cap.
     # The full space has no parity checks, so each subset costs 1; the first
-    # word outside span(e_0..e_8) is e_9, found at the tenth subset
+    # word outside span(e_0..e_8) is e_9, found at the tenth subset.  Below
+    # that the engine gives up having seen no word (n + 1) and certified 1
     full = LinearCode.full_space(f, 10)
     excl = LinearCode(f, np.eye(10, dtype=np.uint8)[:9], 10)
-    with pytest.raises(CapExceeded):
-        exact_min_weight(full, excl, cap=9)
-    assert exact_min_weight(full, excl, cap=10) == (1, 1)
+    assert exact_min_weight(full, excl, cap=9) == (11, 1, False)
+    assert exact_min_weight(full, excl, cap=10) == (1, 1, True)
 
 
 def test_support_search_crosschecks_span_enumeration():
@@ -502,12 +502,12 @@ def test_support_search_with_exclusion_crosschecks_difference():
             continue
         span_route = exact_min_weight(big, small)
         support_route = min_weight_support_search(big, exclude=small)
-        assert span_route == support_route
+        assert span_route == (*support_route, True)
         assert span_route[0] == big.min_weight()[0]
         # the engine picks the support route once q^k is over the cap
         assert exact_min_weight(big, small, cap=3**big.k - 1) == span_route
         w = span_route[0]
-        assert exact_min_weight(big, cap=3**big.k - 1) == (w, w)
+        assert exact_min_weight(big, cap=3**big.k - 1) == (w, w, True)
 
 
 def reference_support_search(code, exclude=None, subset_budget=2 * 10**6, kernel_budget=4096):
@@ -741,7 +741,7 @@ def test_support_budget_trips_partway_through_a_layer_above_r(chunk, monkeypatch
 def test_row_weights_do_not_wrap_at_length_256():
     ones = np.ones((1, 256), dtype=np.uint8)
     assert LinearCode(gf.get_field(2), ones, 256).weight_distribution().counts[256] == 1
-    assert exact_min_weight(LinearCode(gf.get_field(3), ones, 256)) == (256, 256)
+    assert exact_min_weight(LinearCode(gf.get_field(3), ones, 256)) == (256, 256, True)
 
 
 # q^k stays small enough for the scalar oracle; it also keeps every kernel
@@ -776,11 +776,11 @@ def test_engine_routes_agree_with_brute_force(case):
         return min(sum(1 for x in v if x) for v in vectors)
 
     expect = (lightest(words - {(0,) * code.n}), lightest(words - excluded))
-    assert exact_min_weight(code, sub) == expect  # span route at the default cap
+    assert exact_min_weight(code, sub) == (*expect, True)  # span route at the default cap
     assert min_weight_support_search(code, exclude=sub) == expect
     assert reference_support_search(code, exclude=sub) == expect[1]
     assert reference_support_search(code) == expect[0]
-    assert exact_min_weight(code) == min_weight_support_search(code) == (expect[0], expect[0])
+    assert exact_min_weight(code) == (*min_weight_support_search(code), True) == (expect[0], expect[0], True)
 
 
 def reference_span_min_weight(code, exclude=None):
@@ -832,11 +832,11 @@ def test_span_route_matches_full_scan_on_grm_codes(q, m, nu):
     C = build_grm(q, m, nu).code
     expect = reference_span_min_weight(C)
     assert expect[0] == grm_distance(q, m, nu)
-    assert exact_min_weight(C) == information_set_search(C) == expect
+    assert exact_min_weight(C) == (*information_set_search(C), True) == (*expect, True)
     if nu:
         E = build_grm(q, m, nu - 1).code
         expect = reference_span_min_weight(C, E)
-        assert exact_min_weight(C, E) == information_set_search(C, E) == expect
+        assert exact_min_weight(C, E) == (*information_set_search(C, E), True) == (*expect, True)
 
 
 def planted_code(field, n, k, rng):
@@ -872,7 +872,7 @@ def test_information_set_search_matches_full_scan_on_rank_deficient_codes(q):
         for exclude in (None, sub):
             expect = reference_span_min_weight(code, exclude)
             assert information_set_search(code, exclude) == expect
-            assert exact_min_weight(code, exclude) == expect
+            assert exact_min_weight(code, exclude) == (*expect, True)
             excluded_heavier += expect[1] > expect[0]
     assert deficient >= 30 and excluded_heavier >= 10
 
@@ -894,7 +894,7 @@ def test_search_certifies_the_minimum_outside_exclude_on_grm_sums(q, m, nu):
     # the closed form is the oracle: q^k is up to 16^7, too many words to scan
     C, A = with_light_pair(build_grm(q, m, nu).code)
     expect = (2, grm_distance(q, m, nu))
-    assert information_set_search(C, A) == exact_min_weight(C, A, cap=q**C.k) == expect
+    assert (*information_set_search(C, A), True) == exact_min_weight(C, A, cap=q**C.k) == (*expect, True)
 
 
 @pytest.mark.parametrize("q, k", [(2, 12), (3, 8), (4, 6), (5, 6)])
@@ -906,7 +906,7 @@ def test_search_certifies_the_minimum_outside_exclude_on_random_sums(q, k):
         C, A = with_light_pair(D)
         expect = reference_span_min_weight(C, A)
         assert expect[0] <= 2 < expect[1] or D.min_weight()[0] <= 2
-        assert information_set_search(C, A) == exact_min_weight(C, A) == expect
+        assert (*information_set_search(C, A), True) == exact_min_weight(C, A) == (*expect, True)
 
 
 def test_bound_counts_only_fully_enumerated_sets(monkeypatch):
@@ -989,10 +989,11 @@ def test_routes_give_the_same_pair_wherever_they_finish(case, extra_cap):
                 assert min_weight_support_search(code, exclude, cap) == expect
             except CapExceeded:
                 pass
-            try:
-                assert exact_min_weight(code, exclude, cap) == expect
-            except CapExceeded as exc:
-                assert q**k > cap and 1 <= exc.bound <= expect[1]
+            found = exact_min_weight(code, exclude, cap)
+            if found.exact:
+                assert found == (*expect, True)
+            else:  # a certified lower bound, and the lightest word seen
+                assert q**k > cap and 1 <= found.diff <= expect[1] and found.code >= expect[0]
             if exclude is None:
                 w, exact = code.min_weight(cap)
                 assert w == expect[0] if exact else 1 <= w <= expect[0]
@@ -1008,9 +1009,9 @@ def test_engine_skips_a_support_search_sure_to_give_up(monkeypatch):
     C = build_grm(16, 2, 1).code
     D = C.hermitian_dual()
     assert sum(comb(256, w) for w in range(1, 4)) > lincode.SUPPORT_BUDGET
-    with pytest.raises(CapExceeded) as capped:
-        exact_min_weight(D, C)
-    assert capped.value.bound == 2 and not calls
+    capped = exact_min_weight(D, C)
+    assert not capped.exact and capped.diff == 2 and not calls
+    assert capped.code == 3  # the word the look saw
     # without the exclusion, min_weight reports the same bound
     assert D.min_weight() == (2, False) and not calls
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grmcodes import gf
+from grmcodes import gf, lincode
 from grmcodes.errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -21,7 +21,7 @@ from grmcodes.errors import (
     ParameterMismatch,
 )
 from grmcodes.grm import build_grm, dual_order, grm_dimension, grm_distance
-from grmcodes.lincode import LinearCode
+from grmcodes.lincode import DEFAULT_CAP, LinearCode
 from grmcodes.qcode import (
     StabilizerMatrix,
     check_quantum_orders,
@@ -137,6 +137,26 @@ def test_css_degrades_to_lower_bound_when_capped():
     assert family.d == 3 and family.d_is_lower_bound and family.pure is None
     assert family.params_str() == "[[9,3,>=3]]_3"
     assert ("distance_bound_recorded", True, 3, 3, False) in family.checks
+
+
+def test_a_side_the_engine_gives_up_on_ends_the_distance_at_the_trivial_bound(monkeypatch):
+    # the engine gives up on R_5(9, 3) minus R_5(0, 3), and on the Hermitian
+    # dual of R_16(1, 2) minus the code, each having certified 2.  A plain
+    # record keeps the trivial bound 1, not that bound, and the CSS record's
+    # second side is never run
+    calls = []
+    real = lincode.exact_min_weight
+    monkeypatch.setattr(lincode, "exact_min_weight", lambda *args: calls.append(real(*args)) or calls[-1])
+    rec = css(build_grm(5, 3, 0).code, build_grm(5, 3, 9).code)
+    assert [w[1:] for w in calls] == [(2, False)]
+    assert (rec.d, rec.d_is_lower_bound, rec.pure) == (1, True, None)
+    prov = {"n": 125, "k1": 1, "k2": 115, "branch": "strict", "cap": DEFAULT_CAP, "distance_capped": True}
+    assert rec.provenance == prov
+    calls.clear()
+    rec = hermitian(build_grm(16, 2, 1).code)
+    assert [w[1:] for w in calls] == [(2, False)]
+    assert (rec.d, rec.d_is_lower_bound, rec.pure) == (1, True, None)
+    assert rec.provenance == {"n": 256, "k_classical": 3, "cap": DEFAULT_CAP, "distance_capped": True}
 
 
 @pytest.mark.parametrize(
