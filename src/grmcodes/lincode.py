@@ -31,18 +31,21 @@ pass over the code by one of three exact routes:
   (nonzero residue under its ``reduce``).  It prices the rest of its work
   before each weight and stops when that tops its budget;
 * span scan, when q^k fits the cap and one exhaustive scan of the
-  (q^k - 1)/(q - 1) scalar classes is estimated cheaper than the search;
+  (q^k - 1)/(q - 1) scalar classes is estimated cheaper than the search.
+  ``iter_span_blocks`` grows its base block as it yields, so a scan that
+  stops after leading row i (a witness scan) has built q^(k-1-i) words;
 * support search: scan supports of increasing size for dependent column
   sets of the parity-check matrix, which suits codes whose *dual* is
   small.  The first size with a full-support kernel vector is wt(code);
   the first size with one outside the excluded subcode is the second
-  value.  Up to r (the number of checks) the supports come from a
-  lexicographic prefix tree: each independent prefix carries every
-  column's residue modulo its span, got from its parent's in one pivot
-  step, and an extension by column j is dependent exactly when that
-  residue is 0.  Above r every support is dependent and is walked untested.  Only
-  the dependent sets, rare below the minimum weight, reach the per-subset
-  kernel computation.
+  value.  Up to r (the number of checks) the supports of size w come
+  from a lexicographic prefix tree of depth w - 2: each independent
+  prefix carries every column's residue modulo its span, got from its
+  parent's in one pivot step, and an extension by columns j < j' is
+  dependent exactly when either residue is 0 or the two are parallel,
+  which uint64 keys propose and the residues confirm.  Above r every
+  support is dependent and is walked untested.  Only the dependent sets,
+  rare below the minimum weight, reach the per-subset kernel computation.
 
 When q^k fits the cap, the search runs with the scan's cost as its budget
 and the scan finishes what it leaves.  Above the cap, the search runs
@@ -82,7 +85,8 @@ SUPPORT_BUDGET = 2 * 10**6
 # largest kernel span the support route enumerates on one column subset
 KERNEL_BUDGET = 4096
 # the support filter's prefix-tree blocks hold chunk * 8 // n prefixes,
-# whose residue stack takes chunk * 8 * r bytes
+# whose residue stack takes chunk * 8 * r bytes; its pair test takes them
+# in runs of at most chunk * 8 candidate pairs, with a uint64 key per residue
 _SUBSET_CHUNK = 1 << 13
 # costs in exhaustive-scan words of a search row gather (binary, other
 # fields) and of an rref pivot step; a search word's weight count is 0.5
@@ -351,18 +355,6 @@ class WeightDistribution:
 # -- span enumeration engine -------------------------------------------------
 
 
-def _base_block(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
-    """All field combinations of the rows, lex order, first row most significant."""
-    n = rows.shape[1]
-    block = np.zeros((1, n), dtype=np.uint8)
-    for r in rows[::-1]:
-        mults = field.MUL.take(r, axis=1)  # the q multiples of r, in element order
-        block = np.ascontiguousarray(
-            field.add_arrays(mults[:, None, :], block[None, :, :])
-        ).reshape(-1, n)
-    return block
-
-
 def iter_span_blocks(field: FieldSpec, rows):
     """Yield (lead, block): one nonzero codeword from each scalar class.
 
@@ -372,8 +364,10 @@ def iter_span_blocks(field: FieldSpec, rows):
     ``lead``, the row of that leading 1, runs from k-1 down to 0.  The
     words for lead i are rows[i] plus the span of rows[i+1:]: one block per
     combination of the tail rows above the base block (a single block when
-    the tail fits in the base), each the head prefix plus the base block's
-    first q^min(tail, t) words.
+    the tail fits in the base), each the head prefix plus the base block.
+    The base grows as the lead falls: at tail k-1-i <= t it is every
+    combination of rows[i+1:], first row most significant, so a scan that
+    stops after lead i has built q^(k-1-i) words, not q^t.
     """
     rows = np.asarray(rows, dtype=np.uint8)
     k, n = rows.shape
@@ -384,16 +378,18 @@ def iter_span_blocks(field: FieldSpec, rows):
     while t < k - 1 and size * q <= row_cap:  # lead 0 needs only rows[1:]
         size *= q
         t += 1
-    base = _base_block(field, rows[k - t :])
+    base = np.zeros((1, n), dtype=np.uint8)
     for lead in range(k - 1, -1, -1):
-        block = base[: q ** min(k - 1 - lead, t)]
+        if 0 < k - 1 - lead <= t:  # rows[lead + 1] becomes the base's leading digit
+            mults = field.MUL.take(rows[lead + 1], axis=1)  # its q multiples, in element order
+            base = np.ascontiguousarray(field.add_arrays(mults[:, None, :], base[None, :, :])).reshape(-1, n)
         head = rows[lead + 1 : max(lead + 1, k - t)]  # empty when the tail fits the base
         for digits in itertools.product(range(q), repeat=len(head)):
             prefix = rows[lead]
             for d, row in zip(digits, head):
                 if d:
                     prefix = field.add_arrays(prefix, field.MUL[d, row])
-            yield lead, field.add_arrays(block, prefix[None, :])
+            yield lead, field.add_arrays(base, prefix[None, :])
 
 
 # -- information-set search -------------------------------------------
@@ -565,12 +561,12 @@ def _prefix_tree(field: FieldSpec, H: np.ndarray, t: int, size: int):
     """The t-subsets T of H's columns in lexicographic order, in blocks of
     at most ``size``, with the (r, ., n) stack of their residues: all n
     columns of H modulo span(H[:, T]) for an independent T, 0 for a
-    dependent one.
+    dependent one.  Only the columns right of max T are read downstream.
 
     A child T + {j} (j > max T) takes its residues from its parent's in one
-    pivot step on column j's residue.  That residue is 0 exactly when the
-    child is dependent, and then so is every extension of it, as its zero
-    residues say.
+    pivot step on column j's residue, updated one (B, n) plane at a time.
+    That residue is 0 exactly when the child is dependent, and then so is
+    every extension of it, as its zero residues say.
     """
     if t == 0:
         yield np.zeros((1, 0), dtype=np.intp), H[:, None]
@@ -590,19 +586,86 @@ def _prefix_tree(field: FieldSpec, H: np.ndarray, t: int, size: int):
             yield np.column_stack([T[bs], js]), P
 
 
+def _leading_one(field: FieldSpec, R: np.ndarray):
+    """The planes of R (r, ...), each column divided by its leading nonzero
+    entry (a zero column stays 0), one plane at a time."""
+    mul = field.MUL.reshape(-1)
+    lead = R[0].copy()
+    for plane in R[1:]:
+        np.copyto(lead, plane, where=lead == 0)
+    inv = field.INV[lead].astype(np.uint16) * field.q
+    return (mul.take(inv + plane) for plane in R)
+
+
+def _residue_keys(field: FieldSpec, V: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A uint64 key per column of V (r, N), read off the column scaled to a
+    leading 1 after its prefix's index b: parallel columns of one prefix
+    share it.  It wraps once it tops 2^64, so equal keys only propose a pair."""
+    key = b.astype(np.uint64)
+    for plane in _leading_one(field, V):
+        key *= np.uint64(field.q | 1)
+        key += plane
+    return key
+
+
+def _dependent_pairs(field: FieldSpec, T: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The dependent sets T + {j, j'} (max T < j < j') of a block of
+    prefixes T with their residues R, in lexicographic order: those where
+    the residue of j or of j' is 0, or the two are parallel.  Equal keys
+    (:func:`_residue_keys`) propose the parallel pairs, and each is
+    confirmed on the residues scaled to a leading 1."""
+    r, _, n = R.shape
+    # the entries (b, j), j right of prefix b, in prefix then column order:
+    # entries e < e' of one prefix are its pair j < j', sorting as e * N + e'
+    b, j = np.nonzero(np.arange(n) > T.max(axis=1, initial=-1)[:, None])
+    N = b.size
+    V = R.reshape(r, -1).take(b * n + j, axis=1)
+    live = np.bitwise_or.reduce(V, axis=0) != 0
+    # a zero residue pairs with every other entry of its prefix, two zeros once
+    z = np.flatnonzero(~live)
+    first = np.searchsorted(b, b[z])
+    m = np.searchsorted(b, b[z], side="right") - first - 1
+    x = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m - first, m)
+    z = np.repeat(z, m)
+    x += x >= z
+    keep = (x > z) | live[x]
+    found = [np.minimum(x, z)[keep] * N + np.maximum(x, z)[keep]]
+    # after a sort by key, the pairs of a run of equal keys lie d apart
+    e = np.flatnonzero(live)
+    key = _residue_keys(field, V, b)[e]
+    s = np.argsort(key)
+    key, e = key[s], e[s]
+    for d in range(1, e.size):
+        i = np.flatnonzero(key[d:] == key[:-d])
+        if i.size == 0:
+            break
+        pair = np.minimum(e[i], e[i + d]), np.maximum(e[i], e[i + d])
+        S = np.array(list(_leading_one(field, V[:, np.stack(pair)])))
+        same = (b[pair[0]] == b[pair[1]]) & (S[:, 0] == S[:, 1]).all(axis=0)
+        found.append(pair[0][same] * N + pair[1][same])
+    found = np.sort(np.concatenate(found))
+    return np.column_stack([T[b[found // N]], j[found // N], j[found % N]])
+
+
 def _dependent_supports(field: FieldSpec, H: np.ndarray, w: int):
     """The linearly dependent w-subsets of H's columns, in lexicographic
-    order.  For w <= r (H's rows), T + {j} is one exactly when column j's
-    residue is 0 for the (w-1)-prefix T, tested for a whole block of
-    :func:`_prefix_tree` at once; above r every subset is one."""
+    order.  For w = 1 they are H's zero columns; above r (H's rows), every
+    subset.  For 2 <= w <= r they extend the (w-2)-prefixes of
+    :func:`_prefix_tree` by dependent pairs (:func:`_dependent_pairs`),
+    its blocks cut into runs of prefixes with at most chunk * 8 candidate
+    pairs between them (or one prefix), which bounds what a run yields."""
     r, n = H.shape
     if w > r:
         yield from map(list, itertools.combinations(range(n), w))
         return
-    for T, R in _prefix_tree(field, H, w - 1, max(1, _SUBSET_CHUNK * 8 // n)):
-        zero = np.bitwise_or.reduce(R, axis=0) == 0
-        b, j = np.nonzero(zero & (np.arange(n) > T.max(axis=1, initial=-1)[:, None]))
-        yield from np.column_stack([T[b], j])
+    if w == 1:
+        yield from np.flatnonzero(~H.any(axis=0))[:, None]
+        return
+    for T, R in _prefix_tree(field, H, w - 2, max(1, _SUBSET_CHUNK * 8 // n)):
+        m = n - 1 - T.max(axis=1, initial=-1)  # the columns right of each prefix
+        cut = [0, *np.flatnonzero(np.diff(np.cumsum(m * (m - 1) // 2) // (_SUBSET_CHUNK * 8))) + 1, len(T)]
+        for lo, hi in zip(cut, cut[1:]):
+            yield from _dependent_pairs(field, T[lo:hi], R[:, lo:hi])
 
 
 def _subset_budget(cap: int) -> int:
@@ -624,8 +687,8 @@ def min_weight_support_search(
     suits codes whose dual is small.
 
     :func:`_dependent_supports` gives the dependent supports of each size
-    in lexicographic order: up to r, those its prefix tree's residues mark,
-    a block of prefixes at a time; above r, every subset.  Only those go
+    in lexicographic order: up to r, the pairs of residues its prefix tree
+    marks, a run of prefixes at a time; above r, every subset.  Only those go
     on, in order, to the per-subset kernel, full-support and exclusion
     checks, so the hits and both budget checks fall exactly where a
     one-subset-at-a-time scan would put them.

@@ -613,6 +613,9 @@ GOLDEN_COMMANDS = {
     "quantum_hermitian_q4_m2_nu3": "quantum hermitian -q 4 -m 2 --nu 3",
     "puncture_hermitian_q3_m2_nu2_w27": "puncture hermitian -q 3 -m 2 --nu 2 --target-weight 27",
     "sweep_mds_q3_4_5": "sweep mds -q 3,4,5",
+    # the frontier: [[35,25,6]]_7 and [[40,30,6]]_8, whose support searches
+    # certify every 5-subset at w = r = 5, and three capped rows
+    "sweep_mds_q7_8": "sweep mds -q 7,8",
     # information-set search on both sides: C2 minus C1 within the cap, and
     # C1-perp minus C2-perp over it, where its first look settles the weight
     "quantum_css_q5_m2_nu1_1_nu2_3": "quantum css -q 5 -m 2 --nu1 1 --nu2 3",

@@ -5,6 +5,7 @@ operations, deliberately avoiding the library's vectorized span engine.
 """
 
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -325,6 +326,23 @@ def check_span_blocks(q, k, head_loop):
     assert set(scaled) == oracle_codewords(f, C.gen) - {(0,) * 6}
 
 
+def test_a_span_scan_builds_only_the_words_it_reads():
+    # the shape of mds_chain(7, 0)'s witness scan: k = 7 rows of length 49
+    # over GF(7).  The first block is the one word of lead 6; a base built
+    # in full before it (7^6 words of 49 bytes) would take about 12 MB.
+    f = gf.get_field(7)
+    rows = np.random.default_rng(7).integers(0, 7, size=(7, 49)).astype(np.uint8)
+    blocks = iter_span_blocks(f, rows)
+    tracemalloc.start()
+    try:
+        lead, block = next(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lead == 6 and np.array_equal(block, rows[6:])
+    assert peak < 64 * 1024
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_min_weight_matches_oracle(q):
     rng = np.random.default_rng(5)
@@ -582,6 +600,16 @@ def dependent_by_filter(f, H, w):
     return [tuple(int(c) for c in S) for S in _dependent_supports(f, H, w)]
 
 
+def mds_checks(f, r):
+    """r x (q + 1) parity checks of a doubly extended Reed-Solomon code: the
+    Vandermonde rows at every field element and the column e_{r-1} for the
+    point at infinity.  Any r of its columns are independent."""
+    H = np.zeros((r, f.q + 1), dtype=np.uint8)
+    H[:, : f.q] = f.POW[np.arange(f.q), : r].T
+    H[r - 1, f.q] = 1
+    return H
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_dependent_subsets_match_scalar_rank(q):
     f = gf.get_field(q)
@@ -594,6 +622,21 @@ def test_dependent_subsets_match_scalar_rank(q):
             H[:, int(rng.integers(n))] = 0
         for w in range(1, min(n, r + 2) + 1):  # w > r included
             assert dependent_by_filter(f, H, w) == dependent_by_rank(f, H, w)
+    # an MDS matrix has no dependent set of at most r columns; with column
+    # j2 replaced by a multiple of column j1 < j2 - 1, the dependent sets are
+    # those holding both: a pair of parallel residues, or, for the prefix
+    # {j1}, a zero residue at j2 paired with a column between them
+    for r in range(1, min(q, 4) + 1):
+        H = mds_checks(f, r)
+        n = H.shape[1]
+        for w in range(1, r + 1):
+            assert dependent_by_filter(f, H, w) == dependent_by_rank(f, H, w) == []
+        j1 = int(rng.integers(0, n - 2))
+        j2 = int(rng.integers(j1 + 2, n))
+        H[:, j2] = f.MUL[int(rng.integers(1, q)), H[:, j1]]
+        for w in range(1, r + 1):
+            expect = [S for S in itertools.combinations(range(n), w) if {j1, j2} <= set(S)]
+            assert dependent_by_filter(f, H, w) == dependent_by_rank(f, H, w) == expect
 
 
 @st.composite
@@ -622,6 +665,11 @@ def test_prefix_filter_matches_scalar_rank_across_block_boundaries(case, chunk):
     f, H = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lincode, "_SUBSET_CHUNK", chunk)
+        for w in range(1, H.shape[0] + 1):
+            assert dependent_by_filter(f, H, w) == dependent_by_rank(f, H, w)
+        # every key collides: the keys only propose pairs, and the exact
+        # comparison must neither drop nor invent one
+        mp.setattr(lincode, "_residue_keys", lambda field, V, b: np.zeros(V.shape[1], dtype=np.uint64))
         for w in range(1, H.shape[0] + 1):
             assert dependent_by_filter(f, H, w) == dependent_by_rank(f, H, w)
 
