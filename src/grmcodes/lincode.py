@@ -22,7 +22,7 @@ codes) computes them once per process.
 
 Every distance goes through one engine, ``exact_min_weight(code,
 exclude)``, which settles wt(code) and wt(code minus exclude) in a single
-pass over the code by one of three exact routes:
+pass over the code by one of four exact routes:
 
 * information-set search: a Brouwer-Zimmermann search over disjoint
   information sets (Zimmermann 1996; Grassl 2006) enumerates each set's
@@ -45,19 +45,28 @@ pass over the code by one of three exact routes:
   dependent exactly when either residue is 0 or the two are parallel,
   which uint64 keys propose and the residues confirm.  Above r every
   support is dependent and is walked untested.  Only the dependent sets,
-  rare below the minimum weight, reach the per-subset kernel computation.
+  rare below the minimum weight, reach the per-subset kernel computation;
+* weight distributions: the counts A_w of the code and of ``exclude``, each
+  from one scan of the smaller of that code and its dual, the dual's
+  carried over by the MacWilliams identity (:func:`_macwilliams`).  wt(code)
+  is the first w > 0 with A_w(code) > 0, and wt(code minus exclude) the
+  first with A_w(code) - A_w(exclude) > 0.  A code keeps its scan's counts,
+  as it keeps its ``dual``, and ``weight_distribution`` reads the same.
 
 When q^k fits the cap, the search runs with the scan's cost as its budget
 and the scan finishes what it leaves.  Above the cap, the search runs
 first under the cap (for a code of rate above 1/2, only its first look),
 and the support search runs only when the support sizes it charges up
 front, up to the lightest word the search saw, fit its subset budget.
-When neither finishes, the engine returns an inexact value holding the
-bound the search certified, which is what ``LinearCode.min_weight`` reports.
+When neither finishes, the distributions settle both values if each
+side's smaller span, q^min(k, n - k), fits the cap, priced before any scan.
+Otherwise the engine returns an inexact value holding the bound the
+search certified, which is what ``LinearCode.min_weight`` reports.
 
-All three are complete searches; tests cross-check them against each
-other, the filtered support search against a per-subset reference, and
-all of them against a brute-force oracle.
+All four are complete; tests cross-check them against each other, the
+filtered support search against a per-subset reference, the transformed
+distributions against direct scans, and all of them against a brute-force
+oracle.
 """
 
 from __future__ import annotations
@@ -185,6 +194,7 @@ class LinearCode:
         self.free.setflags(write=False)
         self._dual: LinearCode | None = None
         self._restriction: LinearCode | None = None
+        self._counts: tuple[int, ...] | None = None
 
     @classmethod
     def zero_code(cls, field: FieldSpec, n: int) -> "LinearCode":
@@ -325,31 +335,77 @@ class LinearCode:
         return found.diff, found.exact
 
     def weight_distribution(self, cap: int = DEFAULT_CAP) -> "WeightDistribution":
-        """Exact weight counts by full enumeration; CapExceeded when q^k > cap.
+        """Exact weight counts from one scan of the smaller of the code and
+        its dual (:func:`_weight_counts`); CapExceeded when that side's
+        span, q^min(k, n - k), tops the cap."""
+        if _smaller_span(self) > cap:
+            s = f"{self.field.q}^{min(self.k, self.n - self.k)}"
+            raise CapExceeded(f"q^min(k, n-k) = {s} exceeds cap {cap} for exact distribution")
+        return WeightDistribution(tuple(_weight_counts(self)))
+
+    def _span_counts(self) -> tuple[int, ...]:
+        """Weight counts A_0..A_n from one scan of the span, memoized as ``dual`` is.
 
         The scan sees one word per scalar class, so every positive weight
         count is q - 1 times the count over the scan.
         """
-        if self.field.q**self.k > cap:
-            raise CapExceeded(
-                f"q^k = {self.field.q}^{self.k} exceeds cap {cap} for exact distribution"
-            )
-        counts = np.zeros(self.n + 1, dtype=np.int64)
-        for _, block in iter_span_blocks(self.field, self.gen):
-            counts += np.bincount((block != 0).sum(axis=1, dtype=np.uint16), minlength=self.n + 1)
-        counts *= self.field.q - 1
-        counts[0] = 1
-        return WeightDistribution(tuple(int(c) for c in counts))
+        if self._counts is None:
+            counts = np.zeros(self.n + 1, dtype=np.int64)
+            for _, block in iter_span_blocks(self.field, self.gen):
+                counts += np.bincount((block != 0).sum(axis=1, dtype=np.uint16), minlength=self.n + 1)
+            counts *= self.field.q - 1
+            counts[0] = 1
+            self._counts = tuple(int(c) for c in counts)
+        return self._counts
 
 
 @dataclass(frozen=True)
 class WeightDistribution:
-    """Counts A_0..A_n of codeword weights, from full enumeration."""
+    """Counts A_0..A_n of codeword weights, from one scan of the smaller of
+    the code and its dual (``LinearCode.weight_distribution``)."""
 
     counts: tuple[int, ...]
 
     def __post_init__(self):
         assert self.counts[0] == 1, "exact distribution must count the zero word once"
+
+
+def _smaller_span(code: LinearCode) -> int:
+    """q^min(k, n - k): the span :func:`_weight_counts` scans, priced as the
+    span scan prices q^k against the cap."""
+    return code.field.q ** min(code.k, code.n - code.k)
+
+
+def _weight_counts(code: LinearCode):
+    """Yield A_0, A_1, ..., A_n of the code, lazily, from one memoized scan
+    of the smaller side: the code's own span when k <= n - k, else its
+    dual's, carried over by :func:`_macwilliams`."""
+    if 2 * code.k <= code.n:
+        yield from code._span_counts()
+    else:
+        yield from _macwilliams(code.dual()._span_counts(), code.field.q, code.n - code.k)
+
+
+def _macwilliams(B, q: int, s: int):
+    """Yield A_0, A_1, ... of the dual of a dimension-s code D over GF(q)
+    with weight counts B_0..B_n, by the MacWilliams identity
+    A_w = |D|^-1 sum_i B_i K_w(i) (MacWilliams, Bell Syst. Tech. J. 42,
+    1963; MacWilliams and Sloane, ch. 5).  The Krawtchouk values K_w(i; n, q)
+    follow their three-term recurrence in w over Python ints,
+    (w + 1) K_{w+1}(i) = (w + (q - 1)(n - w) - q i) K_w(i) - (q - 1)(n - w + 1) K_{w-1}(i),
+    so every count is exact; one that is not a nonnegative integer is an
+    internal error, raised, never a bound.
+    """
+    n = len(B) - 1
+    i = [x for x in range(n + 1) if B[x]]
+    prev, K = [0] * len(i), [1] * len(i)
+    for w in range(n + 1):
+        A, rem = divmod(sum(B[x] * Kx for x, Kx in zip(i, K)), q**s)
+        if rem or A < 0:
+            raise AssertionError(f"MacWilliams count A_{w} is not a nonnegative integer")
+        yield A
+        step = w + (q - 1) * (n - w)
+        prev, K = K, [((step - q * x) * Kx - (q - 1) * (n - w + 1) * Px) // (w + 1) for x, Kx, Px in zip(i, K, prev)]
 
 
 # -- span enumeration engine -------------------------------------------------
@@ -741,7 +797,10 @@ class Weights(NamedTuple):
 
     Unless ``exact``, ``diff`` is the lower bound on wt(C minus exclude) the
     search certified, and ``code`` the weight of the lightest word of C it
-    saw (n + 1 if none), an upper bound on wt(C).
+    saw (n + 1 if none), an upper bound on wt(C).  Then min(``code``,
+    ``diff``) is a floor on wt(C) itself: ``diff`` is the floor look + 1 on
+    every word the search did not see (it weighs more than ``look`` on the
+    pivots), and the words it saw weigh at least ``code``.
     """
 
     code: int
@@ -763,8 +822,12 @@ def exact_min_weight(
     the support search, which suits its small dual, is the route.  That
     runs, under the same cap, only when the support sizes it charges up
     front (those <= n - k) up to the lightest word seen fit its subset
-    budget.  If neither finishes, the value is not ``exact`` (``Weights``):
-    it holds the lower bound the search certified.  Bad input still raises.
+    budget.  If neither finishes, and for the code and ``exclude`` alike the
+    smaller of it and its dual spans at most ``cap`` words, both values come
+    from their weight distributions (:func:`_distribution_weights`); that
+    price is read off k and n, so a route that does not fit starts no scan.
+    Otherwise the value is not ``exact`` (``Weights``): it holds the lower
+    bound the search certified.  Bad input still raises.
     """
     if code.k == 0:
         raise EmptyCode("the zero code has no minimum weight")
@@ -792,7 +855,23 @@ def exact_min_weight(
             return Weights(*min_weight_support_search(code, exclude, cap), True)
         except CapExceeded:  # its subset or kernel budget ran out
             pass
+    if all(c is None or _smaller_span(c) <= cap for c in (code, exclude)):
+        return _distribution_weights(code, exclude)
     return Weights(best[0], bound, False)
+
+
+def _distribution_weights(code: LinearCode, exclude: LinearCode | None) -> Weights:
+    """Exact weights from the two weight distributions: wt(C) is the first
+    w > 0 with A_w(C) > 0, and, as exclude lies in C, wt(C minus exclude)
+    the first with A_w(C) - A_w(exclude) > 0."""
+    counts = zip(_weight_counts(code), itertools.repeat(0) if exclude is None else _weight_counts(exclude))
+    first = 0
+    for w, (a, e) in itertools.islice(enumerate(counts), 1, None):
+        if a and not first:
+            first = w
+        if a > e:
+            return Weights(first, w, True)
+    raise EmptyCode("difference set is empty")
 
 
 # -- componentwise product span ---------------------------------------------------

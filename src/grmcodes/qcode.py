@@ -155,23 +155,28 @@ def _record(
 ) -> QuantumCodeRecord:
     """Settle the distance over ``sides``, check the stabilizer, assemble.
 
-    Each side is (code, exclude, names), settled by the engine in order
-    under ``cap``.  At the first it gives up on, d is the trivial bound 1,
-    purity is unknown and the provenance says the distance was capped.
-    Otherwise d is the least ``diff``, and the record is pure iff the least
-    ``code`` weight is d; ``names`` label a side's (code, diff) weights in
-    the provenance, as far as they go, and ``found`` joins it.
+    Each side is (code, exclude, names), settled by the engine under
+    ``cap``.  d is the least ``diff`` over the exact sides, and it holds
+    when every inexact side's certified ``diff`` is at least d; otherwise
+    d is the trivial bound 1, purity is unknown and the provenance says the
+    distance was capped.  A settled record is pure iff every side's floor on
+    its whole code reaches d: ``code`` for an exact side, min(``code``,
+    ``diff``) for an inexact one (``Weights``).  ``names`` label an exact
+    side's (code, diff) weights in the provenance, as far as they go; an
+    inexact side records its bound under its own key (``bound_c1perp_c2perp``
+    for ``wt_diff_c1perp_c2perp``), and ``found`` joins them.
     """
-    settled = []
-    for code, exclude, names in sides:
-        settled.append(lincode.exact_min_weight(code, exclude, cap))
-        if not settled[-1].exact:
-            d, pure, found = 1, None, {"distance_capped": True}
-            break
-        found.update(zip(names, settled[-1]))
+    settled = [lincode.exact_min_weight(code, exclude, cap) for code, exclude, _ in sides]
+    d = min((w.diff for w in settled if w.exact), default=0)
+    if d and all(w.diff >= d for w in settled):
+        pure = min(min(w.code, w.diff) for w in settled) == d
+        for w, (_, _, names) in zip(settled, sides):
+            if w.exact:
+                found.update(zip(names, w))
+            elif names:
+                found[names[-1].replace("wt_diff", "bound")] = w.diff
     else:
-        d = min(w.diff for w in settled)
-        pure = min(w.code for w in settled) == d
+        d, pure, found = 1, None, {"distance_capped": True}
     prov.update(found)
     decide(construction, ("stabilizer_symplectic", stab.is_self_orthogonal(), None, None, True))
     return QuantumCodeRecord(
@@ -193,8 +198,9 @@ def css(C1: LinearCode, C2: LinearCode, cap: int = DEFAULT_CAP) -> QuantumCodeRe
     The nesting is checked here, once, for every CSS record (the punctured
     pair included), by ``is_subcode_of``, which also rejects a field or
     length mismatch.  Its sides are C2 minus C1 and C1-perp minus C2-perp
-    (the nonzero codes of C1 and C1-perp when C1 = C2); a capped distance
-    degrades the record to the trivial bound 1 with the flag set.
+    (the nonzero codes of C1 and C1-perp when C1 = C2); a distance the
+    sides do not settle (``_record``) degrades the record to the trivial
+    bound 1 with the flag set.
     """
     if not C1.is_subcode_of(C2):
         raise NotNested("CSS needs C1 contained in C2")

@@ -74,9 +74,10 @@ def test_puncture_list_weights(capsys):
 
 @pytest.mark.parametrize("strict", [(), ("--strict",)], ids=["default", "strict"])
 def test_list_weights_over_cap_exits_capped(capsys, strict):
-    # q^k = 3^72: no exact distribution fits, and no sampled one is printed
+    # the [256, 156]_4 puncture code: q^k = 4^156 and its dual 4^100, so no
+    # exact distribution fits either side, and no sampled one is printed
     code, out, err = run(
-        capsys, "puncture", "hermitian", "-q", "3", "-m", "2", "--nu", "1", "--list-weights", *strict
+        capsys, "puncture", "hermitian", "-q", "4", "-m", "2", "--nu", "3", "--list-weights", *strict
     )
     assert code == EXIT_CAPPED
     assert out == "" and "exact distribution" in err
@@ -84,13 +85,31 @@ def test_list_weights_over_cap_exits_capped(capsys, strict):
 
 def test_hermitian_list_weights_builds_no_subcodes(capsys, monkeypatch):
     # only the witness search reads the restriction subcodes, so listing
-    # the weights builds none of them
+    # the weights builds none of them; the [81, 72]_3 code's distribution
+    # comes from its dual's 3^9 words
     built = []
     real = puncture.build_grm
     monkeypatch.setattr(puncture, "build_grm", lambda q, m, nu: built.append((q, m, nu)) or real(q, m, nu))
     code, _, _ = run(capsys, "puncture", "hermitian", "-q", "3", "-m", "2", "--nu", "1", "--list-weights")
-    assert code == EXIT_CAPPED
+    assert code == EXIT_OK
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "nu, k, weights",
+    [(1, 21, set(range(4, 26))), (2, 16, {6, *range(8, 26)})],
+)
+def test_hermitian_list_weights_through_the_dual(capsys, nu, k, weights):
+    # P(C) for C = R_25(nu, 1) is [25, 21]_5 (nu = 1) or [25, 16]_5 (nu = 2):
+    # its distribution is carried over from its dual's 5^4 or 5^9 words.
+    # At nu = 2 no word weighs 5 or 7, so no punctured code has length 5 or 7
+    code, out, _ = run(capsys, "puncture", "hermitian", "-q", "5", "--nu", str(nu), "--list-weights", "--json")
+    assert code == EXIT_OK
+    table = json.loads(out)["tables"]["puncture_code_weights"]
+    counts = table["counts"]
+    assert table["exact"] and len(counts) == 26 and counts[0] == 1
+    assert sum(counts) == 5**k
+    assert {w for w, c in enumerate(counts) if c and w} == weights
 
 
 def test_css_list_weights_decides_the_identity_in_the_puncture_code(capsys, monkeypatch):

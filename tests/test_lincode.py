@@ -429,9 +429,14 @@ def test_weight_distribution_counts():
     dist = rep.weight_distribution()
     assert dist.counts == (1, 0, 0, 2)
     assert sum(dist.counts) == 3
-    # over the cap there is no distribution to report, only a capped run
+    # over the cap there is no distribution to report, only a capped run:
+    # here both the code and its dual span 3^10 words
+    half = LinearCode(f, np.hstack([np.eye(10), np.ones((10, 10))]).astype(np.uint8), 20)
     with pytest.raises(CapExceeded):
-        LinearCode.full_space(f, 20).weight_distribution(cap=100)
+        half.weight_distribution(cap=100)
+    # the full space's distribution comes from its dual, the zero code
+    full = LinearCode.full_space(f, 20).weight_distribution(cap=100).counts
+    assert full == tuple(comb(20, w) * 2**w for w in range(21))
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 9])
@@ -444,6 +449,74 @@ def test_weight_distribution_matches_oracle_counts(q):
         for word in oracle_codewords(f, C.gen):
             expect[sum(1 for x in word if x)] += 1
         assert C.weight_distribution().counts == tuple(expect)
+
+
+@st.composite
+def code_with_small_dual(draw):
+    """A random code of length <= 10 whose span and dual span both have at most 4096 words."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    n = draw(st.integers(1, 10))
+    rows = draw(st.integers(1, n))
+    entries = st.lists(st.integers(0, q - 1), min_size=rows * n, max_size=rows * n)
+    code = LinearCode(gf.get_field(q), np.array(draw(entries), dtype=np.uint8).reshape(rows, n), n)
+    assume(max(q**code.k, q ** (n - code.k)) <= 4096 and 2 * code.k != n)
+    return code
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=150)
+@given(code_with_small_dual())
+def test_macwilliams_transform_matches_the_direct_distribution(code):
+    # of a code and its dual, the larger side's distribution is carried over
+    # from the smaller side's scan; each must equal a scan of its own span
+    for side in (code, code.dual()):
+        assert tuple(lincode._weight_counts(side)) == side._span_counts()
+        assert sum(side._span_counts()) == side.field.q**side.k
+
+
+@pytest.mark.parametrize("q, m", [(2, 3), (2, 4), (3, 2), (4, 2), (5, 2), (3, 3)])
+def test_first_order_grm_distribution_has_its_closed_form(q, m):
+    # R_q(1, m): q(q^m - 1) words of weight q^m - q^(m-1), q - 1 of weight q^m.
+    # Its dual's distribution is carried over from its scan, and carrying
+    # that back gives the closed form again
+    n = q**m
+    expect = [0] * (n + 1)
+    expect[0], expect[n - n // q], expect[n] = 1, q * (n - 1), q - 1
+    code = build_grm(q, m, 1).code
+    assert code.weight_distribution().counts == tuple(expect)
+    B = LinearCode(code.field, code.dual().gen, n).weight_distribution().counts
+    assert sum(B) == q ** (n - m - 1)
+    assert tuple(lincode._macwilliams(B, q, n - m - 1)) == tuple(expect)
+
+
+def test_distribution_route_subtracts_the_excluded_words(monkeypatch):
+    # C = {x in GF(2)^10 : x_0 = x_1} holds e_2..e_9 (weight 1) and 1100000000;
+    # the words outside span(e_2..e_9) have x_0 = x_1 = 1, so weigh >= 2.  At
+    # cap 4, q^9 is over the cap, the first look sees no word and the 10
+    # weight-1 supports do not fit, so the distribution route settles the
+    # pair: C's dual spans 2 words and the subcode's 4
+    f = gf.get_field(2)
+    check = np.zeros((1, 10), dtype=np.uint8)
+    check[0, :2] = 1
+    code = LinearCode(f, check, 10).dual()
+    sub = LinearCode(f, np.eye(10, dtype=np.uint8)[2:], 10)
+    assert code.k == 9 and sub.is_subcode_of(code)
+    assert exact_min_weight(code, sub, cap=4) == (1, 2, True)
+    # at cap 3 the subcode's side is over it: the route declines before any scan
+    scans = []
+    monkeypatch.setattr(LinearCode, "_span_counts", lambda self: scans.append(self))
+    assert exact_min_weight(LinearCode(f, code.gen, 10), LinearCode(f, sub.gen, 10), cap=3) == (11, 1, False)
+    assert scans == []
+
+
+def test_a_transformed_count_that_is_not_a_nonnegative_integer_raises():
+    # a planted scan of the dual (one word of weight 1, none of weight 2)
+    # is no code's distribution: its transform is not integral, and the
+    # engine raises rather than report a bound
+    f = gf.get_field(3)
+    code = LinearCode(f, np.eye(4, dtype=np.uint8)[:3], 4)
+    code.dual()._counts = (1, 1, 0, 0, 0)
+    with pytest.raises(AssertionError, match="not a nonnegative integer"):
+        exact_min_weight(code, cap=3)
 
 
 def test_min_weight_equals_first_positive_distribution_index():
@@ -489,11 +562,18 @@ def test_min_weight_difference_oracle_and_contract():
     # over the cap the support route runs under a subset budget of the cap.
     # The full space has no parity checks, so each subset costs 1; the first
     # word outside span(e_0..e_8) is e_9, found at the tenth subset.  Below
-    # that the engine gives up having seen no word (n + 1) and certified 1
+    # that the support search gives up, and the distribution route settles
+    # the pair: the full space's dual is the zero code, and span(e_0..e_8)'s
+    # dual spans 3 words
     full = LinearCode.full_space(f, 10)
     excl = LinearCode(f, np.eye(10, dtype=np.uint8)[:9], 10)
-    assert exact_min_weight(full, excl, cap=9) == (11, 1, False)
     assert exact_min_weight(full, excl, cap=10) == (1, 1, True)
+    assert exact_min_weight(full, excl, cap=9) == (1, 1, True)
+    # a [10, 5] code and its [10, 4] subcode: neither the code nor its dual
+    # (3^5 words each) fits cap 9, and neither do C(10, 1) supports, so the
+    # engine gives up having seen no word (n + 1) and certified 1
+    half = LinearCode(f, np.hstack([np.eye(5), np.ones((5, 5))]).astype(np.uint8), 10)
+    assert exact_min_weight(half, LinearCode(f, half.gen[:4], 10), cap=9) == (11, 1, False)
 
 
 def test_support_search_crosschecks_span_enumeration():
@@ -1051,17 +1131,15 @@ def test_engine_skips_a_support_search_sure_to_give_up(monkeypatch):
     # the Hermitian distance of R_16(1, 2): its dual is [256, 253] over GF(16)
     # with r = 3 checks, so the search takes only its first look (weight 1,
     # the most that fits 2^16 messages), and that sees a word of weight 3;
-    # C(256, 1..3) = 2.79*10^6 supports are over the subset budget
+    # C(256, 1..3) = 2.79*10^6 supports are over the subset budget.  The
+    # distribution route settles it from two scans of 16^3 words
     calls = []
     monkeypatch.setattr(lincode, "min_weight_support_search", lambda *args: calls.append(args))
     C = build_grm(16, 2, 1).code
     D = C.hermitian_dual()
     assert sum(comb(256, w) for w in range(1, 4)) > lincode.SUPPORT_BUDGET
-    capped = exact_min_weight(D, C)
-    assert not capped.exact and capped.diff == 2 and not calls
-    assert capped.code == 3  # the word the look saw
-    # without the exclusion, min_weight reports the same bound
-    assert D.min_weight() == (2, False) and not calls
+    assert exact_min_weight(D, C) == (3, 3, True) and not calls
+    assert D.min_weight() == (3, True) and not calls
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

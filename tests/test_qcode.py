@@ -140,23 +140,79 @@ def test_css_degrades_to_lower_bound_when_capped():
 
 
 def test_a_side_the_engine_gives_up_on_ends_the_distance_at_the_trivial_bound(monkeypatch):
-    # the engine gives up on R_5(9, 3) minus R_5(0, 3), and on the Hermitian
-    # dual of R_16(1, 2) minus the code, each having certified 2.  A plain
-    # record keeps the trivial bound 1, not that bound, and the CSS record's
-    # second side is never run
+    # R_7(4, 2) minus R_7(2, 2): the engine gives up having certified 3,
+    # below the other side's exact 4, so d is not settled; and the Hermitian
+    # dual of R_16(3, 2) minus the code, which gives up at 2.  The
+    # distribution route fits neither: R_7(4, 2) and its dual span at least
+    # 7^15 words, the Hermitian dual and its dual 16^10.  A plain record
+    # keeps the trivial bound 1, not the certified one
     calls = []
     real = lincode.exact_min_weight
     monkeypatch.setattr(lincode, "exact_min_weight", lambda *args: calls.append(real(*args)) or calls[-1])
-    rec = css(build_grm(5, 3, 0).code, build_grm(5, 3, 9).code)
-    assert [w[1:] for w in calls] == [(2, False)]
+    rec = css(build_grm(7, 2, 2).code, build_grm(7, 2, 4).code)
+    assert [tuple(w) for w in calls] == [(21, 3, False), (4, 4, True)]
     assert (rec.d, rec.d_is_lower_bound, rec.pure) == (1, True, None)
-    prov = {"n": 125, "k1": 1, "k2": 115, "branch": "strict", "cap": DEFAULT_CAP, "distance_capped": True}
+    prov = {"n": 49, "k1": 6, "k2": 15, "branch": "strict", "cap": DEFAULT_CAP, "distance_capped": True}
     assert rec.provenance == prov
     calls.clear()
-    rec = hermitian(build_grm(16, 2, 1).code)
+    rec = hermitian(build_grm(16, 2, 3).code)
     assert [w[1:] for w in calls] == [(2, False)]
     assert (rec.d, rec.d_is_lower_bound, rec.pure) == (1, True, None)
-    assert rec.provenance == {"n": 256, "k_classical": 3, "cap": DEFAULT_CAP, "distance_capped": True}
+    assert rec.provenance == {"n": 256, "k_classical": 10, "cap": DEFAULT_CAP, "distance_capped": True}
+
+
+@pytest.mark.parametrize(
+    "q, m, nu1, nu2, key, bound, exact",
+    [
+        # C2 minus C1 is capped at 3, C1-perp minus C2-perp exact at 2
+        (7, 2, 0, 4, "bound_c2_c1", 3, {"wt_c1perp": 2, "wt_diff_c1perp_c2perp": 2}),
+        # its bound 3 equals the exact side's 3: still settled
+        (4, 3, 1, 4, "bound_c2_c1", 3, {"wt_c1perp": 3, "wt_diff_c1perp_c2perp": 3}),
+        # C1-perp minus C2-perp capped at 3, C2 minus C1 exact at 2
+        (7, 2, 3, 11, "bound_c1perp_c2perp", 3, {"wt_c2": 2, "wt_diff_c2_c1": 2}),
+    ],
+)
+def test_one_exact_side_settles_a_css_distance(q, m, nu1, nu2, key, bound, exact):
+    # d = min over both sides; one side's exact weight is d when the other
+    # side certified at least as much.  The capped side records its bound
+    # under its own key, and the record is exact, pure and the closed form
+    rec = css_grm(q, m, nu1, nu2)
+    assert rec.exact and rec.pure is True and rec.d == min(exact.values())
+    assert {k: v for k, v in rec.provenance.items() if k.startswith(("wt_", "bound_"))} == {key: bound, **exact}
+    assert "distance_capped" not in rec.provenance
+
+
+@pytest.mark.parametrize(
+    "weights, d, pure",
+    [
+        ([(3, 3, True), (9, 4, False)], 3, True),
+        ([(3, 3, True), (9, 3, False)], 3, True),
+        # the capped side saw a word of weight 2 < d, so its code is impure
+        ([(3, 3, True), (2, 4, False)], 3, False),
+        ([(4, 5, False), (3, 3, True)], 3, True),
+        ([(2, 5, False), (3, 3, True)], 3, False),
+        # the exact side's word of weight 2 lies in its excluded code
+        ([(2, 3, True), (9, 3, False)], 3, False),
+        # a bound below the exact side's weight settles nothing
+        ([(3, 3, True), (9, 2, False)], None, None),
+        ([(9, 2, False), (3, 3, True)], None, None),
+        ([(9, 3, False), (9, 3, False)], None, None),
+    ],
+)
+def test_css_distance_and_purity_from_each_sides_weights(monkeypatch, weights, d, pure):
+    # purity needs a floor on each side's whole code: its exact weight, or
+    # for a capped side min(code, diff), never the bound on the difference
+    answers = iter(lincode.Weights(*w) for w in weights)
+    monkeypatch.setattr(lincode, "exact_min_weight", lambda *args: next(answers))
+    rec = css(build_grm(3, 2, 1).code, build_grm(3, 2, 2).code)
+    if d is None:
+        assert (rec.d, rec.d_is_lower_bound, rec.pure) == (1, True, None)
+        assert rec.provenance["distance_capped"] is True
+    else:
+        assert (rec.d, rec.d_is_lower_bound, rec.pure) == (d, False, pure)
+        capped = [i for i, w in enumerate(weights) if not w[2]]
+        keys = ["bound_c2_c1", "bound_c1perp_c2perp"]
+        assert {k: rec.provenance[k] for k in keys if k in rec.provenance} == {keys[i]: weights[i][1] for i in capped}
 
 
 @pytest.mark.parametrize(
