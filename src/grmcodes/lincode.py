@@ -16,13 +16,14 @@ RREF (a Frobenius image, the identity, a product of RREF matrices) is
 taken as it is, each row's first nonzero entry being its pivot; and
 ``restriction`` is one kernel over the n - k free columns, because the
 pivot columns carry the message and its imaginary part vanishes there.
-A code is immutable, so it computes its ``dual`` and its ``restriction``
-once and keeps them; a code shared across calls (``grm``'s cached GRM
-codes) computes them once per process.
+A code is immutable, so it computes its ``dual``, ``hermitian_dual`` and
+``restriction`` once and keeps them, and its dual keeps it as its own
+dual; a code shared across calls (``grm``'s cached GRM codes) computes
+them once per process.
 
 Every distance goes through one engine, ``exact_min_weight(code,
 exclude)``, which settles wt(code) and wt(code minus exclude) in a single
-pass over the code by one of four exact routes:
+pass over the code by one of three exact routes:
 
 * information-set search: a Brouwer-Zimmermann search over disjoint
   information sets (Zimmermann 1996; Grassl 2006) enumerates each set's
@@ -30,10 +31,6 @@ pass over the code by one of four exact routes:
   unseen words reaches the lightest word outside the excluded subcode
   (nonzero residue under its ``reduce``).  It prices the rest of its work
   before each weight and stops when that tops its budget;
-* span scan, when q^k fits the cap and one exhaustive scan of the
-  (q^k - 1)/(q - 1) scalar classes is estimated cheaper than the search.
-  ``iter_span_blocks`` grows its base block as it yields, so a scan that
-  stops after leading row i (a witness scan) has built q^(k-1-i) words;
 * support search: scan supports of increasing size for dependent column
   sets of the parity-check matrix, which suits codes whose *dual* is
   small.  The first size with a full-support kernel vector is wt(code);
@@ -53,17 +50,19 @@ pass over the code by one of four exact routes:
   first with A_w(code) - A_w(exclude) > 0.  A code keeps its scan's counts,
   as it keeps its ``dual``, and ``weight_distribution`` reads the same.
 
-When q^k fits the cap, the search runs with the scan's cost as its budget
-and the scan finishes what it leaves.  Above the cap, the search runs
-first under the cap (for a code of rate above 1/2, only its first look),
-and the support search runs only when the support sizes it charges up
-front, up to the lightest word the search saw, fit its subset budget.
-When neither finishes, the distributions settle both values if each
-side's smaller span, q^min(k, n - k), fits the cap, priced before any scan.
-Otherwise the engine returns an inexact value holding the bound the
-search certified, which is what ``LinearCode.min_weight`` reports.
+The search runs first.  When q^k fits the cap, its budget is one scan of
+the (q^k - 1)/(q - 1) scalar classes, and the distributions finish what
+it leaves: each smaller span then fits the cap too, and each code keeps
+the counts of its scan.  Above the cap, the search runs under the
+cap (for a code of rate above 1/2, only its first look), and the support
+search runs only when the support sizes it charges up front, up to the
+lightest word the search saw, fit its subset budget.  When neither
+finishes, the distributions settle both values if each side's smaller
+span, q^min(k, n - k), fits the cap, priced before any scan.  Otherwise
+the engine returns an inexact value holding the bound the search
+certified, which is what ``LinearCode.min_weight`` reports.
 
-All four are complete; tests cross-check them against each other, the
+All three are complete; tests cross-check them against each other, the
 filtered support search against a per-subset reference, the transformed
 distributions against direct scans, and all of them against a brute-force
 oracle.
@@ -194,6 +193,7 @@ class LinearCode:
         self.free.setflags(write=False)
         self._dual: LinearCode | None = None
         self._restriction: LinearCode | None = None
+        self._hermitian_dual: LinearCode | None = None
         self._counts: tuple[int, ...] | None = None
 
     @classmethod
@@ -258,12 +258,14 @@ class LinearCode:
         """Euclidean dual from the null rows (:func:`_null_rows`) of an RREF
         with min(k, n - k) pivots: for k < n - k the column-reversed
         generator's, as :func:`kernel_basis` takes them, else the generator's
-        own, whose n - k null rows then need an RREF.
+        own, whose n - k null rows then need an RREF.  The dual keeps this
+        code as its own dual, so what either memoizes serves both.
         """
         if self._dual is None and 2 * self.k < self.n:
             self._dual = LinearCode(self.field, kernel_basis(self.field, self.gen), self.n, _canonical=True)
         elif self._dual is None:
             self._dual = LinearCode(self.field, _null_rows(self.field, self.gen, self.pivots), self.n)
+        self._dual._dual = self
         return self._dual
 
     def frobenius_image(self) -> "LinearCode":
@@ -275,8 +277,11 @@ class LinearCode:
         return LinearCode(self.field, pair.frob[self.gen], self.n, _canonical=True)
 
     def hermitian_dual(self) -> "LinearCode":
-        """Dual under <x|y>_h = sum x_i y_i^q; equals dual(frobenius_image)."""
-        return self.frobenius_image().dual()
+        """Dual under <x|y>_h = sum x_i y_i^q; equals dual(frobenius_image).
+        Memoized, as ``dual`` is."""
+        if self._hermitian_dual is None:
+            self._hermitian_dual = self.frobenius_image().dual()
+        return self._hermitian_dual
 
     # -- subfield operations -------------------------------------------------
 
@@ -371,8 +376,8 @@ class WeightDistribution:
 
 
 def _smaller_span(code: LinearCode) -> int:
-    """q^min(k, n - k): the span :func:`_weight_counts` scans, priced as the
-    span scan prices q^k against the cap."""
+    """q^min(k, n - k): the words of the span :func:`_weight_counts` scans,
+    the distribution route's price against the cap."""
     return code.field.q ** min(code.k, code.n - code.k)
 
 
@@ -816,18 +821,19 @@ def exact_min_weight(
     ``exclude`` must be a proper subcode; without one (or with the zero
     code) both values are wt(code).  The information-set search runs first.
     When q^k <= cap its budget is the cost of one scan of the span, and the
-    scan finishes what the search leaves.  Above the cap its budget is the
-    cap, for a code with n >= 2k; a code of higher rate has one full-rank
-    information set, so there the search takes only its first look, and
-    the support search, which suits its small dual, is the route.  That
-    runs, under the same cap, only when the support sizes it charges up
-    front (those <= n - k) up to the lightest word seen fit its subset
-    budget.  If neither finishes, and for the code and ``exclude`` alike the
-    smaller of it and its dual spans at most ``cap`` words, both values come
-    from their weight distributions (:func:`_distribution_weights`); that
-    price is read off k and n, so a route that does not fit starts no scan.
-    Otherwise the value is not ``exact`` (``Weights``): it holds the lower
-    bound the search certified.  Bad input still raises.
+    weight distributions (:func:`_distribution_weights`) finish what the
+    search leaves.  Above the cap its budget is the cap, for a code with
+    n >= 2k; a code of higher rate has one full-rank information set, so
+    there the search takes only its first look, and the support search,
+    which suits its small dual, is the route.  That runs, under the same
+    cap, only when the support sizes it charges up front (those <= n - k)
+    up to the lightest word seen fit its subset budget.  If neither
+    finishes, and for the code and ``exclude`` alike the smaller of it and
+    its dual spans at most ``cap`` words (always so when q^k <= cap), both
+    values come from the distributions; that price is read off k and n, so
+    a route that does not fit starts no scan.  Otherwise the value is not
+    ``exact`` (``Weights``): it holds the lower bound the search certified.
+    Bad input still raises.
     """
     if code.k == 0:
         raise EmptyCode("the zero code has no minimum weight")
@@ -842,15 +848,14 @@ def exact_min_weight(
     if within:
         budget = (field.q**k - 1) // (field.q - 1)  # one scan
     else:
-        budget = cap if 2 * k <= n else 0  # one full-rank set: the first look alone
+        # n < 2k leaves one full-rank information set, whose floor rises by
+        # one a weight: a search to the cap there costs many times what the
+        # support search or the distributions take, so it gets its first look
+        budget = cap if 2 * k <= n else 0
     best, bound = _information_set_search(code, exclude, budget, _look_weight(field.q, k, cap))
     if bound == best[1]:
         return Weights(*best, True)
-    if within:
-        for _, block in iter_span_blocks(field, code.gen):
-            _fold_block(block, exclude, best)
-        return Weights(*best, True)
-    if sum(comb(n, w) for w in range(1, min(best[1], n - k) + 1)) <= _subset_budget(cap):
+    if not within and sum(comb(n, w) for w in range(1, min(best[1], n - k) + 1)) <= _subset_budget(cap):
         try:
             return Weights(*min_weight_support_search(code, exclude, cap), True)
         except CapExceeded:  # its subset or kernel budget ran out

@@ -638,9 +638,10 @@ GOLDEN_COMMANDS = {
     # information-set search on both sides: C2 minus C1 within the cap, and
     # C1-perp minus C2-perp over it, where its first look settles the weight
     "quantum_css_q5_m2_nu1_1_nu2_3": "quantum css -q 5 -m 2 --nu1 1 --nu2 3",
-    # a capped record
+    # its [256,253]_16 side is over the cap: the weight distributions settle it
     "quantum_hermitian_q4_m2_nu1": "quantum hermitian -q 4 -m 2 --nu 1",
-    # span route on every row, R_5(3,2) = [25,10,10]_5 included
+    # q^k within the cap on every row: the search settles the 12 largest
+    # codes, R_5(3,2) = [25,10,10]_5 included, and the distributions the rest
     "sweep_grm_q2_3_4_5_m1_2": "sweep grm -q 2,3,4,5 -m 1,2",
     "grm_q3_m2_order1_dual_dump": "grm -q 3 -m 2 --order 1 --dual-check --dump-matrix",
     # a distance bound
@@ -656,7 +657,7 @@ GOLDEN_COMMANDS = {
     "puncture_hermitian_q3_nu1_weights": "puncture hermitian -q 3 --nu 1 --list-weights",
     "puncture_hermitian_q5_nu2_mds_chain": "puncture hermitian -q 5 --nu 2 --mds-chain",
     "puncture_hermitian_q5_nu2_w15": "puncture hermitian -q 5 --nu 2 --target-weight 15",
-    # five capped rows
+    # three capped rows
     "sweep_hermitian_q2_4_m1_2": "sweep hermitian -q 2,4 -m 1,2",
     "sweep_css_q3_m2_cap2": "sweep css -q 3 -m 2 --cap 2",
 }

@@ -175,7 +175,7 @@ def test_dual_from_either_side_matches_reference_dual(q):
             assert np.array_equal(D.gen, reference_dual(f, code.gen))
             assert D.k == n - k and D.pivots == reference_rref(f, D.gen)[1]
             assert not np.any(reference_matmul(f, code.gen, D.gen.T))
-            assert D.dual() == code
+            assert D.dual() is code  # the back-link, from either branch
             seen.add((k == 0, k == n, (2 * k > n) - (2 * k < n)))
     assert {(True, False, -1), (False, True, 1), (False, False, -1), (False, False, 0), (False, False, 1)} <= seen
 
@@ -957,14 +957,19 @@ def grm_span_cases():
 
 @pytest.mark.parametrize("q, m, nu", list(grm_span_cases()))
 def test_span_route_matches_full_scan_on_grm_codes(q, m, nu):
+    """The engine's route within the cap, the search and then the weight
+    distributions (:func:`lincode._distribution_weights`), each against a
+    full scan of the span."""
     C = build_grm(q, m, nu).code
     expect = reference_span_min_weight(C)
     assert expect[0] == grm_distance(q, m, nu)
     assert exact_min_weight(C) == (*information_set_search(C), True) == (*expect, True)
+    assert lincode._distribution_weights(C, None) == (*expect, True)
     if nu:
         E = build_grm(q, m, nu - 1).code
         expect = reference_span_min_weight(C, E)
         assert exact_min_weight(C, E) == (*information_set_search(C, E), True) == (*expect, True)
+        assert lincode._distribution_weights(C, E) == (*expect, True)
 
 
 def planted_code(field, n, k, rng):
@@ -1142,6 +1147,49 @@ def test_engine_skips_a_support_search_sure_to_give_up(monkeypatch):
     assert D.min_weight() == (3, True) and not calls
 
 
+def test_a_code_of_rate_above_half_over_the_cap_gets_only_the_first_look(monkeypatch):
+    # the [256,253]_16 Hermitian dual of R_16(1, 2): with the cap as its
+    # budget, the search would build its information sets and certify 3 at
+    # some cost; n < 2k leaves it the first look, and the distributions settle it
+    sets = []
+    monkeypatch.setattr(lincode, "_information_sets", lambda *args: sets.append(args))
+    C = build_grm(16, 2, 1).code
+    D = C.hermitian_dual()
+    assert 2 * D.k > D.n and 16**D.k > lincode.DEFAULT_CAP
+    assert exact_min_weight(D, C) == exact_min_weight(D) == (3, 3, True)
+    assert not sets
+
+
+@pytest.mark.parametrize("q, nu", [(8, 1), (7, 2)], ids=["R_8(1,2)", "R_7(2,2)"])
+def test_weight_distributions_finish_what_the_search_leaves_within_the_cap(q, nu, monkeypatch):
+    # [64,3,56]_8 and [49,6,35]_7: words so heavy that the search prices its
+    # finish above one scan of the span, and stops unfinished within the cap
+    C, E = (LinearCode(g.field, g.gen, g.n) for g in (build_grm(q, 2, nu).code, build_grm(q, 2, nu - 1).code))
+    assert q**C.k <= lincode.DEFAULT_CAP
+    expect = {}
+    for exclude in (None, E):
+        best, bound = search_under(C, exclude, lincode.DEFAULT_CAP)
+        assert bound < best[1]
+        expect[exclude] = (*reference_span_min_weight(C, exclude), True)
+    assert expect[None][0] == grm_distance(q, 2, nu)
+    built = []
+    scan = lincode.iter_span_blocks
+
+    def spy(field, rows):
+        for lead, block in scan(field, rows):
+            built.append(len(block))
+            yield lead, block
+
+    monkeypatch.setattr(lincode, "iter_span_blocks", spy)
+    for exclude in (None, E):
+        assert exact_min_weight(C, exclude) == expect[exclude]
+    assert built  # the first calls scan C and E once each
+    built.clear()
+    for exclude in (None, E):
+        assert exact_min_weight(C, exclude) == expect[exclude]
+    assert not built  # their counts are memoized on the code objects
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_unfinished_search_bound_counts_only_the_first_set(q):
     """A search stopped above the cap has seen the messages of weight <= look
@@ -1257,6 +1305,7 @@ def test_hermitian_dual_basics():
     # n=1, C = span{(1)}: <1|1>_h = 1 != 0, so the Hermitian dual is zero
     C = LinearCode(f4, np.array([[1]], dtype=np.uint8), 1)
     assert C.hermitian_dual().k == 0
+    assert C.hermitian_dual() is C.hermitian_dual()  # memoized
 
 
 def test_hermitian_dual_weight_equals_euclidean_dual_weight():

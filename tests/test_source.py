@@ -28,3 +28,35 @@ def _unused_imports(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def _private_definitions(tree: ast.Module):
+    """The package's private module-level functions and classes, and the
+    ``_``-prefixed methods of its classes (dunders aside)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name.startswith("_") and not item.name.endswith("__"):
+                    yield item
+
+
+def test_every_private_definition_is_referenced():
+    # a deleted caller must not leave its helper behind: each private name is
+    # read somewhere in the package outside its own definition
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    uses = []  # (path, line, name) of every name or attribute read
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                uses.append((path, node.lineno, node.attr))
+    unused = [
+        f"{path.name}: {d.name} (line {d.lineno})"
+        for path, tree in trees.items()
+        for d in _private_definitions(tree)
+        if not any(n == d.name and not (p == path and d.lineno <= line <= d.end_lineno) for p, line, n in uses)
+    ]
+    assert unused == []
