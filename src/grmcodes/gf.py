@@ -42,7 +42,8 @@ in uint16.  Elimination uses the row-multiple kernel
 :meth:`FieldSpec.add_multiples`, which gathers whole rows of multiples.  A
 matrix product, in every field, is one exact floating-point product of
 base-p digit planes, reduced mod p afterwards (Dumas, Gautier and Pernet,
-ISSAC 2002); see :meth:`FieldSpec.matmul`.
+ISSAC 2002), in row blocks when it is large, with the digits folded into
+elements in uint8; see :meth:`FieldSpec.matmul`.
 """
 
 from __future__ import annotations
@@ -74,6 +75,9 @@ _FIELD_TABLE = {
 }
 
 SUPPORTED_SIZES = tuple(sorted(_FIELD_TABLE))
+
+# a field product of more digit sums than this runs in row blocks
+_BLOCK_ENTRIES = 1 << 15
 
 # designated quadratic towers: base q -> extension q^2
 _QUADRATIC_TOWERS = {2: 4, 3: 9, 4: 16, 5: 25, 7: 49, 8: 64}
@@ -144,7 +148,14 @@ class FieldSpec:
         pow_table[0, 0] = 1
         self.POW = pow_table
 
-        for t in (self.ADD, self.MUL, self.NEG, self.INV, self.POW, self.DIGITS):
+        # matmul's operands are gathers from the digit planes of every
+        # element, in both float widths, and from the multiples x^s c
+        self._planes32 = self.DIGITS.astype(np.float32)
+        self._planes64 = self.DIGITS.astype(np.float64)
+        self._xmul = mul[self._xpow]  # _xmul[s, c] = x^s c
+
+        tables = (self.ADD, self.MUL, self.NEG, self.INV, self.POW, self.DIGITS)
+        for t in (*tables, self._planes32, self._planes64, self._xmul):
             t.setflags(write=False)
         # a view of the frozen ADD, so it is read-only too
         self._add_flat = self.ADD.reshape(-1)  # ADD[a, b] == _add_flat[a * q + b]
@@ -221,25 +232,48 @@ class FieldSpec:
 
         One float product over base-p digit planes: digit u of entry (i, j)
         is sum_{t, s} a_s[i, t] * (x^s b[t, j])_u mod p, where a_s is digit
-        s of a.  The multiples x^s b come from the MUL table, so they are
-        already reduced by the modulus, and the product's inner dimension
-        is r e.  Each sum is at most r e (p-1)^2: float32 is exact below
-        2^24 and is used there, float64 (exact below 2^53) above.
+        s of a.  The multiples x^s b come from the table of x^s c, so they
+        are already reduced by the modulus, and the product's inner
+        dimension is r e.  Each sum is at most r e (p-1)^2: float32 is exact
+        below 2^24 and is used there, float64 (exact below 2^53) above.  The
+        planes, in both widths, and the table are built once per field.  A
+        product of more than ``_BLOCK_ENTRIES`` digit sums runs in row blocks
+        of a, so its float and integer buffers stay that small; each block's
+        sums are reduced mod p, and their e digits folded into uint8
+        elements by :meth:`_from_digits`.
         """
         a = np.asarray(a, dtype=np.uint8)
         b = np.asarray(b, dtype=np.uint8)
         (m, r), n, p, e = a.shape, b.shape[1], self.p, self.e
         small = r * e * (p - 1) ** 2 < 1 << 24
-        planes = self.DIGITS.astype(np.float32 if small else np.float64)
+        planes = self._planes32 if small else self._planes64
         # column t*e + s of A and row t*e + s of B pair digit s of a with x^s b
         A = planes.take(a, axis=0).reshape(m, r * e)
-        xb = self.MUL[self._xpow].take(b, axis=1).transpose(1, 0, 2)
-        B = planes.take(xb, axis=0).reshape(r * e, n * e)
-        digits = (A @ B).astype(np.uint32 if small else np.uint64)
-        digits -= p * (digits // p)  # floor division by a constant is fast; % is not
-        if e > 1:
-            digits = digits.reshape(m, n, e) @ self._xpow
-        return digits.astype(np.uint8)
+        B = planes.take(self._xmul.take(b, axis=1).transpose(1, 0, 2), axis=0).reshape(r * e, n * e)
+        rows = max(1, _BLOCK_ENTRIES // max(1, n * e))
+        if m <= rows:
+            return self._fold(A @ B)
+        return np.concatenate([self._fold(A[i : i + rows] @ B) for i in range(0, m, rows)])
+
+    def _fold(self, sums):
+        """The (m, n) elements whose digits are the (m, n e) float sums mod p."""
+        digits = sums.astype(np.uint32 if sums.dtype == np.float32 else np.uint64)
+        digits -= self.p * (digits // self.p)  # floor division by a constant is fast; % is not
+        d = digits.astype(np.uint8)
+        return d if self.e == 1 else self._from_digits(d.reshape(len(d), d.shape[1] // self.e, self.e))
+
+    def _from_digits(self, d):
+        """Indices of the elements with base-p digits d, uint8 (..., e) -> (...).
+
+        Horner's rule from the top digit down, in place on a uint8 copy of
+        the top digit: every partial value is below q, so nothing can
+        overflow.
+        """
+        out = d[..., -1].copy()
+        for s in range(self.e - 2, -1, -1):
+            out *= self.p
+            out += d[..., s]
+        return out
 
     def __repr__(self) -> str:
         return f"FieldSpec(GF({self.q}))"

@@ -559,8 +559,11 @@ def _information_set_search(
     seen, a certified lower bound on wt(C minus exclude)).
 
     It first enumerates the messages of weight <= ``look`` on the RREF
-    generator alone.  Then for w = 1, 2, ... it enumerates the weight-w
-    messages (leading coefficient 1) on every information set, until
+    generator alone, and stops there as soon as the lightest word outside
+    ``exclude`` weighs no more than every word not yet seen: at least w
+    after a block of weight-w messages, and w + 1 once all are seen (the
+    pivots carry the message).  Then for w = 1, 2, ... it enumerates the
+    weight-w messages (leading coefficient 1) on every information set, until
     :func:`_unseen_bound` reaches the lightest word outside ``exclude`` or
     w = k; the bound is then that word's weight.  It stops unfinished when
     its estimated cost to finish tops ``budget``.  That cost only falls as w
@@ -570,10 +573,18 @@ def _information_set_search(
     field, k, n = code.field, code.k, code.n
     best = [n + 1, n + 1]
     look = min(look, k)
+    # a word not yet seen has message weight >= w on the pivots, so it
+    # weighs >= w, and >= w + 1 once layer w is done; when best[1] is no
+    # more than that, it is wt(C minus exclude), and best[0] <= best[1]
+    # is wt(C)
     for w in range(1, look + 1):
         for block in _message_words(field, code.gen, w):
             _fold_block(block, exclude, best)
-    if look + 1 >= best[1] or look == k:
+            if best[1] <= w:
+                return best, best[1]
+        if best[1] <= w + 1:
+            return best, best[1]
+    if look == k:
         return best, best[1]
     hint = [k] * (n // k) + [n % k] * (n % k > 0)  # ranks no sets can beat
     if _PIVOT_COST * k > budget or (

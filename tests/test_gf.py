@@ -1,6 +1,7 @@
 """Field arithmetic tests: exhaustive axioms, towers, trace/norm maps."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,66 @@ def test_matmul_matches_scalar_triple_loop(q):
                 expect[i, j] = acc
         got = f.matmul(a, b)
         assert got.dtype == np.uint8 and np.array_equal(got, expect)
+
+
+def table_matmul(f, a, b):
+    """The scalar triple loop's sums, one inner index t at a time over whole arrays."""
+    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+    for t in range(a.shape[1]):
+        acc = f.ADD[acc, f.MUL[a[:, t, None], b[None, t, :]]]
+    return acc
+
+
+@pytest.mark.parametrize("q", ALL_SIZES)
+def test_matmul_row_blocks_match_the_table_loop(q):
+    # n e >= 256 digit sums a row: m = 300 rows take several blocks, the
+    # last one partial; empty factors give empty or zero products
+    f = gf.get_field(q)
+    rng = np.random.default_rng(100 + q)
+    n = -(-256 // f.e)
+    rows = gf._BLOCK_ENTRIES // (n * f.e)
+    assert 300 > 2 * rows and 300 % rows
+    for m, r, n in ((300, 3, n), (300, 1, n + 1), (300, 0, n), (0, 3, n), (300, 3, 0), (2 * rows, 2, n)):
+        a = rng.integers(0, q, size=(m, r)).astype(np.uint8)
+        b = rng.integers(0, q, size=(r, n)).astype(np.uint8)
+        got = f.matmul(a, b)
+        assert got.dtype == np.uint8 and got.shape == (m, n) and np.array_equal(got, table_matmul(f, a, b))
+
+
+def test_field_product_memory_stays_within_its_row_blocks():
+    # the GF(16) product of a reduce of 246 first-look words: one float
+    # product of its 246 x 984 digit sums with an int64 digit fold peaked
+    # at 3.6 MB
+    f = gf.get_field(16)
+    rng = np.random.default_rng(16)
+    a = rng.integers(0, 16, size=(246, 10)).astype(np.uint8)
+    b = rng.integers(0, 16, size=(10, 246)).astype(np.uint8)
+    f.matmul(a, b)
+    tracemalloc.start()
+    try:
+        got = f.matmul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, table_matmul(f, a, b))
+    assert peak < 1_500_000
+
+
+@pytest.mark.parametrize("q", [4, 27, 64])
+def test_digit_fold_allocates_only_its_uint8_result(q):
+    # Horner's rule in uint8: no wider copy of the digits, 8 bytes each in
+    # int64, and no dtype that numpy's casting rules could widen
+    f = gf.get_field(q)
+    x = np.random.default_rng(q).integers(0, q, size=(64, 512)).astype(np.uint8)
+    digits = f.DIGITS[x]
+    tracemalloc.start()
+    try:
+        got = f._from_digits(digits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.uint8 and np.array_equal(got, x)
+    assert peak <= 2 * x.nbytes
 
 
 def test_matmul_uses_float64_where_float32_sums_are_inexact():

@@ -1082,6 +1082,55 @@ def test_bound_counts_only_fully_enumerated_sets(monkeypatch):
     assert checked >= 30
 
 
+def test_first_look_stops_at_the_weight_that_settles_it(monkeypatch):
+    # R_4(5,2) = [16,15,2]_4 is over the cap, so its first look may run to
+    # weight 3; its 15 words of weight 1 already certify d = 2 (a message of
+    # weight >= 2 weighs >= 2 on the pivots), so no heavier word is asked for
+    asked = []
+    real_words = lincode._message_words
+
+    def words(field, gen, w):
+        asked.append(w)
+        return real_words(field, gen, w)
+
+    monkeypatch.setattr(lincode, "_message_words", words)
+    C = build_grm(4, 2, 5).code
+    assert (C.n, C.k) == (16, 15) and lincode._look_weight(4, C.k, lincode.DEFAULT_CAP) == 3
+    assert exact_min_weight(C) == (2, 2, True)
+    assert asked == [1]
+
+
+def one_word_blocks(message_words):
+    """``message_words`` with every block split into one-word blocks, in order."""
+
+    def split(field, gen, w):
+        for block in message_words(field, gen, w):
+            yield from np.split(block, len(block))
+
+    return split
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=150)
+@given(code_with_proper_subcode())
+def test_first_look_stops_only_where_every_unseen_word_is_heavier(case):
+    # after a block of weight-w messages an unseen word weighs >= w, and
+    # >= w + 1 only once the layer is done: with one word per block, a stop
+    # any earlier shows against the brute-force oracle, at every look
+    code, sub = case
+    words = oracle_codewords(code.field, code.gen)
+    excluded = oracle_codewords(code.field, sub.gen)
+
+    def lightest(vectors):
+        return min(sum(1 for x in v if x) for v in vectors)
+
+    expect = [lightest(words - {(0,) * code.n}), lightest(words - excluded)]
+    exclude = sub if sub.k else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lincode, "_message_words", one_word_blocks(lincode._message_words))
+        for look in range(code.k + 1):
+            assert lincode._information_set_search(code, exclude, float("inf"), look) == (expect, expect[1])
+
+
 def search_under(code, exclude, cap):
     """The search with the budget and first look it gets from exact_min_weight at ``cap``,
     whatever the code's rate."""
