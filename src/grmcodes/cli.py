@@ -38,6 +38,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -362,7 +363,11 @@ def _render_csv(rep: RunReport) -> str:
 # -- argument parsing ------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: it holds no state of a
+    run, since ``main`` reads the environment and parses into a fresh
+    namespace on every call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--cap",

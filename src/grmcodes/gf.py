@@ -42,8 +42,8 @@ in uint16.  Elimination uses the row-multiple kernel
 :meth:`FieldSpec.add_multiples`, which gathers whole rows of multiples.  A
 matrix product, in every field, is one exact floating-point product of
 base-p digit planes, reduced mod p afterwards (Dumas, Gautier and Pernet,
-ISSAC 2002), in row blocks when it is large, with the digits folded into
-elements in uint8; see :meth:`FieldSpec.matmul`.
+ISSAC 2002), in row and column blocks when it is large, with the digits
+folded into elements in uint8; see :meth:`FieldSpec.matmul`.
 """
 
 from __future__ import annotations
@@ -76,8 +76,10 @@ _FIELD_TABLE = {
 
 SUPPORTED_SIZES = tuple(sorted(_FIELD_TABLE))
 
-# a field product of more digit sums than this runs in row blocks
+# a field product takes its digit sums in blocks of at most this many,
+# from float operand blocks of at most this many bytes
 _BLOCK_ENTRIES = 1 << 15
+_OPERAND_BYTES = 1 << 17
 
 # designated quadratic towers: base q -> extension q^2
 _QUADRATIC_TOWERS = {2: 4, 3: 9, 4: 16, 5: 25, 7: 49, 8: 64}
@@ -236,24 +238,36 @@ class FieldSpec:
         are already reduced by the modulus, and the product's inner
         dimension is r e.  Each sum is at most r e (p-1)^2: float32 is exact
         below 2^24 and is used there, float64 (exact below 2^53) above.  The
-        planes, in both widths, and the table are built once per field.  A
-        product of more than ``_BLOCK_ENTRIES`` digit sums runs in row blocks
-        of a, so its float and integer buffers stay that small; each block's
-        sums are reduced mod p, and their e digits folded into uint8
-        elements by :meth:`_from_digits`.
+        planes, in both widths, and the table are built once per field.  The
+        float operands are built in blocks, A by rows and B by columns, each
+        of at most ``_OPERAND_BYTES``: below the allocator's default mmap
+        threshold, so repeated products reuse heap memory instead of mapping
+        fresh pages.  Each product of a row block and a column block holds
+        at most ``_BLOCK_ENTRIES`` digit sums, which are reduced mod p and
+        their e digits folded into uint8 elements by :meth:`_from_digits`.
         """
         a = np.asarray(a, dtype=np.uint8)
         b = np.asarray(b, dtype=np.uint8)
         (m, r), n, p, e = a.shape, b.shape[1], self.p, self.e
         small = r * e * (p - 1) ** 2 < 1 << 24
         planes = self._planes32 if small else self._planes64
+        # B's column blocks and A's row blocks each stay within _OPERAND_BYTES
+        width = max(1, r * e * planes.itemsize)  # bytes of one row of A, or of one digit column of B
+        cols = max(1, _OPERAND_BYTES // (width * e))
+        rows = max(1, min(_OPERAND_BYTES // width, _BLOCK_ENTRIES // max(1, min(cols, n) * e)))
         # column t*e + s of A and row t*e + s of B pair digit s of a with x^s b
-        A = planes.take(a, axis=0).reshape(m, r * e)
-        B = planes.take(self._xmul.take(b, axis=1).transpose(1, 0, 2), axis=0).reshape(r * e, n * e)
-        rows = max(1, _BLOCK_ENTRIES // max(1, n * e))
-        if m <= rows:
-            return self._fold(A @ B)
-        return np.concatenate([self._fold(A[i : i + rows] @ B) for i in range(0, m, rows)])
+        xb = self._xmul.take(b, axis=1).transpose(1, 0, 2)
+        if m <= rows and n <= cols:  # one block
+            return self._fold(planes.take(a, axis=0).reshape(m, r * e) @ planes.take(xb, axis=0).reshape(r * e, n * e))
+        Bs = [
+            planes.take(xb[:, :, j : j + cols], axis=0).reshape(r * e, min(cols, n - j) * e) for j in range(0, n, cols)
+        ]
+        out = np.empty((m, n), dtype=np.uint8)
+        for i in range(0, m, rows):
+            A = planes.take(a[i : i + rows], axis=0).reshape(min(rows, m - i), r * e)
+            for j, B in zip(range(0, n, cols), Bs):
+                out[i : i + rows, j : j + cols] = self._fold(A @ B)
+        return out
 
     def _fold(self, sums):
         """The (m, n) elements whose digits are the (m, n e) float sums mod p."""

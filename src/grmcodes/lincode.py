@@ -42,7 +42,12 @@ pass over the code by one of three exact routes:
   dependent exactly when either residue is 0 or the two are parallel,
   which uint64 keys propose and the residues confirm.  Above r every
   support is dependent and is walked untested.  Only the dependent sets,
-  rare below the minimum weight, reach the per-subset kernel computation;
+  rare below the minimum weight, reach the per-subset kernel computation.
+  When a verified 2-transitive group (generators of AGL(m, q) on n = q^m
+  points, :func:`_affine_group_fixes`) fixes the code and the excluded
+  subcode, a lightest word has an image of its weight through coordinates
+  0 and 1, so the tree is rooted there for every 2 <= w <= r: a layer
+  builds C(n - 2, w - 4) prefixes, not C(n, w - 2);
 * weight distributions: the counts A_w of the code and of ``exclude``, each
   from one scan of the smaller of that code and its dual, the dual's
   carried over by the MacWilliams identity (:func:`_macwilliams`).  wt(code)
@@ -50,17 +55,19 @@ pass over the code by one of three exact routes:
   first with A_w(code) - A_w(exclude) > 0.  A code keeps its scan's counts,
   as it keeps its ``dual``, and ``weight_distribution`` reads the same.
 
-The search runs first.  When q^k fits the cap, its budget is one scan of
-the (q^k - 1)/(q - 1) scalar classes, and the distributions finish what
-it leaves: each smaller span then fits the cap too, and each code keeps
-the counts of its scan.  Above the cap, the search runs under the
-cap (for a code of rate above 1/2, only its first look), and the support
-search runs only when the support sizes it charges up front, up to the
-lightest word the search saw, fit its subset budget.  When neither
-finishes, the distributions settle both values if each side's smaller
-span, q^min(k, n - k), fits the cap, priced before any scan.  Otherwise
-the engine returns an inexact value holding the bound the search
-certified, which is what ``LinearCode.min_weight`` reports.
+Counts a code and its excluded subcode already hold answer first, when
+their price below fits the cap.  Then the search runs.  When q^k fits
+the cap, its budget is one scan of the (q^k - 1)/(q - 1) scalar classes,
+and the distributions finish what it leaves: each smaller span then fits
+the cap too, and each code keeps the counts of its scan.  Above the cap,
+the search runs under the cap (for a code of rate above 1/2, only its
+first look), and the support search runs only when the support sizes it
+charges up front, up to the lightest word the search saw, fit its subset
+budget.  When neither finishes, the distributions settle both values if
+each side's smaller span, q^min(k, n - k), fits the cap, priced before
+any scan.  Otherwise the engine returns an inexact value holding the
+bound the search certified, which is what ``LinearCode.min_weight``
+reports.
 
 All three are complete; tests cross-check them against each other, the
 filtered support search against a per-subset reference, the transformed
@@ -72,6 +79,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -381,6 +389,13 @@ def _smaller_span(code: LinearCode) -> int:
     return code.field.q ** min(code.k, code.n - code.k)
 
 
+def _counted(code: LinearCode) -> bool:
+    """Whether the scan :func:`_weight_counts` reads is memoized: the
+    code's own when k <= n - k, else its memoized dual's."""
+    side = code if 2 * code.k <= code.n else code._dual
+    return side is not None and side._counts is not None
+
+
 def _weight_counts(code: LinearCode):
     """Yield A_0, A_1, ..., A_n of the code, lazily, from one memoized scan
     of the smaller side: the code's own span when k <= n - k, else its
@@ -629,7 +644,7 @@ def find_first_of_weight(field: FieldSpec, rows, target: int) -> np.ndarray | No
 # -- exact low-weight support search ---------------------------------------------
 
 
-def _prefix_tree(field: FieldSpec, H: np.ndarray, t: int, size: int):
+def _prefix_tree(field: FieldSpec, H: np.ndarray, t: int, size: int, root: int = 0):
     """The t-subsets T of H's columns in lexicographic order, in blocks of
     at most ``size``, with the (r, ., n) stack of their residues: all n
     columns of H modulo span(H[:, T]) for an independent T, 0 for a
@@ -639,13 +654,18 @@ def _prefix_tree(field: FieldSpec, H: np.ndarray, t: int, size: int):
     pivot step on column j's residue, updated one (B, n) plane at a time.
     That residue is 0 exactly when the child is dependent, and then so is
     every extension of it, as its zero residues say.
+
+    The first ``root`` columns are forced: at depth d <= root the mask of
+    children admits column d - 1 alone, so every subset holds columns
+    0..min(t, root) - 1, and C(n - root, t - root) are built for t >= root.
     """
     if t == 0:
         yield np.zeros((1, 0), dtype=np.intp), H[:, None]
         return
     mul = field.MUL.reshape(-1)  # MUL[a, b] == mul[a * q + b]; q^2 - 1 fits uint16
-    for T, R in _prefix_tree(field, H, t - 1, size):
-        b, j = np.nonzero(np.arange(H.shape[1]) > T.max(axis=1, initial=-1)[:, None])
+    cols = np.arange(H.shape[1])
+    for T, R in _prefix_tree(field, H, t - 1, size, root):
+        b, j = np.nonzero((cols > T.max(axis=1, initial=-1)[:, None]) & ((cols == t - 1) | (t > root)))
         for s in range(0, b.size, size):
             bs, js = b[s : s + size], j[s : s + size]
             P, i = R[:, bs], np.arange(bs.size)
@@ -719,13 +739,16 @@ def _dependent_pairs(field: FieldSpec, T: np.ndarray, R: np.ndarray) -> np.ndarr
     return np.column_stack([T[b[found // N]], j[found // N], j[found % N]])
 
 
-def _dependent_supports(field: FieldSpec, H: np.ndarray, w: int):
+def _dependent_supports(field: FieldSpec, H: np.ndarray, w: int, root: int = 0):
     """The linearly dependent w-subsets of H's columns, in lexicographic
     order.  For w = 1 they are H's zero columns; above r (H's rows), every
     subset.  For 2 <= w <= r they extend the (w-2)-prefixes of
     :func:`_prefix_tree` by dependent pairs (:func:`_dependent_pairs`),
     its blocks cut into runs of prefixes with at most chunk * 8 candidate
-    pairs between them (or one prefix), which bounds what a run yields."""
+    pairs between them (or one prefix), which bounds what a run yields.
+    There, only the subsets holding columns 0..root-1 are yielded: the
+    tree forces them into the prefixes, and the pairs supply those a
+    prefix shorter than ``root`` lacks (w < root + 2)."""
     r, n = H.shape
     if w > r:
         yield from map(list, itertools.combinations(range(n), w))
@@ -733,16 +756,92 @@ def _dependent_supports(field: FieldSpec, H: np.ndarray, w: int):
     if w == 1:
         yield from np.flatnonzero(~H.any(axis=0))[:, None]
         return
-    for T, R in _prefix_tree(field, H, w - 2, max(1, _SUBSET_CHUNK * 8 // n)):
+    for T, R in _prefix_tree(field, H, w - 2, max(1, _SUBSET_CHUNK * 8 // n), root):
         m = n - 1 - T.max(axis=1, initial=-1)  # the columns right of each prefix
         cut = [0, *np.flatnonzero(np.diff(np.cumsum(m * (m - 1) // 2) // (_SUBSET_CHUNK * 8))) + 1, len(T)]
         for lo, hi in zip(cut, cut[1:]):
-            yield from _dependent_pairs(field, T[lo:hi], R[:, lo:hi])
+            S = _dependent_pairs(field, T[lo:hi], R[:, lo:hi])
+            yield from S if w >= root + 2 else S[(S[:, :root] == np.arange(root)).all(axis=1)]
 
 
 def _subset_budget(cap: int) -> int:
     """Column subsets the support route may scan under ``cap``."""
     return min(SUPPORT_BUDGET, cap)
+
+
+def _orbit(perms, start: int) -> np.ndarray:
+    """Mask of the points a breadth-first search from ``start`` reaches
+    under the point maps ``perms``."""
+    seen = np.zeros(perms[0].size, dtype=bool)
+    seen[start] = True
+    new = np.array([start])
+    while new.size:
+        step = np.zeros_like(seen)
+        step[np.concatenate([g[new] for g in perms])] = True
+        new = np.flatnonzero(step & ~seen)
+        seen |= step
+    return seen
+
+
+@lru_cache(maxsize=None)
+def _affine_generators(field: FieldSpec, m: int) -> np.ndarray | None:
+    """Generators of AGL(m, q) as maps of the q^m points of GF(q)^m, in
+    counter order (coordinate 0 fastest, as ``grm.point_matrix`` lists
+    them): row g holds the index of the image of every point.  None unless
+    they are verified to generate a 2-transitive group.  Cached per field
+    and m, read-only.
+
+    They are the translations by p^s e_i (p^s is x^s, and the x^s, s < e,
+    span GF(q) over GF(p)), x_1 -> g x_1 with g the field's generator, and
+    for m >= 2 x_1 -> x_1 + x_2, the swap of x_1 and x_2 and the cycle of
+    the coordinates.  A breadth-first search from point 0 under the
+    translations must reach every point, the linear maps must fix 0, and
+    one from point 1 under them must reach every other point.
+    """
+    q, n = field.q, field.q**m
+    place = q ** np.arange(m)
+    P = np.arange(n) // place[:, None] % q  # P[i, t]: coordinate i of point t
+
+    def point_map(i: int, image: np.ndarray) -> np.ndarray:  # coordinate i sent to image
+        X = P.copy()
+        X[i] = image
+        return place @ X
+
+    shifts = [point_map(i, field.ADD[P[i], field.p**s]) for i in range(m) for s in range(field.e)]
+    linear = [point_map(0, field.MUL[field.generator, P[0]])]
+    if m > 1:
+        swap, cycle = P[[1, 0, *range(2, m)]], np.roll(P, -1, axis=0)
+        linear += [point_map(0, field.ADD[P[0], P[1]]), place @ swap, place @ cycle]
+    if not (_orbit(shifts, 0).all() and all(g[0] == 0 for g in linear) and _orbit(linear, 1).sum() == n - 1):
+        return None
+    maps = np.array(shifts + linear)
+    maps.setflags(write=False)
+    return maps
+
+
+def _affine_group_fixes(code: LinearCode, exclude: LinearCode | None) -> bool:
+    """Whether the code and ``exclude`` are fixed by the 2-transitive group
+    of :func:`_affine_generators`, on n = q^m points.  That holds for every
+    R_q(nu, m), its duals and the CSS and Hermitian sides built from them
+    (Berger and Charpin, Discrete Math. 117, 1993), but it is checked on
+    every call: each code, or its dual when that is smaller (a permutation
+    fixes both or neither), must take the images of its generator rows
+    under all the generators to zero residues in one ``reduce``.
+
+    Then every word of weight w >= 2 has an image of the same weight, in
+    the code and outside ``exclude`` when it is, supported on a set that
+    holds coordinates 0 and 1.
+    """
+    n, q = code.n, code.field.q
+    m = next(m for m in range(1, n.bit_length() + 1) if q**m >= n)
+    maps = _affine_generators(code.field, m) if q**m == n else None
+    if maps is None:
+        return False
+    for c in (c for c in (code, exclude) if c is not None):
+        side = c if 2 * c.k <= c.n else c.dual()
+        if np.any(side.reduce(np.vstack([side.gen[:, g] for g in maps]))):
+            return False
+    return True
 
 
 def min_weight_support_search(
@@ -768,12 +867,19 @@ def min_weight_support_search(
     a size w <= r (the number of parity checks) is scanned; above r every
     subset is dependent and usually the first one hits, so each is charged
     1 as it reaches its kernel.
+
+    When :func:`_affine_group_fixes` holds, every lightest word, of the
+    code and outside ``exclude``, has an image of its weight through
+    coordinates 0 and 1, so for 2 <= w <= r only the supports holding both
+    are walked (``root`` = 2): the hits fall at the same sizes, possibly on
+    other subsets, and the charges are the same.
     """
     if code.k == 0:
         raise EmptyCode("the zero code has no minimum weight")
     field, n = code.field, code.n
     H = code.dual().gen
     r = H.shape[0]
+    root = 2 if _affine_group_fixes(code, exclude) else 0
     first = None
     spent, budget = 0, _subset_budget(cap)
 
@@ -786,7 +892,7 @@ def min_weight_support_search(
     for w in range(1, n + 1):
         if w <= r:
             charge(comb(n, w), w)
-        for S in _dependent_supports(field, H, w):
+        for S in _dependent_supports(field, H, w, root):
             if w > r:
                 charge(1, w)
             K = kernel_basis(field, H[:, S])
@@ -830,10 +936,14 @@ def exact_min_weight(
     """wt(code) and wt(code minus exclude), settled in one pass over the code.
 
     ``exclude`` must be a proper subcode; without one (or with the zero
-    code) both values are wt(code).  The information-set search runs first.
-    When q^k <= cap its budget is the cost of one scan of the span, and the
-    weight distributions (:func:`_distribution_weights`) finish what the
-    search leaves.  Above the cap its budget is the cap, for a code with
+    code) both values are wt(code).  When the code and ``exclude`` already
+    hold the counts the distributions read (:func:`_counted`), and each
+    one's smaller span fits the cap, those counts answer at once: under
+    that price the routes below always end exact, so with the same values.
+    Otherwise the information-set search runs first.  When q^k <= cap its
+    budget is the cost of one scan of the span, and the weight
+    distributions (:func:`_distribution_weights`) finish what the search
+    leaves.  Above the cap its budget is the cap, for a code with
     n >= 2k; a code of higher rate has one full-rank information set, so
     there the search takes only its first look, and the support search,
     which suits its small dual, is the route.  That runs, under the same
@@ -855,6 +965,9 @@ def exact_min_weight(
             raise NotNested("containment must be strict")
         exclude = exclude if exclude.k else None
     field, k, n = code.field, code.k, code.n
+    fits = all(c is None or _smaller_span(c) <= cap for c in (code, exclude))
+    if fits and all(c is None or _counted(c) for c in (code, exclude)):
+        return _distribution_weights(code, exclude)
     within = field.q**k <= cap
     if within:
         budget = (field.q**k - 1) // (field.q - 1)  # one scan
@@ -871,7 +984,7 @@ def exact_min_weight(
             return Weights(*min_weight_support_search(code, exclude, cap), True)
         except CapExceeded:  # its subset or kernel budget ran out
             pass
-    if all(c is None or _smaller_span(c) <= cap for c in (code, exclude)):
+    if fits:
         return _distribution_weights(code, exclude)
     return Weights(best[0], bound, False)
 

@@ -298,6 +298,26 @@ def test_bad_cap_exits_usage(capsys, monkeypatch, env_cap, argv_cap):
         assert "GRMCODES_CAP" in err
 
 
+def test_one_parser_serves_every_command_in_a_process(capsys, monkeypatch):
+    # build_parser is built once per process; each main call parses into a
+    # fresh namespace and reads the environment itself, so no command's
+    # options reach a later one, and bad input still exits 2
+    monkeypatch.delenv("GRMCODES_CAP", raising=False)
+    assert cli.build_parser() is cli.build_parser()
+    grm_json = ("grm", "-q", "3", "-m", "2", "--order", "1", "--json")
+    sweep_csv = ("sweep", "css", "-q", "2", "-m", "1,2", "--csv")
+    first = run(capsys, *grm_json), run(capsys, *sweep_csv)
+    assert first[0][0] == first[1][0] == EXIT_OK
+    assert (run(capsys, *grm_json), run(capsys, *sweep_csv)) == first
+    bad = [("sweep", "css", "-q", "2", "--csv", "--json"), ("grm", "-q", "3", "-m", "2"), (*grm_json, "--cap", "0")]
+    for argv in bad:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_USAGE
+        assert "error" in capsys.readouterr().err
+    assert run(capsys, *grm_json) == first[0]
+
+
 def test_cap_env_variable_sets_default(capsys, monkeypatch):
     monkeypatch.setenv("GRMCODES_CAP", "123456")
     code, out, _ = run(capsys, "grm", "-q", "2", "-m", "1", "--order", "0")

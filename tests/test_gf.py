@@ -304,6 +304,19 @@ def test_matmul_row_blocks_match_the_table_loop(q):
         assert got.dtype == np.uint8 and got.shape == (m, n) and np.array_equal(got, table_matmul(f, a, b))
 
 
+@pytest.mark.parametrize("q", ALL_SIZES)
+def test_matmul_operand_blocks_match_the_table_loop(q):
+    # an inner dimension of 300 takes A, 250 rows of 300 e floats, in row
+    # blocks and B, 300 e rows of 120 e floats, in column blocks, each of at
+    # most _OPERAND_BYTES and the last of each partial
+    f = gf.get_field(q)
+    rng = np.random.default_rng(200 + q)
+    a = rng.integers(0, q, size=(250, 300)).astype(np.uint8)
+    b = rng.integers(0, q, size=(300, 120)).astype(np.uint8)
+    assert min(250 * 300 * f.e, 300 * f.e * 120 * f.e) * 4 > gf._OPERAND_BYTES
+    assert np.array_equal(f.matmul(a, b), table_matmul(f, a, b))
+
+
 def test_field_product_memory_stays_within_its_row_blocks():
     # the GF(16) product of a reduce of 246 first-look words: one float
     # product of its 246 x 984 digit sums with an int64 digit fold peaked

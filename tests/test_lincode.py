@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from grmcodes import gf, lincode
-from grmcodes.grm import build_grm, grm_distance
+from grmcodes.grm import build_grm, grm_dimension, grm_distance, point_matrix
 from grmcodes.errors import (
     CapExceeded,
     DimensionMismatch,
@@ -676,8 +676,8 @@ def dependent_by_rank(f, H, w):
     return [S for S in subsets if kernel_basis(f, H[:, list(S)]).shape[0] > 0]
 
 
-def dependent_by_filter(f, H, w):
-    return [tuple(int(c) for c in S) for S in _dependent_supports(f, H, w)]
+def dependent_by_filter(f, H, w, root=0):
+    return [tuple(int(c) for c in S) for S in _dependent_supports(f, H, w, root)]
 
 
 def mds_checks(f, r):
@@ -702,6 +702,10 @@ def test_dependent_subsets_match_scalar_rank(q):
             H[:, int(rng.integers(n))] = 0
         for w in range(1, min(n, r + 2) + 1):  # w > r included
             assert dependent_by_filter(f, H, w) == dependent_by_rank(f, H, w)
+        # rooted at columns 0 and 1, the sizes 2 <= w <= r keep the sets holding both
+        for w in range(2, min(n, r) + 1):
+            expect = [S for S in dependent_by_rank(f, H, w) if S[:2] == (0, 1)]
+            assert dependent_by_filter(f, H, w, root=2) == expect
     # an MDS matrix has no dependent set of at most r columns; with column
     # j2 replaced by a multiple of column j1 < j2 - 1, the dependent sets are
     # those holding both: a pair of parallel residues, or, for the prefix
@@ -1237,6 +1241,144 @@ def test_weight_distributions_finish_what_the_search_leaves_within_the_cap(q, nu
     for exclude in (None, E):
         assert exact_min_weight(C, exclude) == expect[exclude]
     assert not built  # their counts are memoized on the code objects
+
+
+def test_memoized_counts_answer_before_the_search(monkeypatch):
+    # R_8(1,2) = [64,3,56]_8 over R_8(0,2), fresh copies: the first call's
+    # search stops unfinished and the distributions memoize both codes'
+    # counts; a second call reads them and does not search, but one at a cap
+    # below their price, 8^3 words, still searches
+    C, E = (LinearCode(g.field, g.gen, g.n) for g in (build_grm(8, 2, 1).code, build_grm(8, 2, 0).code))
+    searches = []
+    search = lincode._information_set_search
+    monkeypatch.setattr(lincode, "_information_set_search", lambda *args: searches.append(args) or search(*args))
+    expect = exact_min_weight(C, E)
+    assert expect == (56, 56, True) and len(searches) == 1
+    assert lincode._counted(C) and lincode._counted(E)
+    assert exact_min_weight(C, E) == expect and exact_min_weight(C) == (56, 56, True) and len(searches) == 1
+    exact_min_weight(C, E, cap=8**3 - 1)
+    assert len(searches) == 2
+
+
+# -- the support search rooted by a verified affine group ----------------------
+
+
+def x1_code(q):
+    """The functions of x_1 on GF(q)^2: one indicator row per line x_1 = c."""
+    f = gf.get_field(q)
+    return LinearCode(f, (point_matrix(f, 2)[0] == np.arange(q)[:, None]).astype(np.uint8), q * q)
+
+
+def fixes(code, points):
+    """Whether the point map (image index of each point) fixes the code."""
+    return not np.any(code.reduce(code.gen[:, points]))
+
+
+@pytest.mark.parametrize(
+    "q, m", [(q, m) for q in (2, 3, 4, 5, 7, 8, 9, 16) for m in (1, 2, 3) if q**m <= 256], ids=str
+)
+def test_affine_group_check_accepts_grm_codes_and_the_quantum_sides(q, m):
+    codes = [build_grm(q, m, nu).code for nu in range(m * (q - 1) + 1)]
+    for i, C in enumerate(codes):
+        assert lincode._affine_group_fixes(C, None)
+        if i:  # a CSS pair: the lower order inside the higher
+            assert lincode._affine_group_fixes(C, codes[i - 1])
+        if q in (4, 9, 16):  # a Hermitian side: C against its Hermitian dual
+            assert lincode._affine_group_fixes(C.hermitian_dual(), C)
+
+
+def test_affine_group_check_declines_what_it_cannot_verify():
+    f = gf.get_field(3)
+    C = build_grm(3, 2, 2).code
+    # length 8 is no power of 3
+    assert not lincode._affine_group_fixes(C.punctured_to(range(8)), None)
+    # a pair whose excluded code, one Lagrange row, is not fixed
+    E = LinearCode(f, C.gen[:1], 9)
+    assert lincode._affine_group_fixes(C, None) and not lincode._affine_group_fixes(C, E)
+    assert not lincode._affine_group_fixes(E, None)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_affine_group_check_declines_a_code_fixed_only_by_translations(q):
+    # every translation of GF(q)^2 fixes the functions of x_1, but
+    # x_1 -> x_1 + x_2 does not; the lightest words, weight q, are the lines
+    # x_1 = c, and none holds both point 0 = (0, 0) and point 1 = (1, 0)
+    C = x1_code(q)
+    f = C.field
+    P = point_matrix(f, 2).astype(np.intp)
+    place = np.array([1, q])
+    for a in range(q):
+        assert fixes(C, place @ np.vstack([f.ADD[P[0], a], P[1]])) and fixes(C, place @ np.vstack([P[0], f.ADD[P[1], a]]))
+    assert not fixes(C, place @ np.vstack([f.ADD[P[0], P[1]], P[1]]))
+    assert not lincode._affine_group_fixes(C, None)
+    lightest = [w for w in oracle_codewords(f, C.gen) if sum(1 for x in w if x) == q]
+    assert lightest and not any(w[0] and w[1] for w in lightest)
+    assert min_weight_support_search(C) == (q, q)
+
+
+def rooted_search_cases():
+    """R_q(nu, m) of length <= 81 whose support sizes up to the closed-form
+    distance fit the subset budget, each alone, over R_q(nu - 1, m) (a CSS
+    pair), and, where it is Hermitian self-orthogonal, as the excluded code
+    of its Hermitian dual."""
+    for q in (2, 3, 4, 5, 7, 8, 9, 16):
+        for m in (1, 2, 3):
+            n = q**m
+            for nu in range(m * (q - 1) + 1) if n <= 81 else ():
+                k, d = grm_dimension(q, m, nu), grm_distance(q, m, nu)
+                if sum(comb(n, w) for w in range(1, min(d, n - k) + 1)) <= lincode.SUPPORT_BUDGET:
+                    yield pytest.param(q, m, nu, id=f"R_{q}({nu},{m})")
+
+
+@pytest.mark.parametrize("q, m, nu", list(rooted_search_cases()))
+def test_rooted_support_search_matches_the_unrooted_one(q, m, nu, monkeypatch):
+    C = build_grm(q, m, nu).code
+    pairs = [(C, None)] + ([(C, build_grm(q, m, nu - 1).code)] if nu else [])
+    D = C.hermitian_dual() if q in (4, 9, 16) else C
+    if C.k < D.k and C.is_subcode_of(D):  # a Hermitian side
+        pairs.append((D, C))
+    assert all(lincode._affine_group_fixes(*pair) for pair in pairs)
+    rooted = [search_outcome(min_weight_support_search, *pair) for pair in pairs]
+    assert rooted[0] == (grm_distance(q, m, nu),) * 2
+    monkeypatch.setattr(lincode, "_affine_group_fixes", lambda code, exclude: False)
+    assert rooted == [search_outcome(min_weight_support_search, *pair) for pair in pairs]
+    for (code, exclude), found in zip(pairs, rooted):
+        if q**code.k <= 729 and found[0] != "CapExceeded":
+            words = oracle_codewords(code.field, code.gen)
+            excluded = {(0,) * code.n} if exclude is None else oracle_codewords(code.field, exclude.gen)
+            assert found[1] == min(sum(1 for x in w if x) for w in words - excluded)
+
+
+def test_rooted_search_builds_the_prefixes_through_two_coordinates(monkeypatch):
+    # R_5(4,2) = [25,15,5]_5 has r = 10 checks: its weight-5 layer extends
+    # 3-prefixes, C(23, 1) = 23 through coordinates 0 and 1 against the
+    # C(25, 3) = 2300 of the unrooted tree
+    C = build_grm(5, 2, 4).code
+    built = {}
+    tree = lincode._prefix_tree
+
+    def spy(*args):
+        for T, R in tree(*args):
+            built[args[2]] = built.get(args[2], 0) + len(T)
+            yield T, R
+
+    monkeypatch.setattr(lincode, "_prefix_tree", spy)
+    assert min_weight_support_search(C) == (5, 5) and built[3] == 23
+    built.clear()
+    monkeypatch.setattr(lincode, "_affine_group_fixes", lambda code, exclude: False)
+    assert min_weight_support_search(C) == (5, 5) and built[3] == comb(25, 3)
+
+
+def test_rooted_support_search_keeps_its_price():
+    # R_7(6,2) = [49,28,7]_7: rooted, the walk to weight 7 is short, but each
+    # size w <= r is still charged C(49, w) up front, and C(49, <=5) tops the
+    # subset budget; the engine's pre-check declines it, and no other route
+    # fits the default cap, so its distance stays a bound
+    C = build_grm(7, 2, 6).code
+    assert lincode._affine_group_fixes(C, None)
+    tripped = ("CapExceeded", "support search budget exceeded at weight 5")
+    assert search_outcome(min_weight_support_search, C) == tripped
+    assert not exact_min_weight(C).exact
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
