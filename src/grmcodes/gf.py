@@ -150,6 +150,11 @@ class FieldSpec:
         pow_table[0, 0] = 1
         self.POW = pow_table
 
+        # bytes add_arrays holds per entry at its peak, its result included:
+        # the XOR for p = 2; the sum s and s - p for prime q; through the ADD
+        # table, the uint16 index, numpy's intp copy of it and the result
+        self.add_bytes = 1 if p == 2 else 2 if e == 1 else 11
+
         # matmul's operands are gathers from the digit planes of every
         # element, in both float widths, and from the multiples x^s c
         self._planes32 = self.DIGITS.astype(np.float32)
@@ -242,7 +247,9 @@ class FieldSpec:
         float operands are built in blocks, A by rows and B by columns, each
         of at most ``_OPERAND_BYTES``: below the allocator's default mmap
         threshold, so repeated products reuse heap memory instead of mapping
-        fresh pages.  Each product of a row block and a column block holds
+        fresh pages.  One column block of B is held at a time, the outer
+        loop, with A's row blocks inside it (A is built once when it is one
+        block).  Each product of a row block and a column block holds
         at most ``_BLOCK_ENTRIES`` digit sums, which are reduced mod p and
         their e digits folded into uint8 elements by :meth:`_from_digits`.
         """
@@ -259,20 +266,24 @@ class FieldSpec:
         xb = self._xmul.take(b, axis=1).transpose(1, 0, 2)
         if m <= rows and n <= cols:  # one block
             return self._fold(planes.take(a, axis=0).reshape(m, r * e) @ planes.take(xb, axis=0).reshape(r * e, n * e))
-        Bs = [
-            planes.take(xb[:, :, j : j + cols], axis=0).reshape(r * e, min(cols, n - j) * e) for j in range(0, n, cols)
-        ]
+        # A as one block is built once, else its row blocks are built anew
+        # for each column block of B
+        A = planes.take(a, axis=0).reshape(m, r * e) if m <= rows else None
         out = np.empty((m, n), dtype=np.uint8)
-        for i in range(0, m, rows):
-            A = planes.take(a[i : i + rows], axis=0).reshape(min(rows, m - i), r * e)
-            for j, B in zip(range(0, n, cols), Bs):
-                out[i : i + rows, j : j + cols] = self._fold(A @ B)
+        for j in range(0, n, cols):
+            B = planes.take(xb[:, :, j : j + cols], axis=0).reshape(r * e, min(cols, n - j) * e)
+            for i in range(0, m, rows):
+                Ai = A if A is not None else planes.take(a[i : i + rows], axis=0).reshape(min(rows, m - i), r * e)
+                out[i : i + rows, j : j + cols] = self._fold(Ai @ B)
+            del B  # the next column block takes its place
         return out
 
     def _fold(self, sums):
         """The (m, n) elements whose digits are the (m, n e) float sums mod p."""
         digits = sums.astype(np.uint32 if sums.dtype == np.float32 else np.uint64)
-        digits -= self.p * (digits // self.p)  # floor division by a constant is fast; % is not
+        quot = digits // self.p  # floor division by a constant is fast; % is not
+        quot *= self.p  # in place: one temporary beside the digits
+        digits -= quot
         d = digits.astype(np.uint8)
         return d if self.e == 1 else self._from_digits(d.reshape(len(d), d.shape[1] // self.e, self.e))
 
@@ -360,6 +371,15 @@ class QuadraticExtension:
 
         for name in ("emb", "emb_inv", "frob", "trace", "norm", "points", "dec_a", "dec_b", "norm_first_preimage"):
             getattr(self, name).setflags(write=False)
+
+    def trace_rows(self, M: np.ndarray) -> np.ndarray:
+        """Tr(M) stacked over Tr(gamma M), entrywise, for rows M over GF(q^2).
+
+        Tr is GF(q)-linear and (1, gamma) is a basis of GF(q^2) over GF(q),
+        so these rows span, over GF(q), the trace image of the GF(q^2)-span
+        of M's rows.
+        """
+        return np.vstack([self.trace[M], self.trace[self.ext.MUL[self.gamma, M]]])
 
 
 @lru_cache(maxsize=None)

@@ -43,7 +43,7 @@ node j, and let A be the lower set {a : sum(a) <= nu}, of size k.
 Each code is built once per process.  ``_grm_code`` caches the canonical
 ``LinearCode`` of R_q(nu, m) by (q, m, nu), with no limit: fields stop at
 q = 64 and ``MAX_LENGTH`` caps q^m at 256, so the generators of all 421
-supported codes take 2.78 MB together (6.75 MB with the duals and
+supported codes take 2.78 MB together (6.98 MB with the duals and
 restrictions the codes memoize).  The code's arrays are read-only, and
 its ``dual`` and ``restriction`` are computed once per process.
 ``build_grm`` wraps the shared code in a fresh ``GrmCode`` on every

@@ -95,7 +95,10 @@ from .errors import (
 from .gf import FieldSpec, extension_pair_for
 
 DEFAULT_CAP = 2**24
-_BLOCK_ROWS = 1 << 18
+# bytes a block of words from a span scan or the search holds with its
+# temporaries (:func:`_block_rows`), well within a core's L2 cache: scans
+# ran slower at 2^18 and no faster at 2^20 (BENCH_scan_memory_budget.json)
+_SCAN_BYTES = 1 << 19
 # column subsets the support route may scan when q^k is over the cap
 SUPPORT_BUDGET = 2 * 10**6
 # largest kernel span the support route enumerates on one column subset
@@ -114,10 +117,12 @@ def rref(field: FieldSpec, mat) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row-echelon form over the field; returns (matrix, pivot columns).
 
     Pivot choice is the leftmost nonzero entry, scaled to a leading 1;
-    zero rows are dropped.  Each pivot clears its column with one call to
-    the row-multiple kernel :meth:`FieldSpec.sub_multiples`.  The rows from
-    the current one down are zero left of the pivot column, so the swap,
-    the scaling and the update touch only the columns >= the pivot's.
+    zero rows are dropped, and the matrix returned holds only the r
+    nonzero rows, not a view into the eliminated copy.  Each pivot clears
+    its column with one call to the row-multiple kernel
+    :meth:`FieldSpec.sub_multiples`.  The rows from the current one down
+    are zero left of the pivot column, so the swap, the scaling and the
+    update touch only the columns >= the pivot's.
     """
     M = np.array(mat, dtype=np.uint8, copy=True)
     if M.ndim != 2:
@@ -144,7 +149,8 @@ def rref(field: FieldSpec, mat) -> tuple[np.ndarray, tuple[int, ...]]:
             M[nz, c:] = field.sub_multiples(M[nz, c:], col[nz], M[r, c:])
         pivots.append(c)
         r += 1
-    return M[:r], tuple(pivots)
+    # a copy when rows were dropped, so a code's generator holds only its own rows
+    return (M[:r].copy() if r < rows else M), tuple(pivots)
 
 
 def _null_rows(field: FieldSpec, R: np.ndarray, pivots) -> np.ndarray:
@@ -296,11 +302,7 @@ class LinearCode:
     def trace_code(self) -> "LinearCode":
         """Componentwise trace image, as a code over the base field."""
         pair = extension_pair_for(self.field)
-        if self.k == 0:
-            return LinearCode.zero_code(pair.sub, self.n)
-        ext = self.field
-        rows = [pair.trace[self.gen], pair.trace[ext.MUL[pair.gamma, self.gen]]]
-        return LinearCode(pair.sub, np.vstack(rows), self.n)
+        return LinearCode(pair.sub, pair.trace_rows(self.gen), self.n)
 
     def restriction(self) -> "LinearCode":
         """Subfield subcode C intersect GF(q)^n, from a kernel over n - k columns.
@@ -431,6 +433,19 @@ def _macwilliams(B, q: int, s: int):
 # -- span enumeration engine -------------------------------------------------
 
 
+def _block_rows(field: FieldSpec, n: int, index: int = 0) -> int:
+    """Words of length n one block may hold within ``_SCAN_BYTES``.
+
+    A word costs n bytes for each of the block a consumer still holds
+    while the next is built, the words that block is built from, and its
+    gathered terms or its != 0 mask, plus ``field.add_bytes`` n for the
+    sum that makes it; 10 bytes for its uint16 weight and an intp copy of
+    that (``bincount``) or an intp gather index; and ``index`` more intp
+    entries of the index arrays it is gathered by.
+    """
+    return max(1, _SCAN_BYTES // (n * (3 + field.add_bytes) + 10 + 8 * index))
+
+
 def iter_span_blocks(field: FieldSpec, rows):
     """Yield (lead, block): one nonzero codeword from each scalar class.
 
@@ -438,34 +453,40 @@ def iter_span_blocks(field: FieldSpec, rows):
     coefficient 1, (q^k - 1)/(q - 1) of them, in lexicographic message
     order (canonical element order per digit, first row most significant);
     ``lead``, the row of that leading 1, runs from k-1 down to 0.  The
-    words for lead i are rows[i] plus the span of rows[i+1:]: one block per
-    combination of the tail rows above the base block (a single block when
-    the tail fits in the base), each the head prefix plus the base block.
-    The base grows as the lead falls: at tail k-1-i <= t it is every
-    combination of rows[i+1:], first row most significant, so a scan that
-    stops after lead i has built q^(k-1-i) words, not q^t.
+    words for lead i are rows[i] plus the span of rows[i+1:]: the head
+    prefixes, rows[i] plus each combination of the rows above the base
+    block, each plus the base block (a single block when the tail fits in
+    the base).  A block takes a run of consecutive prefixes, those of the
+    last head row's multiples in element order, as many as fit beside the
+    base.  The base grows as the lead falls: at tail k-1-i <= t it is
+    every combination of rows[i+1:], first row most significant, so a scan
+    that stops after lead i has built q^(k-1-i) words, not q^t.  A block
+    holds at most :func:`_block_rows` words (at least q), and at least
+    half that many once the base stops growing.
     """
     rows = np.asarray(rows, dtype=np.uint8)
     k, n = rows.shape
     q = field.q
-    # keep blocks near 8 MB so long codes do not balloon memory
-    row_cap = max(q, min(_BLOCK_ROWS, (1 << 23) // max(n, 1)))
+    row_cap = max(q, _block_rows(field, n))
     t, size = 0, 1
     while t < k - 1 and size * q <= row_cap:  # lead 0 needs only rows[1:]
         size *= q
         t += 1
+    run = row_cap // size  # prefixes per block, below q when there is a head
     base = np.zeros((1, n), dtype=np.uint8)
     for lead in range(k - 1, -1, -1):
         if 0 < k - 1 - lead <= t:  # rows[lead + 1] becomes the base's leading digit
             mults = field.MUL.take(rows[lead + 1], axis=1)  # its q multiples, in element order
             base = np.ascontiguousarray(field.add_arrays(mults[:, None, :], base[None, :, :])).reshape(-1, n)
         head = rows[lead + 1 : max(lead + 1, k - t)]  # empty when the tail fits the base
-        for digits in itertools.product(range(q), repeat=len(head)):
+        for digits in itertools.product(range(q), repeat=max(len(head) - 1, 0)):
             prefix = rows[lead]
             for d, row in zip(digits, head):
                 if d:
                     prefix = field.add_arrays(prefix, field.MUL[d, row])
-            yield lead, field.add_arrays(base, prefix[None, :])
+            prefixes = field.add_arrays(prefix, field.MUL.take(head[-1], axis=1)) if len(head) else prefix[None, :]
+            for s in range(0, len(prefixes), run):
+                yield lead, field.add_arrays(prefixes[s : s + run, None, :], base[None, :, :]).reshape(-1, n)
 
 
 # -- information-set search -------------------------------------------
@@ -484,14 +505,16 @@ def _message_words(field: FieldSpec, gen: np.ndarray, w: int):
     """Yield blocks of the words u @ gen with wt(u) = w and leading coefficient 1.
 
     Each term c_i gen[s_i] after the first is one row gather from the table
-    of the rows' multiples; blocks stay within 8 MB, index arrays included.
+    of the rows' multiples.  A block holds at most :func:`_block_rows`
+    words, each charged 2w intp entries for the chunks of supports and of
+    coefficients it is gathered by (each holds at most w per word).
     """
     k, n = gen.shape
     if w == 1:
         yield gen
         return
     table = field.MUL.take(gen, axis=1).reshape(-1, n)  # row c*k + s is c * gen[s]
-    rows = max(1, (1 << 23) // max(n, 8 * w))
+    rows = _block_rows(field, n, 2 * w)
     for coeffs in _index_chunks(itertools.product(range(1, field.q), repeat=w - 1), rows, w - 1):
         for supports in _index_chunks(itertools.combinations(range(k), w), max(1, rows // len(coeffs)), w):
             words = gen[supports[:, 0]][:, None, :]
@@ -1006,16 +1029,18 @@ def _distribution_weights(code: LinearCode, exclude: LinearCode | None) -> Weigh
 # -- componentwise product span ---------------------------------------------------
 
 
-def product_span(a: LinearCode, b: LinearCode) -> LinearCode:
-    """Span of all componentwise products u*v with u in a, v in b.
-
-    Generator-row products suffice by bilinearity of the product.
-    """
+def product_rows(a: LinearCode, b: LinearCode) -> np.ndarray:
+    """The componentwise products of every generator row of a with every
+    generator row of b, (a.k b.k, n): by bilinearity they span every
+    product u*v with u in a, v in b."""
     if a.field is not b.field:
         raise FieldMismatch("codes live over different fields")
     if a.n != b.n:
         raise DimensionMismatch("codes have different lengths")
-    if a.k == 0 or b.k == 0:
-        return LinearCode.zero_code(a.field, a.n)
-    prods = a.field.MUL[a.gen[:, None, :], b.gen[None, :, :]].reshape(-1, a.n)
-    return LinearCode(a.field, prods, a.n)
+    return a.field.MUL[a.gen[:, None, :], b.gen[None, :, :]].reshape(-1, a.n)
+
+
+def product_span(a: LinearCode, b: LinearCode) -> LinearCode:
+    """Span of all componentwise products u*v with u in a, v in b
+    (:func:`product_rows`)."""
+    return LinearCode(a.field, product_rows(a, b), a.n)

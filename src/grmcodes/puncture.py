@@ -3,12 +3,15 @@
 The puncture code of a CSS pair (C1, C2) is the dual of the span of all
 componentwise products of C1 with C2-perp; for a Hermitian code C over
 GF(q^2) it is the dual over GF(q) of the trace code of the span of all
-products a * b^q.  The nonzero weights r occurring in the puncture code
-are exactly the lengths the quantum code can be shortened to: a weight-r
-vector x yields a scaled, support-restricted classical pair (or code) that
-is again self-orthogonal, hence a quantum code of length r.  A witness is
-just x: its support is the nonzeros of x, and the Hermitian scaling y,
-with y_i^(q+1) = x_i, is read off the tower's norm table.
+products a * b^q.  Each is built as one kernel: of the products of
+generator rows, trace-expanded over GF(q) in the Hermitian case, with no
+span or trace code built on the way.  The nonzero weights r occurring in
+the puncture code are exactly the lengths the quantum code can be
+shortened to: a weight-r vector x yields a scaled, support-restricted
+classical pair (or code) that is again self-orthogonal, hence a quantum
+code of length r.  A witness is just x: its support is the nonzeros of
+x, and the Hermitian scaling y, with y_i^(q+1) = x_i, is read off the
+tower's norm table.
 
 The Reed-Muller chain used for the MDS family walks
 
@@ -50,7 +53,7 @@ from .errors import (
 )
 from .gf import extension_pair_for, get_field, quadratic_extension
 from .grm import GrmCode, build_grm, grm_dimension, grm_distance, point_matrix
-from .lincode import DEFAULT_CAP, LinearCode, find_first_of_weight, product_span
+from .lincode import DEFAULT_CAP, LinearCode, find_first_of_weight, kernel_basis, product_rows
 from .qcode import (
     QuantumCodeRecord, check_quantum_orders, css, css_grm_distance, hermitian, hermitian_grm_distance, require
 )
@@ -90,14 +93,18 @@ def puncture_code_css(
 ) -> PunctureCodeRecord:
     """Euclidean puncture code: dual of the span {a*b : a in C1, b in C2-perp}.
 
+    That dual is the kernel of the matrix M whose rows are the products
+    a*b of the generator rows a of C1 and b of C2-perp, which span it
+    (``lincode.product_rows``): one ``kernel_basis``, already in RREF, so
+    the code equals ``product_span(C1, C2-perp).dual()`` entry for entry.
     For a Reed-Muller pair the result equals R_q(nu2-nu1, m) exactly, and
     the lower-order codes R_q(mu, m) are recorded as known subcodes.
     """
     code1, code2 = (c.code if isinstance(c, GrmCode) else c for c in (C1, C2))
     if not code1.is_subcode_of(code2):
         raise NotNested("puncture code needs C1 contained in C2")
-    span = product_span(code1, code2.dual())
-    pcode = span.dual()
+    field = code1.field
+    pcode = LinearCode(field, kernel_basis(field, product_rows(code1, code2.dual())), code1.n, _canonical=True)
     prov = {"kind": "euclidean", "k1": code1.k, "k2": code2.k, "n": code1.n}
     known: list = []
     grm_pair = (
@@ -126,14 +133,21 @@ def puncture_code_css(
 def puncture_code_hermitian(C: Union[LinearCode, GrmCode]) -> PunctureCodeRecord:
     """Hermitian puncture code: dual over GF(q) of trace(span{a * b^q}).
 
+    Let M hold the products a * b^q of the generator rows a, b of C.  Tr is
+    GF(q)-linear and (1, gamma) is a basis, so the rows Tr(M) and
+    Tr(gamma M) span the trace code over GF(q) (``trace_rows`` of the
+    tower), and the puncture code is their kernel over GF(q): one
+    ``kernel_basis``, already in RREF, so the code equals
+    ``product_span(C, C^q).trace_code().dual()`` entry for entry (the
+    subfield-subcode duality of Delsarte, IEEE Trans. IT 21(5), 1975).
     For C = R_{q^2}(nu, m) every restriction R_{q^2}(mu, m)-dual|_GF(q)
     with (q+1)nu <= mu <= m(q^2-1)-1 is contained in the puncture code;
     these are materialized and recorded as known subcodes.
     """
     code = C.code if isinstance(C, GrmCode) else C
     pair = extension_pair_for(code.field)
-    prod = product_span(code, code.frobenius_image())
-    pcode = prod.trace_code().dual()
+    traces = pair.trace_rows(product_rows(code, code.frobenius_image()))
+    pcode = LinearCode(pair.sub, kernel_basis(pair.sub, traces), code.n, _canonical=True)
     prov = {"kind": "hermitian", "k_classical": code.k, "n": code.n, "q": pair.sub.q}
     known: list = []
     if isinstance(C, GrmCode):

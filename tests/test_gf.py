@@ -336,6 +336,25 @@ def test_field_product_memory_stays_within_its_row_blocks():
     assert peak < 1_500_000
 
 
+def test_field_product_holds_one_column_block_of_b_at_a_time():
+    # hermitian-mds's largest product, (235, 21) @ (21, 235) over GF(16):
+    # b's 84 x 940 digit floats take three column blocks of about 130 KB,
+    # which, all built before the first row block, peaked at 0.94 MB
+    f = gf.get_field(16)
+    rng = np.random.default_rng(235)
+    a = rng.integers(0, 16, size=(235, 21)).astype(np.uint8)
+    b = rng.integers(0, 16, size=(21, 235)).astype(np.uint8)
+    f.matmul(a, b)
+    tracemalloc.start()
+    try:
+        got = f.matmul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, table_matmul(f, a, b))
+    assert peak < 800_000
+
+
 @pytest.mark.parametrize("q", [4, 27, 64])
 def test_digit_fold_allocates_only_its_uint8_result(q):
     # Horner's rule in uint8: no wider copy of the digits, 8 bytes each in

@@ -290,12 +290,12 @@ SPAN_CASES = [(2, 6), (3, 5), (4, 4), (5, 4), (9, 3), (16, 3)]
 
 
 def test_span_blocks_cover_exactly_the_span_in_order(monkeypatch):
-    default_rows = lincode._BLOCK_ROWS
+    default_bytes = lincode._SCAN_BYTES
     for q, k in SPAN_CASES:
         # one base block for the whole span, then a one-row base block, so
         # that every tail longer than one row takes the head loop
-        for block_rows, head_loop in ((default_rows, False), (1, True)):
-            monkeypatch.setattr(lincode, "_BLOCK_ROWS", block_rows)
+        for scan_bytes, head_loop in ((default_bytes, False), (1, True)):
+            monkeypatch.setattr(lincode, "_SCAN_BYTES", scan_bytes)
             check_span_blocks(q, k, head_loop)
 
 
@@ -1425,17 +1425,65 @@ def test_message_words_enumerate_each_scalar_class_once():
                 if sum(1 for m in msg if m) == w and msg[next(i for i, m in enumerate(msg) if m)] == 1
             ]
             assert sorted(got) == sorted(expect) and len(got) == comb(C.k, w) * (q - 1) ** (w - 1)
-    # blocks, index arrays included, stay within 8 MB on a long code
+    # a block, the one before it, its terms and their sum, its weights and
+    # its index arrays stay within the scan budget on a long code
     gen = np.eye(40, 256, dtype=np.uint8)
     block = next(lincode._message_words(gf.get_field(4), gen, 6))
-    assert block.nbytes <= 1 << 23 and len(block) * 6 * 8 <= 1 << 23
+    assert 4 * block.nbytes + len(block) * (10 + 8 * 2 * 6) <= lincode._SCAN_BYTES
+
+
+def _traced_peak(fn) -> int:
+    """Peak traced bytes of one call of fn, after one untraced warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 9, 49])
+def test_scan_blocks_and_their_temporaries_stay_within_the_byte_budget(q):
+    # long codes, each span about 2^14 words: every block of the span scan,
+    # of the witness scan and of the search's message words holds at most
+    # _block_rows words, and the traced peak of each, consumed as the
+    # library consumes it (the != 0 mask, the weights, their bincount),
+    # stays within _SCAN_BYTES; the message words may also keep the table of
+    # the generator's multiples.  8 MB blocks peaked at 8 MB and more.
+    f, n = gf.get_field(q), 256
+    k = -(-14 // (q.bit_length() - 1))
+    rows = np.random.default_rng(q).integers(0, q, size=(k, n)).astype(np.uint8)
+    slack = 16 * 1024  # the iterators, a prefix row and its q multiples
+
+    def span_scan():
+        counts = np.zeros(n + 1, dtype=np.int64)
+        for _, block in iter_span_blocks(f, rows):
+            assert len(block) <= lincode._block_rows(f, n)
+            counts += np.bincount((block != 0).sum(axis=1, dtype=np.uint16), minlength=n + 1)
+        assert counts.sum() == (q**k - 1) // (q - 1)
+
+    assert _traced_peak(span_scan) <= lincode._SCAN_BYTES + slack
+    assert _traced_peak(lambda: find_first_of_weight(f, rows, n + 1)) <= lincode._SCAN_BYTES + slack
+
+    w, gen = 4, np.eye(3 * k, n, dtype=np.uint8)
+    table = q * gen.nbytes
+
+    def message_words():
+        best = [n + 1, n + 1]
+        for block in itertools.islice(lincode._message_words(f, gen, w), 4):
+            assert len(block) <= lincode._block_rows(f, n, 2 * w)
+            lincode._fold_block(block, None, best)
+        assert best[0] == w
+
+    assert _traced_peak(message_words) <= lincode._SCAN_BYTES + table + slack
 
 
 @pytest.mark.parametrize("head_loop", [False, True], ids=["one-base", "head-loop"])
 @pytest.mark.parametrize("q", [3, 4, 5, 9])
 def test_find_first_of_weight_is_lex_first_over_all_messages(monkeypatch, q, head_loop):
     if head_loop:
-        monkeypatch.setattr(lincode, "_BLOCK_ROWS", 1)
+        monkeypatch.setattr(lincode, "_SCAN_BYTES", 1)
     f = gf.get_field(q)
     rng = np.random.default_rng(60 + q)
     for _ in range(3):
@@ -1461,6 +1509,26 @@ def test_find_first_of_weight_is_canonical_and_complete():
     assert list(v) == [0, 0, 1, 1]
     assert find_first_of_weight(f, rows, 3) is None
     assert list(find_first_of_weight(f, rows, 0)) == [0, 0, 0, 0]
+
+
+def _held_bytes(a: np.ndarray) -> int:
+    """Bytes of the buffer an array keeps alive: its own, or its base's."""
+    while a.base is not None:
+        a = a.base
+    return a.nbytes
+
+
+def test_a_code_from_a_tall_generator_holds_only_its_rows():
+    # product_span(R_7(5,2), R_7(6,2)-perp) has rank 46 from 441 product rows
+    # of length 49: a generator that were a view of rref's eliminated copy
+    # would keep all 441 x 49 bytes alive
+    C = product_span(build_grm(7, 2, 5).code, build_grm(7, 2, 6).code.dual())
+    assert (C.k, C.n) == (46, 49) and _held_bytes(C.gen) == 46 * 49
+    f = gf.get_field(3)
+    tall = np.vstack([np.eye(3, 5, dtype=np.uint8)] * 4)
+    R, pivots = rref(f, tall)
+    assert pivots == (0, 1, 2) and _held_bytes(R) == R.nbytes == 3 * 5
+    assert _held_bytes(LinearCode(f, tall).gen) == 3 * 5
 
 
 def test_product_span_properties():

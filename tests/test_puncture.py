@@ -2,10 +2,14 @@
 
 from functools import partial
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grmcodes.grm as grm
+import grmcodes.lincode as lincode
 import grmcodes.puncture as puncture
 import grmcodes.qcode as qcode
 from grmcodes import gf
@@ -19,7 +23,7 @@ from grmcodes.errors import (
     WitnessNotFound,
 )
 from grmcodes.grm import build_grm, grm_distance
-from grmcodes.lincode import LinearCode
+from grmcodes.lincode import DEFAULT_CAP, LinearCode, product_span
 from grmcodes.puncture import (
     PunctureCodeRecord,
     PunctureWitness,
@@ -31,6 +35,71 @@ from grmcodes.puncture import (
     puncture_css,
     puncture_hermitian,
 )
+
+
+@st.composite
+def _random_code(draw, q: int, n: int):
+    """A random code over GF(q) of length n, from 0 to n generator rows."""
+    rows = draw(st.integers(0, n))
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=rows * n, max_size=rows * n))
+    return LinearCode(gf.get_field(q), np.array(entries, dtype=np.uint8).reshape(rows, n), n)
+
+
+@st.composite
+def nested_pair(draw):
+    """C1 <= C2 of length <= 8, either side possibly zero or the full space."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    C2 = draw(_random_code(q, draw(st.integers(1, 8))))
+    U = draw(_random_code(q, C2.k)) if C2.k else LinearCode.zero_code(C2.field, 0)
+    return LinearCode(C2.field, C2.field.matmul(U.gen, C2.gen), C2.n), C2
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=150)
+@given(nested_pair())
+def test_css_puncture_code_is_the_dual_of_the_product_span(pair):
+    C1, C2 = pair
+    assert puncture_code_css(C1, C2).pcode == product_span(C1, C2.dual()).dual()
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=150)
+@given(st.sampled_from([4, 9, 16, 25, 49, 64]).flatmap(lambda q: _random_code(q, 6)))
+def test_hermitian_puncture_code_is_the_dual_of_the_trace_code(C):
+    expect = product_span(C, C.frobenius_image()).trace_code().dual()
+    assert puncture_code_hermitian(C).pcode == expect
+
+
+@pytest.mark.parametrize("q, nu", [(3, nu) for nu in range(4)] + [(4, nu) for nu in range(1, 6)])
+def test_hermitian_puncture_codes_of_the_benchmark_grm_codes(q, nu):
+    # the puncture-build workload's Hermitian cases, against the span,
+    # trace code and dual they no longer build
+    C = build_grm(q * q, 2, nu).code
+    assert puncture_code_hermitian(C).pcode == product_span(C, C.frobenius_image()).trace_code().dual()
+
+
+@pytest.mark.parametrize("q, m", [(5, 2), (7, 2)])
+def test_css_puncture_codes_of_every_benchmark_grm_pair(q, m):
+    top = m * (q - 1) - 1
+    for nu1 in range(top + 1):
+        for nu2 in range(nu1, top + 1):
+            C1, C2 = build_grm(q, m, nu1).code, build_grm(q, m, nu2).code
+            assert puncture_code_css(C1, C2).pcode == product_span(C1, C2.dual()).dual()
+
+
+def test_known_subcode_witness_scan_stays_within_the_scan_budget():
+    # `puncture hermitian -q 3 -m 2 --nu 2 --target-weight 27`: the [81,45]_3
+    # puncture code tops the cap, so the witness comes from scans of the
+    # known restriction subcodes, whose 8 MB blocks peaked at 1.7 MB
+    rec = puncture_code_hermitian(build_grm(9, 2, 2))
+    assert 3**rec.pcode.k > DEFAULT_CAP
+    find_weight_witness(rec, 27)
+    tracemalloc.start()
+    try:
+        w = find_weight_witness(rec, 27)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.weight == 27 and w.source != "pcode"
+    assert peak <= lincode._SCAN_BYTES + 16 * 1024
 
 
 def test_puncture_code_css_trivial_cases():
