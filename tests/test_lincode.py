@@ -1450,7 +1450,8 @@ def test_scan_blocks_and_their_temporaries_stay_within_the_byte_budget(q):
     # _block_rows words, and the traced peak of each, consumed as the
     # library consumes it (the != 0 mask, the weights, their bincount),
     # stays within _SCAN_BYTES; the message words may also keep the table of
-    # the generator's multiples.  8 MB blocks peaked at 8 MB and more.
+    # the generator's multiples.  Under the 8 MB row caps these blocks
+    # reached 1 to 8 MB.
     f, n = gf.get_field(q), 256
     k = -(-14 // (q.bit_length() - 1))
     rows = np.random.default_rng(q).integers(0, q, size=(k, n)).astype(np.uint8)

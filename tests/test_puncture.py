@@ -1,8 +1,7 @@
 """Puncture code and punctured quantum code tests."""
 
-from functools import partial
-
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
