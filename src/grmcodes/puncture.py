@@ -133,20 +133,25 @@ def puncture_code_css(
 def puncture_code_hermitian(C: Union[LinearCode, GrmCode]) -> PunctureCodeRecord:
     """Hermitian puncture code: dual over GF(q) of trace(span{a * b^q}).
 
-    Let M hold the products a * b^q of the generator rows a, b of C.  Tr is
+    Let M hold the products g_i * g_j^q of the generator rows of C.  Tr is
     GF(q)-linear and (1, gamma) is a basis, so the rows Tr(M) and
     Tr(gamma M) span the trace code over GF(q) (``trace_rows`` of the
     tower), and the puncture code is their kernel over GF(q): one
     ``kernel_basis``, already in RREF, so the code equals
     ``product_span(C, C^q).trace_code().dual()`` entry for entry (the
     subfield-subcode duality of Delsarte, IEEE Trans. IT 21(5), 1975).
+    The pairs i <= j suffice, k(k+1) trace rows instead of 2k^2: the
+    product for (j, i) is the q-th power of that for (i, j), and Tr(x^q) =
+    Tr(x), so its rows are Tr(M_ij) and Tr(gamma^q M_ij) = Tr(gamma)
+    Tr(M_ij) - Tr(gamma M_ij).
     For C = R_{q^2}(nu, m) every restriction R_{q^2}(mu, m)-dual|_GF(q)
     with (q+1)nu <= mu <= m(q^2-1)-1 is contained in the puncture code;
     these are materialized and recorded as known subcodes.
     """
     code = C.code if isinstance(C, GrmCode) else C
     pair = extension_pair_for(code.field)
-    traces = pair.trace_rows(product_rows(code, code.frobenius_image()))
+    i, j = np.triu_indices(code.k)
+    traces = pair.trace_rows(code.field.MUL[code.gen[i], pair.frob[code.gen[j]]])
     pcode = LinearCode(pair.sub, kernel_basis(pair.sub, traces), code.n, _canonical=True)
     prov = {"kind": "hermitian", "k_classical": code.k, "n": code.n, "q": pair.sub.q}
     known: list = []
