@@ -18,8 +18,9 @@ raises ``CapExceeded`` and is ``capped`` (any other bound row passes,
 ``all_rows_pass`` is the only report check that can fail.
 
 Exit codes partition outcomes: 0 pass; 2 bad parameters (an order
-outside the quantum range, a malformed sweep grid, a witness weight
-below 1, and ``--csv`` with ``--json`` or ``--timing`` included); 3
+outside the quantum range, a q below 2 or an m below 1 in any
+subcommand, a malformed sweep grid, a witness weight below 1, and
+``--csv`` with ``--json`` or ``--timing`` included); 3
 enumeration capped (strict mode, an inconclusive witness scan, or a
 weight distribution over the cap); 4 a claim was contradicted: a
 ``ParameterMismatch`` (a contradicted MDS chain included), or a sweep
@@ -40,8 +41,6 @@ import time
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Callable
-
-import numpy as np
 
 from . import __version__
 from .errors import CapExceeded, GrmError, ParameterMismatch, WitnessNotFound, decide
@@ -171,10 +170,6 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _matrix_rows(mat: np.ndarray) -> list:
-    return [[int(v) for v in row] for row in mat]
-
-
 # -- the classical record -----------------------------------------------------
 
 
@@ -274,7 +269,7 @@ def run_grm(args) -> RunReport:
     g = build_grm(args.q, args.m, args.order)
     rep.add_record(*grm_record(g, args.cap, args.dual_check))
     if args.dump_matrix:
-        rep.matrices["generator"] = _matrix_rows(g.code.gen)
+        rep.matrices["generator"] = g.code.gen.tolist()
     return rep
 
 
@@ -284,8 +279,8 @@ def run_quantum(args) -> RunReport:
     rec = build(*rep.params.values(), args.cap)
     rep.add_record(rec.to_dict(), rec.checks)
     if args.dump_stabilizer:
-        rep.matrices["stabilizer"] = _matrix_rows(rec.stabilizer.matrix)
-        rep.matrices["stabilizer_symplectic_expansion"] = _matrix_rows(rec.stabilizer.expanded())
+        rep.matrices["stabilizer"] = rec.stabilizer.matrix.tolist()
+        rep.matrices["stabilizer_symplectic_expansion"] = rec.stabilizer.expanded().tolist()
     return rep
 
 
@@ -386,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("grm", parents=[common], help="build a classical GRM code and verify its parameters")
-    g.add_argument("-q", type=int, required=True)
-    g.add_argument("-m", type=int, required=True)
+    g.add_argument("-q", type=_field_size, required=True)
+    g.add_argument("-m", type=_positive, required=True)
     g.add_argument("--order", type=int, required=True)
     g.add_argument("--dual-check", action="store_true")
     g.add_argument("--dump-matrix", action="store_true")
@@ -395,13 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the orders a css or hermitian record is built from, shared by quantum and puncture
     css_orders = argparse.ArgumentParser(add_help=False, parents=[common])
-    css_orders.add_argument("-q", type=int, required=True)
-    css_orders.add_argument("-m", type=int, required=True)
+    css_orders.add_argument("-q", type=_field_size, required=True)
+    css_orders.add_argument("-m", type=_positive, required=True)
     css_orders.add_argument("--nu1", type=int, required=True)
     css_orders.add_argument("--nu2", type=int, required=True)
     herm_orders = argparse.ArgumentParser(add_help=False, parents=[common])
-    herm_orders.add_argument("-q", type=int, required=True)
-    herm_orders.add_argument("-m", type=int, default=1)
+    herm_orders.add_argument("-q", type=_field_size, required=True)
+    herm_orders.add_argument("-m", type=_positive, default=1)
     herm_orders.add_argument("--nu", type=int, required=True)
 
     quantum = sub.add_parser("quantum", help="derive a quantum code from GRM inputs")

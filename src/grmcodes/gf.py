@@ -34,6 +34,11 @@ GF(q)^2 with GF(q^2) through the basis (1, gamma), gamma the extension's
 generator: point a + q b, with coordinates (a, b), is emb[a] + gamma
 emb[b].  For prime q it is the identity.
 
+The points of GF(q)^m have one order, :func:`point_matrix`'s: point t has
+coordinate i equal to t // q^i mod q, coordinate 0 fastest.  GRM
+generators evaluate at them in that order, the support search's affine
+maps act on it, and the tower's ``points`` table reads it for m = 2.
+
 Array operations on uint8 index arrays use one rule per field: XOR for
 p = 2, min(s, s - p) of the uint8 sum s < 2p for prime q (s - p wraps
 past 255 exactly when s < p; subtraction adds p - b), and for q in
@@ -42,8 +47,9 @@ in uint16.  Elimination uses the row-multiple kernel
 :meth:`FieldSpec.add_multiples`, which gathers whole rows of multiples.  A
 matrix product, in every field, is one exact floating-point product of
 base-p digit planes, reduced mod p afterwards (Dumas, Gautier and Pernet,
-ISSAC 2002), in row and column blocks when it is large, with the digits
-folded into elements in uint8; see :meth:`FieldSpec.matmul`.
+ISSAC 2002), in row and column blocks of at most 128 KB each when it is
+large, with the digits folded into elements in uint8; see
+:meth:`FieldSpec.matmul`.
 """
 
 from __future__ import annotations
@@ -76,9 +82,8 @@ _FIELD_TABLE = {
 
 SUPPORTED_SIZES = tuple(sorted(_FIELD_TABLE))
 
-# a field product takes its digit sums in blocks of at most this many,
-# from float operand blocks of at most this many bytes
-_BLOCK_ENTRIES = 1 << 15
+# bytes of each float block of a field product, its operands and its
+# digit sums: below the allocator's default mmap threshold
 _OPERAND_BYTES = 1 << 17
 
 # designated quadratic towers: base q -> extension q^2
@@ -244,13 +249,13 @@ class FieldSpec:
         dimension is r e.  Each sum is at most r e (p-1)^2: float32 is exact
         below 2^24 and is used there, float64 (exact below 2^53) above.  The
         planes, in both widths, and the table are built once per field.  The
-        float operands are built in blocks, A by rows and B by columns, each
-        of at most ``_OPERAND_BYTES``: below the allocator's default mmap
-        threshold, so repeated products reuse heap memory instead of mapping
-        fresh pages.  One column block of B is held at a time, the outer
-        loop, with A's row blocks inside it (A is built once when it is one
-        block).  Each product of a row block and a column block holds
-        at most ``_BLOCK_ENTRIES`` digit sums, which are reduced mod p and
+        float operands are built in blocks, A by rows and B by columns, and
+        the product of a row block and a column block is a block of digit
+        sums; each of these blocks takes at most ``_OPERAND_BYTES``: below
+        the allocator's default mmap threshold, so repeated products reuse
+        heap memory instead of mapping fresh pages.  One column block of B
+        is held at a time, the outer loop, with A's row blocks inside it (A
+        is built once when it is one block).  The sums are reduced mod p and
         their e digits folded into uint8 elements by :meth:`_from_digits`.
         """
         a = np.asarray(a, dtype=np.uint8)
@@ -258,10 +263,11 @@ class FieldSpec:
         (m, r), n, p, e = a.shape, b.shape[1], self.p, self.e
         small = r * e * (p - 1) ** 2 < 1 << 24
         planes = self._planes32 if small else self._planes64
-        # B's column blocks and A's row blocks each stay within _OPERAND_BYTES
+        # B's column blocks, A's row blocks and the sums' blocks each stay
+        # within _OPERAND_BYTES
         width = max(1, r * e * planes.itemsize)  # bytes of one row of A, or of one digit column of B
         cols = max(1, _OPERAND_BYTES // (width * e))
-        rows = max(1, min(_OPERAND_BYTES // width, _BLOCK_ENTRIES // max(1, min(cols, n) * e)))
+        rows = max(1, _OPERAND_BYTES // max(width, min(cols, n) * e * planes.itemsize))  # a row of A or of the sums
         # column t*e + s of A and row t*e + s of B pair digit s of a with x^s b
         xb = self._xmul.take(b, axis=1).transpose(1, 0, 2)
         if m <= rows and n <= cols:  # one block
@@ -304,6 +310,13 @@ class FieldSpec:
         return f"FieldSpec(GF({self.q}))"
 
     # identity semantics: one instance per q via get_field
+
+
+def point_matrix(field: FieldSpec, m: int) -> np.ndarray:
+    """Coordinates of the q^m points of GF(q)^m, shape (m, q^m), uint8:
+    point t has coordinate i equal to t // q^i mod q, coordinate 0 fastest."""
+    q = field.q
+    return (np.arange(q**m) // q ** np.arange(m)[:, None] % q).astype(np.uint8)
 
 
 @lru_cache(maxsize=None)
@@ -357,7 +370,7 @@ class QuadraticExtension:
 
         # coordinates of GF(q^2) in the basis (1, gamma) over GF(q)
         self.gamma = ext.generator
-        b, a = np.divmod(np.arange(q * q), q)
+        a, b = point_matrix(sub, 2)
         self.points = ext.ADD[emb[a], ext.MUL[self.gamma, emb[b]]]
         assert np.bincount(self.points, minlength=ext.q).max() == 1, "(1, gamma) is not a basis"
         self.dec_a = np.zeros(ext.q, dtype=np.uint8)

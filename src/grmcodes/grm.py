@@ -7,8 +7,9 @@ surviving monomials evaluate to linearly independent functions, which
 makes the closed-form dimension a pure monomial count.
 
 Points are enumerated as an m-digit base-q counter over the canonical
-element order, least-significant coordinate first, so generator matrices
-are reproducible across runs.
+element order, least-significant coordinate first (``gf.point_matrix``,
+the package's one point order), so generator matrices are reproducible
+across runs.
 
 The generator is written in RREF directly, with no elimination.  Name a
 point by its coordinate indices a = (a_1, ..., a_m), element j being the
@@ -61,7 +62,7 @@ from math import comb
 import numpy as np
 
 from .errors import LengthCapExceeded, OrderOutOfRange, ParameterMismatch, decide
-from .gf import FieldSpec, get_field
+from .gf import FieldSpec, get_field, point_matrix
 from .lincode import LinearCode
 
 MAX_LENGTH = 256
@@ -105,14 +106,6 @@ def dual_order(q: int, m: int, nu: int) -> int:
     """Order of the dual code, m(q-1)-1-nu; -1 denotes the zero code."""
     _check_order(q, m, nu)
     return m * (q - 1) - 1 - nu
-
-
-def point_matrix(field: FieldSpec, m: int) -> np.ndarray:
-    """Coordinates of all q^m points, shape (m, q^m); coordinate 0 varies fastest."""
-    q = field.q
-    n = q**m
-    t = np.arange(n)
-    return np.vstack([((t // q**i) % q).astype(np.uint8) for i in range(m)])
 
 
 class GrmCode:

@@ -40,9 +40,12 @@ pass over the code by one of three exact routes:
   prefix carries every column's residue modulo its span, got from its
   parent's in one pivot step, and an extension by columns j < j' is
   dependent exactly when either residue is 0 or the two are parallel,
-  which uint64 keys propose and the residues confirm.  Above r every
-  support is dependent and is walked untested.  Only the dependent sets,
-  rare below the minimum weight, reach the per-subset kernel computation.
+  which uint64 keys propose and the residues confirm.  Each layer's
+  prefix blocks and the pair runs are sized, like every block of a span
+  scan or of the search, by one byte budget, ``_SCAN_BYTES``.  Above r
+  every support is dependent and is walked untested.  Only the dependent
+  sets, rare below the minimum weight, reach the per-subset kernel
+  computation.
   When a verified 2-transitive group (generators of AGL(m, q) on n = q^m
   points, :func:`_affine_group_fixes`) fixes the code and the excluded
   subcode, a lightest word has an image of its weight through coordinates
@@ -92,21 +95,19 @@ from .errors import (
     FieldMismatch,
     NotNested,
 )
-from .gf import FieldSpec, extension_pair_for
+from .gf import FieldSpec, extension_pair_for, point_matrix
 
 DEFAULT_CAP = 2**24
 # bytes a block of words from a span scan or the search holds with its
-# temporaries (:func:`_block_rows`), well within a core's L2 cache: scans
-# ran slower at 2^18 and no faster at 2^20 (BENCH_scan_memory_budget.json)
+# temporaries (:func:`_block_rows`), and the support filter's prefix blocks
+# and pair runs with theirs (:func:`_dependent_supports`), well within a
+# core's L2 cache: scans ran slower at 2^18 and no faster at 2^20
+# (BENCH_scan_memory_budget.json)
 _SCAN_BYTES = 1 << 19
 # column subsets the support route may scan when q^k is over the cap
 SUPPORT_BUDGET = 2 * 10**6
 # largest kernel span the support route enumerates on one column subset
 KERNEL_BUDGET = 4096
-# the support filter's prefix-tree blocks hold chunk * 8 // n prefixes,
-# whose residue stack takes chunk * 8 * r bytes; its pair test takes them
-# in runs of at most chunk * 8 candidate pairs, with a uint64 key per residue
-_SUBSET_CHUNK = 1 << 13
 # costs in exhaustive-scan words of a search row gather (binary, other
 # fields) and of an rref pivot step; a search word's weight count is 0.5
 _GATHER_COST = {True: 1.25, False: 0.9}
@@ -767,11 +768,17 @@ def _dependent_supports(field: FieldSpec, H: np.ndarray, w: int, root: int = 0):
     order.  For w = 1 they are H's zero columns; above r (H's rows), every
     subset.  For 2 <= w <= r they extend the (w-2)-prefixes of
     :func:`_prefix_tree` by dependent pairs (:func:`_dependent_pairs`),
-    its blocks cut into runs of prefixes with at most chunk * 8 candidate
-    pairs between them (or one prefix), which bounds what a run yields.
-    There, only the subsets holding columns 0..root-1 are yielded: the
-    tree forces them into the prefixes, and the pairs supply those a
-    prefix shorter than ``root`` lacks (w < root + 2)."""
+    its blocks cut into runs of prefixes, a run ending where the running
+    count of candidate pairs crosses a multiple of ``run``, which bounds
+    what a run yields (one prefix's C(n - 1, 2) pairs at most may top it).
+    The blocks and the runs are sized by bytes per prefix and per pair,
+    temporaries counted, so that each of the w - 2 layers' blocks, and a
+    run's tests, stay within ``_SCAN_BYTES``.  The subsets a run yields,
+    8 w bytes each, come on top: below the minimum weight few pairs are
+    dependent, and each that is goes on to a kernel that costs far more
+    than its bytes.  There, only the subsets holding columns 0..root-1
+    are yielded: the tree forces them into the prefixes, and the pairs
+    supply those a prefix shorter than ``root`` lacks (w < root + 2)."""
     r, n = H.shape
     if w > r:
         yield from map(list, itertools.combinations(range(n), w))
@@ -779,9 +786,16 @@ def _dependent_supports(field: FieldSpec, H: np.ndarray, w: int, root: int = 0):
     if w == 1:
         yield from np.flatnonzero(~H.any(axis=0))[:, None]
         return
-    for T, R in _prefix_tree(field, H, w - 2, max(1, _SUBSET_CHUNK * 8 // n), root):
+    # a prefix takes n bytes for each of its r residue planes, twice (the
+    # block a consumer still holds while the next is built), and per column
+    # a pivot step's uint16 index, numpy's intp copy of it and the gathered
+    # multiples; a candidate pair takes r for its residues and 48 for the
+    # intp pair indices of the zero and key tests
+    size = max(1, _SCAN_BYTES // (n * (2 * r + 11 + field.add_bytes)))
+    run = max(1, _SCAN_BYTES // (r + 48))
+    for T, R in _prefix_tree(field, H, w - 2, size, root):
         m = n - 1 - T.max(axis=1, initial=-1)  # the columns right of each prefix
-        cut = [0, *np.flatnonzero(np.diff(np.cumsum(m * (m - 1) // 2) // (_SUBSET_CHUNK * 8))) + 1, len(T)]
+        cut = [0, *np.flatnonzero(np.diff(np.cumsum(m * (m - 1) // 2) // run)) + 1, len(T)]
         for lo, hi in zip(cut, cut[1:]):
             S = _dependent_pairs(field, T[lo:hi], R[:, lo:hi])
             yield from S if w >= root + 2 else S[(S[:, :root] == np.arange(root)).all(axis=1)]
@@ -808,11 +822,10 @@ def _orbit(perms, start: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _affine_generators(field: FieldSpec, m: int) -> np.ndarray | None:
-    """Generators of AGL(m, q) as maps of the q^m points of GF(q)^m, in
-    counter order (coordinate 0 fastest, as ``grm.point_matrix`` lists
-    them): row g holds the index of the image of every point.  None unless
-    they are verified to generate a 2-transitive group.  Cached per field
-    and m, read-only.
+    """Generators of AGL(m, q) as maps of the q^m points of GF(q)^m in
+    :func:`gf.point_matrix`'s order: row g holds the index of the image of
+    every point.  None unless they are verified to generate a 2-transitive
+    group.  Cached per field and m, read-only.
 
     They are the translations by p^s e_i (p^s is x^s, and the x^s, s < e,
     span GF(q) over GF(p)), x_1 -> g x_1 with g the field's generator, and
@@ -823,7 +836,7 @@ def _affine_generators(field: FieldSpec, m: int) -> np.ndarray | None:
     """
     q, n = field.q, field.q**m
     place = q ** np.arange(m)
-    P = np.arange(n) // place[:, None] % q  # P[i, t]: coordinate i of point t
+    P = point_matrix(field, m)  # P[i, t]: coordinate i of point t
 
     def point_map(i: int, image: np.ndarray) -> np.ndarray:  # coordinate i sent to image
         X = P.copy()

@@ -16,8 +16,15 @@ family that states a distance writes it onto its own capped record.  The GRM
 families take only the quantum orders 0 <= nu1 <= ... <= m(q-1)-1
 (``check_quantum_orders``), and each predicted distance has one home:
 ``css_grm_distance`` and ``hermitian_grm_distance``, the latter over
-GF(q^2).  Stabilizer matrices are checked for symplectic self-orthogonality
-(after the basis-(1, gamma) expansion in the Hermitian case).
+GF(q^2).
+
+Self-orthogonality is decided by the construction algebra: CSS nesting is
+``C1.is_subcode_of(C2)`` and Hermitian self-orthogonality
+``C.is_subcode_of(C.hermitian_dual())``, the dual the record's side reads
+next.  The stabilizer matrix is checked once more, independently, for
+symplectic self-orthogonality of the GF(q) expansion a report emits (after
+the basis-(1, gamma) expansion in the Hermitian case): ``_record`` decides
+that check once and keeps it on the record.
 
 A claim fails one way: ``errors.decide`` raises ``ParameterMismatch`` at the
 first failed check.  ``require`` keeps a record's checks on it
@@ -61,7 +68,6 @@ class StabilizerMatrix:
     field: FieldSpec
     n: int
     matrix: np.ndarray
-    _self_orthogonal: Optional[bool] = dc_field(default=None, init=False, repr=False, compare=False)
 
     def expanded(self) -> np.ndarray:
         """GF(q) symplectic form of the generators, shape (rows, 2n)."""
@@ -87,10 +93,7 @@ class StabilizerMatrix:
         return f.sub_arrays(a, b)
 
     def is_self_orthogonal(self) -> bool:
-        # ``_record`` checks this and ``require`` lists it: compute once
-        if self._self_orthogonal is None:
-            self._self_orthogonal = not np.any(self.symplectic_gram())
-        return self._self_orthogonal
+        return not np.any(self.symplectic_gram())
 
 
 @dataclass
@@ -110,7 +113,8 @@ class QuantumCodeRecord:
     construction: str = ""
     provenance: dict = dc_field(default_factory=dict)
     stabilizer: Optional[StabilizerMatrix] = None
-    # (name, passed, observed, expected, exact) per check ``require`` decided
+    # (name, passed, observed, expected, exact) per check decided on it, the
+    # stabilizer's (``_record``) last
     checks: list = dc_field(default_factory=list, repr=False, compare=False)
 
     @property
@@ -153,7 +157,7 @@ class QuantumCodeRecord:
 def _record(
     k: int, construction: str, prov: dict, stab: StabilizerMatrix, cap: int, sides: list, found: dict
 ) -> QuantumCodeRecord:
-    """Settle the distance over ``sides``, check the stabilizer, assemble.
+    """Settle the distance over ``sides``, decide the stabilizer check, assemble.
 
     Each side is (code, exclude, names), settled by the engine under
     ``cap``.  d is the least ``diff`` over the exact sides, and it holds
@@ -164,7 +168,8 @@ def _record(
     ``diff``) for an inexact one (``Weights``).  ``names`` label an exact
     side's (code, diff) weights in the provenance, as far as they go; an
     inexact side records its bound under its own key (``bound_c1perp_c2perp``
-    for ``wt_diff_c1perp_c2perp``), and ``found`` joins them.
+    for ``wt_diff_c1perp_c2perp``), and ``found`` joins them.  The record
+    keeps the stabilizer check as its ``checks``.
     """
     settled = [lincode.exact_min_weight(code, exclude, cap) for code, exclude, _ in sides]
     d = min((w.diff for w in settled if w.exact), default=0)
@@ -178,7 +183,8 @@ def _record(
     else:
         d, pure, found = 1, None, {"distance_capped": True}
     prov.update(found)
-    decide(construction, ("stabilizer_symplectic", stab.is_self_orthogonal(), None, None, True))
+    stabilizer = ("stabilizer_symplectic", stab.is_self_orthogonal(), None, None, True)
+    decide(construction, stabilizer)
     return QuantumCodeRecord(
         q=stab.base_field().q,
         n=stab.n,
@@ -189,6 +195,7 @@ def _record(
         construction=construction,
         provenance=prov,
         stabilizer=stab,
+        checks=[stabilizer],
     )
 
 
@@ -233,9 +240,12 @@ def check_quantum_orders(q: int, m: int, **orders: int) -> None:
 
 
 def require(rec: QuantumCodeRecord, *checks: tuple) -> QuantumCodeRecord:
-    """Keep a construction's ``checks`` on rec, then the stabilizer's, and ``decide`` the construction's."""
-    rec.checks = [*checks, ("stabilizer_symplectic", rec.stabilizer.is_self_orthogonal(), None, None, True)]
-    decide(rec.construction, *checks)  # ``_record`` decided the stabilizer's
+    """Keep a construction's ``checks`` on rec, then the stabilizer's, and ``decide`` the construction's.
+
+    The stabilizer's is the check ``_record`` decided and left last on rec;
+    ``checks`` replace any others rec holds."""
+    rec.checks = [*checks, rec.checks[-1]]
+    decide(rec.construction, *checks)
     return rec
 
 
@@ -282,20 +292,17 @@ def css_grm(
 
 
 def hermitian_self_orthogonal(C: LinearCode) -> bool:
-    """True iff every pair of generator rows is Hermitian-orthogonal."""
-    pair = extension_pair_for(C.field)
-    if C.k == 0:
-        return True
-    sigma = pair.frob[C.gen]
-    gram = C.field.matmul(C.gen, sigma.T)
-    return not np.any(gram)
+    """True iff C lies in its Hermitian dual (memoized, so ``hermitian``
+    reuses it), i.e. every pair of generator rows is Hermitian-orthogonal."""
+    return C.is_subcode_of(C.hermitian_dual())
 
 
 def hermitian(C: LinearCode, cap: int = DEFAULT_CAP) -> QuantumCodeRecord:
     """Hermitian construction from a self-orthogonal code over GF(q^2).
 
     Self-orthogonality is checked here, once, for every Hermitian record
-    (the punctured code included).  Its side is C-perp_h minus C, or C when
+    (the punctured code included), against the Hermitian dual its side
+    then reads.  Its side is C-perp_h minus C, or C when
     self-dual; a capped distance degrades as in ``css`` and carries no
     ``branch`` key.
     """

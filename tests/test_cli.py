@@ -397,6 +397,30 @@ def test_bad_sweep_grid_exits_usage(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("grm", "-q", "{q}", "-m", "{m}", "--order", "0"),
+        ("quantum", "css", "-q", "{q}", "-m", "{m}", "--nu1", "0", "--nu2", "0"),
+        ("quantum", "hermitian", "-q", "{q}", "-m", "{m}", "--nu", "0"),
+        ("puncture", "css", "-q", "{q}", "-m", "{m}", "--nu1", "0", "--nu2", "0", "--list-weights"),
+        ("puncture", "hermitian", "-q", "{q}", "-m", "{m}", "--nu", "0", "--mds-chain"),
+        ("sweep", "grm", "-q", "{q}", "-m", "{m}"),
+    ],
+    ids=["grm", "quantum-css", "quantum-hermitian", "puncture-css", "puncture-hermitian", "sweep"],
+)
+def test_q_and_m_have_one_type_in_every_subcommand(capsys, argv):
+    # -m 0 once reached the library and was reported against nu (quantum
+    # hermitian: "need 0 <= nu <= m(q-1)-1 = -1"); -q and -m are now
+    # parsed alike everywhere
+    for q, m, message in (
+        ("3", "0", "expected a positive integer, got '0'"),
+        ("1", "1", "expected a field size of at least 2, got '1'"),
+    ):
+        code, err = exit_code(capsys, *(a.format(q=q, m=m) for a in argv))
+        assert code == EXIT_USAGE and message in err
+
+
 def test_negative_target_weight_exits_usage(capsys):
     # a weight of 0 punctures to nothing, so it is rejected with the negatives
     for weight in ("-1", "0"):

@@ -290,12 +290,13 @@ def table_matmul(f, a, b):
 
 @pytest.mark.parametrize("q", ALL_SIZES)
 def test_matmul_row_blocks_match_the_table_loop(q):
-    # n e >= 256 digit sums a row: m = 300 rows take several blocks, the
-    # last one partial; empty factors give empty or zero products
+    # n e >= 256 float32 digit sums a row, and a block of sums holds at
+    # most _OPERAND_BYTES: m = 300 rows take several blocks, the last one
+    # partial; empty factors give empty or zero products
     f = gf.get_field(q)
     rng = np.random.default_rng(100 + q)
     n = -(-256 // f.e)
-    rows = gf._BLOCK_ENTRIES // (n * f.e)
+    rows = gf._OPERAND_BYTES // (4 * n * f.e)
     assert 300 > 2 * rows and 300 % rows
     for m, r, n in ((300, 3, n), (300, 1, n + 1), (300, 0, n), (0, 3, n), (300, 3, 0), (2 * rows, 2, n)):
         a = rng.integers(0, q, size=(m, r)).astype(np.uint8)

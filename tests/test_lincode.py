@@ -740,15 +740,16 @@ def checks_with_zero_and_repeated_columns(draw):
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=200)
-@given(checks_with_zero_and_repeated_columns(), st.sampled_from([1, 2, 3, 5]))
-def test_prefix_filter_matches_scalar_rank_across_block_boundaries(case, chunk):
-    # blocks of max(1, chunk * 8 // n) <= 40 // n prefixes: at chunk 1 a
-    # boundary falls inside one prefix's extensions, at 5 a block holds
-    # several prefixes with dependent extensions, whose order must be
+@given(checks_with_zero_and_repeated_columns(), st.sampled_from([1, 500, 2000, 5000]))
+def test_prefix_filter_matches_scalar_rank_across_block_boundaries(case, scan_bytes):
+    # a prefix costs at least 14 n bytes and a candidate pair 49, so blocks
+    # hold at most 5000 // (14 n) prefixes and runs at most 102 pairs: at 1
+    # byte a boundary falls inside one prefix's extensions, at 5000 a block
+    # holds several prefixes with dependent extensions, whose order must be
     # prefix by prefix
     f, H = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lincode, "_SUBSET_CHUNK", chunk)
+        mp.setattr(lincode, "_SCAN_BYTES", scan_bytes)
         for w in range(1, H.shape[0] + 1):
             assert dependent_by_filter(f, H, w) == dependent_by_rank(f, H, w)
         # every key collides: the keys only propose pairs, and the exact
@@ -758,11 +759,11 @@ def test_prefix_filter_matches_scalar_rank_across_block_boundaries(case, chunk):
             assert dependent_by_filter(f, H, w) == dependent_by_rank(f, H, w)
 
 
-@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("scan_bytes", [None, 3])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
-def test_batched_support_search_matches_reference(q, chunk, monkeypatch):
-    if chunk is not None:  # tiny chunks put block boundaries inside each prefix-tree layer
-        monkeypatch.setattr(lincode, "_SUBSET_CHUNK", chunk)
+def test_batched_support_search_matches_reference(q, scan_bytes, monkeypatch):
+    if scan_bytes is not None:  # blocks of one prefix and runs of one pair put boundaries everywhere
+        monkeypatch.setattr(lincode, "_SCAN_BYTES", scan_bytes)
     f = gf.get_field(q)
     rng = np.random.default_rng(100 + q)
     for _ in range(10):
@@ -788,8 +789,8 @@ def test_batched_support_search_crosses_chunk_boundaries(monkeypatch):
     # column 31 a copy of column 30.  The weight-2 word on {30, 31} is
     # excluded, so weight 3 is scanned in full.  Its dependent subsets are
     # {a, 30, 31} and every extension of the dependent prefix {30, 31}; in
-    # blocks of 1000 * 8 // 40 = 200 prefixes they fall in several blocks.
-    monkeypatch.setattr(lincode, "_SUBSET_CHUNK", 1000)
+    # the blocks and runs of a 100 KB budget they fall in several runs.
+    monkeypatch.setattr(lincode, "_SCAN_BYTES", 100_000)
     f = gf.get_field(49)
     n = 40
     pts = np.arange(1, n + 1, dtype=np.uint8)
@@ -801,11 +802,13 @@ def test_batched_support_search_crosses_chunk_boundaries(monkeypatch):
     assert code.contains(low[0])
     excl = LinearCode(f, low, n)
 
+    runs = []  # the dependent subsets each pair run found
+    pairs = lincode._dependent_pairs
+    monkeypatch.setattr(lincode, "_dependent_pairs", lambda *args: runs.append(pairs(*args)) or runs[-1])
     dependent = dependent_by_filter(f, code.dual().gen, 3)
     assert dependent == [S for S in itertools.combinations(range(n), 3) if {30, 31} <= set(S)]
     assert dependent == dependent_by_rank(f, code.dual().gen, 3)
-    prefixes = list(itertools.combinations(range(n), 2))
-    assert len({prefixes.index(S[:2]) // 200 for S in dependent}) > 1
+    assert sum(len(S) > 0 for S in runs) > 1
 
     assert support_weight(code) == reference_support_search(code) == 2
     assert support_weight(code, exclude=excl) == reference_support_search(code, exclude=excl) == 4
@@ -844,10 +847,10 @@ def test_batched_support_search_budgets_trip_at_the_reference_weight(monkeypatch
     assert engine(3, 9) == tripped  # {0, 1, 2}: 3^3 > 9
 
 
-@pytest.mark.parametrize("chunk", [None, 3])
-def test_support_budget_trips_partway_through_a_layer_above_r(chunk, monkeypatch):
-    if chunk is not None:
-        monkeypatch.setattr(lincode, "_SUBSET_CHUNK", chunk)
+@pytest.mark.parametrize("scan_bytes", [None, 3])
+def test_support_budget_trips_partway_through_a_layer_above_r(scan_bytes, monkeypatch):
+    if scan_bytes is not None:
+        monkeypatch.setattr(lincode, "_SCAN_BYTES", scan_bytes)
     # the even-weight [6, 5] binary code has r = 1 check; excluding the
     # even-weight words on coordinates 0..4 leaves {0, 5} as the first hit
     # at w = 2 > r, the fifth subset of that layer.  Weight 1 charges
@@ -1185,6 +1188,60 @@ def test_routes_give_the_same_pair_wherever_they_finish(case, extra_cap):
                 assert w == expect[0] if exact else 1 <= w <= expect[0]
 
 
+# The search's three price rules change no result, only the work done to
+# reach it, so each is pinned by a work count.  Removing one slowed the warm
+# benchmark pass (medians of 4 fresh processes, 2 shared vCPUs): the whole
+# pre-check, hermitian-mds 24.0 -> 48.9 ms; the look rule, grm-css-sweep
+# 17.6 -> 19.6 ms; the rank filter, grm-css-sweep 17.6 -> 25.2 ms.
+
+
+def test_search_prices_its_sets_before_it_builds_them(monkeypatch):
+    # a random [60, 12] binary code within the cap has a budget of one scan,
+    # 4095 words, above the 2400 of its 12 pivot steps; but its lightest
+    # word after the look weighs more than 3, so even five full-rank sets
+    # (the ranks no sets can beat) price the search above the budget, and
+    # it stops before it builds any set: no rref.  With a budget of 10^6
+    # words it builds the other four sets, one rref each, and finishes
+    code = random_code(gf.get_field(2), 60, 12, np.random.default_rng(12))
+    pivots = []
+    real_rref = lincode.rref
+    monkeypatch.setattr(lincode, "rref", lambda *args: pivots.append(1) or real_rref(*args))
+    assert code.k == 12 and lincode._look_weight(2, 12, lincode.DEFAULT_CAP) == 2
+    best, bound = search_under(code, None, lincode.DEFAULT_CAP)
+    assert bound == 3 < best[1] and pivots == []
+    best, bound = lincode._information_set_search(code, None, 10**6)
+    assert bound == best[1] == reference_span_min_weight(code)[1] and len(pivots) == 4
+
+
+def test_search_takes_no_look_that_costs_more_than_the_scan(monkeypatch):
+    # within the cap the look is 0 when its 200 k pivot-step price tops one
+    # scan of the (q^k - 1)/(q - 1) scalar classes: then the distributions
+    # settle the code and the search builds no word
+    assert [lincode._look_weight(2, k, lincode.DEFAULT_CAP) for k in (1, 11, 12)] == [0, 0, 2]  # 2047 < 2200
+    assert [lincode._look_weight(5, k, lincode.DEFAULT_CAP) for k in (5, 6)] == [0, 2]  # 781 < 1000
+    words = []
+    real_words = lincode._message_words
+    monkeypatch.setattr(lincode, "_message_words", lambda *args: (words.append(len(b)) or b for b in real_words(*args)))
+    code = random_code(gf.get_field(2), 16, 6, np.random.default_rng(6))
+    assert exact_min_weight(code) == (*reference_span_min_weight(code), True) and words == []
+
+
+def test_search_skips_the_sets_too_small_to_raise_its_floor(monkeypatch):
+    # a random [16, 6, 4] binary code has information sets of ranks 6, 6
+    # and 4.  The look builds the 6 + 15 words of weight <= 2 on the first
+    # set and sees weight 4, which the two full sets' floor reaches after
+    # weight 1, when the rank-4 set's floor is still 0: that set is
+    # dropped, so the search builds 21 + 6 words, not 33
+    f = gf.get_field(2)
+    code = random_code(f, 16, 6, np.random.default_rng(0))
+    assert [r for _, r in lincode._information_sets(f, code.gen, code.pivots)] == [6, 6, 4]
+    words = []
+    real_words = lincode._message_words
+    monkeypatch.setattr(lincode, "_message_words", lambda *args: (words.append(len(b)) or b for b in real_words(*args)))
+    assert lincode._information_set_search(code, None) == ([4, 4], 4)
+    assert sum(words) == 27
+
+
 def test_engine_skips_a_support_search_sure_to_give_up(monkeypatch):
     # the Hermitian distance of R_16(1, 2): its dual is [256, 253] over GF(16)
     # with r = 3 checks, so the search takes only its first look (weight 1,
@@ -1352,7 +1409,10 @@ def test_rooted_support_search_matches_the_unrooted_one(q, m, nu, monkeypatch):
 def test_rooted_search_builds_the_prefixes_through_two_coordinates(monkeypatch):
     # R_5(4,2) = [25,15,5]_5 has r = 10 checks: its weight-5 layer extends
     # 3-prefixes, C(23, 1) = 23 through coordinates 0 and 1 against the
-    # C(25, 3) = 2300 of the unrooted tree
+    # C(25, 3) = 2300 of the unrooted tree.  A 16 MB budget holds either
+    # layer in one block, so the walk builds the whole layer before it
+    # stops at the block holding its first hit
+    monkeypatch.setattr(lincode, "_SCAN_BYTES", 1 << 24)
     C = build_grm(5, 2, 4).code
     built = {}
     tree = lincode._prefix_tree
@@ -1478,6 +1538,35 @@ def test_scan_blocks_and_their_temporaries_stay_within_the_byte_budget(q):
         assert best[0] == w
 
     assert _traced_peak(message_words) <= lincode._SCAN_BYTES + table + slack
+
+
+@pytest.mark.parametrize("w, zeros", [(3, 0), (3, 20), (4, 0)], ids=["w3", "w3-zeros", "w4"])
+def test_support_filter_blocks_and_runs_stay_within_the_byte_budget(w, zeros, monkeypatch):
+    # the 60 checks of a random [64, 4] binary code: the depth-1 and
+    # depth-2 layers, 64 and C(64, 2) prefixes, fill blocks, each prefix
+    # with 60 residue planes.  With 20 columns zeroed every pair through
+    # one is dependent, so the pair runs yield thousands of subsets each.
+    # Each layer's blocks, with their temporaries and the block a consumer
+    # holds, and a pair run's tests, stay within _SCAN_BYTES; the subsets
+    # of the largest run, held and gathered (24 w bytes each), come on top.
+    # Blocks of 2^16 // n prefixes, sized without r, peaked at 9.0 MB at w = 4
+    f = gf.get_field(2)
+    H = random_code(f, 64, 4, np.random.default_rng(64)).dual().gen.copy()
+    assert H.shape == (60, 64)
+    H[:, 64 - zeros :] = 0
+    largest = [0]  # the subsets each run yields
+    pairs = lincode._dependent_pairs
+
+    def counted(*args):
+        S = pairs(*args)
+        largest.append(len(S))
+        return S
+
+    monkeypatch.setattr(lincode, "_dependent_pairs", counted)
+    found = []
+    peak = _traced_peak(lambda: found.append(sum(1 for _ in _dependent_supports(f, H, w))))
+    assert found[0] == found[1] and (max(largest) > 1000) == (zeros > 0)
+    assert peak <= (w - 1) * lincode._SCAN_BYTES + 24 * w * max(largest) + 16 * 1024
 
 
 @pytest.mark.parametrize("head_loop", [False, True], ids=["one-base", "head-loop"])
