@@ -23,7 +23,7 @@ them once per process.
 
 Every distance goes through one engine, ``exact_min_weight(code,
 exclude)``, which settles wt(code) and wt(code minus exclude) in a single
-pass over the code by one of three exact routes:
+pass over the code by one of four exact routes:
 
 * information-set search: a Brouwer-Zimmermann search over disjoint
   information sets (Zimmermann 1996; Grassl 2006) enumerates each set's
@@ -56,7 +56,16 @@ pass over the code by one of three exact routes:
   carried over by the MacWilliams identity (:func:`_macwilliams`).  wt(code)
   is the first w > 0 with A_w(code) > 0, and wt(code minus exclude) the
   first with A_w(code) - A_w(exclude) > 0.  A code keeps its scan's counts,
-  as it keeps its ``dual``, and ``weight_distribution`` reads the same.
+  as it keeps its ``dual``, and ``weight_distribution`` reads the same;
+* footprint certificate, for a code of length q^m: a word whose
+  polynomial on GF(q)^m leads with x^b in graded lex weighs at least
+  prod_i (q - b_i), so the least such footprint over the leading
+  monomials LM(code) bounds both values, and a minimizing
+  f_b = prod_i prod_{j < b_i} (x_i - alpha_j), of exactly that weight,
+  found in the code and outside ``exclude`` settles them.  A code of rate
+  above 1/2 reads LM from its small dual, as LM(C-perp) is the reflection
+  of the complement of LM(C); on a tower top the Frobenius image's bound,
+  read the same way, is tried too (:func:`_footprint_weights`).
 
 Counts a code and its excluded subcode already hold answer first, when
 their price below fits the cap.  Then the search runs.  When q^k fits
@@ -68,14 +77,16 @@ first look), and the support search runs only when the support sizes it
 charges up front, up to the lightest word the search saw, fit its subset
 budget.  When neither finishes, the distributions settle both values if
 each side's smaller span, q^min(k, n - k), fits the cap, priced before
-any scan.  Otherwise the engine returns an inexact value holding the
-bound the search certified, which is what ``LinearCode.min_weight``
-reports.
+any scan.  Last, the footprint runs when n = q^m and n min(k, n - k)
+fits the cap; last, so that every value another route settles keeps its
+route.  Otherwise the engine returns an inexact value holding the bound
+the search certified, which is what ``LinearCode.min_weight`` reports.
 
-All three are complete; tests cross-check them against each other, the
-filtered support search against a per-subset reference, the transformed
-distributions against direct scans, and all of them against a brute-force
-oracle.
+All four are complete where they answer; tests cross-check them against
+each other, the filtered support search against a per-subset reference,
+the transformed distributions against direct scans, the footprint's
+leading monomials against a brute-force interpolation, and all of them
+against a brute-force oracle.
 """
 
 from __future__ import annotations
@@ -93,6 +104,7 @@ from .errors import (
     DimensionMismatch,
     EmptyCode,
     FieldMismatch,
+    NoEmbeddingDefined,
     NotNested,
 )
 from .gf import FieldSpec, extension_pair_for, point_matrix
@@ -855,6 +867,12 @@ def _affine_generators(field: FieldSpec, m: int) -> np.ndarray | None:
     return maps
 
 
+def _grid_dimension(q: int, n: int) -> int | None:
+    """m with q^m = n, the points of GF(q)^m, or None when n is no such power."""
+    m = next(m for m in range(1, n.bit_length() + 1) if q**m >= n)
+    return m if q**m == n else None
+
+
 def _affine_group_fixes(code: LinearCode, exclude: LinearCode | None) -> bool:
     """Whether the code and ``exclude`` are fixed by the 2-transitive group
     of :func:`_affine_generators`, on n = q^m points.  That holds for every
@@ -868,9 +886,8 @@ def _affine_group_fixes(code: LinearCode, exclude: LinearCode | None) -> bool:
     the code and outside ``exclude`` when it is, supported on a set that
     holds coordinates 0 and 1.
     """
-    n, q = code.n, code.field.q
-    m = next(m for m in range(1, n.bit_length() + 1) if q**m >= n)
-    maps = _affine_generators(code.field, m) if q**m == n else None
+    m = _grid_dimension(code.field.q, code.n)
+    maps = None if m is None else _affine_generators(code.field, m)
     if maps is None:
         return False
     for c in (c for c in (code, exclude) if c is not None):
@@ -988,7 +1005,9 @@ def exact_min_weight(
     finishes, and for the code and ``exclude`` alike the smaller of it and
     its dual spans at most ``cap`` words (always so when q^k <= cap), both
     values come from the distributions; that price is read off k and n, so
-    a route that does not fit starts no scan.  Otherwise the value is not
+    a route that does not fit starts no scan.  Otherwise the footprint
+    certificate (:func:`_footprint_weights`) runs when n = q^m and
+    n min(k, n - k) fits the cap.  When it declines, the value is not
     ``exact`` (``Weights``): it holds the lower bound the search certified.
     Bad input still raises.
     """
@@ -1022,7 +1041,7 @@ def exact_min_weight(
             pass
     if fits:
         return _distribution_weights(code, exclude)
-    return Weights(best[0], bound, False)
+    return _footprint_weights(code, exclude, cap) or Weights(best[0], bound, False)
 
 
 def _distribution_weights(code: LinearCode, exclude: LinearCode | None) -> Weights:
@@ -1037,6 +1056,144 @@ def _distribution_weights(code: LinearCode, exclude: LinearCode | None) -> Weigh
         if a > e:
             return Weights(first, w, True)
     raise EmptyCode("difference set is empty")
+
+
+# -- the footprint certificate ----------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _footprint_tables(field: FieldSpec, m: int):
+    """(T, order, footprint, vanish) for the monomials x^a on GF(q)^m, a
+    indexed as sum a_i q^i in :func:`gf.point_matrix`'s digit order.
+    Cached per field and m, read-only.
+
+    ``T`` is the transposed inverse Vandermonde matrix of one variable,
+    ``field.POW``: c @ T holds the coefficients of x^0..x^(q-1) of the
+    polynomial whose values at the elements, in index order, are c.
+    ``order`` lists the monomials in descending graded lex (degree, then
+    index), ``footprint[a]`` is prod_i (q - a_i), and ``vanish[b, x]`` is
+    prod_{j < b} (x - alpha_j), alpha_j the element of index j.
+    """
+    q = field.q
+    inverse, _ = rref(field, np.hstack([field.POW, np.eye(q, dtype=np.uint8)]))
+    A = point_matrix(field, m).astype(np.intp)  # A[i, a] = a_i
+    order = np.lexsort((np.arange(q**m), A.sum(axis=0)))[::-1]
+    footprint = np.prod(q - A, axis=0)
+    vanish = np.ones((q, q), dtype=np.uint8)
+    for b in range(1, q):
+        vanish[b] = field.MUL[vanish[b - 1], field.sub_arrays(np.arange(q, dtype=np.uint8), b - 1)]
+    tables = (inverse[:, q:].T.copy(), order, footprint, vanish)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _leading_monomials(field: FieldSpec, m: int, gen: np.ndarray) -> np.ndarray:
+    """Mask of LM(C), the leading monomials in graded lex of the words of
+    the row space C of ``gen`` (length q^m): each row's values go to its
+    polynomial's coefficients by the one-variable inverse Vandermonde along
+    each coordinate, one ``field.matmul`` per coordinate, and the pivots of
+    one ``rref`` with the monomials in descending order are LM(C)."""
+    T, order, _, _ = _footprint_tables(field, m)
+    q, X = field.q, gen
+    for i in range(m):  # coordinate i is the digit of place value q^i
+        X = X.reshape(-1, q, q**i).transpose(0, 2, 1).reshape(-1, q)
+        X = field.matmul(X, T).reshape(-1, q**i, q).transpose(0, 2, 1)
+    X = X.reshape(gen.shape)[:, order]
+    held = X.any(axis=0)  # a monomial no row holds leads no word
+    _, pivots = rref(field, X[:, held])
+    mask = np.zeros(q**m, dtype=bool)
+    mask[order[held][list(pivots)]] = True
+    return mask
+
+
+def _dual_leading(mask: np.ndarray) -> np.ndarray:
+    """LM(C-perp) from LM(C): {a* : a not in LM(C)}, a* = (q - 1 - a_i)_i.
+
+    <ev x^a, ev x^b> = prod_i sum_x x^(a_i + b_i) is nonzero only when
+    b >= a* componentwise, and is (-1)^m at b = a*, so the Gram matrix
+    of the monomials is triangular in reflected coordinates: C-perp's
+    leading monomials are the reflections of C's trailing ones, the
+    monomials that lead no word of C.  Index a* is q^m - 1 - a.
+    """
+    return ~mask[::-1]
+
+
+def _footprint_bounds(code: LinearCode, m: int) -> list[tuple[int, np.ndarray, np.ndarray | None]]:
+    """(beta, LM, frob) for the code on GF(q)^m and, on a tower top, for
+    its Frobenius image: LM the mask of leading monomials, beta the least
+    footprint over it, a floor on the weight of every nonzero word, and
+    frob the map back to the code (None for the code itself).
+
+    When 2k > n, LM is read from the small dual (:func:`_dual_leading`),
+    and the image's from the dual's entrywise image, as
+    (C^q)-perp = (C-perp)^q: no large code is built.
+    """
+    field, n, k = code.field, code.n, code.k
+    small = code.dual().gen if 2 * k > n else code.gen
+    maps = [None]
+    try:
+        maps.append(extension_pair_for(field).frob)
+    except NoEmbeddingDefined:
+        pass
+    footprint = _footprint_tables(field, m)[2]
+    found = []
+    for frob in maps:
+        lead = _leading_monomials(field, m, small if frob is None else frob[small])
+        lead = _dual_leading(lead) if 2 * k > n else lead
+        found.append((int(footprint[lead].min()), lead, frob))
+    return found
+
+
+def _footprint_words(field: FieldSpec, m: int, B: np.ndarray) -> np.ndarray:
+    """Values at the points of GF(q)^m of f_b = prod_i prod_{j < b_i} (x_i - alpha_j),
+    one row per column b of the exponents B (m, c): zero exactly where some
+    x_i is among the first b_i elements, so f_b weighs prod_i (q - b_i)."""
+    vanish = _footprint_tables(field, m)[3]
+    A = point_matrix(field, m)
+    words = np.ones((B.shape[1], field.q**m), dtype=np.uint8)
+    for i in range(m):
+        words = field.MUL[words, vanish[B[i][:, None], A[i][None, :]]]
+    return words
+
+
+def _footprint_weights(code: LinearCode, exclude: LinearCode | None, cap: int) -> Weights | None:
+    """Exact (wt(C), wt(C minus exclude)) on the q^m points of GF(q)^m by
+    the footprint bound (Hoeholdt, van Lint and Pellikaan, Handbook of
+    Coding Theory, 1998; Geil 2008), or None.
+
+    A word whose polynomial leads with x^b is nonzero on at least
+    prod_i (q - b_i) points, so every nonzero word of C weighs at least
+    beta, the least footprint over LM(C) (:func:`_footprint_bounds`).  The
+    word f_b (:func:`_footprint_words`) weighs exactly prod_i (q - b_i);
+    if a minimizing f_b lies in C and outside ``exclude`` (one ``reduce``
+    each), both weights are beta.
+
+    On a tower top GF(q^2), w -> w^q preserves weight, so the image pair
+    (C^q, exclude^q) has the same weights and its bound holds too.  Only
+    the larger of the two bounds can be met, so only its witnesses are
+    tried, an image witness mapped back by Frobenius first.
+
+    Declined (None) when n is not q^m or n min(k, n - k) tops ``cap``.
+    """
+    field, n, k = code.field, code.n, code.k
+    m = _grid_dimension(field.q, n)
+    if m is None or n * min(k, n - k) > cap:
+        return None
+    found = _footprint_bounds(code, m)
+    beta = max(bound for bound, _, _ in found)
+    footprint = _footprint_tables(field, m)[2]
+    for bound, lead, frob in found:
+        if bound < beta:
+            continue
+        words = _footprint_words(field, m, point_matrix(field, m)[:, lead & (footprint == beta)])
+        words = words if frob is None else frob[words]
+        ok = ~code.reduce(words).any(axis=1)
+        if exclude is not None:
+            ok &= exclude.reduce(words).any(axis=1)
+        if ok.any():
+            return Weights(beta, beta, True)
+    return None
 
 
 # -- componentwise product span ---------------------------------------------------

@@ -208,14 +208,17 @@ def test_strict_mode_exits_capped_on_degraded_record(capsys):
 
 
 def test_grm_distance_stays_a_bound_when_the_support_route_does_not_fit_the_cap(capsys):
-    # [25,15,5]_5 is exact at the default cap; at cap 50000 the weight <= 5
-    # supports (68,405) do not fit, so the support route is not tried
-    code, out, _ = run(capsys, "grm", "-q", "5", "-m", "2", "--order", "4", "--cap", "50000")
+    # [25,15,5]_5 is exact at the default cap.  At cap 249 the weight <= 5
+    # supports (68,405) do not fit, so the support route is not tried, and
+    # the footprint route's price, n min(k, n - k) = 250, does not fit
+    # either; at cap 250 the footprint settles it
+    code, out, _ = run(capsys, "grm", "-q", "5", "-m", "2", "--order", "4", "--cap", "249")
     assert code == EXIT_OK
-    assert "[25,15,>=4]_5" in out and "capped: true" in out
-    code, out, _ = run(capsys, "grm", "-q", "5", "-m", "2", "--order", "4")
-    assert code == EXIT_OK
-    assert "[25,15,5]_5" in out and "capped: false" in out
+    assert "[25,15,>=2]_5" in out and "capped: true" in out
+    for cap in (("--cap", "250"), ()):
+        code, out, _ = run(capsys, "grm", "-q", "5", "-m", "2", "--order", "4", *cap)
+        assert code == EXIT_OK
+        assert "[25,15,5]_5" in out and "capped: false" in out
 
 
 def test_json_reports_are_deterministic(capsys):
@@ -688,7 +691,7 @@ GOLDEN_COMMANDS = {
     # codes, R_5(3,2) = [25,10,10]_5 included, and the distributions the rest
     "sweep_grm_q2_3_4_5_m1_2": "sweep grm -q 2,3,4,5 -m 1,2",
     "grm_q3_m2_order1_dual_dump": "grm -q 3 -m 2 --order 1 --dual-check --dump-matrix",
-    # a distance bound
+    # exact at cap 50000 by the footprint route, priced at 25 * 10
     "grm_q5_m2_order4_cap50000": "grm -q 5 -m 2 --order 4 --cap 50000",
     # RREF generators written by the Lagrange construction, over GF(16)
     # and in three variables
@@ -701,7 +704,8 @@ GOLDEN_COMMANDS = {
     "puncture_hermitian_q3_nu1_weights": "puncture hermitian -q 3 --nu 1 --list-weights",
     "puncture_hermitian_q5_nu2_mds_chain": "puncture hermitian -q 5 --nu 2 --mds-chain",
     "puncture_hermitian_q5_nu2_w15": "puncture hermitian -q 5 --nu 2 --target-weight 15",
-    # three capped rows
+    # the footprint route settles the three q = 4, m = 2 rows the other
+    # routes leave as bounds
     "sweep_hermitian_q2_4_m1_2": "sweep hermitian -q 2,4 -m 1,2",
     "sweep_css_q3_m2_cap2": "sweep css -q 3 -m 2 --cap 2",
 }

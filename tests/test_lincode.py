@@ -4,6 +4,7 @@ The oracles here enumerate codewords with itertools over scalar field
 operations, deliberately avoiding the library's vectorized span engine.
 """
 
+import functools
 import itertools
 import tracemalloc
 from math import comb
@@ -1260,11 +1261,15 @@ def test_engine_skips_a_support_search_sure_to_give_up(monkeypatch):
 def test_a_code_of_rate_above_half_over_the_cap_gets_only_the_first_look(monkeypatch):
     # the [256,253]_16 Hermitian dual of R_16(1, 2): with the cap as its
     # budget, the search would build its information sets and certify 3 at
-    # some cost; n < 2k leaves it the first look, and the distributions settle it
+    # some cost; n < 2k leaves it the first look, and the distributions settle it.
+    # A fresh copy of the code, so no counts that earlier tests memoized on
+    # the shared GRM code answer before the search
     sets = []
     monkeypatch.setattr(lincode, "_information_sets", lambda *args: sets.append(args))
-    C = build_grm(16, 2, 1).code
+    g = build_grm(16, 2, 1).code
+    C = LinearCode(g.field, g.gen, g.n)
     D = C.hermitian_dual()
+    assert not lincode._counted(D) and not lincode._counted(C)
     assert 2 * D.k > D.n and 16**D.k > lincode.DEFAULT_CAP
     assert exact_min_weight(D, C) == exact_min_weight(D) == (3, 3, True)
     assert not sets
@@ -1429,16 +1434,229 @@ def test_rooted_search_builds_the_prefixes_through_two_coordinates(monkeypatch):
     assert min_weight_support_search(C) == (5, 5) and built[3] == comb(25, 3)
 
 
-def test_rooted_support_search_keeps_its_price():
+def test_rooted_support_search_keeps_its_price(monkeypatch):
     # R_7(6,2) = [49,28,7]_7: rooted, the walk to weight 7 is short, but each
     # size w <= r is still charged C(49, w) up front, and C(49, <=5) tops the
-    # subset budget; the engine's pre-check declines it, and no other route
-    # fits the default cap, so its distance stays a bound
+    # subset budget; the engine's pre-check declines it.  At the default cap
+    # the footprint route settles the distance; one below its price,
+    # n min(k, n - k) = 49 * 21, no route fits, and it stays a bound
     C = build_grm(7, 2, 6).code
     assert lincode._affine_group_fixes(C, None)
     tripped = ("CapExceeded", "support search budget exceeded at weight 5")
     assert search_outcome(min_weight_support_search, C) == tripped
-    assert not exact_min_weight(C).exact
+    calls = []
+    monkeypatch.setattr(lincode, "min_weight_support_search", lambda *args: calls.append(args))
+    assert exact_min_weight(C) == (7, 7, True) and not calls
+    assert not exact_min_weight(C, cap=49 * 21 - 1).exact and not calls
+
+
+# -- the footprint certificate ---------------------------------------------------
+
+# (q, m) of every grid GF(q)^m of at most 27 points the tests draw codes on;
+# GF(4), GF(9), GF(16) and GF(25) are tower tops
+FOOTPRINT_GRIDS = [
+    (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1), (5, 2), (7, 1), (9, 1), (16, 1), (25, 1)
+]
+
+
+def all_words(field, gen):
+    """Every word of the row space, one per message (q^k, n), by 2-D table lookups."""
+    msgs = np.array(list(itertools.product(range(field.q), repeat=gen.shape[0])), dtype=np.uint8)
+    return reference_matmul(field, msgs.reshape(-1, gen.shape[0]), gen)
+
+
+def vanishing_word(field, m, b):
+    """prod_i prod_{j < b_i} (x_i - alpha_j) at each point of GF(q)^m, by scalar arithmetic."""
+    out = []
+    for t in range(field.q**m):
+        x = [t // field.q**i % field.q for i in range(m)]
+        v = 1
+        for i in range(m):
+            for j in range(b[i]):
+                v = field.mul(v, field.sub(x[i], j))
+        out.append(v)
+    return np.array(out, dtype=np.uint8)
+
+
+def reference_leading_monomials(field, m, gen):
+    """LM of every nonzero word of the row space, by brute force: each word's
+    coefficients come from the inverse of the monomial evaluation matrix
+    E[a, t] = prod_i x_i(t)^a_i (a reference rref of [E | I]), and its
+    leading monomial is the one of highest degree, then highest index."""
+    q, n = field.q, field.q**m
+    digits = [[t // q**i % q for i in range(m)] for t in range(n)]
+    def monomial(a, x):  # x^a at the point with coordinates x
+        return functools.reduce(field.mul, [field.pow(x[i], a[i]) for i in range(m)], 1)
+
+    E = np.array([[monomial(a, x) for x in digits] for a in digits], dtype=np.uint8)
+    inverse = reference_rref(field, np.hstack([E, np.eye(n, dtype=np.uint8)]))[0][:, n:]
+    key = [(sum(a), t) for t, a in enumerate(digits)]
+    mask = np.zeros(n, dtype=bool)
+    for word in all_words(field, gen):
+        coeffs = reference_matmul(field, word[None, :], inverse)[0]  # word = coeffs @ E
+        if coeffs.any():
+            mask[max(np.flatnonzero(coeffs), key=lambda t: key[t])] = True
+    return mask
+
+
+@pytest.mark.parametrize("q, m", [(2, 2), (2, 3), (3, 2), (4, 1), (5, 1), (4, 2)], ids=str)
+def test_leading_monomials_match_brute_force(q, m):
+    f = gf.get_field(q)
+    rng = np.random.default_rng(60 + q * m)
+    n = q**m
+    for _ in range(8):
+        k = int(rng.integers(1, min(n, 6 if q <= 3 else 3) + 1))
+        G = rng.integers(0, q, size=(k, n)).astype(np.uint8)
+        G[0] = vanishing_word(f, m, rng.integers(0, q, size=m))
+        assert np.array_equal(lincode._leading_monomials(f, m, G), reference_leading_monomials(f, m, G))
+
+
+@pytest.mark.parametrize(
+    "q, m", [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2), (7, 2), (4, 3), (9, 2), (16, 1), (25, 1)], ids=str
+)
+def test_the_dual_reads_its_leading_monomials_off_the_code(q, m):
+    # LM(C-perp) = {a* : a not in LM(C)}, a* = (q - 1 - a_i)_i, on random
+    # codes of every rate; on a tower top also for the Frobenius images,
+    # as (C^q)-perp = (C-perp)^q
+    f = gf.get_field(q)
+    frob = gf.extension_pair_for(f).frob if q in (4, 9, 16, 25) else None
+    rng = np.random.default_rng(70 + q * m)
+    n = q**m
+    for _ in range(10):
+        k = int(rng.integers(0, n + 1))
+        C = LinearCode(f, rng.integers(0, q, size=(k, n)).astype(np.uint8), n)
+        D = C.dual()
+        lead = lincode._leading_monomials(f, m, C.gen)
+        assert lead.sum() == C.k
+        assert np.array_equal(lincode._leading_monomials(f, m, D.gen), lincode._dual_leading(lead))
+        if frob is not None:
+            image = lincode._leading_monomials(f, m, frob[C.gen])
+            assert np.array_equal(lincode._leading_monomials(f, m, frob[D.gen]), lincode._dual_leading(image))
+
+
+@st.composite
+def grid_code_with_subcode(draw):
+    """A code of length q^m <= 27, its first rows words f_b, the rest random,
+    and a subcode spanned by some of its first rows (None when that is 0 or all)."""
+    q, m = draw(st.sampled_from(FOOTPRINT_GRIDS))
+    f, n = gf.get_field(q), q**m
+    most = max(k for k in range(1, n + 1) if q**k <= 2**16)
+    planted = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * m), max_size=min(4, most)))
+    extra = draw(st.integers(0 if planted else 1, most - len(planted)))
+    entries = st.lists(st.integers(0, q - 1), min_size=extra * n, max_size=extra * n)
+    rows = [vanishing_word(f, m, b) for b in planted]
+    rows += list(np.array(draw(entries), dtype=np.uint8).reshape(extra, n))
+    code = LinearCode(f, np.array(rows, dtype=np.uint8).reshape(-1, n), n)
+    assume(code.k > 0)
+    sub = LinearCode(f, np.array(rows[: draw(st.integers(0, len(rows)))], dtype=np.uint8).reshape(-1, n), n)
+    return code, m, (sub if 0 < sub.k < code.k else None)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=200)
+@given(grid_code_with_subcode())
+def test_footprint_bound_and_witness_agree_with_brute_force(case):
+    # every bound, of the code and of its Frobenius image, is at most the
+    # true distance, and the route's value, when it gives one, is exact
+    code, m, sub = case
+    words = all_words(code.field, code.gen)
+    weights = (words != 0).sum(axis=1)
+    excluded = {w.tobytes() for w in all_words(code.field, sub.gen)} if sub is not None else {bytes(code.n)}
+    outside = np.array([w.tobytes() not in excluded for w in words])
+    truth = (int(weights[weights > 0].min()), int(weights[outside].min()), True)
+    bounds = lincode._footprint_bounds(code, m)
+    assert len(bounds) == (2 if code.field.q in (4, 9, 16, 25) else 1)
+    assert all(bound <= truth[0] for bound, _, _ in bounds)
+    found = lincode._footprint_weights(code, sub, lincode.DEFAULT_CAP)
+    assert found is None or found == truth
+
+
+def fresh_grm(q, m, nu):
+    """A copy of R_q(nu, m) that shares nothing memoized with the cached code."""
+    g = build_grm(q, m, nu).code
+    return LinearCode(g.field, g.gen, g.n)
+
+
+def footprint_grm_pairs(cap):
+    """Every GRM pair whose weight distributions fit ``cap``: R_q(nu, m) alone,
+    over R_q(nu - 1, m) (a CSS side), and, over a tower top where it is
+    Hermitian self-orthogonal, as the excluded code of its Hermitian dual."""
+    for q in (2, 3, 4, 5, 7, 8, 9, 16):
+        for m in (1, 2, 3, 4):
+            for nu in range(m * (q - 1) + 1) if q**m <= 256 else ():
+                C = fresh_grm(q, m, nu)
+                pairs = [(C, None)] + ([(C, fresh_grm(q, m, nu - 1))] if nu else [])
+                if q in (4, 9, 16) and 2 * C.k < C.n:
+                    D = C.hermitian_dual()
+                    pairs += [(D, C)] if C.is_subcode_of(D) else []
+                for code, exclude in pairs:
+                    if all(c is None or lincode._smaller_span(c) <= cap for c in (code, exclude)):
+                        yield q, m, nu, code, exclude
+
+
+def test_footprint_agrees_with_the_distributions_on_every_grm_pair_within_the_cap():
+    # 255 pairs, each settled by the footprint; at 2^24 there are 277, but
+    # their distributions take ten times as long
+    cap = 2**20
+    pairs = 0
+    for q, m, nu, code, exclude in footprint_grm_pairs(cap):
+        found = lincode._footprint_weights(code, exclude, cap)
+        assert found == lincode._distribution_weights(code, exclude), (q, m, nu, exclude is None)
+        pairs += 1
+    assert pairs >= 250
+
+
+def x1x2_code():
+    """The functions 1 and (x_1 x_2)^2 on GF(4)^2, and the subcode of the second."""
+    f = gf.get_field(4)
+    e = gf.extension_pair_for(f).frob[vanishing_word(f, 2, (1, 1))]  # (x_1 x_2)^2
+    return LinearCode(f, np.vstack([np.ones(16, dtype=np.uint8), e]), 16), LinearCode(f, e[None, :], 16)
+
+
+def test_only_the_frobenius_image_settles_a_code_and_its_witness_is_mapped_back():
+    # C = <1, (x_1 x_2)^2> over GF(4): its leading monomials 1 and x_1^2 x_2^2
+    # bound it by 4, its image <1, x_1 x_2> by 9, the true distance.  The
+    # image's witness x_1 x_2 is not in C, but its Frobenius image is.
+    # With E = <(x_1 x_2)^2> excluded, that witness lies in E, where x_1 x_2
+    # does not: every word outside E weighs 13 or 16, so the route declines
+    C, E = x1x2_code()
+    words = oracle_codewords(C.field, C.gen)
+    excluded = oracle_codewords(C.field, E.gen)
+    weight = {w: sum(1 for x in w if x) for w in words}
+    assert min(weight[w] for w in words if any(w)) == 9 and min(weight[w] for w in words - excluded) == 13
+    assert [bound for bound, _, _ in lincode._footprint_bounds(C, 2)] == [4, 9]
+    assert lincode._footprint_weights(C, None, lincode.DEFAULT_CAP) == (9, 9, True)
+    assert lincode._footprint_weights(C, E, lincode.DEFAULT_CAP) is None
+    assert exact_min_weight(C, E) == (9, 13, True)
+
+
+@pytest.mark.parametrize("nu, direct, image", [(3, 2, 5), (5, 3, 7)])
+def test_the_hermitian_sides_settle_through_the_frobenius_image(nu, direct, image):
+    # the [256, 256 - k] Hermitian dual of R_16(nu, 2) over the code: its own
+    # leading monomials bound it by 2 or 3, its image's by the closed form
+    C = build_grm(16, 2, nu).code
+    D = C.hermitian_dual()
+    assert [bound for bound, _, _ in lincode._footprint_bounds(D, 2)] == [direct, image]
+    assert lincode._footprint_weights(D, C, lincode.DEFAULT_CAP) == (image, image, True)
+    assert image == grm_distance(16, 2, build_grm(16, 2, nu).nu_perp)
+
+
+def test_footprint_declines_off_the_grid_and_over_its_price():
+    # R_5(4,2) = [25,15,5]_5 costs n min(k, n - k) = 25 * 10; punctured to
+    # 24 points it is no code on GF(5)^2
+    C, E = fresh_grm(5, 2, 4), fresh_grm(5, 2, 3)
+    assert lincode._footprint_weights(C, E, 250) == (5, 5, True)
+    assert lincode._footprint_weights(C, E, 249) is None
+    assert lincode._footprint_weights(C.punctured_to(range(24)), None, lincode.DEFAULT_CAP) is None
+
+
+def test_footprint_runs_only_where_the_engine_would_give_up(monkeypatch):
+    calls = []
+    route = lincode._footprint_weights
+    monkeypatch.setattr(lincode, "_footprint_weights", lambda *args: calls.append(args) or route(*args))
+    # the search settles R_5(3,2) within the cap: no footprint
+    assert exact_min_weight(fresh_grm(5, 2, 3), fresh_grm(5, 2, 2)) == (10, 10, True) and not calls
+    # R_7(6,2) = [49,28,7]_7 over the cap, where nothing else fits: one call
+    assert exact_min_weight(fresh_grm(7, 2, 6)) == (7, 7, True) and len(calls) == 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

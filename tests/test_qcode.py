@@ -140,43 +140,47 @@ def test_css_degrades_to_lower_bound_when_capped():
 
 
 def test_a_side_the_engine_gives_up_on_ends_the_distance_at_the_trivial_bound(monkeypatch):
-    # R_7(4, 2) minus R_7(2, 2): the engine gives up having certified 3,
-    # below the other side's exact 4, so d is not settled; and the Hermitian
-    # dual of R_16(3, 2) minus the code, which gives up at 2.  The
-    # distribution route fits neither: R_7(4, 2) and its dual span at least
-    # 7^15 words, the Hermitian dual and its dual 16^10.  A plain record
-    # keeps the trivial bound 1, not the certified one
+    # R_7(4, 2) minus R_7(2, 2) at cap 734: the engine gives up having
+    # certified 2, below the other side's exact 4, so d is not settled; and
+    # the Hermitian dual of R_16(3, 2) minus the code at cap 2559, which
+    # gives up at 1.  Each cap is one below the footprint route's price
+    # n min(k, n - k), 49 * 15 and 256 * 10, which settles both sides at the
+    # default cap.  The distribution route fits neither: R_7(4, 2) and its
+    # dual span at least 7^15 words, the Hermitian dual and its dual 16^10.
+    # A plain record keeps the trivial bound 1, not the certified one
     calls = []
     real = lincode.exact_min_weight
     monkeypatch.setattr(lincode, "exact_min_weight", lambda *args: calls.append(real(*args)) or calls[-1])
-    rec = css(build_grm(7, 2, 2).code, build_grm(7, 2, 4).code)
-    assert [tuple(w) for w in calls] == [(21, 3, False), (4, 4, True)]
+    rec = css(build_grm(7, 2, 2).code, build_grm(7, 2, 4).code, cap=734)
+    assert [tuple(w) for w in calls] == [(21, 2, False), (4, 4, True)]
     assert (rec.d, rec.d_is_lower_bound, rec.pure) == (1, True, None)
-    prov = {"n": 49, "k1": 6, "k2": 15, "branch": "strict", "cap": DEFAULT_CAP, "distance_capped": True}
+    prov = {"n": 49, "k1": 6, "k2": 15, "branch": "strict", "cap": 734, "distance_capped": True}
     assert rec.provenance == prov
     calls.clear()
-    rec = hermitian(build_grm(16, 2, 3).code)
-    assert [w[1:] for w in calls] == [(2, False)]
+    rec = hermitian(build_grm(16, 2, 3).code, cap=2559)
+    assert [w[1:] for w in calls] == [(1, False)]
     assert (rec.d, rec.d_is_lower_bound, rec.pure) == (1, True, None)
-    assert rec.provenance == {"n": 256, "k_classical": 10, "cap": DEFAULT_CAP, "distance_capped": True}
+    assert rec.provenance == {"n": 256, "k_classical": 10, "cap": 2559, "distance_capped": True}
 
 
 @pytest.mark.parametrize(
-    "q, m, nu1, nu2, key, bound, exact",
+    "q, m, nu1, nu2, cap, key, bound, exact",
     [
         # C2 minus C1 is capped at 3, C1-perp minus C2-perp exact at 2
-        (7, 2, 0, 4, "bound_c2_c1", 3, {"wt_c1perp": 2, "wt_diff_c1perp_c2perp": 2}),
+        (7, 2, 0, 1, 146, "bound_c2_c1", 3, {"wt_c1perp": 2, "wt_diff_c1perp_c2perp": 2}),
         # its bound 3 equals the exact side's 3: still settled
-        (4, 3, 1, 4, "bound_c2_c1", 3, {"wt_c1perp": 3, "wt_diff_c1perp_c2perp": 3}),
+        (4, 3, 1, 2, 639, "bound_c2_c1", 3, {"wt_c1perp": 3, "wt_diff_c1perp_c2perp": 3}),
         # C1-perp minus C2-perp capped at 3, C2 minus C1 exact at 2
-        (7, 2, 3, 11, "bound_c1perp_c2perp", 3, {"wt_c2": 2, "wt_diff_c2_c1": 2}),
+        (7, 2, 10, 11, 146, "bound_c1perp_c2perp", 3, {"wt_c2": 2, "wt_diff_c2_c1": 2}),
     ],
 )
-def test_one_exact_side_settles_a_css_distance(q, m, nu1, nu2, key, bound, exact):
+def test_one_exact_side_settles_a_css_distance(q, m, nu1, nu2, cap, key, bound, exact):
     # d = min over both sides; one side's exact weight is d when the other
     # side certified at least as much.  The capped side records its bound
-    # under its own key, and the record is exact, pure and the closed form
-    rec = css_grm(q, m, nu1, nu2)
+    # under its own key, and the record is exact, pure and the closed form.
+    # Each cap is one below the footprint route's price n min(k, n - k) on
+    # the capped side, and at least its price on the exact one
+    rec = css_grm(q, m, nu1, nu2, cap)
     assert rec.exact and rec.pure is True and rec.d == min(exact.values())
     assert {k: v for k, v in rec.provenance.items() if k.startswith(("wt_", "bound_"))} == {key: bound, **exact}
     assert "distance_capped" not in rec.provenance
