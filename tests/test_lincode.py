@@ -1500,14 +1500,17 @@ def reference_leading_monomials(field, m, gen):
 
 
 @pytest.mark.parametrize("q, m", [(2, 2), (2, 3), (3, 2), (4, 1), (5, 1), (4, 2)], ids=str)
-def test_leading_monomials_match_brute_force(q, m):
+def test_leading_monomials_and_witness_words_match_brute_force(q, m):
     f = gf.get_field(q)
     rng = np.random.default_rng(60 + q * m)
     n = q**m
     for _ in range(8):
         k = int(rng.integers(1, min(n, 6 if q <= 3 else 3) + 1))
         G = rng.integers(0, q, size=(k, n)).astype(np.uint8)
-        G[0] = vanishing_word(f, m, rng.integers(0, q, size=m))
+        b = rng.integers(0, q, size=m)
+        G[0] = vanishing_word(f, m, b)
+        assert np.array_equal(lincode._footprint_words(f, m, b[:, None]), G[:1])
+        assert np.count_nonzero(G[0]) == np.prod(q - b)
         assert np.array_equal(lincode._leading_monomials(f, m, G), reference_leading_monomials(f, m, G))
 
 
