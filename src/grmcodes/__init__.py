@@ -17,13 +17,10 @@ from .grm import (
 from .lincode import (
     DEFAULT_CAP,
     LinearCode,
-    WeightDistribution,
-    product_span,
 )
 from .puncture import (
     PunctureCodeRecord,
     PunctureWitness,
-    extended_rs_embedding_check,
     find_weight_witness,
     mds_chain,
     puncture_code_css,
@@ -51,12 +48,10 @@ __all__ = [
     "PunctureWitness",
     "QuantumCodeRecord",
     "StabilizerMatrix",
-    "WeightDistribution",
     "build_grm",
     "css",
     "css_grm",
     "dual_order",
-    "extended_rs_embedding_check",
     "find_weight_witness",
     "get_field",
     "grm_dimension",
@@ -65,7 +60,6 @@ __all__ = [
     "hermitian_grm",
     "hermitian_self_orthogonal",
     "mds_chain",
-    "product_span",
     "puncture_code_css",
     "puncture_code_hermitian",
     "puncture_css",

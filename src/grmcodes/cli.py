@@ -307,8 +307,8 @@ def run_puncture(args) -> RunReport:
         # only the witness search reads the family's restriction subcodes
         prec = puncture_code_hermitian(codes[0].code if args.list_weights else codes[0])
     if args.list_weights:
-        dist = prec.pcode.weight_distribution(args.cap)
-        rep.tables["puncture_code_weights"] = {"counts": list(dist.counts), "exact": True}
+        counts = prec.pcode.weight_distribution(args.cap)
+        rep.tables["puncture_code_weights"] = {"counts": list(counts), "exact": True}
         return rep
     materialize = puncture_css if css else puncture_hermitian
     rec = materialize(*codes, find_weight_witness(prec, args.target_weight, args.cap), args.cap, pcode_record=prec)

@@ -1,16 +1,14 @@
 """Exception types shared across the package.
 
-Most errors subclass ValueError so generic callers can catch broadly;
-DivisionByZero subclasses ZeroDivisionError to match Python conventions.
+Most errors subclass ValueError so generic callers can catch broadly.
+CapExceeded and WitnessNotFound, a scan that ran out or came up empty,
+subclass RuntimeError; ParameterMismatch, a contradicted claim, only
+GrmError.
 """
 
 
 class GrmError(Exception):
     """Base class for all package-specific errors."""
-
-
-class DivisionByZero(GrmError, ZeroDivisionError):
-    """Division or inversion of the zero field element."""
 
 
 class FieldMismatch(GrmError, ValueError):
@@ -72,10 +70,6 @@ class WitnessNotFound(GrmError, RuntimeError):
     def __init__(self, message: str, proven_absent: bool = False):
         super().__init__(message)
         self.proven_absent = proven_absent
-
-
-class PointOrderMismatch(GrmError, ValueError):
-    """No configured point bijection between the two evaluation domains."""
 
 
 class InexactParameters(GrmError, ValueError):

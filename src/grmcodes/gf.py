@@ -24,7 +24,9 @@ Every table is built from the one digit representation, ``DIGITS``
 by digit mod p, and multiplication by x as the companion map of the
 modulus (shift each digit up one place, fold the top digit back).  The
 orbit of 1 under it is the exp/log table, from which MUL, INV and POW
-follow.
+follow.  The tables are the whole scalar interface: a + b is
+``ADD[a, b]``, a - b is ``ADD[a, NEG[b]]``, a / b is ``MUL[a, INV[b]]``
+and a^j is ``POW[a, j]`` for 0 <= j <= q - 1.
 
 Quadratic towers GF(q) < GF(q^2) are designated for q in {2,3,4,5,7,8};
 the embedding sends the base generator to the smallest-index root of the
@@ -59,7 +61,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    DivisionByZero,
     NoEmbeddingDefined,
     UnsupportedField,
 )
@@ -137,9 +138,6 @@ class FieldSpec:
             x = times_x[x]
         assert x == 1 and np.bincount(exp[: q - 1], minlength=q).max() == 1, "x is not primitive"
         exp[q - 1 :] = exp[: q - 1]
-        log[0] = -1
-        self._exp = exp
-        self._log = log
 
         mul = np.zeros((q, q), dtype=np.uint8)
         lg = log[1:]
@@ -171,40 +169,6 @@ class FieldSpec:
             t.setflags(write=False)
         # a view of the frozen ADD, so it is read-only too
         self._add_flat = self.ADD.reshape(-1)  # ADD[a, b] == _add_flat[a * q + b]
-
-    # -- scalar operations ------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return int(self.ADD[a, b])
-
-    def sub(self, a: int, b: int) -> int:
-        return int(self.ADD[a, self.NEG[b]])
-
-    def neg(self, a: int) -> int:
-        return int(self.NEG[a])
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.MUL[a, b])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero(f"0 has no inverse in GF({self.q})")
-        return int(self.INV[a])
-
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise DivisionByZero(f"division by 0 in GF({self.q})")
-        return int(self.MUL[a, self.INV[b]])
-
-    def pow(self, a: int, n: int) -> int:
-        """a**n for any integer n; negative n inverts first."""
-        if a == 0:
-            if n == 0:
-                return 1
-            if n < 0:
-                raise DivisionByZero(f"0**{n} undefined in GF({self.q})")
-            return 0
-        return int(self._exp[(int(self._log[a]) * n) % (self.q - 1)])
 
     # -- array operations (uint8 index arrays, broadcasting) ---------------
 

@@ -3,7 +3,7 @@
 A LinearCode is a k-dimensional subspace of GF(q)^n held as a generator
 matrix in reduced row-echelon form.  RREF is unique, so two codes are
 equal exactly when their matrices are equal, and every derived object
-(duals, spans, restrictions) is reproducible bit for bit.
+(duals, restrictions, puncture codes) is reproducible bit for bit.
 
 The construction algebra leans on that form: the generator is the
 identity on its pivot columns.  An ``rref`` pivot step touches only the
@@ -12,14 +12,16 @@ already zero; ``reduce`` is one product, as its multipliers are the
 pivot columns, and returns the residue on the free columns only, as it
 is 0 on the pivots; ``kernel_basis`` is one elimination and ``dual`` reads its
 null rows off an RREF with min(k, n - k) pivots; a matrix already in
-RREF (a Frobenius image, the identity, a product of RREF matrices) is
+RREF (a Frobenius image, a kernel basis, a product of RREF matrices) is
 taken as it is, each row's first nonzero entry being its pivot; and
 ``restriction`` is one kernel over the n - k free columns, because the
 pivot columns carry the message and its imaginary part vanishes there.
 A code is immutable, so it computes its ``dual``, ``hermitian_dual`` and
 ``restriction`` once and keeps them, and its dual keeps it as its own
 dual; a code shared across calls (``grm``'s cached GRM codes) computes
-them once per process.
+them once per process.  No product code is built: ``product_rows``, the
+componentwise products of two generators' rows, span it, and a puncture
+code is one kernel of them.
 
 Every distance goes through one engine, ``exact_min_weight(code,
 exclude)``, which settles wt(code) and wt(code minus exclude) in a single
@@ -92,7 +94,6 @@ against a brute-force oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -227,10 +228,6 @@ class LinearCode:
     def zero_code(cls, field: FieldSpec, n: int) -> "LinearCode":
         return cls(field, np.zeros((0, n), dtype=np.uint8), n)
 
-    @classmethod
-    def full_space(cls, field: FieldSpec, n: int) -> "LinearCode":
-        return cls(field, np.eye(n, dtype=np.uint8), n, _canonical=True)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LinearCode)
@@ -275,8 +272,6 @@ class LinearCode:
             raise FieldMismatch("codes live over different fields")
         if other.n != self.n:
             raise DimensionMismatch("codes have different lengths")
-        if self.k == 0:
-            return True
         return not np.any(other.reduce(self.gen))
 
     # -- duality -------------------------------------------------------------
@@ -311,11 +306,6 @@ class LinearCode:
         return self._hermitian_dual
 
     # -- subfield operations -------------------------------------------------
-
-    def trace_code(self) -> "LinearCode":
-        """Componentwise trace image, as a code over the base field."""
-        pair = extension_pair_for(self.field)
-        return LinearCode(pair.sub, pair.trace_rows(self.gen), self.n)
 
     def restriction(self) -> "LinearCode":
         """Subfield subcode C intersect GF(q)^n, from a kernel over n - k columns.
@@ -362,14 +352,14 @@ class LinearCode:
         found = exact_min_weight(self, cap=cap)
         return found.diff, found.exact
 
-    def weight_distribution(self, cap: int = DEFAULT_CAP) -> "WeightDistribution":
-        """Exact weight counts from one scan of the smaller of the code and
-        its dual (:func:`_weight_counts`); CapExceeded when that side's
-        span, q^min(k, n - k), tops the cap."""
+    def weight_distribution(self, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
+        """Exact weight counts A_0..A_n from one scan of the smaller of the
+        code and its dual (:func:`_weight_counts`); CapExceeded when that
+        side's span, q^min(k, n - k), tops the cap."""
         if _smaller_span(self) > cap:
             s = f"{self.field.q}^{min(self.k, self.n - self.k)}"
             raise CapExceeded(f"q^min(k, n-k) = {s} exceeds cap {cap} for exact distribution")
-        return WeightDistribution(tuple(_weight_counts(self)))
+        return tuple(_weight_counts(self))
 
     def _span_counts(self) -> tuple[int, ...]:
         """Weight counts A_0..A_n from one scan of the span, memoized as ``dual`` is.
@@ -385,17 +375,6 @@ class LinearCode:
             counts[0] = 1
             self._counts = tuple(int(c) for c in counts)
         return self._counts
-
-
-@dataclass(frozen=True)
-class WeightDistribution:
-    """Counts A_0..A_n of codeword weights, from one scan of the smaller of
-    the code and its dual (``LinearCode.weight_distribution``)."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        assert self.counts[0] == 1, "exact distribution must count the zero word once"
 
 
 def _smaller_span(code: LinearCode) -> int:
@@ -948,9 +927,7 @@ def min_weight_support_search(
         for S in _dependent_supports(field, H, w, root):
             if w > r:
                 charge(1, w)
-            K = kernel_basis(field, H[:, S])
-            if K.shape[0] == 0:
-                continue
+            K = kernel_basis(field, H[:, S])  # S is dependent: K has a row
             if field.q**K.shape[0] > KERNEL_BUDGET:
                 raise CapExceeded("kernel span too large to enumerate")
             for _, block in iter_span_blocks(field, K):
@@ -1196,7 +1173,7 @@ def _footprint_weights(code: LinearCode, exclude: LinearCode | None, cap: int) -
     return None
 
 
-# -- componentwise product span ---------------------------------------------------
+# -- componentwise products -------------------------------------------------------
 
 
 def product_rows(a: LinearCode, b: LinearCode) -> np.ndarray:
@@ -1208,9 +1185,3 @@ def product_rows(a: LinearCode, b: LinearCode) -> np.ndarray:
     if a.n != b.n:
         raise DimensionMismatch("codes have different lengths")
     return a.field.MUL[a.gen[:, None, :], b.gen[None, :, :]].reshape(-1, a.n)
-
-
-def product_span(a: LinearCode, b: LinearCode) -> LinearCode:
-    """Span of all componentwise products u*v with u in a, v in b
-    (:func:`product_rows`)."""
-    return LinearCode(a.field, product_rows(a, b), a.n)

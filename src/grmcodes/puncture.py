@@ -20,7 +20,9 @@ The Reed-Muller chain used for the MDS family walks
 where the last containment (step 1) identifies GF(q)^2 with GF(q^2)
 through the basis (1, gamma), the tower's ``points`` table; the scan for
 a minimum-weight vector runs in the small multivariate code and the
-result is carried back up the chain.
+result is carried back up the chain.  ``mds_chain`` checks step 1 at the
+one order it scans; the tests check it through ``_chain_step1`` at every
+order 0 <= nu <= 2(q-1).
 
 ``puncture_css`` and ``puncture_hermitian`` take GRM codes, whose closed
 form gives the promised d (``qcode.css_grm_distance`` and
@@ -43,16 +45,14 @@ import numpy as np
 
 from .errors import (
     CapExceeded,
-    NoEmbeddingDefined,
     NotNested,
     ParameterMismatch,
-    PointOrderMismatch,
     WitnessInvalid,
     WitnessNotFound,
     decide,
 )
-from .gf import extension_pair_for, get_field, quadratic_extension
-from .grm import GrmCode, build_grm, grm_dimension, grm_distance, point_matrix
+from .gf import extension_pair_for, quadratic_extension
+from .grm import GrmCode, build_grm, grm_dimension, point_matrix
 from .lincode import DEFAULT_CAP, LinearCode, find_first_of_weight, kernel_basis, product_rows
 from .qcode import (
     QuantumCodeRecord, check_quantum_orders, css, css_grm_distance, hermitian, hermitian_grm_distance, require
@@ -72,16 +72,12 @@ class PunctureCodeRecord:
 class PunctureWitness:
     """A vector x of the puncture code and where it was found.
 
-    The support and the weight are those of x; ``puncture_hermitian``
-    derives the scaling from x itself.
+    Its weight is that of x; the constructions read the support, and
+    ``puncture_hermitian`` the scaling, off x itself.
     """
 
     x: np.ndarray
     source: str
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.x))
 
     @property
     def weight(self) -> int:
@@ -96,7 +92,7 @@ def puncture_code_css(
     That dual is the kernel of the matrix M whose rows are the products
     a*b of the generator rows a of C1 and b of C2-perp, which span it
     (``lincode.product_rows``): one ``kernel_basis``, already in RREF, so
-    the code equals ``product_span(C1, C2-perp).dual()`` entry for entry.
+    the code equals the dual of the products' span entry for entry.
     For a Reed-Muller pair the result equals R_q(nu2-nu1, m) exactly, and
     the lower-order codes R_q(mu, m) are recorded as known subcodes.
     """
@@ -137,9 +133,10 @@ def puncture_code_hermitian(C: Union[LinearCode, GrmCode]) -> PunctureCodeRecord
     GF(q)-linear and (1, gamma) is a basis, so the rows Tr(M) and
     Tr(gamma M) span the trace code over GF(q) (``trace_rows`` of the
     tower), and the puncture code is their kernel over GF(q): one
-    ``kernel_basis``, already in RREF, so the code equals
-    ``product_span(C, C^q).trace_code().dual()`` entry for entry (the
-    subfield-subcode duality of Delsarte, IEEE Trans. IT 21(5), 1975).
+    ``kernel_basis``, already in RREF, so the code equals the dual of the
+    trace code of the products' span entry for entry, which is the
+    restriction of that span's dual (the subfield-subcode duality of
+    Delsarte, IEEE Trans. IT 21(5), 1975).
     The pairs i <= j suffice, k(k+1) trace rows instead of 2k^2: the
     product for (j, i) is the q-th power of that for (i, j), and Tr(x^q) =
     Tr(x), so its rows are Tr(M_ij) and Tr(gamma^q M_ij) = Tr(gamma)
@@ -301,33 +298,6 @@ def _chain_step1(code: LinearCode, mu: int) -> tuple[LinearCode, LinearCode]:
     mapped = np.zeros_like(code.gen)
     mapped[:, quadratic_extension(q).points] = code.gen
     return LinearCode(code.field, mapped, q * q), build_grm(q * q, 1, mu).code.restriction()
-
-
-def extended_rs_embedding_check(q: int, m: int, nu: int) -> bool:
-    """Does R_q(nu, m) embed in the matching extended-RS subfield restriction?
-
-    The univariate side is R_{q^m}(q^m - d(nu), 1)|_GF(q).  For m = 2 the
-    bivariate code is moved onto GF(q^2) by the basis bijection, as chain
-    step 1 of ``mds_chain`` does; every order 0 <= nu <= 2(q-1) is valid.
-    Only m in {1, 2} has a configured bijection.  For m = 1 both sides are
-    R_q(nu, 1), as d(nu) = q - nu: the identity, returned with no code built.
-
-    Kept beside ``mds_chain`` because it checks step 1 where the chain does
-    not: the chain scans only the orders 1..q-1, never 0 or q..2(q-1), and
-    where a full R_q(nu, 2) is over the cap it embeds only its univariate
-    slice.
-    """
-    if m == 1:
-        get_field(q)  # raises UnsupportedField
-        return q - grm_distance(q, 1, nu) == nu
-    if m != 2:
-        raise PointOrderMismatch(f"no point bijection configured for m={m}")
-    try:
-        quadratic_extension(q)
-    except NoEmbeddingDefined as exc:
-        raise PointOrderMismatch(f"no designated extension for q={q}") from exc
-    mapped, restricted = _chain_step1(build_grm(q, 2, nu).code, q * q - grm_distance(q, 2, nu))
-    return mapped.is_subcode_of(restricted)
 
 
 # -- the quantum MDS chain -----------------------------------------------------

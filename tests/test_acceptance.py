@@ -139,7 +139,7 @@ def test_criterion_6_puncture_code_machinery():
                 failures.append(f"P(C) identity failed at ({nu1},{nu2})")
                 continue
             dist = prec.pcode.weight_distribution(CAP)
-            r = next(i for i, c in enumerate(dist.counts) if i and c)
+            r = next(i for i, c in enumerate(dist) if i and c)
             w = find_weight_witness(prec, r, CAP)
             rec = puncture_css(g1, g2, w, CAP, pcode_record=prec)
             if rec.k < rec.provenance["k_lower_bound"]:
@@ -157,7 +157,7 @@ def test_criterion_7_hermitian_puncture_containments():
     g = build_grm(9, 1, 1)
     prec = puncture_code_hermitian(g)
     dist = prec.pcode.weight_distribution(CAP)
-    if dist.counts[6] == 0:
+    if dist[6] == 0:
         failures.append("P_h(R_9(1,1)) has no weight-6 vector")
     q = 3
     for nu in range(q - 1):
@@ -211,7 +211,8 @@ def test_criterion_9_oracle_crosschecks():
             n = int(rng.integers(2, 10))
             k_rows = int(rng.integers(1, n + 1))
             D = LinearCode(f, rng.integers(0, f.q, size=(k_rows, n)).astype(np.uint8), n)
-            if D.trace_code().dual() != D.dual().restriction():
+            trace_code = LinearCode(pair.sub, pair.trace_rows(D.gen), n)
+            if trace_code.dual() != D.dual().restriction():
                 failures.append(f"Delsarte failed over GF({f.q}), trial {trial}")
     # field axioms, exhaustive for q <= 16
     for q in (2, 3, 4, 5, 7, 8, 9, 16):

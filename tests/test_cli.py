@@ -701,6 +701,10 @@ GOLDEN_COMMANDS = {
     "quantum_hermitian_q3_m1_nu1_dump": "quantum hermitian -q 3 -m 1 --nu 1 --dump-stabilizer",
     "puncture_css_q3_m2_nu1_1_nu2_2_w6": "puncture css -q 3 -m 2 --nu1 1 --nu2 2 --target-weight 6",
     "puncture_css_q3_m2_nu1_1_nu2_2_weights": "puncture css -q 3 -m 2 --nu1 1 --nu2 2 --list-weights",
+    # [[35,9,4]]_7: its [35,15]_7 minus [35,6]_7 side weighs 7, settled by the
+    # information-set search alone (length 35 is no 7^m, and the other
+    # routes' prices top the cap)
+    "puncture_css_q7_m2_nu1_2_nu2_6_w35": "puncture css -q 7 -m 2 --nu1 2 --nu2 6 --target-weight 35",
     "puncture_hermitian_q3_nu1_weights": "puncture hermitian -q 3 --nu 1 --list-weights",
     "puncture_hermitian_q5_nu2_mds_chain": "puncture hermitian -q 5 --nu 2 --mds-chain",
     "puncture_hermitian_q5_nu2_w15": "puncture hermitian -q 5 --nu 2 --target-weight 15",

@@ -1,10 +1,9 @@
 """LinearCode tests backed by independent brute-force oracles.
 
-The oracles here enumerate codewords with itertools over scalar field
-operations, deliberately avoiding the library's vectorized span engine.
+The oracles here enumerate codewords with itertools over the field's
+scalar tables, deliberately avoiding the library's vectorized span engine.
 """
 
-import functools
 import itertools
 import tracemalloc
 from math import comb
@@ -29,10 +28,14 @@ from grmcodes.lincode import (
     iter_span_blocks,
     kernel_basis,
     min_weight_support_search,
-    product_span,
+    product_rows,
     rref,
     _dependent_supports,
 )
+
+
+def full_space(field, n):
+    return LinearCode(field, np.eye(n, dtype=np.uint8), n)
 
 
 def oracle_codewords(field, gen):
@@ -44,7 +47,7 @@ def oracle_codewords(field, gen):
         for m, row in zip(msg, gen):
             if m:
                 for j in range(n):
-                    vec[j] = field.add(vec[j], field.mul(m, int(row[j])))
+                    vec[j] = int(field.ADD[vec[j], field.MUL[m, row[j]]])
         words.add(tuple(vec))
     return words
 
@@ -137,7 +140,7 @@ def test_rref_kernel_and_reduce_match_reference_rref(q):
         # the generator is in RREF, so the residue is V - V[:, pivots] @ gen,
         # which is 0 on the pivots; reduce returns it on the free columns,
         # also for k = 0 (no pivot: V itself) and k = n (no free column)
-        for c in (code, LinearCode.zero_code(f, n), LinearCode.full_space(f, n)):
+        for c in (code, LinearCode.zero_code(f, n), full_space(f, n)):
             lifted = reference_matmul(f, V[:, list(c.pivots)], c.gen)
             residue = f.ADD[V, f.NEG[lifted]]
             assert not np.any(residue[:, list(c.pivots)])
@@ -220,7 +223,7 @@ def test_same_span_means_equal_code():
 def test_zero_and_full_codes():
     f = gf.get_field(4)
     z = LinearCode.zero_code(f, 5)
-    full = LinearCode.full_space(f, 5)
+    full = full_space(f, 5)
     assert z.k == 0 and full.k == 5
     assert z.dual() == full and full.dual() == z
     assert z.is_subcode_of(full)
@@ -259,9 +262,25 @@ def test_contains_against_oracle():
         assert C.contains(np.array(v, dtype=np.uint8)) == (v in words)
 
 
+@pytest.mark.parametrize("q", gf.SUPPORTED_SIZES)
+def test_zero_rows_take_the_general_path_in_every_field(q):
+    # the zero code is a subcode through a 0-row reduce, which returns an
+    # empty residue through a 0-row field product; at n = 300 that product
+    # takes column blocks
+    f = gf.get_field(q)
+    rng = np.random.default_rng(q)
+    for n, k in ((6, 3), (300, 150)):
+        z = LinearCode.zero_code(f, n)
+        for c in (random_code(f, n, k, rng), z, full_space(f, n)):
+            assert z.is_subcode_of(c)
+            assert c.reduce(np.zeros((0, n), dtype=np.uint8)).shape == (0, n - c.k)
+        b = rng.integers(0, q, size=(k, n)).astype(np.uint8)
+        assert f.matmul(np.zeros((0, k), dtype=np.uint8), b).shape == (0, n)
+
+
 def test_contains_checks_length():
     f = gf.get_field(3)
-    C = LinearCode.full_space(f, 4)
+    C = full_space(f, 4)
     with pytest.raises(DimensionMismatch):
         C.contains(np.zeros(3, dtype=np.uint8))
 
@@ -272,9 +291,9 @@ def test_subcode_of_errors_and_truth():
     b = LinearCode(f, np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=np.uint8), 4)
     assert a.is_subcode_of(b) and not b.is_subcode_of(a)
     with pytest.raises(FieldMismatch):
-        a.is_subcode_of(LinearCode.full_space(gf.get_field(3), 4))
+        a.is_subcode_of(full_space(gf.get_field(3), 4))
     with pytest.raises(DimensionMismatch):
-        a.is_subcode_of(LinearCode.full_space(f, 5))
+        a.is_subcode_of(full_space(f, 5))
 
 
 def oracle_word(field, msg, gen):
@@ -282,7 +301,7 @@ def oracle_word(field, msg, gen):
     vec = [0] * gen.shape[1]
     for m, row in zip(msg, gen):
         for j in range(gen.shape[1]):
-            vec[j] = field.add(vec[j], field.mul(m, int(row[j])))
+            vec[j] = int(field.ADD[vec[j], field.MUL[m, row[j]]])
     return tuple(vec)
 
 
@@ -322,7 +341,7 @@ def check_span_blocks(q, k, head_loop):
     assert leads == sorted(leads, reverse=True) and leads[0] == k - 1 and leads[-1] == 0
     assert len(leads) > k if head_loop else len(leads) == k
     # scaling the yielded words gives every nonzero codeword exactly once
-    scaled = [tuple(f.mul(c, x) for x in w) for _, w in seen for c in range(1, q)]
+    scaled = [tuple(int(f.MUL[c, x]) for x in w) for _, w in seen for c in range(1, q)]
     assert len(set(scaled)) == len(scaled)
     assert set(scaled) == oracle_codewords(f, C.gen) - {(0,) * 6}
 
@@ -428,15 +447,15 @@ def test_weight_distribution_counts():
     f = gf.get_field(3)
     rep = LinearCode(f, np.ones((1, 3), dtype=np.uint8), 3)
     dist = rep.weight_distribution()
-    assert dist.counts == (1, 0, 0, 2)
-    assert sum(dist.counts) == 3
+    assert dist == (1, 0, 0, 2)
+    assert sum(dist) == 3
     # over the cap there is no distribution to report, only a capped run:
     # here both the code and its dual span 3^10 words
     half = LinearCode(f, np.hstack([np.eye(10), np.ones((10, 10))]).astype(np.uint8), 20)
     with pytest.raises(CapExceeded):
         half.weight_distribution(cap=100)
     # the full space's distribution comes from its dual, the zero code
-    full = LinearCode.full_space(f, 20).weight_distribution(cap=100).counts
+    full = full_space(f, 20).weight_distribution(cap=100)
     assert full == tuple(comb(20, w) * 2**w for w in range(21))
 
 
@@ -449,7 +468,7 @@ def test_weight_distribution_matches_oracle_counts(q):
         expect = [0] * 7
         for word in oracle_codewords(f, C.gen):
             expect[sum(1 for x in word if x)] += 1
-        assert C.weight_distribution().counts == tuple(expect)
+        assert C.weight_distribution() == tuple(expect)
 
 
 @st.composite
@@ -483,8 +502,8 @@ def test_first_order_grm_distribution_has_its_closed_form(q, m):
     expect = [0] * (n + 1)
     expect[0], expect[n - n // q], expect[n] = 1, q * (n - 1), q - 1
     code = build_grm(q, m, 1).code
-    assert code.weight_distribution().counts == tuple(expect)
-    B = LinearCode(code.field, code.dual().gen, n).weight_distribution().counts
+    assert code.weight_distribution() == tuple(expect)
+    B = LinearCode(code.field, code.dual().gen, n).weight_distribution()
     assert sum(B) == q ** (n - m - 1)
     assert tuple(lincode._macwilliams(B, q, n - m - 1)) == tuple(expect)
 
@@ -529,8 +548,8 @@ def test_min_weight_equals_first_positive_distribution_index():
             if C.k == 0:
                 continue
             dist = C.weight_distribution()
-            assert C.min_weight()[0] == next(i for i, c in enumerate(dist.counts) if i and c)
-            assert sum(dist.counts) == q**C.k
+            assert C.min_weight()[0] == next(i for i, c in enumerate(dist) if i and c)
+            assert sum(dist) == q**C.k
 
 
 def test_min_weight_difference_oracle_and_contract():
@@ -552,7 +571,7 @@ def test_min_weight_difference_oracle_and_contract():
     with pytest.raises(NotNested):
         exact_min_weight(C, C)
     with pytest.raises(NotNested):
-        exact_min_weight(C, LinearCode.full_space(f, 3))
+        exact_min_weight(C, full_space(f, 3))
     with pytest.raises(FieldMismatch):
         exact_min_weight(C, LinearCode.zero_code(gf.get_field(2), 3))
     with pytest.raises(EmptyCode):
@@ -566,7 +585,7 @@ def test_min_weight_difference_oracle_and_contract():
     # that the support search gives up, and the distribution route settles
     # the pair: the full space's dual is the zero code, and span(e_0..e_8)'s
     # dual spans 3 words
-    full = LinearCode.full_space(f, 10)
+    full = full_space(f, 10)
     excl = LinearCode(f, np.eye(10, dtype=np.uint8)[:9], 10)
     assert exact_min_weight(full, excl, cap=10) == (1, 1, True)
     assert exact_min_weight(full, excl, cap=9) == (1, 1, True)
@@ -799,7 +818,7 @@ def test_batched_support_search_crosses_chunk_boundaries(monkeypatch):
     H = np.vstack([f.POW[pts, j] for j in range(3)])
     code = code_from_checks(f, H)
     low = np.zeros((1, n), dtype=np.uint8)
-    low[0, 30], low[0, 31] = 1, f.neg(1)
+    low[0, 30], low[0, 31] = 1, f.NEG[1]
     assert code.contains(low[0])
     excl = LinearCode(f, low, n)
 
@@ -876,7 +895,7 @@ def test_support_budget_trips_partway_through_a_layer_above_r(scan_bytes, monkey
 
 def test_row_weights_do_not_wrap_at_length_256():
     ones = np.ones((1, 256), dtype=np.uint8)
-    assert LinearCode(gf.get_field(2), ones, 256).weight_distribution().counts[256] == 1
+    assert LinearCode(gf.get_field(2), ones, 256).weight_distribution()[256] == 1
     assert exact_min_weight(LinearCode(gf.get_field(3), ones, 256)) == (256, 256, True)
 
 
@@ -1473,7 +1492,7 @@ def vanishing_word(field, m, b):
         v = 1
         for i in range(m):
             for j in range(b[i]):
-                v = field.mul(v, field.sub(x[i], j))
+                v = field.MUL[v, field.ADD[x[i], field.NEG[j]]]
         out.append(v)
     return np.array(out, dtype=np.uint8)
 
@@ -1486,7 +1505,10 @@ def reference_leading_monomials(field, m, gen):
     q, n = field.q, field.q**m
     digits = [[t // q**i % q for i in range(m)] for t in range(n)]
     def monomial(a, x):  # x^a at the point with coordinates x
-        return functools.reduce(field.mul, [field.pow(x[i], a[i]) for i in range(m)], 1)
+        v = 1
+        for i in range(m):
+            v = field.MUL[v, field.POW[x[i], a[i]]]
+        return v
 
     E = np.array([[monomial(a, x) for x in digits] for a in digits], dtype=np.uint8)
     inverse = reference_rref(field, np.hstack([E, np.eye(n, dtype=np.uint8)]))[0][:, n:]
@@ -1829,8 +1851,13 @@ def _held_bytes(a: np.ndarray) -> int:
     return a.nbytes
 
 
+def product_span(a, b):
+    """The span of every product u*v, u in a and v in b, from their rows' products."""
+    return LinearCode(a.field, product_rows(a, b), a.n)
+
+
 def test_a_code_from_a_tall_generator_holds_only_its_rows():
-    # product_span(R_7(5,2), R_7(6,2)-perp) has rank 46 from 441 product rows
+    # the products of R_7(5,2) and R_7(6,2)-perp have rank 46 from 441 rows
     # of length 49: a generator that were a view of rref's eliminated copy
     # would keep all 441 x 49 bytes alive
     C = product_span(build_grm(7, 2, 5).code, build_grm(7, 2, 6).code.dual())
@@ -1864,14 +1891,14 @@ def test_product_span_matches_oracle_products():
     P = product_span(A, B)
     for a in oracle_codewords(f, A.gen):
         for b in oracle_codewords(f, B.gen):
-            prod = np.array([f.mul(x, y) for x, y in zip(a, b)], dtype=np.uint8)
+            prod = f.MUL[list(a), list(b)]
             assert P.contains(prod)
 
 
 def test_hermitian_dual_basics():
     f4 = gf.get_field(4)
     z = LinearCode.zero_code(f4, 3)
-    assert z.hermitian_dual() == LinearCode.full_space(f4, 3)
+    assert z.hermitian_dual() == full_space(f4, 3)
     # n=1, C = span{(1)}: <1|1>_h = 1 != 0, so the Hermitian dual is zero
     C = LinearCode(f4, np.array([[1]], dtype=np.uint8), 1)
     assert C.hermitian_dual().k == 0
@@ -1907,15 +1934,21 @@ def reference_restriction(code):
     return LinearCode(pair.sub, pair.sub.matmul(K, pair.dec_a[base_rows]), code.n)
 
 
+def trace_code(code):
+    """The componentwise trace image of a code over a tower top, over the base field."""
+    pair = gf.extension_pair_for(code.field)
+    return LinearCode(pair.sub, pair.trace_rows(code.gen), code.n)
+
+
 def test_trace_code_and_restriction_examples():
     pair = gf.quadratic_extension(2)
     f4 = pair.ext
     # full space traces onto the full space; restriction of full is full
-    full = LinearCode.full_space(f4, 3)
-    assert full.trace_code() == LinearCode.full_space(pair.sub, 3)
-    assert full.restriction() == LinearCode.full_space(pair.sub, 3)
+    full = full_space(f4, 3)
+    assert trace_code(full) == full_space(pair.sub, 3)
+    assert full.restriction() == full_space(pair.sub, 3)
     z = LinearCode.zero_code(f4, 3)
-    assert z.trace_code().k == 0 and z.restriction().k == 0
+    assert trace_code(z).k == 0 and z.restriction().k == 0
     # D = span{(zeta, zeta)}: scaling by zeta^{-1} keeps (1,1) in D
     zeta = f4.generator
     D = LinearCode(f4, np.array([[zeta, zeta]], dtype=np.uint8), 2)
@@ -1970,8 +2003,8 @@ def test_restriction_matches_reference_at_the_extremes(q):
     ext, sub = pair.ext, pair.sub
     rng = np.random.default_rng(700 + q)
     for n in (1, 7):
-        full = LinearCode.full_space(ext, n)
-        assert full.restriction() == reference_restriction(full) == LinearCode.full_space(sub, n)
+        full = full_space(ext, n)
+        assert full.restriction() == reference_restriction(full) == full_space(sub, n)
     for k, n in ((1, 2), (3, 8), (5, 10)):
         X, Y = (rng.integers(0, q, size=(k, n - k)).astype(np.uint8) for _ in range(2))
         Y[:, :k] = np.eye(k, dtype=np.uint8)
@@ -2023,7 +2056,7 @@ def test_delsarte_identity_random_codes():
         for _ in range(20):
             n = int(rng.integers(2, 8))
             D = random_code(f, n, int(rng.integers(1, n + 1)), rng)
-            assert D.trace_code().dual() == D.dual().restriction()
+            assert trace_code(D).dual() == D.dual().restriction()
 
 
 def test_punctured_to_and_scaled_by():
@@ -2034,7 +2067,7 @@ def test_punctured_to_and_scaled_by():
     x = np.array([1, 2, 1, 1], dtype=np.uint8)
     S = C.scaled_by(x)
     for w in oracle_codewords(f, C.gen):
-        scaled = np.array([f.mul(int(a), int(b)) for a, b in zip(w, x)], dtype=np.uint8)
+        scaled = f.MUL[list(w), x]
         assert S.contains(scaled)
 
 

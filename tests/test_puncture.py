@@ -2,6 +2,7 @@
 
 import tracemalloc
 from functools import partial
+from math import comb
 
 import numpy as np
 import pytest
@@ -13,20 +14,19 @@ import grmcodes.puncture as puncture
 import grmcodes.qcode as qcode
 from grmcodes import gf
 from grmcodes.errors import (
+    NoEmbeddingDefined,
     NotNested,
     OrderOutOfRange,
     ParameterMismatch,
-    PointOrderMismatch,
     UnsupportedField,
     WitnessInvalid,
     WitnessNotFound,
 )
 from grmcodes.grm import build_grm, grm_distance
-from grmcodes.lincode import DEFAULT_CAP, LinearCode, product_span
+from grmcodes.lincode import DEFAULT_CAP, LinearCode, product_rows
 from grmcodes.puncture import (
     PunctureCodeRecord,
     PunctureWitness,
-    extended_rs_embedding_check,
     find_weight_witness,
     mds_chain,
     puncture_code_css,
@@ -53,6 +53,17 @@ def nested_pair(draw):
     return LinearCode(C2.field, C2.field.matmul(U.gen, C2.gen), C2.n), C2
 
 
+def product_span(a, b):
+    """The span of every product u*v, u in a and v in b, from their rows' products."""
+    return LinearCode(a.field, product_rows(a, b), a.n)
+
+
+def trace_code(C):
+    """The componentwise trace image of a code over a tower top, over the base field."""
+    pair = gf.extension_pair_for(C.field)
+    return LinearCode(pair.sub, pair.trace_rows(C.gen), C.n)
+
+
 @settings(database=None, derandomize=True, deadline=None, max_examples=150)
 @given(nested_pair())
 def test_css_puncture_code_is_the_dual_of_the_product_span(pair):
@@ -63,7 +74,7 @@ def test_css_puncture_code_is_the_dual_of_the_product_span(pair):
 @settings(database=None, derandomize=True, deadline=None, max_examples=150)
 @given(st.sampled_from([4, 9, 16, 25, 49, 64]).flatmap(lambda q: _random_code(q, 6)))
 def test_hermitian_puncture_code_is_the_dual_of_the_trace_code(C):
-    expect = product_span(C, C.frobenius_image()).trace_code().dual()
+    expect = trace_code(product_span(C, C.frobenius_image())).dual()
     assert puncture_code_hermitian(C).pcode == expect
 
 
@@ -72,7 +83,7 @@ def test_hermitian_puncture_codes_of_the_benchmark_grm_codes(q, nu):
     # the puncture-build workload's Hermitian cases, against the span,
     # trace code and dual they no longer build
     C = build_grm(q * q, 2, nu).code
-    assert puncture_code_hermitian(C).pcode == product_span(C, C.frobenius_image()).trace_code().dual()
+    assert puncture_code_hermitian(C).pcode == trace_code(product_span(C, C.frobenius_image())).dual()
 
 
 @pytest.mark.parametrize("q, m", [(5, 2), (7, 2)])
@@ -101,10 +112,32 @@ def test_known_subcode_witness_scan_stays_within_the_scan_budget():
     assert peak <= lincode._SCAN_BYTES + 16 * 1024
 
 
+def test_only_the_information_set_search_settles_the_q7_punctured_css_side():
+    # `puncture css -q 7 -m 2 --nu1 2 --nu2 6 --target-weight 35` gives
+    # [[35,9,4]]_7.  Its C2 minus C1 side, [35,15]_7 minus [35,6]_7, weighs 7,
+    # and every route but the search with budget = cap declines it: length 35
+    # is no power of 7 (footprint), the smaller span 7^15 tops the cap
+    # (distributions), and the support sizes up to 7 charge more subsets than
+    # the support search's budget.  The search's first look alone leaves a
+    # bound below 7
+    g1, g2 = build_grm(7, 2, 2), build_grm(7, 2, 6)
+    x = find_weight_witness(puncture_code_css(g1, g2), 35).x
+    support = np.flatnonzero(x)
+    C1 = g1.code.scaled_by(x).punctured_to(support)
+    C2 = g2.code.dual().punctured_to(support).dual()
+    assert (C2.n, C2.k, C1.k) == (35, 15, 6)
+    cap = DEFAULT_CAP
+    assert lincode._footprint_weights(C2, C1, cap) is None
+    assert lincode._smaller_span(C2) == 7**15 > cap
+    assert sum(comb(35, w) for w in range(1, 8)) > lincode._subset_budget(cap)
+    assert lincode._information_set_search(C2, C1, 0, lincode._look_weight(7, 15, cap))[1] < 7
+    assert lincode.exact_min_weight(C2, C1, cap) == (7, 7, True)
+
+
 def test_puncture_code_css_trivial_cases():
     f = gf.get_field(3)
     z = LinearCode.zero_code(f, 4)
-    full = LinearCode.full_space(f, 4)
+    full = LinearCode(f, np.eye(4, dtype=np.uint8), 4)
     # empty product set: the puncture code is the full space
     assert puncture_code_css(z, full).pcode == full
     assert puncture_code_css(z, z).pcode == full
@@ -136,7 +169,7 @@ def test_puncture_code_css_full_space_pair_has_full_puncture_code():
     # with nu2 = m(q-1) the dual side is the zero code, so every length works
     f = gf.get_field(3)
     rec = puncture_code_css(build_grm(3, 2, 1), build_grm(3, 2, 4))
-    assert rec.pcode == LinearCode.full_space(f, 9)
+    assert rec.pcode == LinearCode(f, np.eye(9, dtype=np.uint8), 9)
     assert "grm_identity" not in rec.provenance
 
 
@@ -206,21 +239,21 @@ def test_puncture_code_hermitian_reuses_the_callers_code(monkeypatch):
 def test_puncture_code_css_equal_orders_gives_repetition():
     rec = puncture_code_css(build_grm(3, 2, 1), build_grm(3, 2, 1))
     dist = rec.pcode.weight_distribution()
-    assert {i for i, c in enumerate(dist.counts) if c and i} == {9}
+    assert {i for i, c in enumerate(dist) if c and i} == {9}
 
 
 def test_puncture_code_hermitian_zero_code_gives_full_space():
     f9 = gf.get_field(9)
     rec = puncture_code_hermitian(LinearCode.zero_code(f9, 5))
-    assert rec.pcode == LinearCode.full_space(gf.get_field(3), 5)
+    assert rec.pcode == LinearCode(gf.get_field(3), np.eye(5, dtype=np.uint8), 5)
 
 
 def test_hermitian_puncture_code_contains_weight_6_vector():
     rec = puncture_code_hermitian(build_grm(9, 1, 1))
     dist = rec.pcode.weight_distribution()
-    assert dist.counts[6] > 0
+    assert dist[6] > 0
     w = find_weight_witness(rec, 6)
-    assert w.weight == 6 and w.support == tuple(np.flatnonzero(w.x))
+    assert w.weight == 6
     assert rec.pcode.contains(w.x)
 
 
@@ -271,7 +304,7 @@ def test_puncture_css_every_grm_pair_q3_m2():
             g1, g2 = build_grm(3, 2, nu1), build_grm(3, 2, nu2)
             rec = puncture_code_css(g1, g2)
             dist = rec.pcode.weight_distribution()
-            r = next(i for i, c in enumerate(dist.counts) if i and c)
+            r = next(i for i, c in enumerate(dist) if i and c)
             w = find_weight_witness(rec, r)
             out = puncture_css(g1, g2, w, pcode_record=rec)
             assert out.n == r and out.exact
@@ -423,6 +456,28 @@ def test_mds_chain_q5_uses_slice_fallback_for_nu0():
     assert rec.provenance["witness_source"].startswith("univariate-slice")
 
 
+def extended_rs_embedding_check(q: int, m: int, nu: int) -> bool:
+    """Does R_q(nu, m) embed in the matching extended-RS subfield restriction?
+
+    The univariate side is R_{q^m}(q^m - d(nu), 1)|_GF(q).  For m = 2 the
+    bivariate code is moved onto GF(q^2) by the basis bijection, as chain
+    step 1 of ``mds_chain`` does; every order 0 <= nu <= 2(q-1) is valid.
+    For m = 1 both sides are R_q(nu, 1), as d(nu) = q - nu: the identity,
+    returned with no code built.  This checks step 1 where the chain does
+    not: the chain scans only the orders 1..q-1, never 0 or q..2(q-1), and
+    where a full R_q(nu, 2) is over the cap it embeds only its univariate
+    slice.
+    """
+    if m == 1:
+        gf.get_field(q)  # raises UnsupportedField
+        return q - grm_distance(q, 1, nu) == nu
+    assert m == 2, "the basis bijection identifies GF(q)^2 with GF(q^2) only"
+    # built through puncture's name, as _chain_step1 builds, so that patching it catches both
+    code = puncture.build_grm(q, 2, nu).code
+    mapped, restricted = puncture._chain_step1(code, q * q - grm_distance(q, 2, nu))
+    return mapped.is_subcode_of(restricted)
+
+
 @pytest.mark.parametrize("q,m,nu", [(q, 2, nu) for q in (2, 3, 4, 5, 7, 8) for nu in range(2 * q - 1)])
 def test_extended_rs_embedding(q, m, nu):
     # every order of R_q(nu, 2), the top one nu = 2(q-1) included
@@ -431,9 +486,7 @@ def test_extended_rs_embedding(q, m, nu):
 
 def test_extended_rs_embedding_univariate_and_errors():
     assert extended_rs_embedding_check(3, 1, 1)
-    with pytest.raises(PointOrderMismatch):
-        extended_rs_embedding_check(3, 3, 1)
-    with pytest.raises(PointOrderMismatch):
+    with pytest.raises(NoEmbeddingDefined):
         extended_rs_embedding_check(9, 2, 1)  # GF(81) is not in the table
 
 

@@ -43,7 +43,7 @@ def hermitian_distance_formula(q, nu):
 
 def test_css_trivial_pair_gives_full_parameter_code():
     f = gf.get_field(3)
-    rec = css(LinearCode.zero_code(f, 5), LinearCode.full_space(f, 5))
+    rec = css(LinearCode.zero_code(f, 5), LinearCode(f, np.eye(5, dtype=np.uint8), 5))
     assert (rec.n, rec.k, rec.d) == (5, 5, 1)
     assert rec.params_str() == "[[5,5,1]]_3"
     assert rec.singleton_slack == 0 and rec.is_mds
@@ -60,9 +60,9 @@ def test_css_requires_nesting():
 def test_css_rejects_inputs_over_different_fields_or_lengths():
     f2, f3 = gf.get_field(2), gf.get_field(3)
     with pytest.raises(FieldMismatch):
-        css(LinearCode.zero_code(f2, 4), LinearCode.full_space(f3, 4))
+        css(LinearCode.zero_code(f2, 4), LinearCode(f3, np.eye(4, dtype=np.uint8), 4))
     with pytest.raises(DimensionMismatch):
-        css(LinearCode.zero_code(f2, 4), LinearCode.full_space(f2, 5))
+        css(LinearCode.zero_code(f2, 4), LinearCode(f2, np.eye(5, dtype=np.uint8), 5))
 
 
 @pytest.mark.parametrize("q,m", [(q, m) for q in (2, 3, 4, 5) for m in (1, 2, 3)])

@@ -1,9 +1,12 @@
-"""Source hygiene: every name a package module imports is used."""
+"""Source hygiene: every name a package module imports is used, every
+private definition is read, and every exported name resolves."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import grmcodes
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "grmcodes"
 
@@ -60,3 +63,8 @@ def test_every_private_definition_is_referenced():
         if not any(n == d.name and not (p == path and d.lineno <= line <= d.end_lineno) for p, line, n in uses)
     ]
     assert unused == []
+
+
+def test_every_exported_name_resolves():
+    # a retired name must leave __all__ with its definition
+    assert [name for name in grmcodes.__all__ if not hasattr(grmcodes, name)] == []
