@@ -79,10 +79,16 @@ first look), and the support search runs only when the support sizes it
 charges up front, up to the lightest word the search saw, fit its subset
 budget.  When neither finishes, the distributions settle both values if
 each side's smaller span, q^min(k, n - k), fits the cap, priced before
-any scan.  Last, the footprint runs when n = q^m and n min(k, n - k)
-fits the cap; last, so that every value another route settles keeps its
-route.  Otherwise the engine returns an inexact value holding the bound
-the search certified, which is what ``LinearCode.min_weight`` reports.
+any scan.  The footprint runs once at most, when n = q^m and
+n min(k, n - k) fits the cap: where the search's first look leaves the
+value open and its plan fits its budget, just before the search would
+build its information sets, since on the grid it settles for far less
+than those sets cost; otherwise last.  It goes no earlier, so that the
+memoized counts, the look, the support search and the distributions keep
+every value they settle (the counts answer repeat calls almost free, and
+the footprint keeps nothing).  If nothing settles, the engine returns an
+inexact value holding the bound the search certified, which is what
+``LinearCode.min_weight`` reports.
 
 All four are complete where they answer; tests cross-check them against
 each other, the filtered support search against a per-subset reference,
@@ -94,7 +100,7 @@ against a brute-force oracle.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 from typing import NamedTuple
 
@@ -583,7 +589,7 @@ def _look_weight(q: int, k: int, cap: int) -> int:
 
 
 def _information_set_search(
-    code: LinearCode, exclude: LinearCode | None = None, budget: float = float("inf"), look: int = 2
+    code: LinearCode, exclude: LinearCode | None = None, budget: float = float("inf"), look: int = 2, certify=None
 ) -> tuple[list[int], int]:
     """Brouwer-Zimmermann search: ([wt(C), wt(C minus exclude)] as far as
     seen, a certified lower bound on wt(C minus exclude)).
@@ -599,7 +605,13 @@ def _information_set_search(
     its estimated cost to finish tops ``budget``.  That cost only falls as w
     rises and lighter words turn up, so it stops, if at all, before any set
     but the first is enumerated, and the bound is the floor look + 1 on the
-    words that set did not show, or the lightest word seen if lower."""
+    words that set did not show, or the lightest word seen if lower.
+
+    ``certify``, when given, is called with no arguments where the look has
+    left the value open and the plan fits ``budget``, just before any set
+    is built; the ``Weights`` it may return (the engine passes its
+    footprint certificate) end the search with their values, and None lets
+    it go on."""
     field, k, n = code.field, code.k, code.n
     best = [n + 1, n + 1]
     look = min(look, k)
@@ -621,6 +633,9 @@ def _information_set_search(
         _search_plan(field, k, hint, 1, best[1])[0] + _PIVOT_COST * k * (len(hint) - 1) > budget
     ):
         return best, look + 1
+    found = certify and certify()
+    if found:
+        return [found.code, found.diff], found.diff
     sets = _information_sets(field, code.gen, code.pivots)
     for w in range(1, k + 1):
         cost, stop = _search_plan(field, k, [r for _, r in sets], w, best[1])
@@ -982,11 +997,14 @@ def exact_min_weight(
     finishes, and for the code and ``exclude`` alike the smaller of it and
     its dual spans at most ``cap`` words (always so when q^k <= cap), both
     values come from the distributions; that price is read off k and n, so
-    a route that does not fit starts no scan.  Otherwise the footprint
-    certificate (:func:`_footprint_weights`) runs when n = q^m and
-    n min(k, n - k) fits the cap.  When it declines, the value is not
-    ``exact`` (``Weights``): it holds the lower bound the search certified.
-    Bad input still raises.
+    a route that does not fit starts no scan.  The footprint certificate
+    (:func:`_footprint_weights`), priced at n min(k, n - k) <= cap on
+    n = q^m, runs at most once: where the search has finished its first
+    look unsettled and its plan fits its budget, before it builds any
+    information set (the search's ``certify``), and otherwise after every
+    other route; the multi-set phase runs only if it declines there.  When
+    nothing settles, the value is not ``exact`` (``Weights``): it holds the
+    lower bound the search certified.  Bad input still raises.
     """
     if code.k == 0:
         raise EmptyCode("the zero code has no minimum weight")
@@ -1008,7 +1026,9 @@ def exact_min_weight(
         # one a weight: a search to the cap there costs many times what the
         # support search or the distributions take, so it gets its first look
         budget = cap if 2 * k <= n else 0
-    best, bound = _information_set_search(code, exclude, budget, _look_weight(field.q, k, cap))
+    # computed at most once, by whichever of its two places asks first
+    footprint = lru_cache(maxsize=None)(partial(_footprint_weights, code, exclude, cap))
+    best, bound = _information_set_search(code, exclude, budget, _look_weight(field.q, k, cap), footprint)
     if bound == best[1]:
         return Weights(*best, True)
     if not within and sum(comb(n, w) for w in range(1, min(best[1], n - k) + 1)) <= _subset_budget(cap):
@@ -1018,7 +1038,7 @@ def exact_min_weight(
             pass
     if fits:
         return _distribution_weights(code, exclude)
-    return _footprint_weights(code, exclude, cap) or Weights(best[0], bound, False)
+    return footprint() or Weights(best[0], bound, False)
 
 
 def _distribution_weights(code: LinearCode, exclude: LinearCode | None) -> Weights:

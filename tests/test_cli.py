@@ -682,13 +682,15 @@ GOLDEN_COMMANDS = {
     # the frontier: [[35,25,6]]_7 and [[40,30,6]]_8, whose support searches
     # certify every 5-subset at w = r = 5, and three capped rows
     "sweep_mds_q7_8": "sweep mds -q 7,8",
-    # information-set search on both sides: C2 minus C1 within the cap, and
-    # C1-perp minus C2-perp over it, where its first look settles the weight
+    # C2 minus C1 within the cap, settled by the footprint where the search
+    # would build its information sets, and C1-perp minus C2-perp over the
+    # cap, where the search's first look settles the weight
     "quantum_css_q5_m2_nu1_1_nu2_3": "quantum css -q 5 -m 2 --nu1 1 --nu2 3",
     # its [256,253]_16 side is over the cap: the weight distributions settle it
     "quantum_hermitian_q4_m2_nu1": "quantum hermitian -q 4 -m 2 --nu 1",
-    # q^k within the cap on every row: the search settles the 12 largest
-    # codes, R_5(3,2) = [25,10,10]_5 included, and the distributions the rest
+    # the search's first look settles 8 rows, the footprint [16,10]_4 and
+    # R_5(3,2) = [25,10,10]_5 where the search would build its information
+    # sets, the support search R_5(4,2), and the distributions the rest
     "sweep_grm_q2_3_4_5_m1_2": "sweep grm -q 2,3,4,5 -m 1,2",
     "grm_q3_m2_order1_dual_dump": "grm -q 3 -m 2 --order 1 --dual-check --dump-matrix",
     # exact at cap 50000 by the footprint route, priced at 25 * 10

@@ -291,9 +291,10 @@ def test_exhaustive_distance_matches_formula_small():
 @pytest.mark.parametrize("q,nu", [(7, 3), (7, 9), (8, 11), (8, 12)])
 def test_min_weight_exact_above_the_cap(q, nu):
     # q^k is far over the cap.  R_7(3,2) = [49,10,28]_7 has n >= 2k and the
-    # information-set search's plan fits the cap, so it runs to the end; the
-    # others have n < 2k, and the search's first look finds a word light
-    # enough that the support route's charges up to it fit its budget
+    # information-set search's plan fits the cap, so the footprint settles it
+    # before the search builds its information sets; the others have n < 2k,
+    # and the search's first look finds a word light enough that the support
+    # route's charges up to it fit its budget
     c = build_grm(q, 2, nu)
     assert c.code.field.q**c.k > 2**24
     assert c.code.min_weight() == (c.d_formula, True)

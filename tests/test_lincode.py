@@ -1674,14 +1674,45 @@ def test_footprint_declines_off_the_grid_and_over_its_price():
     assert lincode._footprint_weights(C.punctured_to(range(24)), None, lincode.DEFAULT_CAP) is None
 
 
-def test_footprint_runs_only_where_the_engine_would_give_up(monkeypatch):
-    calls = []
-    route = lincode._footprint_weights
-    monkeypatch.setattr(lincode, "_footprint_weights", lambda *args: calls.append(args) or route(*args))
-    # the search settles R_5(3,2) within the cap: no footprint
-    assert exact_min_weight(fresh_grm(5, 2, 3), fresh_grm(5, 2, 2)) == (10, 10, True) and not calls
-    # R_7(6,2) = [49,28,7]_7 over the cap, where nothing else fits: one call
-    assert exact_min_weight(fresh_grm(7, 2, 6)) == (7, 7, True) and len(calls) == 1
+ROUTES = ("_footprint_weights", "_information_sets", "min_weight_support_search", "_distribution_weights")
+
+
+def planted_grid_code():
+    """A planted [64,19]_2 code: length 2^6, with zero and repeated columns."""
+    return planted_code(gf.get_field(2), 64, 20, np.random.default_rng(31))[0]
+
+
+@pytest.mark.parametrize(
+    "build, cap, routes, expect",
+    [
+        # [25,10,10]_5 minus [25,6]_5 within the cap: the look leaves it
+        # open and the search's plan fits one scan, so the footprint settles
+        # it before any information set is built
+        (lambda: (fresh_grm(5, 2, 3), fresh_grm(5, 2, 2)), lincode.DEFAULT_CAP, ["_footprint_weights"], (10, 10, True)),
+        # [25,15,5]_5 over the cap: its rate leaves the search only its first
+        # look, so the support search comes next and settles it
+        (lambda: (fresh_grm(5, 2, 4), None), lincode.DEFAULT_CAP, ["min_weight_support_search"], (5, 5, True)),
+        # [64,3,56]_8 minus [64,1]_8 within the cap: the search prices its
+        # sets above one scan, so the distributions settle it, no footprint
+        (lambda: (fresh_grm(8, 2, 1), fresh_grm(8, 2, 0)), lincode.DEFAULT_CAP, ["_distribution_weights"], (56, 56, True)),
+        # [49,28,7]_7 over the cap, where nothing else fits: the footprint,
+        # last, settles it in one call
+        (lambda: (fresh_grm(7, 2, 6), None), lincode.DEFAULT_CAP, ["_footprint_weights"], (7, 7, True)),
+        # over the cap the footprint is tried before the sets and finds no
+        # witness; the multi-set phase stops unfinished, no other route fits,
+        # and the engine gives up without asking the footprint again
+        (lambda: (planted_grid_code(), None), 2**14, ["_footprint_weights", "_information_sets"], (9, 5, False)),
+    ],
+    ids=["R_5(3,2)-R_5(2,2)", "R_5(4,2)", "R_8(1,2)-R_8(0,2)", "R_7(6,2)", "planted-[64,19]_2"],
+)
+def test_footprint_runs_before_the_information_sets_or_last(build, cap, routes, expect, monkeypatch):
+    called = []
+    for name in ROUTES:
+        route = getattr(lincode, name)
+        monkeypatch.setattr(lincode, name, lambda *args, name=name, route=route: called.append(name) or route(*args))
+    code, exclude = build()
+    assert exact_min_weight(code, exclude, cap) == expect
+    assert called == routes
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -112,14 +112,14 @@ def test_known_subcode_witness_scan_stays_within_the_scan_budget():
     assert peak <= lincode._SCAN_BYTES + 16 * 1024
 
 
-def test_only_the_information_set_search_settles_the_q7_punctured_css_side():
+def test_only_the_information_set_search_settles_the_q7_punctured_css_side(monkeypatch):
     # `puncture css -q 7 -m 2 --nu1 2 --nu2 6 --target-weight 35` gives
     # [[35,9,4]]_7.  Its C2 minus C1 side, [35,15]_7 minus [35,6]_7, weighs 7,
     # and every route but the search with budget = cap declines it: length 35
     # is no power of 7 (footprint), the smaller span 7^15 tops the cap
     # (distributions), and the support sizes up to 7 charge more subsets than
     # the support search's budget.  The search's first look alone leaves a
-    # bound below 7
+    # bound below 7, and the multi-set phase builds its information sets
     g1, g2 = build_grm(7, 2, 2), build_grm(7, 2, 6)
     x = find_weight_witness(puncture_code_css(g1, g2), 35).x
     support = np.flatnonzero(x)
@@ -131,7 +131,10 @@ def test_only_the_information_set_search_settles_the_q7_punctured_css_side():
     assert lincode._smaller_span(C2) == 7**15 > cap
     assert sum(comb(35, w) for w in range(1, 8)) > lincode._subset_budget(cap)
     assert lincode._information_set_search(C2, C1, 0, lincode._look_weight(7, 15, cap))[1] < 7
-    assert lincode.exact_min_weight(C2, C1, cap) == (7, 7, True)
+    sets = []
+    real_sets = lincode._information_sets
+    monkeypatch.setattr(lincode, "_information_sets", lambda *args: sets.append(args) or real_sets(*args))
+    assert lincode.exact_min_weight(C2, C1, cap) == (7, 7, True) and len(sets) == 1
 
 
 def test_puncture_code_css_trivial_cases():
